@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exprs import eval_table
+from .polynomial import PolynomialError, parse_polynomial
 
 
 class AlgebraError(ValueError):
@@ -233,6 +233,39 @@ def affine_singquandle(n: int, a: int, b: int, c: int) -> OrientedSingquandle:
     return OrientedSingquandle(star, r1, r2)
 
 
+def eval_table(formula: str, modulus: int, var_names: Sequence[str],
+               cols: int | None = None) -> list:
+    """Tabulate an integer-polynomial formula in the two variables
+    ``var_names`` over ``modulus x cols`` inputs (``cols`` defaults to
+    ``modulus``), exactly and reduced mod ``modulus``."""
+    if modulus < 1:
+        raise AlgebraError("modulus must be >= 1")
+    try:
+        poly = parse_polynomial(formula)
+    except PolynomialError as exc:
+        raise AlgebraError(f"cannot parse formula {formula!r}: "
+                           f"{exc}") from None
+    unknown = sorted(set(poly.variables()) - set(var_names))
+    if unknown:
+        raise AlgebraError(f"formula {formula!r} uses unknown "
+                           f"variable(s) {unknown}")
+    u, v = var_names
+    cols = modulus if cols is None else cols
+    terms = []   # (coefficient, exponent of u, column values of v^exponent)
+    for mono, c in poly.terms:
+        exps = dict(mono)
+        terms.append((c, exps.get(u, 0),
+                      [j ** exps.get(v, 0) for j in range(cols)]))
+    table = []
+    for i in range(modulus):
+        row = [0] * cols
+        for c, a, powers in terms:
+            k = c * i ** a
+            row = [r + k * p for r, p in zip(row, powers)]
+        table.append([r % modulus for r in row])
+    return table
+
+
 def formula_structure(n: int, star_expr: str, r1_expr: str,
                       r2_expr: str) -> OrientedSingquandle:
     """Build a singquandle from integer-polynomial formulas in x, y mod n.
@@ -290,28 +323,16 @@ def quandle_from_group(mult: OperationTable, mode: str) -> OperationTable:
     return OperationTable.from_function(n, fn)
 
 
-class PairMap:
-    """An invertible map on X x X stored as a lookup table."""
-
-    __slots__ = ("n", "fwd", "bwd")
-
-    def __init__(self, n: int, fn: Callable[[int, int], tuple]):
-        fwd = {}
-        for x in range(n):
-            for y in range(n):
-                fwd[(x, y)] = fn(x, y)
-        bwd = {v: k for k, v in fwd.items()}
-        if len(bwd) != n * n:
-            raise AlgebraError("pair map is not invertible")
-        self.n = n
-        self.fwd = fwd
-        self.bwd = bwd
-
-    def __call__(self, x: int, y: int) -> tuple:
-        return self.fwd[(x, y)]
-
-    def inverse(self, a: int, b: int) -> tuple:
-        return self.bwd[(a, b)]
+def _pair_map(n: int, a: OperationTable, b: OperationTable) -> tuple:
+    """Forward and inverse tables of (x, y) -> (a(y, x), b(x, y)), both
+    flat tuples of pairs indexed ``x * n + y``."""
+    fwd = tuple((a(y, x), b(x, y)) for x in range(n) for y in range(n))
+    inv = [None] * (n * n)
+    for i, (u, v) in enumerate(fwd):
+        inv[u * n + v] = divmod(i, n)
+    if None in inv:
+        raise AlgebraError("pair map is not invertible")
+    return fwd, tuple(inv)
 
 
 class Psyquandle:
@@ -319,13 +340,14 @@ class Psyquandle:
 
     Operation order follows the usual block-matrix listing: under-crossing
     ``ut`` (x goes under y), over-crossing ``ot``, singular-under ``ub``,
-    singular-over ``ob``.  Right inverses and the crossing pair maps S, S'
-    are precomputed.
+    singular-over ``ob``.  Right inverses and the crossing pair maps
+    S(x, y) = (y ot x, x ut y), S'(x, y) = (y ob x, x ub y) and their
+    inverses are precomputed as flat tuples indexed ``x * n + y``.
     """
 
     __slots__ = ("n", "ut", "ot", "ub", "ob",
-                 "ut_inv", "ot_inv", "ub_inv", "ob_inv", "smap", "sprime",
-                 "pI_adequate")
+                 "ut_inv", "ot_inv", "ub_inv", "ob_inv",
+                 "smap", "smap_inv", "sprime", "sprime_inv", "pI_adequate")
 
     def __init__(self, ut: OperationTable, ot: OperationTable,
                  ub: OperationTable, ob: OperationTable, _checked: bool = False):
@@ -341,8 +363,8 @@ class Psyquandle:
         self.ot_inv = ot.right_inverse()
         self.ub_inv = ub.right_inverse()
         self.ob_inv = ob.right_inverse()
-        self.smap = PairMap(self.n, lambda x, y: (ot(y, x), ut(x, y)))
-        self.sprime = PairMap(self.n, lambda x, y: (ob(y, x), ub(x, y)))
+        self.smap, self.smap_inv = _pair_map(self.n, ot, ut)
+        self.sprime, self.sprime_inv = _pair_map(self.n, ob, ub)
         self.pI_adequate = all(ub(x, x) == ob(x, x) for x in range(self.n))
 
     @classmethod
@@ -493,17 +515,19 @@ def is_homomorphism(f: Sequence[int], src: OrientedSingquandle,
     return True
 
 
-def _profile_vector(s: OrientedSingquandle, x: int) -> tuple:
-    # (r1,c1,r2,c2,r3,c3) trivial-action counts; isomorphism-invariant.
+def profile(s: OrientedSingquandle) -> list:
+    """Per-element trivial-action counts ``(r1, c1, r2, c2, r3, c3)``: for
+    each of *, R1, R2 in turn, the number of y with ``op(x, y) == x`` (r)
+    and with ``op(y, x) == y`` (c).  Any isomorphism preserves them."""
     n = s.n
-    return (
-        sum(1 for y in range(n) if s.op(x, y) == x),
-        sum(1 for y in range(n) if s.op(y, x) == y),
-        sum(1 for y in range(n) if s.r1(x, y) == x),
-        sum(1 for y in range(n) if s.r1(y, x) == y),
-        sum(1 for y in range(n) if s.r2(x, y) == x),
-        sum(1 for y in range(n) if s.r2(y, x) == y),
-    )
+    out = []
+    for x in range(n):
+        counts = []
+        for op in (s.op, s.r1, s.r2):
+            counts.append(sum(1 for y in range(n) if op(x, y) == x))
+            counts.append(sum(1 for y in range(n) if op(y, x) == y))
+        out.append(tuple(counts))
+    return out
 
 
 def are_isomorphic(a: OrientedSingquandle,
@@ -516,8 +540,8 @@ def are_isomorphic(a: OrientedSingquandle,
     if a.n != b.n:
         return None
     n = a.n
-    pa = [_profile_vector(a, x) for x in range(n)]
-    pb = [_profile_vector(b, x) for x in range(n)]
+    pa = profile(a)
+    pb = profile(b)
     if sorted(pa) != sorted(pb):
         return None
     candidates = [[y for y in range(n) if pb[y] == pa[x]] for x in range(n)]
@@ -669,11 +693,19 @@ def parse_algebra(text: str) -> LoadedAlgebra:
     kind = headers.get("type")
     if kind not in _ALG_TYPES:
         raise AlgebraError(f"type: must be one of {_ALG_TYPES}, got {kind!r}")
-    try:
-        n = int(headers["order"])
-    except KeyError:
-        raise AlgebraError("missing order: header")
-    modulus = int(headers.get("modulus", n))
+
+    def number(key: str, default=None) -> int:
+        text = headers.get(key, default)
+        if text is None:
+            raise AlgebraError(f"missing {key}: header")
+        try:
+            return int(text)
+        except ValueError:
+            raise AlgebraError(f"{key}: must be an integer, "
+                               f"got {text!r}") from None
+
+    n = number("order")
+    modulus = number("modulus", n)
 
     def table(name: str) -> OperationTable:
         if name in formulas:
@@ -710,13 +742,9 @@ def parse_algebra(text: str) -> LoadedAlgebra:
 
     # shadow
     base = OrientedSingquandle(table("star"), table("r1"), table("r2"))
-    try:
-        carrier = int(headers["carrier"])
-    except KeyError:
-        raise AlgebraError("shadow needs a carrier: header")
+    carrier = number("carrier")
     if "action" in formulas:
-        rows = eval_table(formulas["action"], carrier, ("x", "s"),
-                          rows=carrier, cols=n)
+        rows = eval_table(formulas["action"], carrier, ("x", "s"), cols=n)
     elif "action" in blocks:
         rows = blocks["action"]
         if len(rows) != carrier or any(len(r) != n for r in rows):

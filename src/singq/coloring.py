@@ -45,10 +45,6 @@ class ColoringSet:
         return iter(self.colorings)
 
 
-def coloring_count(cs: ColoringSet) -> int:
-    return len(cs.colorings)
-
-
 # -- inference rules ---------------------------------------------------------
 
 def _singquandle_rules(s: OrientedSingquandle):
@@ -59,7 +55,8 @@ def _singquandle_rules(s: OrientedSingquandle):
             if oi is None and oo is not None:
                 oi = oo
                 out.append(("oi", oo))
-            if oo is None and oi is not None:
+            if oi is not None:
+                # also when oo is colored: propagate then checks oi == oo
                 out.append(("oo", oi))
             fwd = s.op if c.kind == "P" else s.op_inv
             bwd = s.op_inv if c.kind == "P" else s.op
@@ -78,16 +75,18 @@ def _singquandle_rules(s: OrientedSingquandle):
 
 
 def _psyquandle_rules(p: Psyquandle):
+    n = p.n
+
     def infer(c: Crossing, get: Callable[[str], Optional[int]]):
         out = []
         if c.kind == "P":
             ui, oi, uo, oo = get("ui"), get("oi"), get("uo"), get("oo")
             if ui is not None and oi is not None:
-                a, b = p.smap(ui, oi)
+                a, b = p.smap[ui * n + oi]
                 out.append(("oo", a))
                 out.append(("uo", b))
             elif oo is not None and uo is not None:
-                x, y = p.smap.inverse(oo, uo)
+                x, y = p.smap_inv[oo * n + uo]
                 out.append(("ui", x))
                 out.append(("oi", y))
             else:
@@ -102,7 +101,7 @@ def _psyquandle_rules(p: Psyquandle):
                 out.append(("oi", p.ot(oo, uo)))
                 out.append(("ui", p.ut(uo, oo)))
             elif oi is not None and ui is not None:
-                x, y = p.smap.inverse(oi, ui)
+                x, y = p.smap_inv[oi * n + ui]
                 out.append(("uo", x))
                 out.append(("oo", y))
             else:
@@ -113,11 +112,11 @@ def _psyquandle_rules(p: Psyquandle):
         else:
             i1, i2, o1, o2 = get("i1"), get("i2"), get("o1"), get("o2")
             if i1 is not None and i2 is not None:
-                a, b = p.sprime(i1, i2)
+                a, b = p.sprime[i1 * n + i2]
                 out.append(("o1", a))
                 out.append(("o2", b))
             elif o1 is not None and o2 is not None:
-                x, y = p.sprime.inverse(o1, o2)
+                x, y = p.sprime_inv[o1 * n + o2]
                 out.append(("i1", x))
                 out.append(("i2", y))
             else:

@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import sympy
-
 from .algebra import (OperationTable, OrientedSingquandle, Psyquandle,
-                      ShadowStructure, ValidationReport, AlgebraError,
+                      ShadowStructure, ValidationReport, profile,
                       substructure_closure, shadow_closure)
 from .coloring import (ColoringSet, psyquandle_colorings, shadow_colorings,
                        singquandle_colorings)
@@ -125,28 +123,10 @@ def state_sum(d: SingularDiagram, s: OrientedSingquandle,
 
 # -- singquandle polynomials --------------------------------------------------
 
-def profile(s: OrientedSingquandle) -> list:
-    """Per-element trivial-action counts (r1, c1, r2, c2, r3, c3)."""
-    n = s.n
-    out = []
-    for x in range(n):
-        out.append({
-            "r1": sum(1 for y in range(n) if s.op(x, y) == x),
-            "c1": sum(1 for y in range(n) if s.op(y, x) == y),
-            "r2": sum(1 for y in range(n) if s.r1(x, y) == x),
-            "c2": sum(1 for y in range(n) if s.r1(y, x) == y),
-            "r3": sum(1 for y in range(n) if s.r2(x, y) == x),
-            "c3": sum(1 for y in range(n) if s.r2(y, x) == y),
-        })
-    return out
-
-
-def _profile_monomial(counts: dict) -> BasePolynomial:
-    return BasePolynomial.monomial({
-        "s1": counts["r1"], "t1": counts["c1"],
-        "s2": counts["r2"], "t2": counts["c2"],
-        "s3": counts["r3"], "t3": counts["c3"],
-    })
+def _profile_monomial(counts: tuple) -> BasePolynomial:
+    """s1^r1 t1^c1 s2^r2 t2^c2 s3^r3 t3^c3 of one element's profile."""
+    names = ("s1", "t1", "s2", "t2", "s3", "t3")
+    return BasePolynomial.monomial(dict(zip(names, counts)))
 
 
 def sqp(s: OrientedSingquandle) -> BasePolynomial:
@@ -389,6 +369,24 @@ def _cocycle_rows(s: OrientedSingquandle) -> list:
     return rows
 
 
+def _prime_powers(m: int) -> list:
+    """(p, e) for each prime power p^e exactly dividing m >= 1, by trial
+    division, primes ascending."""
+    out = []
+    p = 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
 def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> list:
     """Generators of {x in Z_q^width : Ax = 0}, q = p^e.
 
@@ -444,7 +442,7 @@ def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> list:
 
 def _echelon_mod(vectors: list, p: int, e: int) -> list:
     """Howell-style echelon form of the span of ``vectors`` over Z_{p^e};
-    returns (pivot column, pivot valuation, row) triples."""
+    returns (pivot column, pivot valuation, row) triples, one per column."""
     q = p ** e
     stack = [list(v) for v in vectors]
     pivots = []
@@ -465,6 +463,12 @@ def _echelon_mod(vectors: list, p: int, e: int) -> list:
             v += 1
         inv = pow(a, -1, q)
         row = [(x * inv) % q for x in row]
+        # A row left unreduced at a pivot column has the lower valuation
+        # there: it takes the column and the old pivot row is reduced again.
+        held = [piv for piv in pivots if piv[0] == lead]
+        if held:
+            pivots.remove(held[0])
+            stack.append(held[0][2])
         pivots.append((lead, v, row))
         if v > 0:
             stack.append([(x * (p ** (e - v))) % q for x in row])
@@ -503,7 +507,7 @@ class CocycleSpace:
             raise InvariantError("modulus mismatch")
         vec = self._split(cp)
         gens = [self._split(g) for g in self.generators]
-        for p, e in sympy.factorint(self.modulus).items():
+        for p, e in _prime_powers(self.modulus):
             pivots = _echelon_mod(gens, p, e)
             if not _reduces_to_zero(pivots, vec, p, e):
                 return False
@@ -520,7 +524,7 @@ def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
     m = modulus
     gens = []
     size = 1
-    for p, e in sympy.factorint(m).items():
+    for p, e in _prime_powers(m):
         q = p ** e
         kq = _kernel_prime_power(rows, width, p, e)
         pivots = _echelon_mod(kq, p, e)
@@ -561,7 +565,14 @@ def parse_weights(text: str):
         if not line:
             continue
         if line.startswith("modulus:"):
-            modulus = int(line.split(":", 1)[1])
+            text_m = line.split(":", 1)[1].strip()
+            try:
+                modulus = int(text_m)
+            except ValueError:
+                raise InvariantError(f"line {line_no}: modulus must be an "
+                                     f"integer, got {text_m!r}") from None
+            if modulus < 0:
+                raise InvariantError(f"line {line_no}: modulus must be >= 0")
             continue
         key = line.rstrip(":")
         if line.endswith(":") and key in ("phi", "phiprime", "psi"):

@@ -155,13 +155,18 @@ class BasePolynomial:
         return f"BasePolynomial({self.render()!r})"
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|(\^)|(\+)|(-)|(\*)|(\()|(\)))")
+# A variable is one letter plus optional digits, so ``6xy`` is 6*x*y while
+# ``s1^4 t1`` keeps its indexed names; ``**`` is matched before ``*``.
+_TOKEN = re.compile(
+    r"\s*(?:(\d+)|([A-Za-z]\d*)|(\^|\*\*)|(\+)|([-\u2212])|(\*)|(\()|(\)))")
 
 
 def parse_polynomial(text: str) -> BasePolynomial:
     """Parse ``+``/``-`` separated products of integers and powered variables.
 
-    Accepts implicit multiplication (``6xy``, ``2 s1^2 t1``) and parentheses.
+    Accepts implicit multiplication (``6xy``, ``2 s1^2 t1``), parentheses,
+    a sign before any factor (``x*-y``) and ``^`` or ``**`` with a
+    non-negative integer exponent.  There is no division.
     """
     pos = 0
     n = len(text)
@@ -185,12 +190,7 @@ def parse_polynomial(text: str) -> BasePolynomial:
         return m
 
     def parse_sum():
-        sign = 1
-        m = peek()
-        if m and (m.group(4) or m.group(5)):
-            take()
-            sign = -1 if m.group(5) else 1
-        acc = parse_product() * sign
+        acc = parse_product()
         while True:
             m = peek()
             if m is None or not (m.group(4) or m.group(5)):
@@ -215,6 +215,9 @@ def parse_polynomial(text: str) -> BasePolynomial:
 
     def parse_factor():
         m = take()
+        if m.group(4) or m.group(5):  # unary sign, binds looser than ^
+            factor = parse_factor()
+            return -factor if m.group(5) else factor
         if m.group(1):
             base = BasePolynomial.const(int(m.group(1)))
         elif m.group(2):
@@ -244,14 +247,6 @@ def parse_polynomial(text: str) -> BasePolynomial:
     if pos != n and text[pos:].strip():
         raise error("trailing input")
     return result
-
-
-def poly_add(p: BasePolynomial, q: BasePolynomial) -> BasePolynomial:
-    return p + q
-
-
-def poly_mul(p: BasePolynomial, q: BasePolynomial) -> BasePolynomial:
-    return p * q
 
 
 @total_ordering
@@ -300,10 +295,6 @@ class ExponentTag:
     def pair(cls, a: int, b: int) -> "ExponentTag":
         return cls(cls.PAIR, (a, b))
 
-    def canonicalize(self) -> "ExponentTag":
-        # Construction already normalizes; rebuilding is idempotent.
-        return ExponentTag(self.kind, self.value)
-
     def _order_key(self):
         if self.kind == self.RING:
             return (0, self.value[0])
@@ -351,7 +342,6 @@ class InvariantValue:
                 if m < 0:
                     raise PolynomialError("multiplicities must be positive")
                 if m:
-                    tag = tag.canonicalize()
                     acc[tag] = acc.get(tag, 0) + m
         kinds = {t.kind for t in acc}
         if len(kinds) > 1:
@@ -412,11 +402,3 @@ class InvariantValue:
 
     def __repr__(self) -> str:
         return f"InvariantValue({self.render()!r})"
-
-
-def render(value: InvariantValue, var: str = "u") -> str:
-    return value.render(var=var)
-
-
-def tag_canonicalize(tag: ExponentTag) -> ExponentTag:
-    return tag.canonicalize()

@@ -10,14 +10,13 @@ import time
 
 import pytest
 
-from singq.algebra import (ParameterError, affine_singquandle,
+from singq.algebra import (ParameterError, affine_singquandle, eval_table,
                            formula_structure, substructure_closure,
                            validate_psyquandle, validate_shadow,
                            validate_singquandle)
 from singq.coloring import (psyquandle_colorings, shadow_colorings,
                             singquandle_colorings)
 from singq.diagram import parse_diagram
-from singq.exprs import eval_table
 from singq.invariants import (CocyclePair, SP, boltzmann_single,
                               boltzmann_two, phi_ssqp, solve_cocycle_space,
                               sp, state_sum, strongly_compatible,

@@ -1,15 +1,18 @@
+import hashlib
+
 import pytest
+from hypothesis import given, strategies as st
 
 from singq.algebra import (AlgebraError, InvalidStructureError,
                            OperationTable, OrientedSingquandle,
                            ParameterError, Psyquandle, ShadowStructure,
-                           affine_singquandle, are_isomorphic,
+                           affine_singquandle, are_isomorphic, eval_table,
                            formula_shadow, formula_structure,
                            is_homomorphism, parse_algebra, quandle_from_group,
                            shadow_closure, substructure_closure,
                            validate_psyquandle, validate_quandle,
                            validate_shadow, validate_singquandle)
-from singq.exprs import eval_table
+from singq.data import fixture_names, load_algebra
 
 
 def table(n, fn):
@@ -86,8 +89,82 @@ class TestFormulaStructure:
         assert exc.value.report.violations
 
     def test_malformed_expression(self):
-        with pytest.raises(Exception):
+        with pytest.raises(AlgebraError):
             formula_structure(6, "x +* y", "x", "y")
+
+
+@st.composite
+def written_polynomials(draw):
+    """(text, terms) for a random integer polynomial in x and y: terms are
+    (coefficient, x exponent, y exponent) and the text writes them with
+    implicit or explicit multiplication, spaces, ^ or ** and parentheses."""
+    terms = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 3),
+                                    st.integers(0, 3)), min_size=1, max_size=4))
+    text = ""
+    for k, (c, a, b) in enumerate(terms):
+        factors = [] if abs(c) == 1 and (a or b) and draw(st.booleans()) else [str(abs(c))]
+        for var, e in (("x", a), ("y", b)):
+            if e:
+                base = draw(st.sampled_from([var, f"({var})"]))
+                power = draw(st.sampled_from(["^", "**", " ^ "]))
+                factors.append(base if e == 1 else f"{base}{power}{e}")
+        body = draw(st.sampled_from(["", " ", "*", " * "])).join(factors)
+        if k == 0:
+            text = ("-" if c < 0 else "") + body
+        else:
+            sign = draw(st.sampled_from(["-", "+-", "+ -"])) if c < 0 else "+"
+            text += draw(st.sampled_from([" ", ""])).join(["", sign, body])
+    if draw(st.booleans()):
+        text = f"({text})"
+    return text, terms
+
+
+# SHA-256 of the tables of every bundled .alg, recorded while formulas were
+# still evaluated by sympy: any drift in formula evaluation fails here.
+GOLDEN_TABLES = {
+    "one.alg": "764d7cb4dc2b9e9350c0546748d42e8692d9f1caf59593746807c8c36c705715",
+    "psy6.alg": "187dc15025f8c93f8a6384b93779dfeae69772ecffb3e76742d6bf4fac2c4ad2",
+    "z6_singquandle.alg": "d20923b62695f4aa9483e8848ef41974e4c69e3393569b82f4dec2c9c101ea95",
+    "z8_k.alg": "73886bad66c8ac79a6363d22f0236015fa0b4eebe9b65582df9cc0fbbab282cf",
+    "z8_z4_shadow_a.alg": "b59462b7311a27bfcf0ce61fcb000d2037e6d33d0695326a83558fcedbccd715",
+    "z8_z4_shadow_b.alg": "dfdc27238565d0faccee7b2e7ff1d8ce1f570304c1b9e2c3d656a837333a5bef",
+    "z8_z6_shadow.alg": "d6c02f2625d67a20a460d3756133a02ec2a78aeab72c55e0cb4272f91f3450ce",
+}
+
+
+def tables_of(structure):
+    """Row tuples of every table of a loaded structure, base tables first."""
+    if isinstance(structure, ShadowStructure):
+        return tables_of(structure.base) + (structure.action,)
+    if isinstance(structure, Psyquandle):
+        return tuple(t.rows for t in (structure.ut, structure.ot,
+                                      structure.ub, structure.ob))
+    return tuple(t.rows for t in (structure.star, structure.r1, structure.r2))
+
+
+class TestFormulaEvaluation:
+    @given(written_polynomials(), st.integers(1, 12))
+    def test_matches_direct_evaluation(self, formula, n):
+        text, terms = formula
+        expected = [[sum(c * x ** a * y ** b for c, a, b in terms) % n
+                     for y in range(n)] for x in range(n)]
+        assert eval_table(text, n, ("x", "y")) == expected
+
+    @pytest.mark.parametrize("text, variables", [
+        ("x/2", ("x", "y")), ("x+s1", ("x", "s")), ("2.5x", ("x", "y")),
+        ("sin(x)", ("x", "y")), ("x^y", ("x", "y")), ("xz", ("x", "y"))])
+    def test_rejected(self, text, variables):
+        with pytest.raises(AlgebraError):
+            eval_table(text, 4, variables)
+
+    def test_every_bundled_structure_has_a_golden_hash(self):
+        assert sorted(GOLDEN_TABLES) == [name for name in fixture_names()
+                                         if name.endswith(".alg")]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
+    def test_bundled_tables_unchanged(self, name):
+        tables = tables_of(load_algebra(name).structure)
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == GOLDEN_TABLES[name]
 
 
 class TestGroupQuandles:
@@ -149,9 +226,16 @@ class TestPsyquandle:
         assert not report.valid
 
     def test_pairings_are_bijections(self, psy6):
-        seen = {psy6.smap(x, y) for x in range(6) for y in range(6)}
-        seen_prime = {psy6.sprime(x, y) for x in range(6) for y in range(6)}
-        assert len(seen) == 36 and len(seen_prime) == 36
+        n = psy6.n
+        assert len(set(psy6.smap)) == 36 and len(set(psy6.sprime)) == 36
+        for x in range(n):
+            for y in range(n):
+                assert psy6.smap[x * n + y] == (psy6.ot(y, x), psy6.ut(x, y))
+                assert psy6.sprime[x * n + y] == (psy6.ob(y, x), psy6.ub(x, y))
+                a, b = psy6.smap[x * n + y]
+                assert psy6.smap_inv[a * n + b] == (x, y)
+                a, b = psy6.sprime[x * n + y]
+                assert psy6.sprime_inv[a * n + b] == (x, y)
 
 
 class TestShadow:

@@ -67,6 +67,36 @@ class TestInvariant:
         assert rc == 2
 
 
+ZEROS = "\n".join(["0 0 0 0 0 0"] * 6)
+Z6_FORMULAS = "formula: star -x+2y\nformula: r1 3+2x-y\nformula: r2 3+x\n"
+
+BAD_INPUTS = {
+    "order.alg": "type: singquandle\norder: six\n" + Z6_FORMULAS,
+    "modulus.alg": "type: singquandle\norder: 6\nmodulus: 6.5\n" + Z6_FORMULAS,
+    "carrier.alg": ("type: shadow\norder: 6\ncarrier: four\n" + Z6_FORMULAS
+                    + "formula: action x\n"),
+    "formula.alg": "type: singquandle\norder: 6\nformula: star x+z\n"
+                   "formula: r1 3+2x-y\nformula: r2 3+x\n",
+    "modulus.wgt": f"modulus: six\nphi:\n{ZEROS}\nphiprime:\n{ZEROS}\n",
+    "negative.wgt": f"modulus: -6\nphi:\n{ZEROS}\nphiprime:\n{ZEROS}\n",
+}
+
+
+class TestInputErrors:
+    """Malformed input exits 2 (bad input), never 1 (mismatch) by way of a
+    traceback."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_exit_two(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_text(BAD_INPUTS[name])
+        inputs = ([str(path)] if name.endswith(".alg")
+                  else ["z6_singquandle.alg", str(path)])
+        rc = main(["invariant", "state-sum", "5k6.dgm", *inputs])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSearchCocycles:
     def test_member(self, capsys):
         rc = main(["search-cocycles", "z6_singquandle.alg", "--modulus", "6",

@@ -1,12 +1,25 @@
 import pytest
 
-from singq.coloring import (coloring_count, psyquandle_colorings,
-                            shadow_colorings, singquandle_colorings)
+from singq.coloring import (psyquandle_colorings, shadow_colorings,
+                            singquandle_colorings)
 from singq.diagram import parse_diagram
 
 from conftest import brute_force_psyquandle, brute_force_singquandle
 
 KINK = "P b a a b\nrot 1 ui oi uo oo\n"
+
+# A closed three-strand singular braid on which the z8_k search returned 8
+# colorings, 4 of them with oi != oo at a classical crossing: the rule only
+# checked oi == oo when oo was still uncolored.
+OVER_ARC_REPRO = """\
+P s1_0 s2_0 s2_1 s1_1
+N s1_1 s0_0 s0_1 s1_2
+S s1_2 s2_1 s1_3 s2_2
+P s0_1 s1_3 s1_4 s0_2
+P s0_2 s1_4 s1_5 s0_0
+P s1_5 s2_2 s2_3 s1_6
+N s2_3 s1_6 s1_0 s2_0
+"""
 
 
 class TestCounting:
@@ -24,7 +37,7 @@ class TestCounting:
 
     def test_one_element_structure(self, corpus, one_element):
         for d in corpus.values():
-            assert coloring_count(singquandle_colorings(d, one_element)) == 1
+            assert len(singquandle_colorings(d, one_element)) == 1
 
     def test_monochromatic_colorings_present(self, corpus, z6, z8k):
         for s in (z6, z8k):
@@ -58,6 +71,12 @@ class TestSolverVersusBruteForce:
                 continue
             solver = [c.semiarc_colors for c in psyquandle_colorings(d, psy6)]
             assert solver == brute_force_psyquandle(d, psy6), name
+
+    def test_over_arc_checked_when_both_ends_colored(self, z8k):
+        d = parse_diagram(OVER_ARC_REPRO)
+        solver = [c.semiarc_colors for c in singquandle_colorings(d, z8k)]
+        assert len(solver) == 4
+        assert solver == brute_force_singquandle(d, z8k)
 
     def test_psyquandle_kink(self, psy6):
         d = parse_diagram(KINK)

@@ -1,13 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from singq.algebra import formula_shadow, formula_structure
+from singq.algebra import (affine_singquandle, formula_shadow,
+                           formula_structure, profile)
 from singq.coloring import singquandle_colorings, psyquandle_colorings
 from singq.diagram import parse_diagram
 from singq.invariants import (BoltzmannPair, CocyclePair, InvariantError,
+                              _cocycle_rows,
                               SP, boltzmann_single, boltzmann_two,
-                              parse_weights, phi_ssqp, profile, restrict,
+                              parse_weights, phi_ssqp, restrict,
                               solve_cocycle_space, sp, sqp, ssqp, state_sum,
                               strongly_compatible, subsp, validate_boltzmann,
                               validate_cocycle_pair)
@@ -55,14 +58,13 @@ class TestStateSum:
 
 class TestProfilesAndPolynomials:
     def test_one_element_profile(self, one_element):
-        assert profile(one_element) == [
-            {"r1": 1, "c1": 1, "r2": 1, "c2": 1, "r3": 1, "c3": 1}]
+        assert profile(one_element) == [(1, 1, 1, 1, 1, 1)]
         assert sqp(one_element).render() == "s1 s2 s3 t1 t2 t3"
 
     def test_trivial_quandle_profile(self):
         n = 4
         s = formula_structure(n, "x", "x", "y")
-        expected = {"r1": n, "c1": n, "r2": n, "c2": n, "r3": 1, "c3": 1}
+        expected = (n, n, n, n, 1, 1)   # (r1, c1, r2, c2, r3, c3)
         assert profile(s) == [expected] * n
         assert sqp(s) == parse_polynomial("4 s1^4 s2^4 s3 t1^4 t2^4 t3")
 
@@ -184,7 +186,56 @@ class TestBoltzmann:
                              in single.multiplicities.items()}
 
 
+def smith_kernel_size(rows, width, modulus):
+    """|{v in Z_modulus^width : A v = 0}| for the sparse rows of A, from the
+    Smith form of A over each prime-power factor of the modulus.
+
+    Over Z_{p^e} an entry of least p-adic valuation v divides every other
+    entry, so it clears its row and column and contributes p^v solutions;
+    each column left all zero contributes p^e.  This shares no code with the
+    solver's elimination.
+    """
+    size = 1
+    for p in range(2, modulus + 1):
+        if modulus % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        e = 0
+        while modulus % p ** (e + 1) == 0:
+            e += 1
+        q = p ** e
+        a = np.zeros((len(rows), width), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for j, c in row.items():
+                a[i, j] = (a[i, j] + c) % q
+        while True:
+            a = a[a.any(axis=1)]
+            low = next((k for k in range(e) if (a % p ** (k + 1)).any()), None)
+            if low is None:
+                break
+            i, j = np.argwhere(a % p ** (low + 1) != 0)[0]
+            unit = int(a[i, j]) // p ** low
+            pivot_row = a[i] * pow(unit, -1, q) % q       # a[i, j] -> p^low
+            a = (a - np.outer(a[:, j] // p ** low, pivot_row)) % q
+            a = np.delete(a, j, axis=1)
+            size *= p ** low
+        size *= q ** a.shape[1]
+    return size
+
+
 class TestCocycleSolver:
+    @pytest.mark.parametrize("n, a, b, c, modulus", [
+        (6, 5, 1, 0, 6), (4, 3, 0, 1, 4), (8, 3, 0, 1, 8), (8, 7, 0, 1, 8),
+        (9, 4, 0, 1, 9)])
+    def test_generators_contained_and_size_matches_smith_oracle(
+            self, n, a, b, c, modulus):
+        # at non-square-free moduli the echelon form once kept two pivots on
+        # one column: contains() rejected generators and size was too large
+        s = affine_singquandle(n, a, b, c)
+        space = solve_cocycle_space(s, modulus)
+        assert all(space.contains(g) for g in space.generators)
+        assert space.size == smith_kernel_size(_cocycle_rows(s), 2 * n * n,
+                                               modulus)
+
     def test_generators_validate_and_contain_bundled_pair(self, z6,
                                                           z6_cocycle):
         space = solve_cocycle_space(z6, 6)

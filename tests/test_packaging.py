@@ -1,0 +1,31 @@
+"""singq runs on the standard library alone."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import singq
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_import_loads_only_the_standard_library():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import singq\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print('sympy' in sys.modules)\n"
+            "print(sorted(new - set(sys.stdlib_module_names) - {'singq'}))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(singq.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["False", "[]"]
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []

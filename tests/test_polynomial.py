@@ -1,8 +1,7 @@
 import pytest
 
 from singq.polynomial import (BasePolynomial, ExponentTag, InvariantValue,
-                              PolynomialError, parse_polynomial, poly_add,
-                              poly_mul, render, tag_canonicalize)
+                              PolynomialError, parse_polynomial)
 
 
 def P(text):
@@ -11,23 +10,23 @@ def P(text):
 
 class TestBasePolynomial:
     def test_add_disjoint_supports(self):
-        assert poly_add(P("t^2"), P("t")) == P("t^2 + t")
+        assert P("t^2") + P("t") == P("t^2 + t")
 
     def test_add_cancellation(self):
-        assert poly_add(P("t^2"), P("-t^2")).is_zero()
+        assert (P("t^2") + P("-t^2")).is_zero()
 
     def test_add_merges_shadow_values(self):
-        assert poly_add(P("4t^4"), P("2+2t^8")) == P("2 + 4t^4 + 2t^8")
+        assert P("4t^4") + P("2+2t^8") == P("2 + 4t^4 + 2t^8")
 
     def test_mul_monomials(self):
-        assert poly_mul(P("s1^2"), P("t1^3")) == P("s1^2 t1^3")
+        assert P("s1^2") * P("t1^3") == P("s1^2 t1^3")
 
     def test_mul_identity(self):
         p = P("3 + 2x y - y^2")
-        assert poly_mul(p, P("1")) == p
+        assert p * P("1") == p
 
     def test_mul_schoolbook(self):
-        assert poly_mul(P("1+t"), P("1+t")) == P("1 + 2t + t^2")
+        assert P("1+t") * P("1+t") == P("1 + 2t + t^2")
 
     def test_zero_coefficients_dropped(self):
         p = BasePolynomial({(("t", 1),): 0, (("t", 2),): 3})
@@ -66,8 +65,9 @@ class TestExponentTag:
     def test_canonicalize_idempotent(self):
         for tag in (ExponentTag.ring(7, 5), ExponentTag.poly(P("1+t")),
                     ExponentTag.pair(2, 3)):
-            once = tag_canonicalize(tag)
-            assert tag_canonicalize(once) == once == tag
+            # construction normalizes, so rebuilding changes nothing
+            once = ExponentTag(tag.kind, tag.value)
+            assert ExponentTag(once.kind, once.value) == once == tag
 
     def test_mixed_kind_order_rejected(self):
         with pytest.raises(PolynomialError):
@@ -77,9 +77,9 @@ class TestExponentTag:
 class TestInvariantValue:
     def test_render_state_sum_forms(self):
         six_u3 = InvariantValue({ExponentTag.ring(3, 6): 6})
-        assert render(six_u3) == "6u^3"
+        assert six_u3.render() == "6u^3"
         six = InvariantValue({ExponentTag.ring(0, 6): 6})
-        assert render(six) == "6"
+        assert six.render() == "6"
         assert InvariantValue().render() == "0"
 
     def test_render_poly_tags(self):
