@@ -86,6 +86,10 @@ class OperationTable:
     def __call__(self, x: int, y: int) -> int:
         return self.rows[x][y]
 
+    def flat(self) -> list:
+        """The entries row by row: entry (x, y) at index ``x * n + y``."""
+        return [v for row in self.rows for v in row]
+
     def __eq__(self, other) -> bool:
         return isinstance(other, OperationTable) and self.rows == other.rows
 
@@ -254,13 +258,14 @@ def eval_table(formula: str, modulus: int, var_names: Sequence[str],
     terms = []   # (coefficient, exponent of u, column values of v^exponent)
     for mono, c in poly.terms:
         exps = dict(mono)
+        e = exps.get(v, 0)
         terms.append((c, exps.get(u, 0),
-                      [j ** exps.get(v, 0) for j in range(cols)]))
+                      [pow(j, e, modulus) for j in range(cols)]))
     table = []
     for i in range(modulus):
         row = [0] * cols
         for c, a, powers in terms:
-            k = c * i ** a
+            k = c * pow(i, a, modulus)
             row = [r + k * p for r, p in zip(row, powers)]
         table.append([r % modulus for r in row])
     return table
@@ -583,15 +588,11 @@ def are_isomorphic(a: OrientedSingquandle,
 
 def substructure_closure(s: OrientedSingquandle, seed: Iterable[int]) -> frozenset:
     """Smallest superset of ``seed`` closed under *, its inverse, R1 and R2."""
+    tables = (s.star.rows, s.star_inv.rows, s.r1.rows, s.r2.rows)
     current = set(seed)
     while True:
-        new = set(current)
-        for x in current:
-            for y in current:
-                new.add(s.op(x, y))
-                new.add(s.op_inv(x, y))
-                new.add(s.r1(x, y))
-                new.add(s.r2(x, y))
+        new = current | {t[x][y] for t in tables for x in current
+                         for y in current}
         if new == current:
             return frozenset(current)
         current = new
@@ -618,7 +619,7 @@ def shadow_closure(sh: ShadowStructure, region_seed: Iterable[int],
 #
 #     type: quandle | singquandle | biquandle | psyquandle | shadow
 #     order: n
-#     modulus: m          (optional, defaults to order; for formula lines)
+#     modulus: m          (optional; with formula lines it must equal order)
 #     carrier: k          (shadow only)
 #
 # Structure is given either by formula lines
@@ -706,11 +707,13 @@ def parse_algebra(text: str) -> LoadedAlgebra:
 
     n = number("order")
     modulus = number("modulus", n)
+    if formulas and modulus != n:
+        raise AlgebraError(f"modulus: {modulus} differs from order: {n}; "
+                           f"formula tables are computed mod the order")
 
     def table(name: str) -> OperationTable:
         if name in formulas:
-            return OperationTable(eval_table(formulas[name], modulus,
-                                             ("x", "y"))[:n])
+            return OperationTable(eval_table(formulas[name], n, ("x", "y")))
         if name in blocks:
             return _block_to_table(blocks[name], n, name)
         raise AlgebraError(f"missing {name} (block or formula)")

@@ -2,34 +2,31 @@
 
 Three coloring notions over one search core: singquandle colorings of
 semiarcs, psyquandle colorings of semiarcs, and shadow colorings (semiarcs
-plus regions).  Crossing rules are expressed as local inference functions;
-the solver propagates all forced colors and branches on the uncolored
-semiarc whose incident crossings are most constrained (fail-first).
+plus regions).  Each crossing rule is a set of propagators ``out =
+table[x * n + y]`` over the crossing's ports, read from flat tables built
+per call.  The search runs on the diagram's compiled crossing tuples: which
+semiarcs a propagator colors or checks depends only on which are already
+colored, never on their colors, so the branch order and the propagation
+steps below each branch are planned once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .algebra import OrientedSingquandle, Psyquandle, ShadowStructure
-from .diagram import Crossing, SingularDiagram
+from .diagram import SingularDiagram
 
 
 class ColoringError(ValueError):
     pass
 
 
-_CONFLICT = object()
-
-
 @dataclass(frozen=True)
 class Coloring:
     semiarc_colors: tuple  # colors in diagram semiarc order
     region_colors: Optional[tuple] = None  # colors in region-id order
-
-    def color_of(self, diagram: SingularDiagram, label: str) -> int:
-        return self.semiarc_colors[diagram._arc_index[label]]
 
 
 @dataclass
@@ -45,150 +42,119 @@ class ColoringSet:
         return iter(self.colorings)
 
 
-# -- inference rules ---------------------------------------------------------
+# -- crossing rules ----------------------------------------------------------
+#
+# A rule maps a crossing kind to propagators (x, y, table, out) over port
+# positions 0..3 (``ui oi uo oo`` or ``i1 i2 o1 o2``): once ports x and y are
+# colored, port out gets, or must already have, ``table[x * n + y]``.  Every
+# propagator is implied by the crossing relation, and the relation itself is
+# among them, so a coloring of all four ports passes every propagator
+# exactly when it satisfies the crossing.
 
-def _singquandle_rules(s: OrientedSingquandle):
-    def infer(c: Crossing, get: Callable[[str], Optional[int]]):
-        out = []
-        if c.kind in ("P", "N"):
-            ui, oi, uo, oo = get("ui"), get("oi"), get("uo"), get("oo")
-            if oi is None and oo is not None:
-                oi = oo
-                out.append(("oi", oo))
-            if oi is not None:
-                # also when oo is colored: propagate then checks oi == oo
-                out.append(("oo", oi))
-            fwd = s.op if c.kind == "P" else s.op_inv
-            bwd = s.op_inv if c.kind == "P" else s.op
-            if oi is not None:
-                if ui is not None:
-                    out.append(("uo", fwd(ui, oi)))
-                elif uo is not None:
-                    out.append(("ui", bwd(uo, oi)))
-        else:
-            i1, i2 = get("i1"), get("i2")
-            if i1 is not None and i2 is not None:
-                out.append(("o1", s.r1(i1, i2)))
-                out.append(("o2", s.r2(i1, i2)))
-        return out
-    return infer
+def _singquandle_rules(s: OrientedSingquandle) -> dict:
+    n = s.n
+    star, sinv = s.star.flat(), s.star_inv.flat()
+    first = [x for x in range(n) for _ in range(n)]   # oo = first[oi, oi]
+    over = ((1, 1, first, 3), (3, 3, first, 1))
+    return {"P": over + ((0, 1, star, 2), (2, 1, sinv, 0)),
+            "N": over + ((0, 1, sinv, 2), (2, 1, star, 0)),
+            "S": ((0, 1, s.r1.flat(), 2), (0, 1, s.r2.flat(), 3))}
 
 
-def _psyquandle_rules(p: Psyquandle):
-    n = p.n
+def _psyquandle_rules(p: Psyquandle) -> dict:
+    def split(pairs):
+        return [a for a, _ in pairs], [b for _, b in pairs]
 
-    def infer(c: Crossing, get: Callable[[str], Optional[int]]):
-        out = []
-        if c.kind == "P":
-            ui, oi, uo, oo = get("ui"), get("oi"), get("uo"), get("oo")
-            if ui is not None and oi is not None:
-                a, b = p.smap[ui * n + oi]
-                out.append(("oo", a))
-                out.append(("uo", b))
-            elif oo is not None and uo is not None:
-                x, y = p.smap_inv[oo * n + uo]
-                out.append(("ui", x))
-                out.append(("oi", y))
-            else:
-                if uo is not None and oi is not None:
-                    out.append(("ui", p.ut_inv(uo, oi)))
-                if oo is not None and ui is not None:
-                    out.append(("oi", p.ot_inv(oo, ui)))
-        elif c.kind == "N":
-            # inputs are the S-image of the outputs
-            ui, oi, uo, oo = get("ui"), get("oi"), get("uo"), get("oo")
-            if uo is not None and oo is not None:
-                out.append(("oi", p.ot(oo, uo)))
-                out.append(("ui", p.ut(uo, oo)))
-            elif oi is not None and ui is not None:
-                x, y = p.smap_inv[oi * n + ui]
-                out.append(("uo", x))
-                out.append(("oo", y))
-            else:
-                if oi is not None and uo is not None:
-                    out.append(("oo", p.ot_inv(oi, uo)))
-                if ui is not None and oo is not None:
-                    out.append(("uo", p.ut_inv(ui, oo)))
-        else:
-            i1, i2, o1, o2 = get("i1"), get("i2"), get("o1"), get("o2")
-            if i1 is not None and i2 is not None:
-                a, b = p.sprime[i1 * n + i2]
-                out.append(("o1", a))
-                out.append(("o2", b))
-            elif o1 is not None and o2 is not None:
-                x, y = p.sprime_inv[o1 * n + o2]
-                out.append(("i1", x))
-                out.append(("i2", y))
-            else:
-                if o2 is not None and i2 is not None:
-                    out.append(("i1", p.ub_inv(o2, i2)))
-                if o1 is not None and i1 is not None:
-                    out.append(("i2", p.ob_inv(o1, i1)))
-        return out
-    return infer
+    # S(x, y) = (y ot x, x ut y) and S'(x, y) = (y ob x, x ub y), as flat
+    # tables of their first and second components, with their inverses
+    s1, s2 = split(p.smap)
+    si1, si2 = split(p.smap_inv)
+    sp1, sp2 = split(p.sprime)
+    spi1, spi2 = split(p.sprime_inv)
+    uti, oti = p.ut_inv.flat(), p.ot_inv.flat()
+    # P: (oo, uo) = S(ui, oi), N: (oi, ui) = S(uo, oo),
+    # S: (o1, o2) = S'(i1, i2)
+    return {"P": ((0, 1, s1, 3), (0, 1, s2, 2), (3, 2, si1, 0), (3, 2, si2, 1),
+                  (2, 1, uti, 0), (3, 0, oti, 1)),
+            "N": ((2, 3, s1, 1), (2, 3, s2, 0), (1, 0, si1, 2), (1, 0, si2, 3),
+                  (1, 2, oti, 3), (0, 3, uti, 2)),
+            "S": ((0, 1, sp1, 2), (0, 1, sp2, 3), (2, 3, spi1, 0),
+                  (2, 3, spi2, 1), (3, 1, p.ub_inv.flat(), 0),
+                  (2, 0, p.ob_inv.flat(), 1))}
 
 
 # -- search core -------------------------------------------------------------
 
-def _enumerate(diagram: SingularDiagram, n: int, infer) -> list:
-    arcs = diagram.semiarcs
-    index = diagram._arc_index
-    incident = [[] for _ in arcs]
-    for c in diagram.crossings:
-        for port in c.ports:
-            incident[index[c.arcs[port]]].append(c)
+def _plan(d: SingularDiagram, rules: dict) -> list:
+    """Branch order and propagation steps: one (semiarc, steps) pair per
+    search level, a step being (x, y, table, out, check) over semiarc
+    indices.  Each propagator fires once, at the level where both its
+    inputs are colored; it checks ``out`` if that is colored by then.  Each
+    level branches on the semiarc whose coloring fires the most propagators
+    (then the most checks, then the lowest index), which keeps the levels,
+    and so the search tree, small."""
+    props = []
+    watch = [[] for _ in d.semiarcs]   # semiarc -> propagators reading it
+    for kind, *ports in d.compiled:
+        for x, y, table, out in rules[kind]:
+            for i in {ports[x], ports[y]}:
+                watch[i].append(len(props))
+            props.append((ports[x], ports[y], table, ports[out]))
 
-    colors: list = [None] * len(arcs)
-
-    def propagate(dirty: list) -> Optional[list]:
-        """Apply forced colors; returns the trail of set arcs, or None."""
-        trail = []
-        queue = list(dirty)
+    def spread(branch: int, known: list, fired: list) -> list:
+        """Color ``branch`` and propagate, updating ``known`` and ``fired``;
+        returns the steps taken."""
+        known[branch] = True
+        steps = []
+        queue = [branch]
         while queue:
-            c = queue.pop()
-            get = lambda port: colors[index[c.arcs[port]]]
-            for port, value in infer(c, get):
-                i = index[c.arcs[port]]
-                if colors[i] is None:
-                    colors[i] = value
-                    trail.append(i)
-                    queue.extend(incident[i])
-                elif colors[i] != value:
-                    for j in trail:
-                        colors[j] = None
-                    return None
-        return trail
+            for k in watch[queue.pop()]:
+                x, y, table, out = props[k]
+                if fired[k] or not (known[x] and known[y]):
+                    continue
+                fired[k] = True
+                steps.append((x, y, table, out, known[out]))
+                if not known[out]:
+                    known[out] = True
+                    queue.append(out)
+        return steps
 
-    def pick_branch() -> Optional[int]:
-        best, best_score = None, -1
-        for i, v in enumerate(colors):
-            if v is not None:
-                continue
-            score = sum(1 for c in incident[i] for port in c.ports
-                        if colors[index[c.arcs[port]]] is not None)
-            if score > best_score:
-                best, best_score = i, score
-        return best
+    def score(branch: int) -> tuple:
+        steps = spread(branch, list(known), list(fired))
+        return len(steps), sum(step[4] for step in steps), -branch
 
+    known = [False] * len(d.semiarcs)
+    fired = [False] * len(props)
+    plan = []
+    while not all(known):
+        branch = max((i for i, k in enumerate(known) if not k), key=score)
+        plan.append((branch, spread(branch, known, fired)))
+    return plan
+
+
+def _enumerate(d: SingularDiagram, n: int, rules: dict) -> list:
+    """Sorted color tuples of every semiarc coloring that passes ``rules``."""
+    plan = _plan(d, rules)
+    colors = [0] * len(d.semiarcs)
     solutions = []
 
-    def search():
-        i = pick_branch()
-        if i is None:
+    def search(level: int) -> None:
+        if level == len(plan):
             solutions.append(tuple(colors))
             return
+        branch, steps = plan[level]
         for value in range(n):
-            colors[i] = value
-            trail = propagate(list(incident[i]))
-            if trail is not None:
-                search()
-                for j in trail:
-                    colors[j] = None
-            colors[i] = None
+            colors[branch] = value
+            for x, y, table, out, check in steps:
+                v = table[colors[x] * n + colors[y]]
+                if not check:
+                    colors[out] = v
+                elif colors[out] != v:
+                    break
+            else:
+                search(level + 1)
 
-    # initial propagation can only act once something is colored, so start
-    # the search directly
-    search()
+    search(0)
     solutions.sort()
     return solutions
 
@@ -215,41 +181,47 @@ def shadow_colorings(d: SingularDiagram, sh: ShadowStructure) -> ColoringSet:
     convention, which the S-set axioms rule out).
     """
     regions = d.regions()
-    sides = d.side_regions(regions)
     base = singquandle_colorings(d, sh.base)
-    adjacency = []  # (left region, right region, semiarc index)
-    for label, (left, right) in sides.items():
-        adjacency.append((left, right, d._arc_index[label]))
-
-    neighbors: dict = {r.id: [] for r in regions}
-    for left, right, ai in adjacency:
+    neighbors = [[] for _ in regions]   # region -> (region, semiarc, table)
+    for label, (left, right) in d.side_regions(regions).items():
+        ai = d._arc_index[label]
         # crossing the semiarc from right to left applies the action
-        neighbors[right].append((left, ai, +1))
-        neighbors[left].append((right, ai, -1))
+        neighbors[right].append((left, ai, sh.action))
+        neighbors[left].append((right, ai, sh.action_inv))
+    # The same steps extend every seed: each semiarc of region 0's component
+    # either colors a region across it (a spanning tree) or checks one.
+    steps = []   # (region, semiarc, table, other region, check)
+    reached = [False] * len(regions)
+    crossed = [False] * len(d.semiarcs)
+    reached[0] = True
+    queue = [0]
+    while queue:
+        r = queue.pop()
+        for other, ai, table in neighbors[r]:
+            if crossed[ai]:
+                continue
+            crossed[ai] = True
+            steps.append((r, ai, table, other, reached[other]))
+            if not reached[other]:
+                reached[other] = True
+                queue.append(other)
 
+    connected = all(reached)
     out = []
+    rc = [0] * len(regions)
     for col in base:
+        colors = col.semiarc_colors
         for seed in range(sh.carrier):
-            rc: dict = {0: seed}
-            stack = [0]
-            ok = True
-            while stack and ok:
-                r = stack.pop()
-                for other, ai, direction in neighbors[r]:
-                    s = col.semiarc_colors[ai]
-                    value = (sh.act(rc[r], s) if direction == +1
-                             else sh.act_inv(rc[r], s))
-                    if other in rc:
-                        if rc[other] != value:
-                            ok = False
-                            break
-                    else:
-                        rc[other] = value
-                        stack.append(other)
-            if ok:
-                if len(rc) != len(regions):
+            rc[0] = seed
+            for r, ai, table, other, check in steps:
+                v = table[rc[r]][colors[ai]]
+                if not check:
+                    rc[other] = v
+                elif rc[other] != v:
+                    break
+            else:
+                if not connected:
                     raise ColoringError("region adjacency graph is disconnected")
-                out.append(Coloring(col.semiarc_colors,
-                                    tuple(rc[r.id] for r in regions)))
+                out.append(Coloring(colors, tuple(rc)))
     out.sort(key=lambda c: (c.semiarc_colors, c.region_colors))
     return ColoringSet(d, sh, out)

@@ -67,8 +67,11 @@ class SingularDiagram:
         self._build_semiarcs()
 
     def _build_semiarcs(self):
+        """Collect the semiarcs and compile the diagram: ``compiled`` holds
+        one ``(kind, a, b, c, d)`` tuple of semiarc indices per crossing, in
+        port order."""
         tails, heads = {}, {}
-        order = []
+        order = {}
         for c in self.crossings:
             for port in c.ports:
                 label = c.arcs[port]
@@ -78,13 +81,14 @@ class SingularDiagram:
                         f"semiarc {label!r} has two "
                         f"{'heads' if side is heads else 'tails'}")
                 side[label] = (c.index, port)
-                if label not in order:
-                    order.append(label)
+                order.setdefault(label, len(order))
         dangling = set(tails) ^ set(heads)
         if dangling:
             raise DiagramError(f"dangling semiarc endpoint(s): {sorted(dangling)}")
         self.semiarcs = [SemiArc(lbl, tails[lbl], heads[lbl]) for lbl in order]
-        self._arc_index = {a.label: i for i, a in enumerate(self.semiarcs)}
+        self._arc_index = order
+        self.compiled = [(c.kind, *(order[c.arcs[p]] for p in c.ports))
+                         for c in self.crossings]
 
     # -- basic counts ------------------------------------------------------
 

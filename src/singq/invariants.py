@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebra import (OperationTable, OrientedSingquandle, Psyquandle,
@@ -60,37 +61,72 @@ def validate_cocycle_pair(s: OrientedSingquandle, cp: CocyclePair) -> Validation
     m = cp.modulus
     red = (lambda v: v % m) if m else (lambda v: v)
     phi, php = cp.phi, cp.phi_prime
-    star, sinv, r1, r2 = s.op, s.op_inv, s.r1, s.r2
+    # flat tables: op(x, y) is op[x * n + y]
+    star, sinv = s.star.flat(), s.star_inv.flat()
+    r1, r2 = s.r1.flat(), s.r2.flat()
     vs = []
     for x in range(n):
         if red(phi[x][x]) != 0:
             vs.append(("cocycle.diagonal", (x,)))
         for y in range(n):
+            xy = x * n + y
             # move O5a
-            lhs = php[x][y] + phi[r1(x, y)][r2(x, y)]
-            rhs = phi[x][y] + php[y][star(x, y)]
+            lhs = php[x][y] + phi[r1[xy]][r2[xy]]
+            rhs = phi[x][y] + php[y][star[xy]]
             if red(lhs - rhs) != 0:
                 vs.append(("cocycle.O5a", (x, y)))
+            x_y = sinv[xy]
             for z in range(n):
-                lhs = phi[x][y] + phi[star(x, y)][z]
-                rhs = phi[x][z] + phi[star(x, z)][star(y, z)]
+                xz = x * n + z
+                lhs = phi[x][y] + phi[star[xy]][z]
+                rhs = phi[x][z] + phi[star[xz]][star[y * n + z]]
                 if red(lhs - rhs) != 0:
                     vs.append(("cocycle.RIII", (x, y, z)))
                 # move O4a
-                lhs = (-phi[sinv(x, y)][y] + php[sinv(x, y)][z]
-                       + phi[r1(sinv(x, y), z)][y])
-                rhs = (phi[z][y] + php[x][star(z, y)]
-                       - phi[sinv(r2(x, star(z, y)), y)][y])
+                zy = star[z * n + y]
+                lhs = -phi[x_y][y] + php[x_y][z] + phi[r1[x_y * n + z]][y]
+                rhs = (phi[z][y] + php[x][zy]
+                       - phi[sinv[r2[x * n + zy] * n + y]][y])
                 if red(lhs - rhs) != 0:
                     vs.append(("cocycle.O4a", (x, y, z)))
                 # move O4e
-                lhs = (phi[sinv(y, r1(x, z))][x]
-                       - phi[sinv(y, r1(x, z))][r1(x, z)])
-                rhs = (-phi[sinv(star(y, r2(x, z)), z)][z]
-                       + phi[y][r2(x, z)])
+                a, b = r1[xz], r2[xz]
+                w = sinv[y * n + a]
+                lhs = phi[w][x] - phi[w][a]
+                rhs = -phi[sinv[star[y * n + b] * n + z]][z] + phi[y][b]
                 if red(lhs - rhs) != 0:
                     vs.append(("cocycle.O4e", (x, y, z)))
     return ValidationReport(tuple(sorted(vs)))
+
+
+def _weight_sums(d: SingularDiagram, colorings: ColoringSet,
+                 weights: dict) -> list:
+    """Per coloring, the sum over crossings of ``sign * table[c_x][c_y]``,
+    where ``weights[kind] = (table, sign, x, y)`` names ports x and y by
+    their position in the compiled crossing tuple; crossings of a kind
+    missing from ``weights`` add nothing."""
+    terms = []
+    for kind, *arcs in d.compiled:
+        if kind in weights:
+            table, sign, x, y = weights[kind]
+            terms.append((table, sign, arcs[x], arcs[y]))
+    sums = []
+    for col in colorings:
+        c = col.semiarc_colors
+        total = 0
+        for table, sign, x, y in terms:
+            total += sign * table[c[x]][c[y]]
+        sums.append(total)
+    return sums
+
+
+def _tally(keys: Iterable, tag_of) -> InvariantValue:
+    """Multiset of ``tag_of(key)`` over ``keys``, building one tag per
+    distinct key."""
+    counts: dict = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return InvariantValue((tag_of(key), k) for key, k in counts.items())
 
 
 def state_sum(d: SingularDiagram, s: OrientedSingquandle,
@@ -105,36 +141,27 @@ def state_sum(d: SingularDiagram, s: OrientedSingquandle,
     report = validate_cocycle_pair(s, cp)
     if not report.valid:
         raise InvariantError("invalid cocycle pair:\n" + report.summary())
-    colorings = singquandle_colorings(d, s)
-    tags = []
-    for col in colorings:
-        get = lambda c, port: col.color_of(d, c.arcs[port])
-        total = 0
-        for c in d.crossings:
-            if c.kind == "P":
-                total += cp.phi[get(c, "ui")][get(c, "oi")]
-            elif c.kind == "N":
-                total -= cp.phi[get(c, "uo")][get(c, "oi")]
-            else:
-                total += cp.phi_prime[get(c, "i1")][get(c, "i2")]
-        tags.append(ExponentTag.ring(total, cp.modulus))
-    return InvariantValue.from_tags(tags)
+    totals = _weight_sums(d, singquandle_colorings(d, s),
+                          {"P": (cp.phi, 1, 0, 1), "N": (cp.phi, -1, 2, 1),
+                           "S": (cp.phi_prime, 1, 0, 1)})
+    return _tally(totals, lambda t: ExponentTag.ring(t, cp.modulus))
 
 
 # -- singquandle polynomials --------------------------------------------------
 
-def _profile_monomial(counts: tuple) -> BasePolynomial:
-    """s1^r1 t1^c1 s2^r2 t2^c2 s3^r3 t3^c3 of one element's profile."""
+def _profile_sum(elems: Iterable[int], full: list) -> BasePolynomial:
+    """Sum of the profile monomials of ``elems``, given the profile."""
     names = ("s1", "t1", "s2", "t2", "s3", "t3")
-    return BasePolynomial.monomial(dict(zip(names, counts)))
+    counts: dict = {}
+    for x in elems:
+        key = tuple(zip(names, full[x]))
+        counts[key] = counts.get(key, 0) + 1
+    return BasePolynomial(counts)
 
 
 def sqp(s: OrientedSingquandle) -> BasePolynomial:
     """Six-variable singquandle polynomial: sum of profile monomials."""
-    acc = BasePolynomial.zero()
-    for counts in profile(s):
-        acc = acc + _profile_monomial(counts)
-    return acc
+    return _profile_sum(range(s.n), profile(s))
 
 
 def restrict(s: OrientedSingquandle, sub: Iterable[int]) -> OrientedSingquandle:
@@ -156,20 +183,23 @@ def ssqp(sub: Iterable[int], s: OrientedSingquandle) -> BasePolynomial:
     elems = sorted(set(sub))
     if substructure_closure(s, elems) != frozenset(elems):
         raise InvariantError(f"{elems} is not closed under the operations")
-    full = profile(s)
-    acc = BasePolynomial.zero()
-    for x in elems:
-        acc = acc + _profile_monomial(full[x])
-    return acc
+    return _profile_sum(elems, profile(s))
 
 
 def phi_ssqp(d: SingularDiagram, s: OrientedSingquandle) -> InvariantValue:
-    """Multiset of ssqp(image of f) over all colorings f, rendered in u."""
-    tags = []
-    for col in singquandle_colorings(d, s):
-        image = substructure_closure(s, set(col.semiarc_colors))
-        tags.append(ExponentTag.poly(ssqp(image, s)))
-    return InvariantValue.from_tags(tags)
+    """Multiset of ssqp(image of f) over all colorings f, rendered in u.
+    The image, and so the tag, depends only on the set of colors used."""
+    full = profile(s)
+    images: dict = {}   # set of colors used -> its closure, the image
+
+    def image(col) -> frozenset:
+        used = frozenset(col.semiarc_colors)
+        if used not in images:
+            images[used] = substructure_closure(s, used)
+        return images[used]
+
+    return _tally(map(image, singquandle_colorings(d, s)),
+                  lambda img: ExponentTag.poly(_profile_sum(img, full)))
 
 
 # -- shadow polynomials -------------------------------------------------------
@@ -189,22 +219,30 @@ def subsp(region_subset: Iterable[int], acting: Iterable[int],
             raise InvariantError("acting set is not a subsingquandle")
         if shadow_closure(sh, ys, ss) != frozenset(ys):
             raise InvariantError("region subset is not closed under the action")
-    acc = BasePolynomial.zero()
+    fixing: dict = {}   # fixing count -> number of region colors
     for x in ys:
-        r = sum(1 for s in ss if sh.act(x, s) == x)
-        acc = acc + BasePolynomial.monomial({"t": r})
-    return acc
+        row = sh.action[x]
+        r = sum(1 for s in ss if row[s] == x)
+        fixing[r] = fixing.get(r, 0) + 1
+    return BasePolynomial({(("t", r),): k for r, k in fixing.items()})
 
 
 def shadow_polynomial_invariant(d: SingularDiagram,
                                 sh: ShadowStructure) -> InvariantValue:
-    """SP(L): multiset of subsp over the shadow image of each shadow coloring."""
-    tags = []
-    for col in shadow_colorings(d, sh):
-        image = substructure_closure(sh.base, set(col.semiarc_colors))
-        shadow_image = shadow_closure(sh, set(col.region_colors), image)
-        tags.append(ExponentTag.poly(subsp(shadow_image, image, sh)))
-    return InvariantValue.from_tags(tags)
+    """SP(L): multiset of subsp over the shadow image of each shadow
+    coloring.  The image depends only on the sets of semiarc and region
+    colors used."""
+    images: dict = {}   # (semiarc colors, region colors) -> shadow image
+
+    def image(col) -> tuple:
+        used = (frozenset(col.semiarc_colors), frozenset(col.region_colors))
+        if used not in images:
+            acting = substructure_closure(sh.base, used[0])
+            images[used] = (shadow_closure(sh, used[1], acting), acting)
+        return images[used]
+
+    return _tally(map(image, shadow_colorings(d, sh)),
+                  lambda img: ExponentTag.poly(subsp(*img, sh, _checked=True)))
 
 
 SP = shadow_polynomial_invariant
@@ -241,32 +279,36 @@ def validate_boltzmann(p: Psyquandle, bp: BoltzmannPair) -> ValidationReport:
     m = bp.modulus
     red = (lambda v: v % m) if m else (lambda v: v)
     phi, psi = bp.phi, bp.psi
-    ut, ot, ubi, obi = p.ut, p.ot, p.ub_inv, p.ob_inv
+    # flat tables: op(x, y) is op[x * n + y]
+    ut, ot, ub, ob = p.ut.flat(), p.ot.flat(), p.ub.flat(), p.ob.flat()
+    obi = p.ob_inv.flat()
     vs = []
     for x in range(n):
         if red(phi[x][x]) != 0:
             vs.append(("boltzmann.I", (x,)))
         for y in range(n):
-            a = obi(ot(y, x), x)   # (y ot x) ob^-1 x
-            b = obi(ut(x, y), y)   # (x ut y) ob^-1 y
+            xy, yx = x * n + y, y * n + x
+            a = obi[ot[yx] * n + x]   # (y ot x) ob^-1 x
+            b = obi[ut[xy] * n + y]   # (x ut y) ob^-1 y
             lhs = phi[x][y] + psi[y][b]
             rhs = phi[a][b] + psi[x][a]
             if red(lhs - rhs) != 0:
                 vs.append(("boltzmann.II", (x, y)))
             for z in range(n):
-                lhs = phi[x][y] + phi[y][z] + phi[ut(x, y)][ot(z, y)]
-                rhs = (phi[ut(x, z)][ut(y, z)] + phi[x][z]
-                       + phi[ot(y, x)][ot(z, x)])
+                xz, yz, zy, zx = x * n + z, y * n + z, z * n + y, z * n + x
+                lhs = phi[x][y] + phi[y][z] + phi[ut[xy]][ot[zy]]
+                rhs = (phi[ut[xz]][ut[yz]] + phi[x][z]
+                       + phi[ot[yx]][ot[zx]])
                 if red(lhs - rhs) != 0:
                     vs.append(("boltzmann.III.1", (x, y, z)))
-                lhs = psi[x][y] + phi[y][z] + phi[p.ub(x, y)][ot(z, y)]
-                rhs = (psi[ut(x, z)][ut(y, z)] + phi[x][z]
-                       + phi[p.ob(y, x)][ot(z, x)])
+                lhs = psi[x][y] + phi[y][z] + phi[ub[xy]][ot[zy]]
+                rhs = (psi[ut[xz]][ut[yz]] + phi[x][z]
+                       + phi[ob[yx]][ot[zx]])
                 if red(lhs - rhs) != 0:
                     vs.append(("boltzmann.III.2", (x, y, z)))
-                lhs = psi[z][y] - phi[x][y] - phi[ut(x, y)][p.ub(z, y)]
-                rhs = (psi[ot(z, x)][ot(y, x)] - phi[x][z]
-                       - phi[ut(x, z)][p.ob(y, z)])
+                lhs = psi[z][y] - phi[x][y] - phi[ut[xy]][ub[zy]]
+                rhs = (psi[ot[zx]][ot[yx]] - phi[x][z]
+                       - phi[ut[xz]][ob[yz]])
                 if red(lhs - rhs) != 0:
                     vs.append(("boltzmann.III.3", (x, y, z)))
     return ValidationReport(tuple(sorted(vs)))
@@ -277,29 +319,26 @@ def strongly_compatible(p: Psyquandle, bp: BoltzmannPair) -> bool:
     n = p.n
     m = bp.modulus
     red = (lambda v: v % m) if m else (lambda v: v)
+    psi = bp.psi
+    ut, ot = p.ut.flat(), p.ot.flat()
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                if red(bp.psi[x][y] - bp.psi[p.ut(x, z)][p.ut(y, z)]) != 0:
+                if red(psi[x][y] - psi[ut[x * n + z]][ut[y * n + z]]) != 0:
                     return False
-                if red(bp.psi[z][y] - bp.psi[p.ot(z, x)][p.ot(y, x)]) != 0:
+                if red(psi[z][y] - psi[ot[z * n + x]][ot[y * n + x]]) != 0:
                     return False
     return True
 
 
-def _boltzmann_totals(d: SingularDiagram, p: Psyquandle, bp: BoltzmannPair):
-    for col in psyquandle_colorings(d, p):
-        get = lambda c, port: col.color_of(d, c.arcs[port])
-        tphi = 0
-        tpsi = 0
-        for c in d.crossings:
-            if c.kind == "P":
-                tphi += bp.phi[get(c, "ui")][get(c, "oi")]
-            elif c.kind == "N":
-                tphi -= bp.phi[get(c, "uo")][get(c, "oo")]
-            else:
-                tpsi += bp.psi[get(c, "i1")][get(c, "i2")]
-        yield tphi, tpsi
+def _boltzmann_totals(d: SingularDiagram, p: Psyquandle,
+                      bp: BoltzmannPair) -> list:
+    """Per psyquandle coloring, the (phi part, psi part) of its weight."""
+    colorings = psyquandle_colorings(d, p)
+    phi = _weight_sums(d, colorings, {"P": (bp.phi, 1, 0, 1),
+                                      "N": (bp.phi, -1, 2, 3)})
+    psi = _weight_sums(d, colorings, {"S": (bp.psi, 1, 0, 1)})
+    return list(zip(phi, psi))
 
 
 def boltzmann_single(d: SingularDiagram, p: Psyquandle,
@@ -308,9 +347,8 @@ def boltzmann_single(d: SingularDiagram, p: Psyquandle,
     report = validate_boltzmann(p, bp)
     if not report.valid:
         raise InvariantError("invalid Boltzmann pair:\n" + report.summary())
-    tags = [ExponentTag.ring(a + b, bp.modulus)
-            for a, b in _boltzmann_totals(d, p, bp)]
-    return InvariantValue.from_tags(tags)
+    return _tally((a + b for a, b in _boltzmann_totals(d, p, bp)),
+                  lambda t: ExponentTag.ring(t, bp.modulus))
 
 
 def boltzmann_two(d: SingularDiagram, p: Psyquandle,
@@ -323,9 +361,8 @@ def boltzmann_two(d: SingularDiagram, p: Psyquandle,
         raise InvariantError("Boltzmann pair is not strongly compatible")
     m = bp.modulus
     red = (lambda v: v % m) if m else (lambda v: v)
-    tags = [ExponentTag.pair(red(a), red(b))
-            for a, b in _boltzmann_totals(d, p, bp)]
-    return InvariantValue.from_tags(tags)
+    return _tally(_boltzmann_totals(d, p, bp),
+                  lambda ab: ExponentTag.pair(red(ab[0]), red(ab[1])))
 
 
 # -- cocycle space search -----------------------------------------------------
@@ -502,16 +539,20 @@ class CocycleSpace:
         return ([v for row in cp.phi for v in row]
                 + [v for row in cp.phi_prime for v in row])
 
+    @cached_property
+    def _echelons(self) -> list:
+        """(p, e, echelon form of the generators over Z_{p^e}) for each
+        prime power p^e exactly dividing the modulus."""
+        gens = [self._split(g) for g in self.generators]
+        return [(p, e, _echelon_mod(gens, p, e))
+                for p, e in _prime_powers(self.modulus)]
+
     def contains(self, cp: CocyclePair) -> bool:
         if cp.modulus != self.modulus:
             raise InvariantError("modulus mismatch")
         vec = self._split(cp)
-        gens = [self._split(g) for g in self.generators]
-        for p, e in _prime_powers(self.modulus):
-            pivots = _echelon_mod(gens, p, e)
-            if not _reduces_to_zero(pivots, vec, p, e):
-                return False
-        return True
+        return all(_reduces_to_zero(pivots, vec, p, e)
+                   for p, e, pivots in self._echelons)
 
 
 def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:

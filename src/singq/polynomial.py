@@ -236,17 +236,25 @@ def parse_polynomial(text: str) -> BasePolynomial:
             em = take()
             if not em.group(1):
                 raise error("expected integer exponent")
-            e = int(em.group(1))
-            out = BasePolynomial.const(1)
-            for _ in range(e):
-                out = out * base
-            return out
+            return _power(base, int(em.group(1)))
         return base
 
     result = parse_sum()
     if pos != n and text[pos:].strip():
         raise error("trailing input")
     return result
+
+
+def _power(base: BasePolynomial, e: int) -> BasePolynomial:
+    """``base ** e`` by repeated squaring."""
+    out = BasePolynomial.const(1)
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
 
 
 @total_ordering

@@ -146,3 +146,24 @@ def brute_force_psyquandle(diagram, p):
                 & (v["o2"] == ub[v["i1"], v["i2"]]))
 
     return _oracle(diagram, p.n, predicates)
+
+
+def brute_force_shadow(diagram, sh):
+    """Sorted (semiarc colors, region colors) pairs: the base oracle's
+    colorings extended by a filtered product over the regions, with
+    left == right . s across every semiarc of color s."""
+    m = diagram.n_semiarcs
+    rows = np.array(brute_force_singquandle(diagram, sh.base),
+                    dtype=np.int64).reshape(-1, m)
+    action = np.array(sh.action)
+    regions = diagram.regions()
+    sides = [(left, right, diagram._arc_index[label]) for label, (left, right)
+             in diagram.side_regions(regions).items()]
+    for k in range(len(regions)):
+        new_col = np.tile(np.arange(sh.carrier), rows.shape[0]).reshape(-1, 1)
+        rows = np.hstack([np.repeat(rows, sh.carrier, axis=0), new_col])
+        for left, right, i in sides:
+            if max(left, right) == k:
+                rows = rows[rows[:, m + left]
+                            == action[rows[:, m + right], rows[:, i]]]
+    return sorted((tuple(r[:m]), tuple(r[m:])) for r in rows.tolist())

@@ -157,6 +157,13 @@ class TestFormulaEvaluation:
         with pytest.raises(AlgebraError):
             eval_table(text, 4, variables)
 
+    def test_huge_exponent_is_cheap(self):
+        # powers are built by squaring and tabulated with pow(j, e, n)
+        n = 7
+        expected = [[(pow(x, 100000000, n) + y) % n for y in range(n)]
+                    for x in range(n)]
+        assert eval_table("x^100000000 + y", n, ("x", "y")) == expected
+
     def test_every_bundled_structure_has_a_golden_hash(self):
         assert sorted(GOLDEN_TABLES) == [name for name in fixture_names()
                                          if name.endswith(".alg")]

@@ -73,6 +73,9 @@ Z6_FORMULAS = "formula: star -x+2y\nformula: r1 3+2x-y\nformula: r2 3+x\n"
 BAD_INPUTS = {
     "order.alg": "type: singquandle\norder: six\n" + Z6_FORMULAS,
     "modulus.alg": "type: singquandle\norder: 6\nmodulus: 6.5\n" + Z6_FORMULAS,
+    # formula tables are order x order: a smaller modulus once loaded a
+    # smaller structure silently
+    "mismatch.alg": "type: singquandle\norder: 6\nmodulus: 3\n" + Z6_FORMULAS,
     "carrier.alg": ("type: shadow\norder: 6\ncarrier: four\n" + Z6_FORMULAS
                     + "formula: action x\n"),
     "formula.alg": "type: singquandle\norder: 6\nformula: star x+z\n"

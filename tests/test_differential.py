@@ -1,0 +1,185 @@
+"""Differential tests on generated closed singular braids.
+
+Seeded braids on 2 to 4 strands with at most 12 semiarcs and P, N and S
+letters mixed freely (so mixed-sign chains too), written out by the
+benchmark's generator ``bench/gen.py``, imported read-only.  Every search
+is compared with a brute-force oracle from ``conftest.py``, and every
+aggregation with the per-coloring loop it replaced, kept below as the
+reference and run over the oracle's colorings.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+
+import pytest
+
+from singq.algebra import shadow_closure, substructure_closure
+from singq.coloring import (psyquandle_colorings, shadow_colorings,
+                            singquandle_colorings)
+from singq.diagram import parse_diagram
+from singq.invariants import (CocyclePair, SP, boltzmann_single,
+                              boltzmann_two, phi_ssqp, solve_cocycle_space,
+                              ssqp, state_sum, subsp)
+from singq.polynomial import ExponentTag, InvariantValue
+
+from conftest import (brute_force_psyquandle, brute_force_shadow,
+                      brute_force_singquandle)
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+BRAIDS = 40
+
+
+def braid(seed: int):
+    """A closed braid word on 2-4 strands with at most 6 crossings, every
+    strand position used."""
+    rng = random.Random(seed)
+    strands = rng.randint(2, 4)
+    positions = list(range(strands - 1))
+    positions += [rng.randrange(strands - 1)
+                  for _ in range(rng.randint(0, 6 - len(positions)))]
+    rng.shuffle(positions)
+    return strands, [(rng.choice("PNS"), j) for j in positions]
+
+
+@pytest.fixture(scope="module")
+def braids():
+    return [parse_diagram(gen.closure_text(*braid(seed)))
+            for seed in range(BRAIDS)]
+
+
+@pytest.fixture(scope="module")
+def z8k_cocycle(z8k):
+    """A seeded combination of the generators of the z8_k cocycle space."""
+    space = solve_cocycle_space(z8k, 8)
+    rng = random.Random(0)
+    phi = [[0] * 8 for _ in range(8)]
+    php = [[0] * 8 for _ in range(8)]
+    for g in space.generators:
+        k = rng.randrange(8)
+        for x in range(8):
+            for y in range(8):
+                phi[x][y] += k * g.phi[x][y]
+                php[x][y] += k * g.phi_prime[x][y]
+    return CocyclePair.from_rows(8, phi, php)
+
+
+def test_braids_are_mixed(braids):
+    kinds = {c.kind for d in braids for c in d.crossings}
+    assert kinds == {"P", "N", "S"}
+    assert all(d.n_semiarcs <= 12 for d in braids)
+    assert any({"P", "N"} <= {c.kind for c in d.crossings} for d in braids)
+
+
+# -- searches against the brute-force oracles --------------------------------
+
+@pytest.mark.parametrize("name", ["z6", "z8k", "z8_z6_base"])
+def test_singquandle_search(braids, name, request):
+    s = (request.getfixturevalue("z8_z6_shadow").base if name == "z8_z6_base"
+         else request.getfixturevalue(name))
+    for k, d in enumerate(braids):
+        found = [c.semiarc_colors for c in singquandle_colorings(d, s)]
+        assert found == brute_force_singquandle(d, s), k
+
+
+def test_psyquandle_search(braids, psy6):
+    for k, d in enumerate(braids):
+        found = [c.semiarc_colors for c in psyquandle_colorings(d, psy6)]
+        assert found == brute_force_psyquandle(d, psy6), k
+
+
+def test_shadow_search(braids, z8_z6_shadow):
+    for k, d in enumerate(braids):
+        found = [(c.semiarc_colors, c.region_colors)
+                 for c in shadow_colorings(d, z8_z6_shadow)]
+        assert found == brute_force_shadow(d, z8_z6_shadow), k
+
+
+# -- aggregations against the per-coloring loops ----------------------------
+
+def _ports(d, colors, c, *ports):
+    return [colors[d._arc_index[c.arcs[port]]] for port in ports]
+
+
+def reference_state_sum(d, s, cp):
+    tags = []
+    for colors in brute_force_singquandle(d, s):
+        total = 0
+        for c in d.crossings:
+            if c.kind == "P":
+                x, y = _ports(d, colors, c, "ui", "oi")
+                total += cp.phi[x][y]
+            elif c.kind == "N":
+                x, y = _ports(d, colors, c, "uo", "oi")
+                total -= cp.phi[x][y]
+            else:
+                x, y = _ports(d, colors, c, "i1", "i2")
+                total += cp.phi_prime[x][y]
+        tags.append(ExponentTag.ring(total, cp.modulus))
+    return InvariantValue.from_tags(tags)
+
+
+def reference_phi_ssqp(d, s):
+    return InvariantValue.from_tags(
+        ExponentTag.poly(ssqp(substructure_closure(s, set(colors)), s))
+        for colors in brute_force_singquandle(d, s))
+
+
+def reference_SP(d, sh):
+    tags = []
+    for colors, region_colors in brute_force_shadow(d, sh):
+        image = substructure_closure(sh.base, set(colors))
+        shadow_image = shadow_closure(sh, set(region_colors), image)
+        tags.append(ExponentTag.poly(subsp(shadow_image, image, sh)))
+    return InvariantValue.from_tags(tags)
+
+
+def reference_boltzmann_totals(d, p, bp):
+    for colors in brute_force_psyquandle(d, p):
+        tphi = tpsi = 0
+        for c in d.crossings:
+            if c.kind == "P":
+                x, y = _ports(d, colors, c, "ui", "oi")
+                tphi += bp.phi[x][y]
+            elif c.kind == "N":
+                x, y = _ports(d, colors, c, "uo", "oo")
+                tphi -= bp.phi[x][y]
+            else:
+                x, y = _ports(d, colors, c, "i1", "i2")
+                tpsi += bp.psi[x][y]
+        yield tphi, tpsi
+
+
+def test_state_sum(braids, z6, z6_cocycle, z8k, z8k_cocycle):
+    for s, cp in ((z6, z6_cocycle), (z8k, z8k_cocycle)):
+        for k, d in enumerate(braids):
+            assert state_sum(d, s, cp) == reference_state_sum(d, s, cp), \
+                (s.n, k)
+
+
+def test_phi_ssqp(braids, z6, z8k, z8_z6_shadow):
+    for s in (z6, z8k, z8_z6_shadow.base):
+        for k, d in enumerate(braids):
+            assert phi_ssqp(d, s) == reference_phi_ssqp(d, s), (s.n, k)
+
+
+def test_SP(braids, z8_z6_shadow):
+    for k, d in enumerate(braids):
+        assert SP(d, z8_z6_shadow) == reference_SP(d, z8_z6_shadow), k
+
+
+def test_boltzmann(braids, psy6, psy6_boltzmann, psy6_boltzmann_strong):
+    for k, d in enumerate(braids):
+        one = InvariantValue.from_tags(
+            ExponentTag.ring(a + b, psy6_boltzmann.modulus)
+            for a, b in reference_boltzmann_totals(d, psy6, psy6_boltzmann))
+        assert boltzmann_single(d, psy6, psy6_boltzmann) == one, k
+        m = psy6_boltzmann_strong.modulus
+        two = InvariantValue.from_tags(
+            ExponentTag.pair(a % m, b % m) for a, b
+            in reference_boltzmann_totals(d, psy6, psy6_boltzmann_strong))
+        assert boltzmann_two(d, psy6, psy6_boltzmann_strong) == two, k

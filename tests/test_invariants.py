@@ -7,6 +7,7 @@ from singq.algebra import (affine_singquandle, formula_shadow,
                            formula_structure, profile)
 from singq.coloring import singquandle_colorings, psyquandle_colorings
 from singq.diagram import parse_diagram
+from singq import invariants
 from singq.invariants import (BoltzmannPair, CocyclePair, InvariantError,
                               _cocycle_rows,
                               SP, boltzmann_single, boltzmann_two,
@@ -235,6 +236,23 @@ class TestCocycleSolver:
         assert all(space.contains(g) for g in space.generators)
         assert space.size == smith_kernel_size(_cocycle_rows(s), 2 * n * n,
                                                modulus)
+
+    def test_membership_sweep_eliminates_once_per_prime_power(self,
+                                                               monkeypatch):
+        s = affine_singquandle(10, 7, 6, 5)
+        space = solve_cocycle_space(s, 10)
+        calls = []
+        echelon = invariants._echelon_mod
+
+        def counted(vectors, p, e):
+            calls.append((p, e))
+            return echelon(vectors, p, e)
+
+        monkeypatch.setattr(invariants, "_echelon_mod", counted)
+        assert all(space.contains(g) for g in space.generators)
+        assert not space.contains(CocyclePair.from_rows(
+            10, [[1] * 10 for _ in range(10)], [[0] * 10 for _ in range(10)]))
+        assert calls == [(2, 1), (5, 1)]
 
     def test_generators_validate_and_contain_bundled_pair(self, z6,
                                                           z6_cocycle):

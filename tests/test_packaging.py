@@ -25,6 +25,22 @@ def test_import_loads_only_the_standard_library():
     assert proc.stdout.splitlines() == ["False", "[]"]
 
 
+def test_import_adds_only_singq_modules():
+    # Import time is a benchmark metric (setup_s): beyond what
+    # ``import __future__, dataclasses`` loads, ``import singq`` may load
+    # nothing but singq's own modules.
+    code = ("import sys\n"
+            "import __future__, dataclasses\n"
+            "before = set(sys.modules)\n"
+            "import singq\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m != 'singq' and not m.startswith('singq.')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(singq.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]"]
+
+
 def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
