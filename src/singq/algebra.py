@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .polynomial import PolynomialError, parse_polynomial
@@ -115,21 +116,60 @@ class OperationTable:
         return f"OperationTable({[list(r) for r in self.rows]})"
 
 
+# -- exhaustive validation on whole maps ---------------------------------------
+#
+# Every three-variable identity below reads op1(op2(x, a), b) on each side for
+# one free variable x, so at fixed (a, b) each side is the composition of two
+# unary maps (a row or a column of a table).  The validators compose and
+# compare such maps as whole vectors, and look at single elements only where
+# two vectors differ; every instance is still checked.
+
+
+def _map_codec(size: int) -> tuple:
+    """``(encode, compose)`` for maps of ``range(size)`` into itself.
+
+    ``encode(maps)`` turns sequences of images into two lists, the maps as
+    vectors and the same maps as tables; ``compose(v, t)`` is the vector of
+    ``t[v[x]]``.  Up to 256 elements a vector is ``bytes`` and a table is
+    the vector padded to the 256 bytes ``bytes.translate`` takes; larger
+    sets use tuples for both, composed by ``operator.itemgetter``.
+    """
+    if size <= 256:
+        pad = bytes(256 - size)
+
+        def encode(maps):
+            vectors = [bytes(m) for m in maps]
+            return vectors, [v + pad for v in vectors]
+        return encode, bytes.translate
+
+    def encode(maps):
+        vectors = [tuple(m) for m in maps]
+        return vectors, vectors
+    return encode, lambda v, t: itemgetter(*v)(t)
+
+
+def _differences(lhs, rhs) -> list:
+    """Elements at which two encoded maps differ."""
+    if lhs == rhs:
+        return []
+    return [x for x, (u, v) in enumerate(zip(lhs, rhs)) if u != v]
+
+
 def validate_quandle(table: OperationTable) -> ValidationReport:
     """Idempotency, right-invertibility, right self-distributivity."""
     n = table.n
-    vs = []
-    for x in range(n):
-        if table(x, x) != x:
-            vs.append(("quandle.idempotency", (x,)))
+    rows = table.rows
+    vs = [("quandle.idempotency", (x,)) for x in range(n) if rows[x][x] != x]
+    vs += [("quandle.right_invertibility", (y,)) for y in range(n)
+           if not table.column_is_bijective(y)]
+    encode, compose = _map_codec(n)
+    col, col_t = encode(zip(*rows))
+    # (x*y)*z == (x*z)*(y*z), over x at each (y, z)
     for y in range(n):
-        if not table.column_is_bijective(y):
-            vs.append(("quandle.right_invertibility", (y,)))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if table(table(x, y), z) != table(table(x, z), table(y, z)):
-                    vs.append(("quandle.self_distributivity", (x, y, z)))
+        for z in range(n):
+            for x in _differences(compose(col[y], col_t[z]),
+                                  compose(col[z], col_t[rows[y][z]])):
+                vs.append(("quandle.self_distributivity", (x, y, z)))
     return ValidationReport(tuple(sorted(vs)))
 
 
@@ -198,25 +238,42 @@ def validate_singquandle(star: OperationTable, r1: OperationTable,
             (("singquandle.prerequisite_quandle", ()),)))
     n = star.n
     sinv = star.right_inverse()
+    S, I, R1, R2 = star.rows, sinv.rows, r1.rows, r2.rows
     vs = []
     for x in range(n):
         for y in range(n):
-            if r1(x, y) >= n or r2(x, y) >= n:
+            if R1[x][y] >= n or R2[x][y] >= n:
                 vs.append(("singquandle.range", (x, y)))
     for x in range(n):
         for y in range(n):
             # two-variable axioms (4) and (5)
-            if r2(x, y) != r1(y, star(x, y)):
+            if R2[x][y] != R1[y][S[x][y]]:
                 vs.append(("singquandle.axiom4", (x, y)))
-            if star(r1(x, y), r2(x, y)) != r2(y, star(x, y)):
+            if S[R1[x][y]][R2[x][y]] != R2[y][S[x][y]]:
                 vs.append(("singquandle.axiom5", (x, y)))
-            for z in range(n):
-                if star(r1(sinv(x, y), z), y) != r1(x, star(z, y)):
-                    vs.append(("singquandle.axiom1", (x, y, z)))
-                if r2(sinv(x, y), z) != sinv(r2(x, star(z, y)), y):
-                    vs.append(("singquandle.axiom2", (x, y, z)))
-                if star(sinv(y, r1(x, z)), x) != sinv(star(y, r2(x, z)), z):
-                    vs.append(("singquandle.axiom3", (x, y, z)))
+    encode, compose = _map_codec(n)
+    Scol, Scol_t = encode(zip(*S))
+    Icol, Icol_t = encode(zip(*I))
+    R1row, R1row_t = encode(R1)
+    R2row, R2row_t = encode(R2)
+    for x in range(n):
+        for y in range(n):
+            i = I[x][y]
+            # (1) R1(x/y, z)*y == R1(x, z*y), over z
+            for z in _differences(compose(R1row[i], Scol_t[y]),
+                                  compose(Scol[y], R1row_t[x])):
+                vs.append(("singquandle.axiom1", (x, y, z)))
+            # (2) R2(x/y, z) == R2(x, z*y)/y, over z
+            for z in _differences(
+                    R2row[i], compose(compose(Scol[y], R2row_t[x]), Icol_t[y])):
+                vs.append(("singquandle.axiom2", (x, y, z)))
+    for x in range(n):
+        for z in range(n):
+            a, b = R1[x][z], R2[x][z]
+            # (3) (y/R1(x, z))*x == (y*R2(x, z))/z, over y
+            for y in _differences(compose(Icol[a], Scol_t[x]),
+                                  compose(Scol[b], Icol_t[z])):
+                vs.append(("singquandle.axiom3", (x, y, z)))
     return ValidationReport(tuple(sorted(vs)))
 
 
@@ -289,24 +346,27 @@ def formula_structure(n: int, star_expr: str, r1_expr: str,
 
 def validate_group(mult: OperationTable) -> ValidationReport:
     n = mult.n
+    rows = mult.rows
     vs = []
     identity = None
     for e in range(n):
-        if all(mult(e, x) == x and mult(x, e) == x for x in range(n)):
+        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
             identity = e
             break
     if identity is None:
         vs.append(("group.identity", ()))
     else:
         for x in range(n):
-            if not any(mult(x, y) == identity and mult(y, x) == identity
+            if not any(rows[x][y] == identity and rows[y][x] == identity
                        for y in range(n)):
                 vs.append(("group.inverse", (x,)))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if mult(mult(x, y), z) != mult(x, mult(y, z)):
-                    vs.append(("group.associativity", (x, y, z)))
+    encode, compose = _map_codec(n)
+    col, col_t = encode(zip(*rows))
+    # (xy)z == x(yz), over x at each (y, z)
+    for y in range(n):
+        for z in range(n):
+            for x in _differences(compose(col[y], col_t[z]), col[rows[y][z]]):
+                vs.append(("group.associativity", (x, y, z)))
     return ValidationReport(tuple(sorted(vs)))
 
 
@@ -381,6 +441,21 @@ class Psyquandle:
         return range(self.n)
 
 
+# Axioms (IV) and (VI), each A(B(x, y), C(z, y)) == D(E(x, z), F(y, z)):
+# (name, A, B, C, D, E, F).
+_PSYQUANDLE_AXIOMS = (
+    ("IV.1", "ut", "ut", "ut", "ut", "ut", "ot"),
+    ("IV.2", "ot", "ut", "ut", "ut", "ot", "ot"),
+    ("IV.3", "ot", "ot", "ot", "ot", "ot", "ut"),
+    ("VI.1", "ot", "ot", "ob", "ot", "ot", "ub"),
+    ("VI.2", "ut", "ut", "ob", "ut", "ut", "ub"),
+    ("VI.3", "ob", "ot", "ot", "ot", "ob", "ut"),
+    ("VI.4", "ub", "ut", "ut", "ut", "ub", "ot"),
+    ("VI.5", "ub", "ot", "ot", "ot", "ub", "ut"),
+    ("VI.6", "ob", "ut", "ut", "ut", "ob", "ot"),
+)
+
+
 def validate_psyquandle(ut: OperationTable, ot: OperationTable,
                         ub: OperationTable, ob: OperationTable) -> ValidationReport:
     """Exhaustive check of psyquandle axioms (I)-(VI)."""
@@ -393,47 +468,35 @@ def validate_psyquandle(ut: OperationTable, ot: OperationTable,
     if vs:
         # right inverses are needed below; bail out with what we have
         return ValidationReport(tuple(sorted(vs)))
-    uti, oti, ubi, obi = (ut.right_inverse(), ot.right_inverse(),
-                          ub.right_inverse(), ob.right_inverse())
+    T = {"ut": ut.rows, "ot": ot.rows, "ub": ub.rows, "ob": ob.rows}
+    UT, OT, UB, OB = T["ut"], T["ot"], T["ub"], T["ob"]
+    UBI, OBI = ub.right_inverse().rows, ob.right_inverse().rows
     for x in range(n):
-        if ut(x, x) != ot(x, x):
+        if UT[x][x] != OT[x][x]:
             vs.append(("psyquandle.II", (x,)))
-    for name, a, b in (("S", ot, ut), ("Sprime", ob, ub)):
-        seen = set()
-        for x in range(n):
-            for y in range(n):
-                seen.add((a(y, x), b(x, y)))
+    for name, a, b in (("S", OT, UT), ("Sprime", OB, UB)):
+        seen = {(a[y][x], b[x][y]) for x in range(n) for y in range(n)}
         if len(seen) != n * n:
             vs.append((f"psyquandle.III.{name}", ()))
+    encode, compose = _map_codec(n)
+    col, col_t = {}, {}
+    for name, rows in T.items():
+        col[name], col_t[name] = encode(zip(*rows))
+    for y in range(n):
+        for z in range(n):
+            for name, A, B, C, D, E, F in _PSYQUANDLE_AXIOMS:
+                for x in _differences(
+                        compose(col[B][y], col_t[A][T[C][z][y]]),
+                        compose(col[E][z], col_t[D][T[F][y][z]])):
+                    vs.append((f"psyquandle.{name}", (x, y, z)))
     for x in range(n):
         for y in range(n):
-            for z in range(n):
-                if ut(ut(x, y), ut(z, y)) != ut(ut(x, z), ot(y, z)):
-                    vs.append(("psyquandle.IV.1", (x, y, z)))
-                if ot(ut(x, y), ut(z, y)) != ut(ot(x, z), ot(y, z)):
-                    vs.append(("psyquandle.IV.2", (x, y, z)))
-                if ot(ot(x, y), ot(z, y)) != ot(ot(x, z), ut(y, z)):
-                    vs.append(("psyquandle.IV.3", (x, y, z)))
-                if ot(ot(x, y), ob(z, y)) != ot(ot(x, z), ub(y, z)):
-                    vs.append(("psyquandle.VI.1", (x, y, z)))
-                if ut(ut(x, y), ob(z, y)) != ut(ut(x, z), ub(y, z)):
-                    vs.append(("psyquandle.VI.2", (x, y, z)))
-                if ob(ot(x, y), ot(z, y)) != ot(ob(x, z), ut(y, z)):
-                    vs.append(("psyquandle.VI.3", (x, y, z)))
-                if ub(ut(x, y), ut(z, y)) != ut(ub(x, z), ot(y, z)):
-                    vs.append(("psyquandle.VI.4", (x, y, z)))
-                if ub(ot(x, y), ot(z, y)) != ot(ub(x, z), ut(y, z)):
-                    vs.append(("psyquandle.VI.5", (x, y, z)))
-                if ob(ut(x, y), ut(z, y)) != ut(ob(x, z), ot(y, z)):
-                    vs.append(("psyquandle.VI.6", (x, y, z)))
-    for x in range(n):
-        for y in range(n):
-            lhs = ub(x, obi(ot(y, x), x))
-            rhs = ot(obi(ut(x, y), y), ubi(ot(y, x), x))
+            lhs = UB[x][OBI[OT[y][x]][x]]
+            rhs = OT[OBI[UT[x][y]][y]][UBI[OT[y][x]][x]]
             if lhs != rhs:
                 vs.append(("psyquandle.V.1", (x, y)))
-            lhs = ub(y, obi(ut(x, y), y))
-            rhs = ut(obi(ot(y, x), x), obi(ut(x, y), y))
+            lhs = UB[y][OBI[UT[x][y]][y]]
+            rhs = UT[OBI[OT[y][x]][x]][OBI[UT[x][y]][y]]
             if lhs != rhs:
                 vs.append(("psyquandle.V.2", (x, y)))
     return ValidationReport(tuple(sorted(vs)))
@@ -487,14 +550,18 @@ def validate_shadow(base: OrientedSingquandle, action: Sequence) -> ValidationRe
     for s in range(nS):
         if len({action[x][s] for x in range(carrier)}) != carrier:
             vs.append(("shadow.bijectivity", (s,)))
-    for x in range(carrier):
-        for s1 in range(nS):
-            for s2 in range(nS):
-                lhs = action[action[x][s1]][s2]
-                if lhs != action[action[x][s2]][base.op(s1, s2)]:
-                    vs.append(("shadow.classical", (x, s1, s2)))
-                if lhs != action[action[x][base.r1(s1, s2)]][base.r2(s1, s2)]:
-                    vs.append(("shadow.singular", (x, s1, s2)))
+    encode, compose = _map_codec(carrier)
+    col, col_t = encode([row[s] for row in action] for s in range(nS))
+    S, R1, R2 = base.star.rows, base.r1.rows, base.r2.rows
+    for s1 in range(nS):
+        for s2 in range(nS):
+            # (x.s1).s2 == (x.s2).(s1*s2) == (x.R1(s1, s2)).R2(s1, s2), over x
+            lhs = compose(col[s1], col_t[s2])
+            for x in _differences(lhs, compose(col[s2], col_t[S[s1][s2]])):
+                vs.append(("shadow.classical", (x, s1, s2)))
+            for x in _differences(
+                    lhs, compose(col[R1[s1][s2]], col_t[R2[s1][s2]])):
+                vs.append(("shadow.singular", (x, s1, s2)))
     return ValidationReport(tuple(sorted(vs)))
 
 

@@ -19,7 +19,7 @@ import time
 from . import data
 from .algebra import (AlgebraError, InvalidStructureError, OrientedSingquandle,
                       Psyquandle, ShadowStructure, parse_algebra)
-from .coloring import (psyquandle_colorings, shadow_colorings,
+from .coloring import (ColoringError, psyquandle_colorings, shadow_colorings,
                        singquandle_colorings)
 from .diagram import DiagramError, parse_diagram, validate_diagram
 from .invariants import (BoltzmannPair, CocyclePair, InvariantError,
@@ -325,19 +325,26 @@ def cmd_corpus(args) -> int:
     out = []
     for group, name, thunk, expected in rows:
         t0 = time.perf_counter()
+        actual = None if thunk is None else thunk()
+        ms = (time.perf_counter() - t0) * 1000
         if thunk is None:
+            verdict = "skipped"
             line = f"skipped  {group:8s} {name}: diagram not transcribed " \
                    f"(expected {expected})"
+        elif actual == expected:
+            verdict = "OK"
+            line = f"OK       {group:8s} {name}: {actual}"
         else:
-            actual = thunk()
-            if actual == expected:
-                line = f"OK       {group:8s} {name}: {actual}"
-            else:
-                line = (f"MISMATCH {group:8s} {name}: expected {expected!r}, "
-                        f"got {actual!r}")
-                status = 1
-        if args.timing:
-            line += f"  [{(time.perf_counter() - t0) * 1000:.0f} ms]"
+            verdict = "MISMATCH"
+            line = (f"MISMATCH {group:8s} {name}: expected {expected!r}, "
+                    f"got {actual!r}")
+            status = 1
+        if args.json:
+            line = json.dumps({"group": group, "name": name, "status": verdict,
+                               "expected": expected, "actual": actual,
+                               "ms": round(ms, 3)})
+        elif args.timing:
+            line += f"  [{ms:.0f} ms]"
         out.append(line)
     print("\n".join(out))
     return status
@@ -389,7 +396,7 @@ def main(argv=None) -> int:
         print(f"error: invalid structure\n{exc.report.summary()}",
               file=sys.stderr)
         return 2
-    except (AlgebraError, DiagramError, InvariantError) as exc:
+    except (AlgebraError, ColoringError, DiagramError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

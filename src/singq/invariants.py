@@ -374,18 +374,26 @@ def boltzmann_two(d: SingularDiagram, p: Psyquandle,
 # are recombined by the Chinese remainder theorem.
 
 def _cocycle_rows(s: OrientedSingquandle) -> list:
-    """Sparse coefficient rows; unknowns are phi (first n^2) then phi_prime."""
+    """Sparse coefficient rows, each nonzero and emitted once; unknowns are
+    phi (first n^2) then phi_prime.  In the elimination a zero row is a zero
+    column, and a repeated row a column its first copy's pivot has already
+    cleared, so dropping them leaves the kernel generators unchanged."""
     n = s.n
     star, sinv, r1, r2 = s.op, s.op_inv, s.r1, s.r2
     P = lambda x, y: x * n + y
     Q = lambda x, y: n * n + x * n + y
     rows = []
+    seen = set()
 
     def add(*terms):
         row = {}
         for idx, coef in terms:
             row[idx] = row.get(idx, 0) + coef
-        rows.append(row)
+        row = {idx: coef for idx, coef in row.items() if coef}
+        key = frozenset(row.items())
+        if row and key not in seen:
+            seen.add(key)
+            rows.append(row)
 
     for x in range(n):
         add((P(x, x), 1))

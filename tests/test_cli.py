@@ -99,6 +99,17 @@ class TestInputErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("kind", ["shadow-count", "SP"])
+    def test_disconnected_regions(self, tmp_path, capsys, kind):
+        """Two separate components leave the region graph disconnected, so
+        shadow colorings are undefined."""
+        path = tmp_path / "two.dgm"
+        path.write_text("P a b b a\nP c d d c\n"
+                        "rot 1 ui uo oo oi\nrot 2 ui uo oo oi\n")
+        rc = main(["invariant", kind, str(path), "z8_z6_shadow.alg"])
+        assert rc == 2
+        assert "disconnected" in capsys.readouterr().err
+
 
 class TestSearchCocycles:
     def test_member(self, capsys):
@@ -141,6 +152,33 @@ class TestCorpus:
         out = capsys.readouterr().out
         assert rc == 0
         assert "5k6" in out and "4_1k" not in out
+
+    def test_json_records(self, capsys):
+        rc = main(["corpus", "--json"])
+        lines = capsys.readouterr().out.splitlines()
+        records = [json.loads(line) for line in lines]
+        assert rc == 0
+        assert len(records) == 54
+        assert {r["status"] for r in records} == {"OK", "skipped"}
+        for r in records:
+            assert set(r) == {"group", "name", "status", "expected",
+                              "actual", "ms"}
+            if r["status"] == "OK":
+                assert r["actual"] == r["expected"]
+            else:
+                assert r["actual"] is None
+            assert r["ms"] >= 0
+        assert records[0] == {**records[0], "group": "z6",
+                              "name": "5k6 count", "actual": "6"}
+
+    def test_json_mismatch_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr("singq.cli._corpus_rows",
+                            lambda: [("g", "row", lambda: "1", "2")])
+        rc = main(["corpus", "--json"])
+        record = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert (record["status"], record["expected"], record["actual"]) == \
+            ("MISMATCH", "2", "1")
 
     def test_repeat_runs_identical(self, capsys):
         main(["corpus", "--filter", "z8k"])

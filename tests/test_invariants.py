@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -236,6 +237,29 @@ class TestCocycleSolver:
         assert all(space.contains(g) for g in space.generators)
         assert space.size == smith_kernel_size(_cocycle_rows(s), 2 * n * n,
                                                modulus)
+
+    # (generator count, size, SHA-256 of the generators' (phi, phi_prime)
+    # reprs in order), recorded before zero and repeated rows were dropped
+    RECORDED = {
+        "z6": (22, 241864704, "36ce257aa085e92aabfdfc4739474584"
+                              "963126f9c4bd993b299a0c37cdb580a1"),
+        "z8": (18, 2 ** 50, "4afa667919ad7c4ce7fdb69d80ed31fc"
+                            "f4a095b3e6ee1f365574a8e2e91e5f32"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_row_dedupe_keeps_generators(self, name, z6):
+        s, modulus = ((z6, 6) if name == "z6"
+                      else (affine_singquandle(8, 3, 0, 1), 8))
+        rows = _cocycle_rows(s)
+        assert all(rows) and all(all(row.values()) for row in rows)
+        assert len({frozenset(row.items()) for row in rows}) == len(rows)
+        space = solve_cocycle_space(s, modulus)
+        digest = hashlib.sha256()
+        for g in space.generators:
+            digest.update(repr((g.phi, g.phi_prime)).encode())
+        assert (len(space.generators), space.size,
+                digest.hexdigest()) == self.RECORDED[name]
 
     def test_membership_sweep_eliminates_once_per_prime_power(self,
                                                                monkeypatch):
