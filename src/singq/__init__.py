@@ -15,8 +15,8 @@ from .algebra import (OperationTable, OrientedSingquandle, Psyquandle,
 from .diagram import (Crossing, Region, SemiArc, SingularDiagram,
                       DiagramError, ParseError, parse_diagram,
                       validate_diagram)
-from .coloring import (Coloring, ColoringSet, psyquandle_colorings,
-                       shadow_colorings, singquandle_colorings)
+from .coloring import (Coloring, psyquandle_colorings, shadow_colorings,
+                       singquandle_colorings)
 from .invariants import (BoltzmannPair, CocyclePair, CocycleSpace,
                          InvariantError, SP, boltzmann_single, boltzmann_two,
                          parse_weights, phi_ssqp, restrict,

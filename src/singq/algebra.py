@@ -10,9 +10,8 @@ how finite structures are usually tabulated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .polynomial import PolynomialError, parse_polynomial
 
@@ -33,8 +32,7 @@ class InvalidStructureError(AlgebraError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple = ()
 
     @property
@@ -52,17 +50,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _merge(*reports: ValidationReport) -> ValidationReport:
-    vs = []
-    for r in reports:
-        vs.extend(r.violations)
-    return ValidationReport(tuple(sorted(vs)))
-
-
 class OperationTable:
     """An n x n table of element indices encoding one binary operation."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_inverse")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         n = len(rows)
@@ -79,6 +70,7 @@ class OperationTable:
             frozen.append(row)
         self.n = n
         self.rows = tuple(frozen)
+        self._inverse = None
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int], int]) -> "OperationTable":
@@ -101,16 +93,19 @@ class OperationTable:
         return len({row[y] for row in self.rows}) == self.n
 
     def right_inverse(self) -> "OperationTable":
-        """Table ``inv`` with ``inv[t[x][y]][y] == x``; needs bijective columns."""
-        n = self.n
-        inv = [[-1] * n for _ in range(n)]
-        for y in range(n):
-            for x in range(n):
-                z = self.rows[x][y]
-                if inv[z][y] != -1:
-                    raise AlgebraError(f"column {y} is not a bijection")
-                inv[z][y] = x
-        return OperationTable(inv)
+        """Table ``inv`` with ``inv[t[x][y]][y] == x``; needs bijective
+        columns.  Computed on the first call and kept with the table."""
+        if self._inverse is None:
+            n = self.n
+            inv = [[-1] * n for _ in range(n)]
+            for y in range(n):
+                for x in range(n):
+                    z = self.rows[x][y]
+                    if inv[z][y] != -1:
+                        raise AlgebraError(f"column {y} is not a bijection")
+                    inv[z][y] = x
+            self._inverse = OperationTable(inv)
+        return self._inverse
 
     def __repr__(self) -> str:
         return f"OperationTable({[list(r) for r in self.rows]})"
@@ -234,8 +229,8 @@ def validate_singquandle(star: OperationTable, r1: OperationTable,
     """
     base = validate_quandle(star)
     if not base.valid:
-        return _merge(base, ValidationReport(
-            (("singquandle.prerequisite_quandle", ()),)))
+        return ValidationReport(tuple(sorted(
+            base.violations + (("singquandle.prerequisite_quandle", ()),))))
     n = star.n
     sinv = star.right_inverse()
     S, I, R1, R2 = star.rows, sinv.rows, r1.rows, r2.rows
@@ -705,8 +700,7 @@ def shadow_closure(sh: ShadowStructure, region_seed: Iterable[int],
 _ALG_TYPES = ("quandle", "singquandle", "biquandle", "psyquandle", "shadow")
 
 
-@dataclass(frozen=True)
-class LoadedAlgebra:
+class LoadedAlgebra(NamedTuple):
     kind: str
     structure: object  # OperationTable (quandle) or a structure class
 

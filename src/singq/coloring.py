@@ -8,12 +8,14 @@ per call.  The search runs on the diagram's compiled crossing tuples: which
 semiarcs a propagator colors or checks depends only on which are already
 colored, never on their colors, so the branch order and the propagation
 steps below each branch are planned once per call.
+
+The invariants read the sorted color tuples of the ``*_tuples`` functions;
+the ``*_colorings`` functions wrap them into :class:`Coloring` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import OrientedSingquandle, Psyquandle, ShadowStructure
 from .diagram import SingularDiagram
@@ -23,23 +25,9 @@ class ColoringError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     semiarc_colors: tuple  # colors in diagram semiarc order
     region_colors: Optional[tuple] = None  # colors in region-id order
-
-
-@dataclass
-class ColoringSet:
-    diagram: SingularDiagram
-    structure: object
-    colorings: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.colorings)
-
-    def __iter__(self):
-        return iter(self.colorings)
 
 
 # -- crossing rules ----------------------------------------------------------
@@ -51,17 +39,20 @@ class ColoringSet:
 # among them, so a coloring of all four ports passes every propagator
 # exactly when it satisfies the crossing.
 
-def _singquandle_rules(s: OrientedSingquandle) -> dict:
+def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> list:
+    """Sorted semiarc color tuples of every singquandle coloring."""
     n = s.n
     star, sinv = s.star.flat(), s.star_inv.flat()
     first = [x for x in range(n) for _ in range(n)]   # oo = first[oi, oi]
     over = ((1, 1, first, 3), (3, 3, first, 1))
-    return {"P": over + ((0, 1, star, 2), (2, 1, sinv, 0)),
-            "N": over + ((0, 1, sinv, 2), (2, 1, star, 0)),
-            "S": ((0, 1, s.r1.flat(), 2), (0, 1, s.r2.flat(), 3))}
+    return _enumerate(d, n, {
+        "P": over + ((0, 1, star, 2), (2, 1, sinv, 0)),
+        "N": over + ((0, 1, sinv, 2), (2, 1, star, 0)),
+        "S": ((0, 1, s.r1.flat(), 2), (0, 1, s.r2.flat(), 3))})
 
 
-def _psyquandle_rules(p: Psyquandle) -> dict:
+def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> list:
+    """Sorted semiarc color tuples of every psyquandle coloring."""
     def split(pairs):
         return [a for a, _ in pairs], [b for _, b in pairs]
 
@@ -74,13 +65,14 @@ def _psyquandle_rules(p: Psyquandle) -> dict:
     uti, oti = p.ut_inv.flat(), p.ot_inv.flat()
     # P: (oo, uo) = S(ui, oi), N: (oi, ui) = S(uo, oo),
     # S: (o1, o2) = S'(i1, i2)
-    return {"P": ((0, 1, s1, 3), (0, 1, s2, 2), (3, 2, si1, 0), (3, 2, si2, 1),
-                  (2, 1, uti, 0), (3, 0, oti, 1)),
-            "N": ((2, 3, s1, 1), (2, 3, s2, 0), (1, 0, si1, 2), (1, 0, si2, 3),
-                  (1, 2, oti, 3), (0, 3, uti, 2)),
-            "S": ((0, 1, sp1, 2), (0, 1, sp2, 3), (2, 3, spi1, 0),
-                  (2, 3, spi2, 1), (3, 1, p.ub_inv.flat(), 0),
-                  (2, 0, p.ob_inv.flat(), 1))}
+    return _enumerate(d, p.n, {
+        "P": ((0, 1, s1, 3), (0, 1, s2, 2), (3, 2, si1, 0), (3, 2, si2, 1),
+              (2, 1, uti, 0), (3, 0, oti, 1)),
+        "N": ((2, 3, s1, 1), (2, 3, s2, 0), (1, 0, si1, 2), (1, 0, si2, 3),
+              (1, 2, oti, 3), (0, 3, uti, 2)),
+        "S": ((0, 1, sp1, 2), (0, 1, sp2, 3), (2, 3, spi1, 0),
+              (2, 3, spi2, 1), (3, 1, p.ub_inv.flat(), 0),
+              (2, 0, p.ob_inv.flat(), 1))})
 
 
 # -- search core -------------------------------------------------------------
@@ -159,21 +151,9 @@ def _enumerate(d: SingularDiagram, n: int, rules: dict) -> list:
     return solutions
 
 
-def singquandle_colorings(d: SingularDiagram,
-                          s: OrientedSingquandle) -> ColoringSet:
-    """All semiarc colorings satisfying the singquandle crossing rules."""
-    sols = _enumerate(d, s.n, _singquandle_rules(s))
-    return ColoringSet(d, s, [Coloring(v) for v in sols])
-
-
-def psyquandle_colorings(d: SingularDiagram, p: Psyquandle) -> ColoringSet:
-    """All semiarc colorings satisfying the psyquandle crossing rules."""
-    sols = _enumerate(d, p.n, _psyquandle_rules(p))
-    return ColoringSet(d, p, [Coloring(v) for v in sols])
-
-
-def shadow_colorings(d: SingularDiagram, sh: ShadowStructure) -> ColoringSet:
-    """All (semiarc, region) colorings for a shadow structure.
+def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> list:
+    """Sorted (semiarc colors, region colors) pairs of every shadow
+    coloring, region colors in region-id order.
 
     For each base coloring the color of one region determines the rest by
     the rule left = right . f(a) across every semiarc; each choice for the
@@ -181,7 +161,9 @@ def shadow_colorings(d: SingularDiagram, sh: ShadowStructure) -> ColoringSet:
     convention, which the S-set axioms rule out).
     """
     regions = d.regions()
-    base = singquandle_colorings(d, sh.base)
+    if not regions:
+        raise ColoringError("diagram has no crossings, so no regions")
+    base = singquandle_tuples(d, sh.base)
     neighbors = [[] for _ in regions]   # region -> (region, semiarc, table)
     for label, (left, right) in d.side_regions(regions).items():
         ai = d._arc_index[label]
@@ -209,8 +191,7 @@ def shadow_colorings(d: SingularDiagram, sh: ShadowStructure) -> ColoringSet:
     connected = all(reached)
     out = []
     rc = [0] * len(regions)
-    for col in base:
-        colors = col.semiarc_colors
+    for colors in base:
         for seed in range(sh.carrier):
             rc[0] = seed
             for r, ai, table, other, check in steps:
@@ -222,6 +203,24 @@ def shadow_colorings(d: SingularDiagram, sh: ShadowStructure) -> ColoringSet:
             else:
                 if not connected:
                     raise ColoringError("region adjacency graph is disconnected")
-                out.append(Coloring(colors, tuple(rc)))
-    out.sort(key=lambda c: (c.semiarc_colors, c.region_colors))
-    return ColoringSet(d, sh, out)
+                out.append((colors, tuple(rc)))
+    out.sort()
+    return out
+
+
+def singquandle_colorings(d: SingularDiagram, s: OrientedSingquandle) -> list:
+    """All semiarc colorings satisfying the singquandle crossing rules, as a
+    sorted list."""
+    return [Coloring(c) for c in singquandle_tuples(d, s)]
+
+
+def psyquandle_colorings(d: SingularDiagram, p: Psyquandle) -> list:
+    """All semiarc colorings satisfying the psyquandle crossing rules, as a
+    sorted list."""
+    return [Coloring(c) for c in psyquandle_tuples(d, p)]
+
+
+def shadow_colorings(d: SingularDiagram, sh: ShadowStructure) -> list:
+    """All (semiarc, region) colorings for a shadow structure, as a sorted
+    list."""
+    return [Coloring(*pair) for pair in shadow_tuples(d, sh)]

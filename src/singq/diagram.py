@@ -20,8 +20,7 @@ Crossing numbers in ``rot`` lines are 1-based in file order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class DiagramError(ValueError):
@@ -42,8 +41,7 @@ IN_PORTS = {"ui", "oi", "i1", "i2"}
 CONTINUATION = {"ui": "uo", "oi": "oo", "i1": "o2", "i2": "o1"}
 
 
-@dataclass
-class Crossing:
+class Crossing(NamedTuple):
     index: int
     kind: str  # 'P', 'N' or 'S'
     arcs: dict  # port -> semiarc label
@@ -54,8 +52,7 @@ class Crossing:
         return SINGULAR_PORTS if self.kind == "S" else CLASSICAL_PORTS
 
 
-@dataclass
-class SemiArc:
+class SemiArc(NamedTuple):
     label: str
     tail: tuple  # (crossing index, out-port)
     head: tuple  # (crossing index, in-port)
@@ -229,20 +226,18 @@ class SingularDiagram:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class Region:
+class Region(NamedTuple):
     id: int
     boundary: tuple  # cyclic tuple of darts (semiarc index, direction)
 
 
-@dataclass(frozen=True)
-class DiagramReport:
+class DiagramReport(NamedTuple):
     valid: bool
     problems: tuple = ()
 
 
 def parse_diagram(text: str) -> SingularDiagram:
-    crossings = []
+    records = []   # (kind, port -> semiarc label)
     rot_lines = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -255,23 +250,27 @@ def parse_diagram(text: str) -> SingularDiagram:
                 raise ParseError(line_no, f"crossing needs 4 semiarcs, got "
                                           f"{len(tokens) - 1}")
             ports = SINGULAR_PORTS if head == "S" else CLASSICAL_PORTS
-            crossings.append(Crossing(len(crossings), head,
-                                      dict(zip(ports, tokens[1:]))))
+            records.append((head, dict(zip(ports, tokens[1:]))))
         elif head == "rot":
             if len(tokens) != 6:
                 raise ParseError(line_no, "rot needs a crossing number and 4 ports")
             rot_lines.append((line_no, tokens[1], tuple(tokens[2:])))
         else:
             raise ParseError(line_no, f"unknown record {head!r}")
+    rotations = {}   # crossing index -> its last rotation
     for line_no, idx_text, ports in rot_lines:
         try:
             idx = int(idx_text) - 1
-            crossing = crossings[idx]
-        except (ValueError, IndexError):
+        except ValueError:
+            idx = -1
+        if not 0 <= idx < len(records):
             raise ParseError(line_no, f"bad crossing number {idx_text!r}")
-        if sorted(ports) != sorted(crossing.ports):
-            raise ParseError(line_no, f"rotation must permute {crossing.ports}")
-        crossing.rotation = ports
+        expected = tuple(records[idx][1])
+        if sorted(ports) != sorted(expected):
+            raise ParseError(line_no, f"rotation must permute {expected}")
+        rotations[idx] = ports
+    crossings = [Crossing(i, kind, arcs, rotations.get(i))
+                 for i, (kind, arcs) in enumerate(records)]
     try:
         return SingularDiagram(crossings)
     except DiagramError as exc:

@@ -9,15 +9,12 @@ weights are packaged as :class:`~singq.polynomial.InvariantValue`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebra import (OperationTable, OrientedSingquandle, Psyquandle,
                       ShadowStructure, ValidationReport, profile,
                       substructure_closure, shadow_closure)
-from .coloring import (ColoringSet, psyquandle_colorings, shadow_colorings,
-                       singquandle_colorings)
+from .coloring import psyquandle_tuples, shadow_tuples, singquandle_tuples
 from .diagram import SingularDiagram
 from .polynomial import BasePolynomial, ExponentTag, InvariantValue
 
@@ -32,25 +29,42 @@ def _check_tables(n: int, *tables) -> None:
             raise InvariantError(f"weight table is not {n}x{n}")
 
 
-@dataclass(frozen=True)
-class CocyclePair:
-    """Boltzmann weights for a singquandle: phi at classical crossings,
-    phi_prime at singular ones, valued in Z_modulus (0 means Z)."""
-    modulus: int
-    phi: tuple
-    phi_prime: tuple
+class _WeightPair:
+    """A modulus and two n x n weight tables, the fields named by
+    ``__slots__``; equal to a pair of the same class with equal fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @classmethod
-    def from_rows(cls, modulus: int, phi: Sequence, phi_prime: Sequence) -> "CocyclePair":
+    def from_rows(cls, modulus: int, phi: Sequence, second: Sequence):
         red = (lambda v: v % modulus) if modulus else (lambda v: v)
         return cls(modulus,
                    tuple(tuple(red(v) for v in row) for row in phi),
-                   tuple(tuple(red(v) for v in row) for row in phi_prime))
+                   tuple(tuple(red(v) for v in row) for row in second))
 
     @classmethod
-    def zero(cls, n: int, modulus: int) -> "CocyclePair":
+    def zero(cls, n: int, modulus: int):
         z = tuple(tuple(0 for _ in range(n)) for _ in range(n))
         return cls(modulus, z, z)
+
+
+class CocyclePair(_WeightPair):
+    """Boltzmann weights for a singquandle: phi at classical crossings,
+    phi_prime at singular ones, valued in Z_modulus (0 means Z)."""
+
+    __slots__ = ("modulus", "phi", "phi_prime")
+
+    def __init__(self, modulus: int, phi: tuple, phi_prime: tuple):
+        self.modulus, self.phi, self.phi_prime = modulus, phi, phi_prime
 
 
 def validate_cocycle_pair(s: OrientedSingquandle, cp: CocyclePair) -> ValidationReport:
@@ -99,20 +113,18 @@ def validate_cocycle_pair(s: OrientedSingquandle, cp: CocyclePair) -> Validation
     return ValidationReport(tuple(sorted(vs)))
 
 
-def _weight_sums(d: SingularDiagram, colorings: ColoringSet,
-                 weights: dict) -> list:
-    """Per coloring, the sum over crossings of ``sign * table[c_x][c_y]``,
-    where ``weights[kind] = (table, sign, x, y)`` names ports x and y by
-    their position in the compiled crossing tuple; crossings of a kind
-    missing from ``weights`` add nothing."""
+def _weight_sums(d: SingularDiagram, colorings: list, weights: dict) -> list:
+    """Per coloring (a tuple of semiarc colors), the sum over crossings of
+    ``sign * table[c_x][c_y]``, where ``weights[kind] = (table, sign, x, y)``
+    names ports x and y by their position in the compiled crossing tuple;
+    crossings of a kind missing from ``weights`` add nothing."""
     terms = []
     for kind, *arcs in d.compiled:
         if kind in weights:
             table, sign, x, y = weights[kind]
             terms.append((table, sign, arcs[x], arcs[y]))
     sums = []
-    for col in colorings:
-        c = col.semiarc_colors
+    for c in colorings:
         total = 0
         for table, sign, x, y in terms:
             total += sign * table[c[x]][c[y]]
@@ -141,7 +153,7 @@ def state_sum(d: SingularDiagram, s: OrientedSingquandle,
     report = validate_cocycle_pair(s, cp)
     if not report.valid:
         raise InvariantError("invalid cocycle pair:\n" + report.summary())
-    totals = _weight_sums(d, singquandle_colorings(d, s),
+    totals = _weight_sums(d, singquandle_tuples(d, s),
                           {"P": (cp.phi, 1, 0, 1), "N": (cp.phi, -1, 2, 1),
                            "S": (cp.phi_prime, 1, 0, 1)})
     return _tally(totals, lambda t: ExponentTag.ring(t, cp.modulus))
@@ -192,13 +204,13 @@ def phi_ssqp(d: SingularDiagram, s: OrientedSingquandle) -> InvariantValue:
     full = profile(s)
     images: dict = {}   # set of colors used -> its closure, the image
 
-    def image(col) -> frozenset:
-        used = frozenset(col.semiarc_colors)
+    def image(colors: tuple) -> frozenset:
+        used = frozenset(colors)
         if used not in images:
             images[used] = substructure_closure(s, used)
         return images[used]
 
-    return _tally(map(image, singquandle_colorings(d, s)),
+    return _tally(map(image, singquandle_tuples(d, s)),
                   lambda img: ExponentTag.poly(_profile_sum(img, full)))
 
 
@@ -234,14 +246,14 @@ def shadow_polynomial_invariant(d: SingularDiagram,
     colors used."""
     images: dict = {}   # (semiarc colors, region colors) -> shadow image
 
-    def image(col) -> tuple:
-        used = (frozenset(col.semiarc_colors), frozenset(col.region_colors))
+    def image(pair: tuple) -> tuple:
+        used = (frozenset(pair[0]), frozenset(pair[1]))
         if used not in images:
             acting = substructure_closure(sh.base, used[0])
             images[used] = (shadow_closure(sh, used[1], acting), acting)
         return images[used]
 
-    return _tally(map(image, shadow_colorings(d, sh)),
+    return _tally(map(image, shadow_tuples(d, sh)),
                   lambda img: ExponentTag.poly(subsp(*img, sh, _checked=True)))
 
 
@@ -250,25 +262,14 @@ SP = shadow_polynomial_invariant
 
 # -- psyquandle Boltzmann weights ---------------------------------------------
 
-@dataclass(frozen=True)
-class BoltzmannPair:
+class BoltzmannPair(_WeightPair):
     """phi (classical) and psi (singular) weights for a psyquandle,
     valued in Z_modulus (0 means Z)."""
-    modulus: int
-    phi: tuple
-    psi: tuple
 
-    @classmethod
-    def from_rows(cls, modulus: int, phi: Sequence, psi: Sequence) -> "BoltzmannPair":
-        red = (lambda v: v % modulus) if modulus else (lambda v: v)
-        return cls(modulus,
-                   tuple(tuple(red(v) for v in row) for row in phi),
-                   tuple(tuple(red(v) for v in row) for row in psi))
+    __slots__ = ("modulus", "phi", "psi")
 
-    @classmethod
-    def zero(cls, n: int, modulus: int) -> "BoltzmannPair":
-        z = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-        return cls(modulus, z, z)
+    def __init__(self, modulus: int, phi: tuple, psi: tuple):
+        self.modulus, self.phi, self.psi = modulus, phi, psi
 
 
 def validate_boltzmann(p: Psyquandle, bp: BoltzmannPair) -> ValidationReport:
@@ -334,7 +335,7 @@ def strongly_compatible(p: Psyquandle, bp: BoltzmannPair) -> bool:
 def _boltzmann_totals(d: SingularDiagram, p: Psyquandle,
                       bp: BoltzmannPair) -> list:
     """Per psyquandle coloring, the (phi part, psi part) of its weight."""
-    colorings = psyquandle_colorings(d, p)
+    colorings = psyquandle_tuples(d, p)
     phi = _weight_sums(d, colorings, {"P": (bp.phi, 1, 0, 1),
                                       "N": (bp.phi, -1, 2, 3)})
     psi = _weight_sums(d, colorings, {"S": (bp.psi, 1, 0, 1)})
@@ -533,34 +534,37 @@ def _reduces_to_zero(pivots: list, vector: list, p: int, e: int) -> bool:
     return not any(row)
 
 
-@dataclass(frozen=True)
 class CocycleSpace:
     """All valid (phi, phi_prime) pairs mod ``modulus`` for one singquandle:
-    the span of ``generators`` (the zero pair is always a member)."""
-    structure: OrientedSingquandle
-    modulus: int
-    generators: tuple  # of CocyclePair
-    size: int
+    the span of ``generators``, a tuple of CocyclePair (the zero pair is
+    always a member).  ``echelons`` holds (p, e, echelon form of the
+    generators over Z_{p^e}) for each prime power p^e exactly dividing the
+    modulus; two spaces are equal when their other fields are."""
 
-    def _split(self, cp: CocyclePair) -> list:
-        n = self.structure.n
-        return ([v for row in cp.phi for v in row]
-                + [v for row in cp.phi_prime for v in row])
+    __slots__ = ("structure", "modulus", "generators", "size", "echelons")
 
-    @cached_property
-    def _echelons(self) -> list:
-        """(p, e, echelon form of the generators over Z_{p^e}) for each
-        prime power p^e exactly dividing the modulus."""
-        gens = [self._split(g) for g in self.generators]
-        return [(p, e, _echelon_mod(gens, p, e))
-                for p, e in _prime_powers(self.modulus)]
+    def __init__(self, structure: OrientedSingquandle, modulus: int,
+                 generators: tuple, size: int, echelons: list):
+        self.structure, self.modulus = structure, modulus
+        self.generators, self.size = generators, size
+        self.echelons = echelons
+
+    def _key(self) -> tuple:
+        return self.structure, self.modulus, self.generators, self.size
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CocycleSpace and other._key() == self._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def contains(self, cp: CocyclePair) -> bool:
         if cp.modulus != self.modulus:
             raise InvariantError("modulus mismatch")
-        vec = self._split(cp)
+        vec = ([v for row in cp.phi for v in row]
+               + [v for row in cp.phi_prime for v in row])
         return all(_reduces_to_zero(pivots, vec, p, e)
-                   for p, e, pivots in self._echelons)
+                   for p, e, pivots in self.echelons)
 
 
 def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
@@ -573,10 +577,12 @@ def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
     m = modulus
     gens = []
     size = 1
+    echelons = []
     for p, e in _prime_powers(m):
         q = p ** e
         kq = _kernel_prime_power(rows, width, p, e)
         pivots = _echelon_mod(kq, p, e)
+        echelons.append((p, e, pivots))
         size *= math.prod(q // p ** v for _, v, _ in pivots)
         cofactor = m // q
         lift = cofactor * pow(cofactor, -1, q)  # 1 mod q, 0 mod m/q
@@ -587,7 +593,7 @@ def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
         phi = [list(g[i * n:(i + 1) * n]) for i in range(n)]
         php = [list(g[n * n + i * n:n * n + (i + 1) * n]) for i in range(n)]
         pairs.append(CocyclePair.from_rows(m, phi, php))
-    return CocycleSpace(s, m, tuple(pairs), size)
+    return CocycleSpace(s, m, tuple(pairs), size, echelons)
 
 
 # -- weight file parsing ------------------------------------------------------

@@ -245,6 +245,25 @@ class TestPsyquandle:
                 assert psy6.sprime_inv[a * n + b] == (x, y)
 
 
+@pytest.mark.parametrize("name,inverted", [("z6_singquandle.alg", 1),
+                                           ("psy6.alg", 4)])
+def test_load_inverts_each_table_once(monkeypatch, name, inverted):
+    """Validator and constructor share one right inverse per table: star
+    for a singquandle, all four operations for a psyquandle."""
+    calls = []   # (table, its inverse); holding them keeps their ids apart
+    invert = OperationTable.right_inverse
+
+    def recorded(self):
+        inverse = invert(self)
+        calls.append((self, inverse))
+        return inverse
+
+    monkeypatch.setattr(OperationTable, "right_inverse", recorded)
+    load_algebra(name)
+    assert len({id(t) for t, _ in calls}) == inverted
+    assert len({id(inverse) for _, inverse in calls}) == inverted
+
+
 class TestShadow:
     def test_bundled_shadows_are_valid(self, z8_z6_shadow, z8_z4_shadow_a,
                                        z8_z4_shadow_b):

@@ -110,6 +110,16 @@ class TestInputErrors:
         assert rc == 2
         assert "disconnected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["shadow-count", "SP"])
+    def test_no_crossings(self, tmp_path, capsys, kind):
+        """A diagram without crossings is valid but has no regions."""
+        path = tmp_path / "empty.dgm"
+        path.write_text("# no crossings\n")
+        assert main(["validate", str(path)]) == 0
+        rc = main(["invariant", kind, str(path), "z8_z6_shadow.alg"])
+        assert rc == 2
+        assert "no regions" in capsys.readouterr().err
+
 
 class TestSearchCocycles:
     def test_member(self, capsys):

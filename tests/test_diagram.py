@@ -37,6 +37,9 @@ class TestParsing:
             parse_diagram("P a b c d\nrot 1 i1 i2 o1 o2\n")
         with pytest.raises(ParseError):
             parse_diagram("P a b c d\nrot 7 ui oi uo oo\n")
+        for number in ("0", "-1"):   # not read from the end of the list
+            with pytest.raises(ParseError):
+                parse_diagram(f"P a b b a\nrot {number} ui oi uo oo\n")
 
     def test_comments_and_blank_lines(self):
         d = parse_diagram("# comment\n\nP b a a b # trailing\n")

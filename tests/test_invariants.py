@@ -6,6 +6,7 @@ import pytest
 
 from singq.algebra import (affine_singquandle, formula_shadow,
                            formula_structure, profile)
+from singq import coloring
 from singq.coloring import singquandle_colorings, psyquandle_colorings
 from singq.diagram import parse_diagram
 from singq import invariants
@@ -188,6 +189,30 @@ class TestBoltzmann:
                              in single.multiplicities.items()}
 
 
+def test_invariants_build_no_coloring_records(monkeypatch, corpus, z6,
+                                              z6_cocycle, z8k, z8_z6_shadow,
+                                              psy6, psy6_boltzmann,
+                                              psy6_boltzmann_strong):
+    """Every invariant reads the search's color tuples: with Coloring
+    unusable, only the public coloring lists fail."""
+    def refuse(*args):
+        raise AssertionError("built a Coloring")
+
+    monkeypatch.setattr(coloring, "Coloring", refuse)
+    with pytest.raises(AssertionError):
+        singquandle_colorings(corpus["5k6.dgm"], z6)
+    assert state_sum(corpus["5k6.dgm"], z6, z6_cocycle).render() == "6u^3"
+    assert phi_ssqp(corpus["k1.dgm"], z8k).render() == (
+        "4u^{s1^4 s2^2 s3 t1^4 t2^2 t3} + 4u^{2 s1^4 s2^2 s3 t1^4 t2^2 t3}")
+    assert SP(corpus["4_1k.dgm"], z8_z6_shadow).render() == (
+        "24u^{t^2} + 24u^{t} + 48u^{2}")
+    d = corpus["1l1.dgm"]
+    assert boltzmann_single(d, psy6, psy6_boltzmann).render(var="w") == (
+        "6 + 18w")
+    assert boltzmann_two(d, psy6, psy6_boltzmann_strong).render() == (
+        "18 + 6uv")
+
+
 def smith_kernel_size(rows, width, modulus):
     """|{v in Z_modulus^width : A v = 0}| for the sparse rows of A, from the
     Smith form of A over each prime-power factor of the modulus.
@@ -263,8 +288,9 @@ class TestCocycleSolver:
 
     def test_membership_sweep_eliminates_once_per_prime_power(self,
                                                                monkeypatch):
+        """The solver's own echelon forms serve every membership test: solve
+        and sweep together eliminate once per prime power."""
         s = affine_singquandle(10, 7, 6, 5)
-        space = solve_cocycle_space(s, 10)
         calls = []
         echelon = invariants._echelon_mod
 
@@ -273,6 +299,7 @@ class TestCocycleSolver:
             return echelon(vectors, p, e)
 
         monkeypatch.setattr(invariants, "_echelon_mod", counted)
+        space = solve_cocycle_space(s, 10)
         assert all(space.contains(g) for g in space.generators)
         assert not space.contains(CocyclePair.from_rows(
             10, [[1] * 10 for _ in range(10)], [[0] * 10 for _ in range(10)]))

@@ -41,6 +41,18 @@ def test_import_adds_only_singq_modules():
     assert proc.stdout.splitlines() == ["[]"]
 
 
+def test_cli_import_loads_no_dataclasses():
+    # Every cold ``singq`` call compiles the package and imports the CLI;
+    # ``dataclasses`` alone pulls in inspect, ast, dis and tokenize.
+    code = ("import sys\n"
+            "import singq.cli\n"
+            "print('dataclasses' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(singq.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["False"]
+
+
 def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
