@@ -433,57 +433,75 @@ def _prime_powers(m: int) -> list:
     return out
 
 
+def _valuation(a: int, p: int, e: int) -> int:
+    """p-adic valuation of a mod p^e, capped at e."""
+    v = 0
+    while a % p == 0 and v < e:
+        a //= p
+        v += 1
+    return v
+
+
 def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> list:
     """Generators of {x in Z_q^width : Ax = 0}, q = p^e.
 
-    Eliminates on [A^T | I]; a pivot with p-valuation v also spawns the
-    annihilator row q/p^(e-v) so that non-unit pivots keep their full
-    solution sets.
+    Eliminates on [A^T | I] keeping only the right halves, as sparse dicts:
+    the left half of a work row is A times its right half, so its entry at a
+    column is the sparse row of A dotted with the right half.  ``touching``
+    maps each unknown to the work rows nonzero there, so a column visits
+    only rows that can be nonzero at it, in insertion order; the pivot is
+    the first of least p-valuation.  A pivot with valuation v also spawns
+    the annihilator row q/p^(e-v) so that non-unit pivots keep their full
+    solution sets.  Every column ends cleared, so each remaining nonzero
+    row is a solution.
     """
     q = p ** e
-    ncols = len(rows)
-    work = []
-    for i in range(width):
-        left = [rows[j].get(i, 0) % q for j in range(ncols)]
-        right = [0] * width
-        right[i] = 1
-        work.append((left, right))
-
-    def valuation(a):
-        v = 0
-        while a % p == 0 and v < e:
-            a //= p
-            v += 1
-        return v
-
-    for col in range(ncols):
-        best, bestv = None, e
-        for idx, (left, _) in enumerate(work):
-            if left[col] % q:
-                v = valuation(left[col] % q)
-                if v < bestv:
-                    best, bestv = idx, v
-        if best is None:
+    work = {i: {i: 1} for i in range(width)}
+    touching = [{i} for i in range(width)]
+    next_id = width
+    for row in rows:
+        acc = {}
+        for k, c in row.items():
+            for idx in touching[k]:
+                acc[idx] = acc.get(idx, 0) + c * work[idx][k]
+        entries = sorted((idx, a % q) for idx, a in acc.items() if a % q)
+        if not entries:
             continue
-        left, right = work.pop(best)
-        unit = (left[col] % q) // (p ** bestv)
-        inv = pow(unit, -1, q)
-        left = [(a * inv) % q for a in left]
-        right = [(a * inv) % q for a in right]
-        for other_left, other_right in work:
-            a = other_left[col] % q
-            if a:
-                f = a // (p ** bestv)
-                for k in range(ncols):
-                    other_left[k] = (other_left[k] - f * left[k]) % q
-                for k in range(width):
-                    other_right[k] = (other_right[k] - f * right[k]) % q
+        best, bestv, unit = None, e, 0
+        for idx, a in entries:
+            v = _valuation(a, p, e)
+            if v < bestv:
+                best, bestv, unit = idx, v, a
+        pv = p ** bestv
+        inv = pow(unit // pv, -1, q)
+        pivot = {k: a * inv % q for k, a in work.pop(best).items()}
+        for k in pivot:
+            touching[k].discard(best)
+        for idx, a in entries:
+            if idx == best:
+                continue
+            f = a // pv
+            other = work[idx]
+            for k, c in pivot.items():
+                a = (other.get(k, 0) - f * c) % q
+                if a:
+                    if k not in other:
+                        touching[k].add(idx)
+                    other[k] = a
+                elif k in other:
+                    del other[k]
+                    touching[k].discard(idx)
         if bestv > 0:
             ann = p ** (e - bestv)
-            work.append(([(a * ann) % q for a in left],
-                         [(a * ann) % q for a in right]))
-    return [tuple(right) for left, right in work
-            if not any(a % q for a in left) and any(right)]
+            scaled = {k: a * ann % q for k, a in pivot.items()
+                      if a * ann % q}
+            if scaled:
+                work[next_id] = scaled
+                for k in scaled:
+                    touching[k].add(next_id)
+                next_id += 1
+    return [tuple(right.get(k, 0) for k in range(width))
+            for right in work.values() if right]
 
 
 def _echelon_mod(vectors: list, p: int, e: int) -> list:
@@ -503,11 +521,8 @@ def _echelon_mod(vectors: list, p: int, e: int) -> list:
         if lead is None:
             continue
         a = row[lead] % q
-        v = 0
-        while a % p == 0:
-            a //= p
-            v += 1
-        inv = pow(a, -1, q)
+        v = _valuation(a, p, e)
+        inv = pow(a // p ** v, -1, q)
         row = [(x * inv) % q for x in row]
         # A row left unreduced at a pivot column has the lower valuation
         # there: it takes the column and the old pivot row is reduced again.
@@ -561,6 +576,7 @@ class CocycleSpace:
     def contains(self, cp: CocyclePair) -> bool:
         if cp.modulus != self.modulus:
             raise InvariantError("modulus mismatch")
+        _check_tables(self.structure.n, cp.phi, cp.phi_prime)
         vec = ([v for row in cp.phi for v in row]
                + [v for row in cp.phi_prime for v in row])
         return all(_reduces_to_zero(pivots, vec, p, e)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from singq.algebra import Psyquandle, ShadowStructure
 from singq.data import (corpus_names, load_algebra, load_diagram,
                         load_weights)
 
@@ -167,3 +168,42 @@ def brute_force_shadow(diagram, sh):
                 rows = rows[rows[:, m + left]
                             == action[rows[:, m + right], rows[:, i]]]
     return sorted((tuple(r[:m]), tuple(r[m:])) for r in rows.tolist())
+
+
+# -- crossing relations of emitted colorings ------------------------------------
+
+def _relations(structure):
+    """Per crossing kind, a predicate on the four port colors (in the
+    compiled diagram's port order) that holds when the relation does."""
+    if isinstance(structure, Psyquandle):
+        ut, ot, ub, ob = structure.ut, structure.ot, structure.ub, structure.ob
+        return {"P": lambda ui, oi, uo, oo: oo == ot(oi, ui) and uo == ut(ui, oi),
+                "N": lambda ui, oi, uo, oo: oi == ot(oo, uo) and ui == ut(uo, oo),
+                "S": lambda i1, i2, o1, o2: o1 == ob(i2, i1) and o2 == ub(i1, i2)}
+    star, sinv, r1, r2 = (structure.star, structure.star_inv,
+                          structure.r1, structure.r2)
+    return {"P": lambda ui, oi, uo, oo: oo == oi and uo == star(ui, oi),
+            "N": lambda ui, oi, uo, oo: oo == oi and uo == sinv(ui, oi),
+            "S": lambda i1, i2, o1, o2: o1 == r1(i1, i2) and o2 == r2(i1, i2)}
+
+
+def assert_colorings_satisfy(diagram, structure, colorings):
+    """Assert that every coloring satisfies every crossing relation of the
+    compiled diagram.  Singquandle and psyquandle colorings are tuples of
+    semiarc colors; shadow colorings are (semiarc colors, region colors)
+    pairs whose regions also satisfy left == right . s across each semiarc
+    of color s."""
+    shadow = isinstance(structure, ShadowStructure)
+    relations = _relations(structure.base if shadow else structure)
+    if shadow:
+        sides = [(left, right, diagram._arc_index[label]) for label, (left, right)
+                 in diagram.side_regions().items()]
+    for coloring in colorings:
+        colors, regions = coloring if shadow else (coloring, None)
+        assert len(colors) == diagram.n_semiarcs, coloring
+        for kind, *arcs in diagram.compiled:
+            assert relations[kind](*(colors[i] for i in arcs)), (coloring, kind, arcs)
+        if shadow:
+            for left, right, i in sides:
+                assert regions[left] == structure.act(regions[right], colors[i]), \
+                    (coloring, left, right, i)

@@ -120,6 +120,17 @@ class TestInputErrors:
         assert rc == 2
         assert "no regions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [2, 5, 7])
+    def test_contains_wrong_size(self, tmp_path, capsys, k):
+        """A 5x5 or 7x7 table was once a member and a 2x2 one a traceback."""
+        zeros = "\n".join(" ".join("0" * k) for _ in range(k))
+        wgt = tmp_path / "w.wgt"
+        wgt.write_text(f"modulus: 6\nphi:\n{zeros}\nphiprime:\n{zeros}\n")
+        rc = main(["search-cocycles", "z6_singquandle.alg", "--modulus", "6",
+                   "--contains", str(wgt)])
+        assert rc == 2
+        assert "weight table is not 6x6" in capsys.readouterr().err
+
 
 class TestSearchCocycles:
     def test_member(self, capsys):

@@ -3,7 +3,8 @@
 Seeded braids on 2 to 4 strands with at most 12 semiarcs and P, N and S
 letters mixed freely (so mixed-sign chains too), written out by the
 benchmark's generator ``bench/gen.py``, imported read-only.  Every search
-is compared with a brute-force oracle from ``conftest.py``, and every
+is compared with a brute-force oracle from ``conftest.py``, each coloring
+it emits is checked against every crossing relation, and every
 aggregation with the per-coloring loop it replaced, kept below as the
 reference and run over the oracle's colorings.
 """
@@ -23,8 +24,8 @@ from singq.invariants import (CocyclePair, SP, boltzmann_single,
                               ssqp, state_sum, subsp)
 from singq.polynomial import ExponentTag, InvariantValue
 
-from conftest import (brute_force_psyquandle, brute_force_shadow,
-                      brute_force_singquandle)
+from conftest import (assert_colorings_satisfy, brute_force_psyquandle,
+                      brute_force_shadow, brute_force_singquandle)
 
 _spec = importlib.util.spec_from_file_location(
     "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
@@ -83,12 +84,14 @@ def test_singquandle_search(braids, name, request):
          else request.getfixturevalue(name))
     for k, d in enumerate(braids):
         found = [c.semiarc_colors for c in singquandle_colorings(d, s)]
+        assert_colorings_satisfy(d, s, found)
         assert found == brute_force_singquandle(d, s), k
 
 
 def test_psyquandle_search(braids, psy6):
     for k, d in enumerate(braids):
         found = [c.semiarc_colors for c in psyquandle_colorings(d, psy6)]
+        assert_colorings_satisfy(d, psy6, found)
         assert found == brute_force_psyquandle(d, psy6), k
 
 
@@ -96,6 +99,7 @@ def test_shadow_search(braids, z8_z6_shadow):
     for k, d in enumerate(braids):
         found = [(c.semiarc_colors, c.region_colors)
                  for c in shadow_colorings(d, z8_z6_shadow)]
+        assert_colorings_satisfy(d, z8_z6_shadow, found)
         assert found == brute_force_shadow(d, z8_z6_shadow), k
 
 

@@ -4,8 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from singq.algebra import (affine_singquandle, formula_shadow,
-                           formula_structure, profile)
+from singq.algebra import (AlgebraError, OperationTable,
+                           OrientedSingquandle, affine_singquandle,
+                           formula_shadow, formula_structure, profile,
+                           validate_singquandle)
 from singq import coloring
 from singq.coloring import singquandle_colorings, psyquandle_colorings
 from singq.diagram import parse_diagram
@@ -319,6 +321,14 @@ class TestCocycleSolver:
             space.contains(CocyclePair.from_rows(5, z6_cocycle.phi,
                                                  z6_cocycle.phi_prime))
 
+    @pytest.mark.parametrize("k", [2, 5, 7])
+    def test_contains_rejects_wrong_size_tables(self, z6, k):
+        # zip once truncated: 5x5 and 7x7 zero tables were members, and a
+        # 2x2 table raised IndexError
+        space = solve_cocycle_space(z6, 6)
+        with pytest.raises(InvariantError, match="weight table is not 6x6"):
+            space.contains(CocyclePair.zero(k, 6))
+
     def test_small_modulus_rejected(self, z6):
         with pytest.raises(InvariantError):
             solve_cocycle_space(z6, 1)
@@ -346,6 +356,32 @@ class TestCocycleSolver:
             for phi, php in valid:
                 assert space.contains(CocyclePair(2, phi, php))
         assert found >= 4
+
+    def test_complete_at_orders_two_and_three(self):
+        """Every singquandle on two elements as tables (the only quandle of
+        order 2 is trivial) mod 4, and every affine singquandle of order 3
+        mod 3 and mod 9: size matches the Smith oracle and every generator
+        is a valid pair."""
+        star = OperationTable([[0, 0], [1, 1]])
+        tables = [OperationTable([v[:2], v[2:]])
+                  for v in itertools.product((0, 1), repeat=4)]
+        two = [OrientedSingquandle(star, r1, r2)
+               for r1, r2 in itertools.product(tables, tables)
+               if validate_singquandle(star, r1, r2).valid]
+        three = []
+        for a, b, c in itertools.product(range(3), repeat=3):
+            try:
+                three.append(affine_singquandle(3, a, b, c))
+            except AlgebraError:
+                pass
+        assert (len(two), len(three)) == (16, 12)
+        for s, modulus in ([(s, 4) for s in two]
+                           + [(s, m) for s in three for m in (3, 9)]):
+            space = solve_cocycle_space(s, modulus)
+            assert space.size == smith_kernel_size(_cocycle_rows(s),
+                                                   2 * s.n * s.n, modulus)
+            for g in space.generators:
+                assert validate_cocycle_pair(s, g).valid
 
 
 class TestWeightParsing:
