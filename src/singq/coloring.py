@@ -155,15 +155,17 @@ def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> list:
     """Sorted (semiarc colors, region colors) pairs of every shadow
     coloring, region colors in region-id order.
 
-    For each base coloring the color of one region determines the rest by
-    the rule left = right . f(a) across every semiarc; each choice for the
-    seed region extends uniquely (or not at all on an inconsistent side
-    convention, which the S-set axioms rule out).
+    The region adjacency graph must be connected and the rotations must
+    pass the Euler check (the faces of a non-planar map are not the regions
+    of a diagram).  For each base coloring the color of one region
+    determines the rest by the rule left = right . f(a) across every
+    semiarc; each choice for the seed region extends uniquely (or not at
+    all on an inconsistent side convention, which the S-set axioms rule
+    out).
     """
     regions = d.regions()
     if not regions:
         raise ColoringError("diagram has no crossings, so no regions")
-    base = singquandle_tuples(d, sh.base)
     neighbors = [[] for _ in regions]   # region -> (region, semiarc, table)
     for label, (left, right) in d.side_regions(regions).items():
         ai = d._arc_index[label]
@@ -187,11 +189,17 @@ def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> list:
             if not reached[other]:
                 reached[other] = True
                 queue.append(other)
+    if not all(reached):
+        raise ColoringError("region adjacency graph is disconnected")
+    v, e, f = d.n_crossings, d.n_semiarcs, len(regions)
+    components = d.graph_component_count()
+    if v - e + f != 2 * components:
+        raise ColoringError(f"Euler check failed: V={v} E={e} F={f} "
+                            f"components={components}")
 
-    connected = all(reached)
     out = []
     rc = [0] * len(regions)
-    for colors in base:
+    for colors in singquandle_tuples(d, sh.base):
         for seed in range(sh.carrier):
             rc[0] = seed
             for r, ai, table, other, check in steps:
@@ -201,8 +209,6 @@ def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> list:
                 elif rc[other] != v:
                     break
             else:
-                if not connected:
-                    raise ColoringError("region adjacency graph is disconnected")
                 out.append((colors, tuple(rc)))
     out.sort()
     return out

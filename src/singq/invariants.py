@@ -8,7 +8,6 @@ weights are packaged as :class:`~singq.polynomial.InvariantValue`.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 from .algebra import (OperationTable, OrientedSingquandle, Psyquandle,
@@ -372,7 +371,8 @@ def boltzmann_two(d: SingularDiagram, p: Psyquandle,
 # so the valid pairs mod n form the kernel of an integer matrix.  The kernel
 # is computed per prime-power factor of n (elimination with p-adic pivots
 # and annihilator rows, so nothing is lost to zero divisors) and the factors
-# are recombined by the Chinese remainder theorem.
+# are recombined by the Chinese remainder theorem.  The same routine, run on
+# the generators, gives the annihilator rows that decide membership.
 
 def _cocycle_rows(s: OrientedSingquandle) -> list:
     """Sparse coefficient rows, each nonzero and emitted once; unknowns are
@@ -380,9 +380,11 @@ def _cocycle_rows(s: OrientedSingquandle) -> list:
     column, and a repeated row a column its first copy's pivot has already
     cleared, so dropping them leaves the kernel generators unchanged."""
     n = s.n
-    star, sinv, r1, r2 = s.op, s.op_inv, s.r1, s.r2
-    P = lambda x, y: x * n + y
-    Q = lambda x, y: n * n + x * n + y
+    nn = n * n
+    # flat tables: op(x, y) is op[x * n + y]; the unknown phi(x, y) is
+    # x * n + y and phi_prime(x, y) is nn + x * n + y
+    star, sinv = s.star.flat(), s.star_inv.flat()
+    r1, r2 = s.r1.flat(), s.r2.flat()
     rows = []
     seen = set()
 
@@ -397,21 +399,26 @@ def _cocycle_rows(s: OrientedSingquandle) -> list:
             rows.append(row)
 
     for x in range(n):
-        add((P(x, x), 1))
+        add((x * n + x, 1))
         for y in range(n):
-            add((Q(x, y), 1), (P(r1(x, y), r2(x, y)), 1),
-                (P(x, y), -1), (Q(y, star(x, y)), -1))
+            xy = x * n + y
+            add((nn + xy, 1), (r1[xy] * n + r2[xy], 1),
+                (xy, -1), (nn + y * n + star[xy], -1))
+            x_y = sinv[xy]
             for z in range(n):
-                add((P(x, y), 1), (P(star(x, y), z), 1),
-                    (P(x, z), -1), (P(star(x, z), star(y, z)), -1))
-                add((P(sinv(x, y), y), -1), (Q(sinv(x, y), z), 1),
-                    (P(r1(sinv(x, y), z), y), 1),
-                    (P(z, y), -1), (Q(x, star(z, y)), -1),
-                    (P(sinv(r2(x, star(z, y)), y), y), 1))
-                add((P(sinv(y, r1(x, z)), x), 1),
-                    (P(sinv(y, r1(x, z)), r1(x, z)), -1),
-                    (P(sinv(star(y, r2(x, z)), z), z), 1),
-                    (P(y, r2(x, z)), -1))
+                xz = x * n + z
+                add((xy, 1), (star[xy] * n + z, 1),
+                    (xz, -1), (star[xz] * n + star[y * n + z], -1))
+                zy = star[z * n + y]
+                add((x_y * n + y, -1), (nn + x_y * n + z, 1),
+                    (r1[x_y * n + z] * n + y, 1),
+                    (z * n + y, -1), (nn + x * n + zy, -1),
+                    (sinv[r2[x * n + zy] * n + y] * n + y, 1))
+                a, b = r1[xz], r2[xz]
+                w = sinv[y * n + a]
+                add((w * n + x, 1), (w * n + a, -1),
+                    (sinv[star[y * n + b] * n + z] * n + z, 1),
+                    (y * n + b, -1))
     return rows
 
 
@@ -442,8 +449,9 @@ def _valuation(a: int, p: int, e: int) -> int:
     return v
 
 
-def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> list:
-    """Generators of {x in Z_q^width : Ax = 0}, q = p^e.
+def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> tuple:
+    """(generators, log_p of the size) of {x in Z_q^width : Ax = 0},
+    q = p^e, the generators as sparse dicts ``{unknown: coef}``.
 
     Eliminates on [A^T | I] keeping only the right halves, as sparse dicts:
     the left half of a work row is A times its right half, so its entry at a
@@ -453,12 +461,15 @@ def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> list:
     the first of least p-valuation.  A pivot with valuation v also spawns
     the annihilator row q/p^(e-v) so that non-unit pivots keep their full
     solution sets.  Every column ends cleared, so each remaining nonzero
-    row is a solution.
+    row is a solution.  The work rows span the solutions of the columns
+    seen so far, and a pivot of valuation v maps them onto p^v Z_q, so it
+    divides the kernel's size by p^(e-v).
     """
     q = p ** e
     work = {i: {i: 1} for i in range(width)}
     touching = [{i} for i in range(width)]
     next_id = width
+    log_size = e * width
     for row in rows:
         acc = {}
         for k, c in row.items():
@@ -472,6 +483,7 @@ def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> list:
             v = _valuation(a, p, e)
             if v < bestv:
                 best, bestv, unit = idx, v, a
+        log_size -= e - bestv
         pv = p ** bestv
         inv = pow(unit // pv, -1, q)
         pivot = {k: a * inv % q for k, a in work.pop(best).items()}
@@ -500,69 +512,25 @@ def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> list:
                 for k in scaled:
                     touching[k].add(next_id)
                 next_id += 1
-    return [tuple(right.get(k, 0) for k in range(width))
-            for right in work.values() if right]
-
-
-def _echelon_mod(vectors: list, p: int, e: int) -> list:
-    """Howell-style echelon form of the span of ``vectors`` over Z_{p^e};
-    returns (pivot column, pivot valuation, row) triples, one per column."""
-    q = p ** e
-    stack = [list(v) for v in vectors]
-    pivots = []
-    while stack:
-        row = stack.pop()
-        for col, v, prow in pivots:
-            a = row[col] % q
-            if a % (p ** v) == 0:
-                f = a // (p ** v)
-                row = [(x - f * y) % q for x, y in zip(row, prow)]
-        lead = next((i for i, a in enumerate(row) if a % q), None)
-        if lead is None:
-            continue
-        a = row[lead] % q
-        v = _valuation(a, p, e)
-        inv = pow(a // p ** v, -1, q)
-        row = [(x * inv) % q for x in row]
-        # A row left unreduced at a pivot column has the lower valuation
-        # there: it takes the column and the old pivot row is reduced again.
-        held = [piv for piv in pivots if piv[0] == lead]
-        if held:
-            pivots.remove(held[0])
-            stack.append(held[0][2])
-        pivots.append((lead, v, row))
-        if v > 0:
-            stack.append([(x * (p ** (e - v))) % q for x in row])
-        pivots.sort()
-    return pivots
-
-
-def _reduces_to_zero(pivots: list, vector: list, p: int, e: int) -> bool:
-    q = p ** e
-    row = [a % q for a in vector]
-    for col, v, prow in pivots:
-        a = row[col]
-        if a % (p ** v):
-            return False
-        f = a // (p ** v)
-        row = [(x - f * y) % q for x, y in zip(row, prow)]
-    return not any(row)
+    return [right for right in work.values() if right], log_size
 
 
 class CocycleSpace:
     """All valid (phi, phi_prime) pairs mod ``modulus`` for one singquandle:
     the span of ``generators``, a tuple of CocyclePair (the zero pair is
-    always a member).  ``echelons`` holds (p, e, echelon form of the
-    generators over Z_{p^e}) for each prime power p^e exactly dividing the
-    modulus; two spaces are equal when their other fields are."""
+    always a member).  ``annihilators`` holds (q, sparse rows spanning the
+    annihilator of the space mod q) for each prime power q exactly dividing
+    the modulus; over Z_q a submodule is the annihilator of its annihilator,
+    so a pair is a member when every row dots to 0 mod q with it.  Two
+    spaces are equal when their other fields are."""
 
-    __slots__ = ("structure", "modulus", "generators", "size", "echelons")
+    __slots__ = ("structure", "modulus", "generators", "size", "annihilators")
 
     def __init__(self, structure: OrientedSingquandle, modulus: int,
-                 generators: tuple, size: int, echelons: list):
+                 generators: tuple, size: int, annihilators: list):
         self.structure, self.modulus = structure, modulus
         self.generators, self.size = generators, size
-        self.echelons = echelons
+        self.annihilators = annihilators
 
     def _key(self) -> tuple:
         return self.structure, self.modulus, self.generators, self.size
@@ -579,8 +547,8 @@ class CocycleSpace:
         _check_tables(self.structure.n, cp.phi, cp.phi_prime)
         vec = ([v for row in cp.phi for v in row]
                + [v for row in cp.phi_prime for v in row])
-        return all(_reduces_to_zero(pivots, vec, p, e)
-                   for p, e, pivots in self.echelons)
+        return all(sum(c * vec[k] for k, c in row.items()) % q == 0
+                   for q, rows in self.annihilators for row in rows)
 
 
 def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
@@ -591,25 +559,21 @@ def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
     width = 2 * n * n
     rows = _cocycle_rows(s)
     m = modulus
-    gens = []
+    pairs = []
     size = 1
-    echelons = []
+    annihilators = []
     for p, e in _prime_powers(m):
         q = p ** e
-        kq = _kernel_prime_power(rows, width, p, e)
-        pivots = _echelon_mod(kq, p, e)
-        echelons.append((p, e, pivots))
-        size *= math.prod(q // p ** v for _, v, _ in pivots)
+        kq, log_size = _kernel_prime_power(rows, width, p, e)
+        size *= p ** log_size
+        annihilators.append((q, _kernel_prime_power(kq, width, p, e)[0]))
         cofactor = m // q
         lift = cofactor * pow(cofactor, -1, q)  # 1 mod q, 0 mod m/q
         for g in kq:
-            gens.append(tuple((a * lift) % m for a in g))
-    pairs = []
-    for g in gens:
-        phi = [list(g[i * n:(i + 1) * n]) for i in range(n)]
-        php = [list(g[n * n + i * n:n * n + (i + 1) * n]) for i in range(n)]
-        pairs.append(CocyclePair.from_rows(m, phi, php))
-    return CocycleSpace(s, m, tuple(pairs), size, echelons)
+            vec = [g.get(k, 0) * lift % m for k in range(width)]
+            tables = [vec[i * n:(i + 1) * n] for i in range(2 * n)]
+            pairs.append(CocyclePair.from_rows(m, tables[:n], tables[n:]))
+    return CocycleSpace(s, m, tuple(pairs), size, annihilators)
 
 
 # -- weight file parsing ------------------------------------------------------
@@ -662,8 +626,10 @@ def parse_weights(text: str):
     n = len(blocks.get("phi", []))
     if not n or any(len(r) != n for r in blocks["phi"]):
         raise InvariantError("phi block must be a square table")
-    if "phiprime" in blocks and "psi" not in blocks:
-        return CocyclePair.from_rows(modulus, blocks["phi"], blocks["phiprime"])
-    if "psi" in blocks and "phiprime" not in blocks:
-        return BoltzmannPair.from_rows(modulus, blocks["phi"], blocks["psi"])
-    raise InvariantError("need exactly one of phiprime:/psi: besides phi:")
+    if ("phiprime" in blocks) == ("psi" in blocks):
+        raise InvariantError("need exactly one of phiprime:/psi: besides phi:")
+    key = "phiprime" if "phiprime" in blocks else "psi"
+    if len(blocks[key]) != n or any(len(r) != n for r in blocks[key]):
+        raise InvariantError(f"{key} block must be {n}x{n}, like phi")
+    pair = CocyclePair if key == "phiprime" else BoltzmannPair
+    return pair.from_rows(modulus, blocks["phi"], blocks[key])

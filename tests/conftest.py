@@ -1,9 +1,14 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import importlib.util
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from singq.algebra import Psyquandle, ShadowStructure
+from singq.algebra import (Psyquandle, ShadowStructure, affine_singquandle,
+                           parse_algebra)
 from singq.data import (corpus_names, load_algebra, load_diagram,
                         load_weights)
 
@@ -66,6 +71,29 @@ def corpus():
 MOVE_PAIRS = [("5k6.dgm", "5k6_poke.dgm"),
               ("4_1k.dgm", "4_1k_poke.dgm"),
               ("1l1.dgm", "1l1_poke.dgm")]
+
+
+# -- singquandles for the cocycle solver ----------------------------------------
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+
+def bench_affine(n):
+    rng = random.Random(n)
+    return parse_algebra(gen.affine_alg_text(n, *gen.affine_params(rng, n))).structure
+
+
+STRUCTURES = {
+    "z6": lambda: load_algebra("z6_singquandle.alg").structure,
+    "Z8(3,0,1)": lambda: affine_singquandle(8, 3, 0, 1),
+    "Z9(4,0,1)": lambda: affine_singquandle(9, 4, 0, 1),
+    "Z10(7,6,5)": lambda: affine_singquandle(10, 7, 6, 5),
+    "Z11(4,1,0)": lambda: affine_singquandle(11, 4, 1, 0),
+    **{f"gen{n}": (lambda n=n: bench_affine(n)) for n in range(5, 10)},
+}
 
 
 # -- brute-force coloring oracle ----------------------------------------------

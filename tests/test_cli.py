@@ -3,6 +3,7 @@ import json
 import pytest
 
 from singq.cli import main
+from singq.data import corpus_path
 
 
 class TestValidate:
@@ -109,6 +110,25 @@ class TestInputErrors:
         rc = main(["invariant", kind, str(path), "z8_z6_shadow.alg"])
         assert rc == 2
         assert "disconnected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["shadow-count", "SP"])
+    def test_euler_failure(self, tmp_path, capsys, kind):
+        """Rotations that fail the Euler check once gave wrong values and
+        exit 0 (48 shadow colorings of 4_1k instead of 96)."""
+        path = tmp_path / "bad_rot.dgm"
+        path.write_text(corpus_path("4_1k.dgm").read_text().replace(
+            "rot 1 uo oo ui oi", "rot 1 oo uo ui oi"))
+        rc = main(["invariant", kind, str(path), "z8_z6_shadow.alg"])
+        assert rc == 2
+        assert "Euler check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", ["phiprime", "psi"])
+    def test_ragged_second_block(self, tmp_path, capsys, block):
+        """A ragged second block under a square phi once validated."""
+        wgt = tmp_path / "ragged.wgt"
+        wgt.write_text(f"modulus: 6\nphi:\n0 0\n0 0\n{block}:\n1 2 3\n4\n")
+        assert main(["validate", str(wgt)]) == 2
+        assert f"{block} block must be 2x2" in capsys.readouterr().out
 
     @pytest.mark.parametrize("kind", ["shadow-count", "SP"])
     def test_no_crossings(self, tmp_path, capsys, kind):

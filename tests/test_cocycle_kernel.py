@@ -4,24 +4,20 @@ The solver eliminates on the sparse condition rows and keeps only the
 solution halves of ``[A^T | I]``.  The dense elimination it replaced is kept
 below as a reference; for every prime power of every modulus the two must
 return equal generators, element for element and in the same order, and
-each generator must satisfy every condition row.
+each generator must satisfy every condition row.  Membership, decided by the
+annihilator rows that the same routine finds, must agree with the exhaustive
+validator.
 """
 
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
-from singq.algebra import affine_singquandle, parse_algebra
-from singq.data import load_algebra
-from singq.invariants import (_cocycle_rows, _kernel_prime_power,
-                              _prime_powers)
+from singq.invariants import (CocyclePair, _cocycle_rows, _kernel_prime_power,
+                              _prime_powers, solve_cocycle_space,
+                              validate_cocycle_pair)
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
+from conftest import STRUCTURES
 
 
 # -- reference: elimination on the dense [A^T | I] -------------------------------
@@ -81,20 +77,6 @@ def ref_kernel_prime_power(rows: list, width: int, p: int, e: int) -> list:
 
 # -- cases ------------------------------------------------------------------------
 
-def bench_affine(n):
-    rng = random.Random(n)
-    return parse_algebra(gen.affine_alg_text(n, *gen.affine_params(rng, n))).structure
-
-
-STRUCTURES = {
-    "z6": lambda: load_algebra("z6_singquandle.alg").structure,
-    "Z8(3,0,1)": lambda: affine_singquandle(8, 3, 0, 1),
-    "Z9(4,0,1)": lambda: affine_singquandle(9, 4, 0, 1),
-    "Z10(7,6,5)": lambda: affine_singquandle(10, 7, 6, 5),
-    "Z11(4,1,0)": lambda: affine_singquandle(11, 4, 1, 0),
-    **{f"gen{n}": (lambda n=n: bench_affine(n)) for n in range(5, 10)},
-}
-
 CASES = ([("z6", m) for m in (2, 3, 4, 6, 12)]
          + [("Z8(3,0,1)", 8), ("Z8(3,0,1)", 24), ("Z9(4,0,1)", 9),
             ("Z10(7,6,5)", 10), ("Z11(4,1,0)", 11)]
@@ -108,9 +90,38 @@ def test_sparse_kernel_matches_dense_reference(name, modulus):
     width = 2 * s.n * s.n
     for p, e in _prime_powers(modulus):
         q = p ** e
-        kernel = _kernel_prime_power(rows, width, p, e)
+        kernel = [tuple(g.get(k, 0) for k in range(width))
+                  for g in _kernel_prime_power(rows, width, p, e)[0]]
         assert kernel == ref_kernel_prime_power(rows, width, p, e)
         for g in kernel:
             assert len(g) == width and any(g)
             assert all(sum(c * g[k] for k, c in row.items()) % q == 0
                        for row in rows)
+
+
+@pytest.mark.parametrize("name, modulus", CASES)
+def test_contains_agrees_with_validator(name, modulus):
+    """Membership by the annihilator rows against the exhaustive check of
+    every condition: seeded members (random combinations of the generators)
+    and near-members (one entry of such a combination shifted)."""
+    s = STRUCTURES[name]()
+    n = s.n
+    space = solve_cocycle_space(s, modulus)
+    flats = [[v for row in g.phi + g.phi_prime for v in row]
+             for g in space.generators]
+    rng = random.Random(modulus * 100 + n)
+    outcomes = set()
+    for trial in range(12):
+        vec = [0] * (2 * n * n)
+        for flat in flats:
+            c = rng.randrange(modulus)
+            vec = [(a + c * b) % modulus for a, b in zip(vec, flat)]
+        if trial % 2:
+            k = rng.randrange(len(vec))
+            vec[k] = (vec[k] + rng.randrange(1, modulus)) % modulus
+        rows = [vec[i * n:(i + 1) * n] for i in range(2 * n)]
+        cp = CocyclePair.from_rows(modulus, rows[:n], rows[n:])
+        member = space.contains(cp)
+        assert member == validate_cocycle_pair(s, cp).valid
+        outcomes.add(member)
+    assert outcomes == {False, True}

@@ -1,8 +1,10 @@
 import pytest
 
-from singq.coloring import (psyquandle_colorings, shadow_colorings,
+from singq.coloring import (ColoringError, psyquandle_colorings,
+                            shadow_colorings, shadow_tuples,
                             singquandle_colorings)
-from singq.diagram import parse_diagram
+from singq.data import corpus_path
+from singq.diagram import parse_diagram, validate_diagram
 
 from conftest import brute_force_psyquandle, brute_force_singquandle
 
@@ -106,6 +108,17 @@ class TestShadowColorings:
                 acted = sh.act(col.region_colors[right],
                                col.semiarc_colors[k])
                 assert col.region_colors[left] == acted
+
+    def test_euler_failure_rejected(self, z8_z6_shadow):
+        """A rotation that makes the map non-planar once gave half the
+        shadow colorings (48 of 96) and a wrong SP; the faces of such a map
+        are not regions, so the search refuses it."""
+        text = corpus_path("4_1k.dgm").read_text().replace(
+            "rot 1 uo oo ui oi", "rot 1 oo uo ui oi")
+        d = parse_diagram(text)
+        assert not validate_diagram(d).valid
+        with pytest.raises(ColoringError, match="Euler check failed"):
+            shadow_tuples(d, z8_z6_shadow)
 
     def test_trivial_action_constant_regions(self, corpus, z6):
         from singq.algebra import formula_shadow

@@ -21,6 +21,8 @@ from singq.invariants import (BoltzmannPair, CocyclePair, InvariantError,
                               validate_cocycle_pair)
 from singq.polynomial import parse_polynomial
 
+from conftest import STRUCTURES
+
 
 class TestCocycleValidation:
     def test_bundled_pair_is_valid(self, z6, z6_cocycle):
@@ -252,18 +254,23 @@ def smith_kernel_size(rows, width, modulus):
 
 
 class TestCocycleSolver:
-    @pytest.mark.parametrize("n, a, b, c, modulus", [
-        (6, 5, 1, 0, 6), (4, 3, 0, 1, 4), (8, 3, 0, 1, 8), (8, 7, 0, 1, 8),
-        (9, 4, 0, 1, 9)])
+    @pytest.mark.parametrize("build, modulus", [
+        *(pytest.param(lambda args=args: affine_singquandle(*args), m,
+                       id="-".join(map(str, (*args, m))))
+          for *args, m in [(6, 5, 1, 0, 6), (4, 3, 0, 1, 4), (8, 3, 0, 1, 8),
+                           (8, 7, 0, 1, 8), (9, 4, 0, 1, 9)]),
+        *(pytest.param(STRUCTURES[name], m, id=f"{name}-{m}")
+          for name, m in [("z6", 4), ("z6", 12), ("Z8(3,0,1)", 24),
+                          ("gen5", 25), ("gen6", 36), ("gen7", 49)])])
     def test_generators_contained_and_size_matches_smith_oracle(
-            self, n, a, b, c, modulus):
+            self, build, modulus):
         # at non-square-free moduli the echelon form once kept two pivots on
         # one column: contains() rejected generators and size was too large
-        s = affine_singquandle(n, a, b, c)
+        s = build()
         space = solve_cocycle_space(s, modulus)
         assert all(space.contains(g) for g in space.generators)
-        assert space.size == smith_kernel_size(_cocycle_rows(s), 2 * n * n,
-                                               modulus)
+        assert space.size == smith_kernel_size(_cocycle_rows(s),
+                                               2 * s.n * s.n, modulus)
 
     # (generator count, size, SHA-256 of the generators' (phi, phi_prime)
     # reprs in order), recorded before zero and repeated rows were dropped
@@ -288,24 +295,46 @@ class TestCocycleSolver:
         assert (len(space.generators), space.size,
                 digest.hexdigest()) == self.RECORDED[name]
 
+    # SHA-256 of repr(_cocycle_rows(s)), recorded while the rows were built
+    # through OperationTable calls; the flat tables must give the same rows
+    # in the same order, each with the same key order
+    ROW_DIGESTS = {
+        "z6": "e13d6472cd656ef71ea0a66555945c62"
+              "35d6184bc84c05b8ebe8fafc5a665d21",
+        "Z8(3,0,1)": "3a70a764dcbf790db8c927696dda3c3b"
+                     "1b8d26ec44b13b5c66381e4fd8978c9d",
+        "Z10(7,6,5)": "15885b91aba51a5bd917aa9d18758441"
+                      "09ff7bd0f36cd767351422aeb05c48b9",
+        "Z11(4,1,0)": "38a662ea6b452790a1ac54177d5047d2"
+                      "bdc250aed3dd1319de2267a817b25476",
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
+    def test_cocycle_rows_pinned(self, name):
+        rows = _cocycle_rows(STRUCTURES[name]())
+        assert (hashlib.sha256(repr(rows).encode()).hexdigest()
+                == self.ROW_DIGESTS[name])
+
     def test_membership_sweep_eliminates_once_per_prime_power(self,
                                                                monkeypatch):
-        """The solver's own echelon forms serve every membership test: solve
-        and sweep together eliminate once per prime power."""
+        """The solve eliminates twice per prime power, once for the
+        generators and once for their annihilator; the annihilator rows then
+        serve every membership test without eliminating again."""
         s = affine_singquandle(10, 7, 6, 5)
         calls = []
-        echelon = invariants._echelon_mod
+        kernel = invariants._kernel_prime_power
 
-        def counted(vectors, p, e):
+        def counted(rows, width, p, e):
             calls.append((p, e))
-            return echelon(vectors, p, e)
+            return kernel(rows, width, p, e)
 
-        monkeypatch.setattr(invariants, "_echelon_mod", counted)
+        monkeypatch.setattr(invariants, "_kernel_prime_power", counted)
         space = solve_cocycle_space(s, 10)
+        assert calls == [(2, 1), (2, 1), (5, 1), (5, 1)]
         assert all(space.contains(g) for g in space.generators)
         assert not space.contains(CocyclePair.from_rows(
             10, [[1] * 10 for _ in range(10)], [[0] * 10 for _ in range(10)]))
-        assert calls == [(2, 1), (5, 1)]
+        assert len(calls) == 4
 
     def test_generators_validate_and_contain_bundled_pair(self, z6,
                                                           z6_cocycle):
@@ -404,3 +433,10 @@ class TestWeightParsing:
     def test_ragged_table_rejected(self):
         with pytest.raises(InvariantError):
             parse_weights("modulus: 2\nphi:\n0 1\n0\nphiprime:\n0 0\n0 0\n")
+
+    @pytest.mark.parametrize("block", ["phiprime", "psi"])
+    @pytest.mark.parametrize("rows", ["1 2 3\n4\n", "0 0\n", "0 0\n0 0\n0 0\n"],
+                             ids=["ragged", "short", "long"])
+    def test_ragged_second_block_rejected(self, block, rows):
+        with pytest.raises(InvariantError, match=f"{block} block must be 2x2"):
+            parse_weights(f"modulus: 2\nphi:\n0 1\n0 0\n{block}:\n{rows}")
