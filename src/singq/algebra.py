@@ -53,7 +53,7 @@ class ValidationReport(NamedTuple):
 class OperationTable:
     """An n x n table of element indices encoding one binary operation."""
 
-    __slots__ = ("n", "rows", "_inverse")
+    __slots__ = ("n", "rows", "_inverse", "_flat")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         n = len(rows)
@@ -70,7 +70,7 @@ class OperationTable:
             frozen.append(row)
         self.n = n
         self.rows = tuple(frozen)
-        self._inverse = None
+        self._inverse = self._flat = None
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int], int]) -> "OperationTable":
@@ -79,9 +79,12 @@ class OperationTable:
     def __call__(self, x: int, y: int) -> int:
         return self.rows[x][y]
 
-    def flat(self) -> list:
-        """The entries row by row: entry (x, y) at index ``x * n + y``."""
-        return [v for row in self.rows for v in row]
+    def flat(self) -> tuple:
+        """The entries row by row: entry (x, y) at index ``x * n + y``.
+        Built on the first call and kept with the table."""
+        if self._flat is None:
+            self._flat = tuple(v for row in self.rows for v in row)
+        return self._flat
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OperationTable) and self.rows == other.rows

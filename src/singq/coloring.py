@@ -3,11 +3,13 @@
 Three coloring notions over one search core: singquandle colorings of
 semiarcs, psyquandle colorings of semiarcs, and shadow colorings (semiarcs
 plus regions).  Each crossing rule is a set of propagators ``out =
-table[x * n + y]`` over the crossing's ports, read from flat tables built
+table[x * n + y]`` over the crossing's ports, read from flat tables passed
 per call.  The search runs on the diagram's compiled crossing tuples: which
 semiarcs a propagator colors or checks depends only on which are already
 colored, never on their colors, so the branch order and the propagation
-steps below each branch are planned once per call.
+steps below each branch are planned once per diagram and notion, and kept
+on the diagram.  Each crossing relation is evaluated once per search node
+where its ports are colored; its other solved forms are skipped.
 
 The invariants read the sorted color tuples of the ``*_tuples`` functions;
 the ``*_colorings`` functions wrap them into :class:`Coloring` records.
@@ -32,23 +34,56 @@ class Coloring(NamedTuple):
 
 # -- crossing rules ----------------------------------------------------------
 #
-# A rule maps a crossing kind to propagators (x, y, table, out) over port
-# positions 0..3 (``ui oi uo oo`` or ``i1 i2 o1 o2``): once ports x and y are
-# colored, port out gets, or must already have, ``table[x * n + y]``.  Every
-# propagator is implied by the crossing relation, and the relation itself is
-# among them, so a coloring of all four ports passes every propagator
-# exactly when it satisfies the crossing.
+# A rule maps a crossing kind to propagators (x, y, slot, out, relation)
+# over port positions 0..3 (``ui oi uo oo`` or ``i1 i2 o1 o2``): once ports x
+# and y are colored, port out gets, or must already have,
+# ``tables[slot][x * n + y]``, the tables being passed per call.  Every
+# propagator is a solved form of one crossing relation, tagged by a bit:
+# each crossing imposes two equations, E1 and E2, and a psyquandle crossing
+# also has the two halves H1 and H2 of its inverse pair map, which together
+# are E1 and E2.  Each relation is among the propagators, so a coloring of
+# all four ports passes every propagator exactly when it satisfies the
+# crossing.
+
+E1, E2, H1, H2 = 1, 2, 4, 8
+ALL = E1 | E2 | H1 | H2
+
+
+def _establish(have: int, relation: int) -> int:
+    """Relations established at a crossing once ``relation`` holds too."""
+    have |= relation
+    if have & (E1 | E2) == E1 | E2 or have & (H1 | H2) == H1 | H2:
+        return ALL
+    return have
+
+
+# tables by slot: 0 first (oo = first[oi, oi]), 1 star, 2 star^-1, 3 R1,
+# 4 R2.  Over-arc (oo = oi) is E1, star (uo = ui * oi, resp. ui *^-1 oi) E2.
+_OVER = ((1, 1, 0, 3, E1), (3, 3, 0, 1, E1))
+SINGQUANDLE_RULES = {
+    "P": _OVER + ((0, 1, 1, 2, E2), (2, 1, 2, 0, E2)),
+    "N": _OVER + ((0, 1, 2, 2, E2), (2, 1, 1, 0, E2)),
+    "S": ((0, 1, 3, 2, E1), (0, 1, 4, 3, E2))}
+
+# tables by slot: the first and second components of S (0, 1) and S' (2,
+# 3), of S^-1 (4, 5) and S'^-1 (6, 7), then 8 ot^-1, 9 ut^-1, 10 ob^-1,
+# 11 ub^-1.  P: (oo, uo) = S(ui, oi), N: (oi, ui) = S(uo, oo), S: (o1, o2) =
+# S'(i1, i2); E1 is the first component's equation, E2 the second's.
+PSYQUANDLE_RULES = {
+    "P": ((0, 1, 0, 3, E1), (0, 1, 1, 2, E2), (3, 2, 4, 0, H1),
+          (3, 2, 5, 1, H2), (2, 1, 9, 0, E2), (3, 0, 8, 1, E1)),
+    "N": ((2, 3, 0, 1, E1), (2, 3, 1, 0, E2), (1, 0, 4, 2, H1),
+          (1, 0, 5, 3, H2), (1, 2, 8, 3, E1), (0, 3, 9, 2, E2)),
+    "S": ((0, 1, 2, 2, E1), (0, 1, 3, 3, E2), (2, 3, 6, 0, H1),
+          (2, 3, 7, 1, H2), (3, 1, 11, 0, E2), (2, 0, 10, 1, E1))}
+
 
 def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> list:
     """Sorted semiarc color tuples of every singquandle coloring."""
     n = s.n
-    star, sinv = s.star.flat(), s.star_inv.flat()
-    first = [x for x in range(n) for _ in range(n)]   # oo = first[oi, oi]
-    over = ((1, 1, first, 3), (3, 3, first, 1))
-    return _enumerate(d, n, {
-        "P": over + ((0, 1, star, 2), (2, 1, sinv, 0)),
-        "N": over + ((0, 1, sinv, 2), (2, 1, star, 0)),
-        "S": ((0, 1, s.r1.flat(), 2), (0, 1, s.r2.flat(), 3))})
+    first = [x for x in range(n) for _ in range(n)]
+    return _enumerate(d, n, "singquandle", (
+        first, s.star.flat(), s.star_inv.flat(), s.r1.flat(), s.r2.flat()))
 
 
 def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> list:
@@ -56,77 +91,86 @@ def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> list:
     def split(pairs):
         return [a for a, _ in pairs], [b for _, b in pairs]
 
-    # S(x, y) = (y ot x, x ut y) and S'(x, y) = (y ob x, x ub y), as flat
-    # tables of their first and second components, with their inverses
-    s1, s2 = split(p.smap)
-    si1, si2 = split(p.smap_inv)
-    sp1, sp2 = split(p.sprime)
-    spi1, spi2 = split(p.sprime_inv)
-    uti, oti = p.ut_inv.flat(), p.ot_inv.flat()
-    # P: (oo, uo) = S(ui, oi), N: (oi, ui) = S(uo, oo),
-    # S: (o1, o2) = S'(i1, i2)
-    return _enumerate(d, p.n, {
-        "P": ((0, 1, s1, 3), (0, 1, s2, 2), (3, 2, si1, 0), (3, 2, si2, 1),
-              (2, 1, uti, 0), (3, 0, oti, 1)),
-        "N": ((2, 3, s1, 1), (2, 3, s2, 0), (1, 0, si1, 2), (1, 0, si2, 3),
-              (1, 2, oti, 3), (0, 3, uti, 2)),
-        "S": ((0, 1, sp1, 2), (0, 1, sp2, 3), (2, 3, spi1, 0),
-              (2, 3, spi2, 1), (3, 1, p.ub_inv.flat(), 0),
-              (2, 0, p.ob_inv.flat(), 1))})
+    # S(x, y) = (y ot x, x ut y) and S'(x, y) = (y ob x, x ub y)
+    return _enumerate(d, p.n, "psyquandle", (
+        *split(p.smap), *split(p.sprime), *split(p.smap_inv),
+        *split(p.sprime_inv), p.ot_inv.flat(), p.ut_inv.flat(),
+        p.ob_inv.flat(), p.ub_inv.flat()))
+
+
+RULES = {"singquandle": SINGQUANDLE_RULES, "psyquandle": PSYQUANDLE_RULES}
 
 
 # -- search core -------------------------------------------------------------
 
 def _plan(d: SingularDiagram, rules: dict) -> list:
     """Branch order and propagation steps: one (semiarc, steps) pair per
-    search level, a step being (x, y, table, out, check) over semiarc
+    search level, a step being (x, y, slot, out, check) over semiarc
     indices.  Each propagator fires once, at the level where both its
-    inputs are colored; it checks ``out`` if that is colored by then.  Each
+    inputs are colored, and becomes a step unless its relation is already
+    established at its crossing (an exact inverse of a step taken, which
+    cannot fail); a step checks ``out`` if that is colored by then.  Each
     level branches on the semiarc whose coloring fires the most propagators
     (then the most checks, then the lowest index), which keeps the levels,
     and so the search tree, small."""
     props = []
     watch = [[] for _ in d.semiarcs]   # semiarc -> propagators reading it
-    for kind, *ports in d.compiled:
-        for x, y, table, out in rules[kind]:
+    for c, (kind, *ports) in enumerate(d.compiled):
+        for x, y, slot, out, relation in rules[kind]:
             for i in {ports[x], ports[y]}:
                 watch[i].append(len(props))
-            props.append((ports[x], ports[y], table, ports[out]))
+            props.append((ports[x], ports[y], slot, ports[out], c, relation))
 
-    def spread(branch: int, known: list, fired: list) -> list:
-        """Color ``branch`` and propagate, updating ``known`` and ``fired``;
-        returns the steps taken."""
+    def spread(branch: int, known: list, fired: list, have: list) -> tuple:
+        """Color ``branch`` and propagate, updating ``known``, ``fired`` and
+        the relations ``have`` established per crossing; returns the steps
+        taken, and the propagators fired and checks among them, implied
+        ones included."""
         known[branch] = True
         steps = []
+        count = checks = 0
         queue = [branch]
         while queue:
             for k in watch[queue.pop()]:
-                x, y, table, out = props[k]
+                x, y, slot, out, c, relation = props[k]
                 if fired[k] or not (known[x] and known[y]):
                     continue
                 fired[k] = True
-                steps.append((x, y, table, out, known[out]))
+                count += 1
+                checks += known[out]
+                if have[c] & relation:
+                    continue
+                have[c] = _establish(have[c], relation)
+                steps.append((x, y, slot, out, known[out]))
                 if not known[out]:
                     known[out] = True
                     queue.append(out)
-        return steps
+        return steps, count, checks
 
     def score(branch: int) -> tuple:
-        steps = spread(branch, list(known), list(fired))
-        return len(steps), sum(step[4] for step in steps), -branch
+        _, count, checks = spread(branch, list(known), list(fired), list(have))
+        return count, checks, -branch
 
     known = [False] * len(d.semiarcs)
     fired = [False] * len(props)
+    have = [0] * len(d.compiled)
     plan = []
     while not all(known):
         branch = max((i for i, k in enumerate(known) if not k), key=score)
-        plan.append((branch, spread(branch, known, fired)))
+        plan.append((branch, spread(branch, known, fired, have)[0]))
     return plan
 
 
-def _enumerate(d: SingularDiagram, n: int, rules: dict) -> list:
-    """Sorted color tuples of every semiarc coloring that passes ``rules``."""
-    plan = _plan(d, rules)
+def _enumerate(d: SingularDiagram, n: int, notion: str, tables: tuple) -> list:
+    """Sorted color tuples of every semiarc coloring that passes the rules
+    of ``notion``, reading ``tables`` by slot.  The plan is kept on the
+    diagram, per notion."""
+    plan = d.plans.get(notion)
+    if plan is None:
+        plan = d.plans[notion] = _plan(d, RULES[notion])
+    plan = [(branch, [(x, y, tables[slot], out, check)
+                      for x, y, slot, out, check in steps])
+            for branch, steps in plan]
     colors = [0] * len(d.semiarcs)
     solutions = []
 

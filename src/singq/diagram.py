@@ -62,6 +62,8 @@ class SingularDiagram:
     def __init__(self, crossings: Sequence[Crossing]):
         self.crossings = list(crossings)
         self._build_semiarcs()
+        # coloring-search plans by coloring notion, made on first use
+        self.plans = {}
 
     def _build_semiarcs(self):
         """Collect the semiarcs and compile the diagram: ``compiled`` holds

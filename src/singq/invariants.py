@@ -518,11 +518,12 @@ def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> tuple:
 class CocycleSpace:
     """All valid (phi, phi_prime) pairs mod ``modulus`` for one singquandle:
     the span of ``generators``, a tuple of CocyclePair (the zero pair is
-    always a member).  ``annihilators`` holds (q, sparse rows spanning the
+    always a member).  ``annihilators`` holds (q, rows spanning the
     annihilator of the space mod q) for each prime power q exactly dividing
-    the modulus; over Z_q a submodule is the annihilator of its annihilator,
-    so a pair is a member when every row dots to 0 mod q with it.  Two
-    spaces are equal when their other fields are."""
+    the modulus, the rows transposed as ``{unknown: [(row, coef)]}``; over
+    Z_q a submodule is the annihilator of its annihilator, so a pair is a
+    member when every row dots to 0 mod q with it.  Two spaces are equal
+    when their other fields are."""
 
     __slots__ = ("structure", "modulus", "generators", "size", "annihilators")
 
@@ -547,8 +548,15 @@ class CocycleSpace:
         _check_tables(self.structure.n, cp.phi, cp.phi_prime)
         vec = ([v for row in cp.phi for v in row]
                + [v for row in cp.phi_prime for v in row])
-        return all(sum(c * vec[k] for k, c in row.items()) % q == 0
-                   for q, rows in self.annihilators for row in rows)
+        nonzero = [(k, v) for k, v in enumerate(vec) if v]
+        for q, columns in self.annihilators:
+            dots = {}   # row -> its dot product with the pair so far
+            for k, v in nonzero:
+                for r, c in columns.get(k, ()):
+                    dots[r] = dots.get(r, 0) + c * v
+            if any(dot % q for dot in dots.values()):
+                return False
+        return True
 
 
 def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
@@ -566,7 +574,11 @@ def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
         q = p ** e
         kq, log_size = _kernel_prime_power(rows, width, p, e)
         size *= p ** log_size
-        annihilators.append((q, _kernel_prime_power(kq, width, p, e)[0]))
+        columns = {}
+        for r, row in enumerate(_kernel_prime_power(kq, width, p, e)[0]):
+            for k, c in row.items():
+                columns.setdefault(k, []).append((r, c))
+        annihilators.append((q, columns))
         cofactor = m // q
         lift = cofactor * pow(cofactor, -1, q)  # 1 mod q, 0 mod m/q
         for g in kq:

@@ -1,10 +1,14 @@
 import pytest
 
-from singq.coloring import (ColoringError, psyquandle_colorings,
+from singq import coloring
+from singq.coloring import (PSYQUANDLE_RULES, SINGQUANDLE_RULES,
+                            ColoringError, psyquandle_colorings,
                             shadow_colorings, shadow_tuples,
                             singquandle_colorings)
-from singq.data import corpus_path
+from singq.data import corpus_path, load_diagram
 from singq.diagram import parse_diagram, validate_diagram
+from singq.invariants import (SP, boltzmann_single, boltzmann_two, phi_ssqp,
+                              state_sum)
 
 from conftest import brute_force_psyquandle, brute_force_singquandle
 
@@ -84,6 +88,31 @@ class TestSolverVersusBruteForce:
         d = parse_diagram(KINK)
         solver = [c.semiarc_colors for c in psyquandle_colorings(d, psy6)]
         assert solver == brute_force_psyquandle(d, psy6)
+
+
+class TestPlanReuse:
+    def test_one_plan_per_diagram_and_notion(
+            self, monkeypatch, z6, z6_cocycle, z8_z6_shadow, psy6,
+            psy6_boltzmann, psy6_boltzmann_strong):
+        plan = coloring._plan
+        made = []
+
+        def counted(d, rules):
+            made.append(rules)
+            return plan(d, rules)
+
+        monkeypatch.setattr(coloring, "_plan", counted)
+        d = load_diagram("4_1k.dgm")
+        singquandle_colorings(d, z6)
+        state_sum(d, z6, z6_cocycle)
+        phi_ssqp(d, z6)
+        shadow_colorings(d, z8_z6_shadow)
+        SP(d, z8_z6_shadow)
+        assert made == [SINGQUANDLE_RULES]
+        psyquandle_colorings(d, psy6)
+        boltzmann_single(d, psy6, psy6_boltzmann)
+        boltzmann_two(d, psy6, psy6_boltzmann_strong)
+        assert made == [SINGQUANDLE_RULES, PSYQUANDLE_RULES]
 
 
 class TestShadowColorings:

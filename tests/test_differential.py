@@ -6,7 +6,9 @@ benchmark's generator ``bench/gen.py``, imported read-only.  Every search
 is compared with a brute-force oracle from ``conftest.py``, each coloring
 it emits is checked against every crossing relation, and every
 aggregation with the per-coloring loop it replaced, kept below as the
-reference and run over the oracle's colorings.
+reference and run over the oracle's colorings.  The search planner is
+compared with the planner that fired every propagator as a step, on these
+braids and on the benchmark's braid pool and link family.
 """
 
 import importlib.util
@@ -16,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from singq.algebra import shadow_closure, substructure_closure
-from singq.coloring import (psyquandle_colorings, shadow_colorings,
-                            singquandle_colorings)
+from singq.coloring import (RULES, _plan, psyquandle_colorings,
+                            shadow_colorings, singquandle_colorings)
 from singq.diagram import parse_diagram
 from singq.invariants import (CocyclePair, SP, boltzmann_single,
                               boltzmann_two, phi_ssqp, solve_cocycle_space,
@@ -187,3 +189,104 @@ def test_boltzmann(braids, psy6, psy6_boltzmann, psy6_boltzmann_strong):
             ExponentTag.pair(a % m, b % m) for a, b
             in reference_boltzmann_totals(d, psy6, psy6_boltzmann_strong))
         assert boltzmann_two(d, psy6, psy6_boltzmann_strong) == two, k
+
+
+# -- the planner against the planner that took every propagator as a step ----
+
+def reference_plan(d, rules: dict) -> list:
+    """Branch order and propagation steps: one (semiarc, steps) pair per
+    search level, a step being (x, y, table, out, check) over semiarc
+    indices.  Each propagator fires once, at the level where both its
+    inputs are colored; it checks ``out`` if that is colored by then.  Each
+    level branches on the semiarc whose coloring fires the most propagators
+    (then the most checks, then the lowest index), which keeps the levels,
+    and so the search tree, small."""
+    props = []
+    watch = [[] for _ in d.semiarcs]   # semiarc -> propagators reading it
+    for kind, *ports in d.compiled:
+        for x, y, table, out in rules[kind]:
+            for i in {ports[x], ports[y]}:
+                watch[i].append(len(props))
+            props.append((ports[x], ports[y], table, ports[out]))
+
+    def spread(branch: int, known: list, fired: list) -> list:
+        """Color ``branch`` and propagate, updating ``known`` and ``fired``;
+        returns the steps taken."""
+        known[branch] = True
+        steps = []
+        queue = [branch]
+        while queue:
+            for k in watch[queue.pop()]:
+                x, y, table, out = props[k]
+                if fired[k] or not (known[x] and known[y]):
+                    continue
+                fired[k] = True
+                steps.append((x, y, table, out, known[out]))
+                if not known[out]:
+                    known[out] = True
+                    queue.append(out)
+        return steps
+
+    def score(branch: int) -> tuple:
+        steps = spread(branch, list(known), list(fired))
+        return len(steps), sum(step[4] for step in steps), -branch
+
+    known = [False] * len(d.semiarcs)
+    fired = [False] * len(props)
+    plan = []
+    while not all(known):
+        branch = max((i for i, k in enumerate(known) if not k), key=score)
+        plan.append((branch, spread(branch, known, fired)))
+    return plan
+
+
+@pytest.fixture(scope="module")
+def planned(braids):
+    """The 40 braids, the benchmark's braid pool and its link family, each
+    diagram parsed afresh."""
+    members = gen.braid_pool() + gen.link_family()
+    return braids + [parse_diagram(gen.closure_text(*m)) for m in members]
+
+
+def fits(sources: list, most: int) -> bool:
+    """Whether each step can be given one of its ``sources`` (the crossings
+    it can come from) with no crossing given more than ``most`` steps; by
+    augmenting paths, as two crossings can share every semiarc of a step."""
+    owner = {}   # (crossing, place) -> step
+
+    def give(step: int, seen: set) -> bool:
+        for spot in ((c, j) for c in sources[step] for j in range(most)):
+            if spot not in seen:
+                seen.add(spot)
+                if spot not in owner or give(owner[spot], seen):
+                    owner[spot] = step
+                    return True
+        return False
+
+    return all(give(step, set()) for step in range(len(sources)))
+
+
+@pytest.mark.parametrize("notion, most", [("singquandle", 2),
+                                          ("psyquandle", 3)])
+def test_plan_drops_only_implied_steps(planned, notion, most):
+    """Same branch order as the reference planner, so the same search tree;
+    each level's steps a subsequence of the reference's; at most ``most``
+    steps per crossing and two per crossing on the whole (one per
+    equation)."""
+    rules = RULES[notion]
+    untagged = {kind: [prop[:4] for prop in props]
+                for kind, props in rules.items()}
+    for k, d in enumerate(planned):
+        plan, ref = _plan(d, rules), reference_plan(d, untagged)
+        assert [b for b, _ in plan] == [b for b, _ in ref], k
+        for (_, steps), (_, ref_steps) in zip(plan, ref):
+            rest = iter(ref_steps)
+            assert all(step in rest for step in steps), k
+        sources = {}
+        for c, (kind, *ports) in enumerate(d.compiled):
+            for x, y, slot, out, _ in rules[kind]:
+                key = ports[x], ports[y], slot, ports[out]
+                sources.setdefault(key, set()).add(c)
+        steps = [step[:4] for _, level in plan for step in level]
+        assert len(steps) >= 2 * d.n_crossings, k
+        assert fits([sources[step] for step in steps], most), k
