@@ -28,11 +28,21 @@ def _check_tables(n: int, *tables) -> None:
             raise InvariantError(f"weight table is not {n}x{n}")
 
 
-class _WeightPair:
-    """A modulus and two n x n weight tables, the fields named by
-    ``__slots__``; equal to a pair of the same class with equal fields."""
+def _frozen(rows: Sequence) -> tuple:
+    return tuple(tuple(row) for row in rows)
 
-    __slots__ = ()
+
+class _WeightPair:
+    """A modulus and two n x n weight tables, the fields named by the
+    subclass's ``__slots__``; equal to a pair of the same class with equal
+    fields.  The tables are tuples of tuples, so the pair never changes.
+
+    ``_passed`` maps ``id(structure)`` to ``(structure, strong)`` for each
+    structure the pair has passed the exhaustive weight check against
+    (``strong``: axiom IV too); an entry counts only for that structure
+    object itself.  It is not a field: equality and hashing ignore it."""
+
+    __slots__ = ("_passed",)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -46,9 +56,8 @@ class _WeightPair:
     @classmethod
     def from_rows(cls, modulus: int, phi: Sequence, second: Sequence):
         red = (lambda v: v % modulus) if modulus else (lambda v: v)
-        return cls(modulus,
-                   tuple(tuple(red(v) for v in row) for row in phi),
-                   tuple(tuple(red(v) for v in row) for row in second))
+        return cls(modulus, [map(red, row) for row in phi],
+                   [map(red, row) for row in second])
 
     @classmethod
     def zero(cls, n: int, modulus: int):
@@ -62,8 +71,9 @@ class CocyclePair(_WeightPair):
 
     __slots__ = ("modulus", "phi", "phi_prime")
 
-    def __init__(self, modulus: int, phi: tuple, phi_prime: tuple):
-        self.modulus, self.phi, self.phi_prime = modulus, phi, phi_prime
+    def __init__(self, modulus: int, phi: Sequence, phi_prime: Sequence):
+        self.modulus, self.phi = modulus, _frozen(phi)
+        self.phi_prime, self._passed = _frozen(phi_prime), {}
 
 
 def validate_cocycle_pair(s: OrientedSingquandle, cp: CocyclePair) -> ValidationReport:
@@ -140,6 +150,28 @@ def _tally(keys: Iterable, tag_of) -> InvariantValue:
     return InvariantValue((tag_of(key), k) for key, k in counts.items())
 
 
+def _require_valid(s, pair: _WeightPair, strong: bool = False) -> None:
+    """Raise InvariantError unless ``pair`` passes the exhaustive cocycle
+    or Boltzmann check against ``s`` (and axiom IV too when ``strong``).
+
+    Passes are recorded on the pair, so each check runs once per structure
+    object the pair is used with; a failing pair is checked again, and
+    rejected, on every call."""
+    entry = pair._passed.get(id(s))
+    if entry is None or entry[0] is not s:
+        if isinstance(pair, CocyclePair):
+            report, what = validate_cocycle_pair(s, pair), "cocycle"
+        else:
+            report, what = validate_boltzmann(s, pair), "Boltzmann"
+        if not report.valid:
+            raise InvariantError(f"invalid {what} pair:\n" + report.summary())
+        pair._passed[id(s)] = entry = (s, False)
+    if strong and not entry[1]:
+        if not strongly_compatible(s, pair):
+            raise InvariantError("Boltzmann pair is not strongly compatible")
+        pair._passed[id(s)] = (s, True)
+
+
 def state_sum(d: SingularDiagram, s: OrientedSingquandle,
               cp: CocyclePair) -> InvariantValue:
     """Multiset of per-coloring total Boltzmann weights, rendered in u.
@@ -147,11 +179,11 @@ def state_sum(d: SingularDiagram, s: OrientedSingquandle,
     Classical contributions are +phi(under_in, over_in) at a positive
     crossing and -phi(under_out, over_in) at a negative one (so that a
     direct poke cancels exactly); a singular crossing contributes
-    phi_prime(in1, in2).
+    phi_prime(in1, in2).  ``cp`` is checked exhaustively against ``s``
+    once per structure it is used with; an invalid pair is rejected on
+    every call.
     """
-    report = validate_cocycle_pair(s, cp)
-    if not report.valid:
-        raise InvariantError("invalid cocycle pair:\n" + report.summary())
+    _require_valid(s, cp)
     totals = _weight_sums(d, singquandle_tuples(d, s),
                           {"P": (cp.phi, 1, 0, 1), "N": (cp.phi, -1, 2, 1),
                            "S": (cp.phi_prime, 1, 0, 1)})
@@ -267,8 +299,9 @@ class BoltzmannPair(_WeightPair):
 
     __slots__ = ("modulus", "phi", "psi")
 
-    def __init__(self, modulus: int, phi: tuple, psi: tuple):
-        self.modulus, self.phi, self.psi = modulus, phi, psi
+    def __init__(self, modulus: int, phi: Sequence, psi: Sequence):
+        self.modulus, self.phi = modulus, _frozen(phi)
+        self.psi, self._passed = _frozen(psi), {}
 
 
 def validate_boltzmann(p: Psyquandle, bp: BoltzmannPair) -> ValidationReport:
@@ -343,22 +376,21 @@ def _boltzmann_totals(d: SingularDiagram, p: Psyquandle,
 
 def boltzmann_single(d: SingularDiagram, p: Psyquandle,
                      bp: BoltzmannPair) -> InvariantValue:
-    """Single-variable enhanced polynomial: multiset of total weights in w."""
-    report = validate_boltzmann(p, bp)
-    if not report.valid:
-        raise InvariantError("invalid Boltzmann pair:\n" + report.summary())
+    """Single-variable enhanced polynomial: multiset of total weights in w.
+    ``bp`` is checked exhaustively against ``p`` (axioms I-III) once per
+    structure it is used with; an invalid pair is rejected on every call."""
+    _require_valid(p, bp)
     return _tally((a + b for a, b in _boltzmann_totals(d, p, bp)),
                   lambda t: ExponentTag.ring(t, bp.modulus))
 
 
 def boltzmann_two(d: SingularDiagram, p: Psyquandle,
                   bp: BoltzmannPair) -> InvariantValue:
-    """Two-variable enhanced polynomial: multiset of (phi, psi) part totals."""
-    report = validate_boltzmann(p, bp)
-    if not report.valid:
-        raise InvariantError("invalid Boltzmann pair:\n" + report.summary())
-    if not strongly_compatible(p, bp):
-        raise InvariantError("Boltzmann pair is not strongly compatible")
+    """Two-variable enhanced polynomial: multiset of (phi, psi) part totals.
+    ``bp`` is checked exhaustively against ``p`` (axioms I-IV) once per
+    structure it is used with; an invalid or not strongly compatible pair
+    is rejected on every call."""
+    _require_valid(p, bp, strong=True)
     m = bp.modulus
     red = (lambda v: v % m) if m else (lambda v: v)
     return _tally(_boltzmann_totals(d, p, bp),

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -191,6 +192,130 @@ class TestBoltzmann:
             collapsed[(a + b) % 2] = collapsed.get((a + b) % 2, 0) + m
         assert collapsed == {tag.value[0]: m for tag, m
                              in single.multiplicities.items()}
+
+
+@pytest.mark.parametrize("cls", [CocyclePair, BoltzmannPair])
+def test_constructor_freezes_rows(cls):
+    rows = [[0, 1], [1, 0]]
+    pair = cls(2, rows, [[0, 0], [0, 0]])
+    assert pair.phi == ((0, 1), (1, 0))
+    assert pair == cls.from_rows(2, rows, [[0, 0], [0, 0]])
+    assert hash(pair) == hash(cls.from_rows(2, rows, [[0, 0], [0, 0]]))
+    zero = cls(2, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    assert zero == cls.zero(2, 2) and hash(zero) == hash(cls.zero(2, 2))
+
+
+def fresh(pair):
+    """An equal pair that no invariant has used yet."""
+    return type(pair).from_rows(pair.modulus, *pair._values()[1:])
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of validator calls per (validator, structure, pair) object."""
+    counts = {}
+    for name in ("validate_cocycle_pair", "validate_boltzmann",
+                 "strongly_compatible"):
+        def counted(s, pair, _name=name, _real=getattr(invariants, name)):
+            key = (_name, id(s), id(pair))
+            counts[key] = counts.get(key, 0) + 1
+            return _real(s, pair)
+        monkeypatch.setattr(invariants, name, counted)
+    return counts
+
+
+class TestWeightChecksOnce:
+    def test_each_check_runs_once_per_structure_and_pair(
+            self, calls, corpus, z6, z6_cocycle, psy6, psy6_boltzmann,
+            psy6_boltzmann_strong):
+        cp, bp, strong = (fresh(z6_cocycle), fresh(psy6_boltzmann),
+                          fresh(psy6_boltzmann_strong))
+        for name in ("1l1.dgm", "5k6.dgm", "5k7.dgm", "4_1k.dgm"):
+            d = corpus[name]
+            state_sum(d, z6, cp)
+            boltzmann_single(d, psy6, bp)
+            boltzmann_single(d, psy6, strong)
+            boltzmann_two(d, psy6, strong)
+        assert calls == {
+            ("validate_cocycle_pair", id(z6), id(cp)): 1,
+            ("validate_boltzmann", id(psy6), id(bp)): 1,
+            ("validate_boltzmann", id(psy6), id(strong)): 1,
+            ("strongly_compatible", id(psy6), id(strong)): 1,
+        }
+
+    def test_invalid_pair_rejected_on_every_call(self, calls, corpus, z6,
+                                                 psy6):
+        d = corpus["5k6.dgm"]
+        bad = CocyclePair.from_rows(6, [[1] * 6 for _ in range(6)],
+                                    [[0] * 6 for _ in range(6)])
+        bad_b = BoltzmannPair.from_rows(2, [[1] * 6 for _ in range(6)],
+                                        [[0] * 6 for _ in range(6)])
+        for call, prefix in ((lambda: state_sum(d, z6, bad),
+                              "invalid cocycle pair:\n"),
+                             (lambda: boltzmann_single(d, psy6, bad_b),
+                              "invalid Boltzmann pair:\n"),
+                             (lambda: boltzmann_two(d, psy6, bad_b),
+                              "invalid Boltzmann pair:\n")):
+            messages = set()
+            for _ in range(3):
+                with pytest.raises(InvariantError) as err:
+                    call()
+                messages.add(str(err.value))
+            assert len(messages) == 1
+            assert messages.pop().startswith(prefix)
+        assert calls == {("validate_cocycle_pair", id(z6), id(bad)): 3,
+                         ("validate_boltzmann", id(psy6), id(bad_b)): 6}
+
+    def test_pass_does_not_cover_another_structure(self, calls, corpus, z6,
+                                                   z6_cocycle):
+        d = corpus["5k6.dgm"]
+        cp = fresh(z6_cocycle)
+        assert state_sum(d, z6, cp).render() == "6u^3"
+        other = affine_singquandle(6, 5, 0, 1)   # z6's star, other R1, R2
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="invalid cocycle pair"):
+                state_sum(d, other, cp)
+        # an equal structure object is checked on its own
+        twin = OrientedSingquandle(z6.star, z6.r1, z6.r2)
+        assert state_sum(d, twin, cp).render() == "6u^3"
+        assert calls == {("validate_cocycle_pair", id(z6), id(cp)): 1,
+                         ("validate_cocycle_pair", id(other), id(cp)): 2,
+                         ("validate_cocycle_pair", id(twin), id(cp)): 1}
+
+    def test_single_pass_does_not_cover_axiom_four(self, calls, corpus, psy6,
+                                                   psy6_boltzmann):
+        d = corpus["1l1.dgm"]
+        bp = fresh(psy6_boltzmann)
+        assert boltzmann_single(d, psy6, bp).render(var="w") == "6 + 18w"
+        for _ in range(2):
+            with pytest.raises(InvariantError,
+                               match="^Boltzmann pair is not strongly "
+                                     "compatible$"):
+                boltzmann_two(d, psy6, bp)
+        assert calls == {("validate_boltzmann", id(psy6), id(bp)): 1,
+                         ("strongly_compatible", id(psy6), id(bp)): 2}
+
+    def test_copied_record_is_not_a_pass(self, calls, corpus, z6,
+                                          z6_cocycle):
+        # a pickled pair carries the old ids, now pointing at copies of the
+        # structures they were recorded for
+        cp = fresh(z6_cocycle)
+        state_sum(corpus["5k6.dgm"], z6, cp)
+        copy = pickle.loads(pickle.dumps(cp))
+        assert copy == cp
+        state_sum(corpus["5k6.dgm"], z6, copy)
+        assert calls == {("validate_cocycle_pair", id(z6), id(cp)): 1,
+                         ("validate_cocycle_pair", id(z6), id(copy)): 1}
+
+    def test_use_leaves_equality_and_hash(self, corpus, z6, z6_cocycle, psy6,
+                                          psy6_boltzmann_strong):
+        cp, strong = fresh(z6_cocycle), fresh(psy6_boltzmann_strong)
+        before = (hash(cp), hash(strong))
+        d = corpus["1l1.dgm"]
+        state_sum(d, z6, cp)
+        boltzmann_two(d, psy6, strong)
+        assert (hash(cp), hash(strong)) == before
+        assert cp == fresh(z6_cocycle) and strong == fresh(strong)
 
 
 def test_invariants_build_no_coloring_records(monkeypatch, corpus, z6,
