@@ -25,8 +25,7 @@ from .diagram import DiagramError, parse_diagram, validate_diagram
 from .invariants import (BoltzmannPair, CocyclePair, InvariantError,
                          boltzmann_single, boltzmann_two, parse_weights,
                          phi_ssqp, shadow_polynomial_invariant,
-                         solve_cocycle_space, sp, state_sum,
-                         validate_boltzmann, validate_cocycle_pair)
+                         solve_cocycle_space, sp, state_sum)
 
 
 class UsageError(Exception):

@@ -22,10 +22,14 @@ class InvariantError(ValueError):
     pass
 
 
-def _check_tables(n: int, *tables) -> None:
+def _flat_pair(n: int, pair: _WeightPair) -> list:
+    """A weight pair's two tables, which must be n x n, as one list: entry
+    (x, y) of the first at x * n + y, of the second at n * n + x * n + y."""
+    tables = pair._values()[1:]
     for t in tables:
         if len(t) != n or any(len(row) != n for row in t):
             raise InvariantError(f"weight table is not {n}x{n}")
+    return [v for t in tables for row in t for v in row]
 
 
 def _frozen(rows: Sequence) -> tuple:
@@ -76,50 +80,69 @@ class CocyclePair(_WeightPair):
         self.phi_prime, self._passed = _frozen(phi_prime), {}
 
 
-def validate_cocycle_pair(s: OrientedSingquandle, cp: CocyclePair) -> ValidationReport:
-    """Exhaustive check of the classical 2-cocycle condition and the three
-    conditions imposed by the singular moves (written additively)."""
+# -- weight-pair axiom systems ------------------------------------------------
+#
+# Each system is written once, as instances ``(axiom, witness, terms)``: the
+# instance holds when ``sum(coef * vec[idx] for idx, coef in terms)`` is 0,
+# ``vec`` being the flattened pair (see ``_flat_pair``).  The validators
+# evaluate every instance; the cocycle solver reads the same rows.
+
+def _cocycle_system(s: OrientedSingquandle):
+    """Instances over (phi, phi_prime) of the classical 2-cocycle condition
+    (the diagonal and move RIII) and of the conditions imposed by the
+    singular moves O5a, O4a and O4e, written additively."""
     n = s.n
-    _check_tables(n, cp.phi, cp.phi_prime)
-    m = cp.modulus
-    red = (lambda v: v % m) if m else (lambda v: v)
-    phi, php = cp.phi, cp.phi_prime
+    nn = n * n
     # flat tables: op(x, y) is op[x * n + y]
     star, sinv = s.star.flat(), s.star_inv.flat()
     r1, r2 = s.r1.flat(), s.r2.flat()
-    vs = []
     for x in range(n):
-        if red(phi[x][x]) != 0:
-            vs.append(("cocycle.diagonal", (x,)))
+        yield "cocycle.diagonal", (x,), ((x * n + x, 1),)
         for y in range(n):
             xy = x * n + y
-            # move O5a
-            lhs = php[x][y] + phi[r1[xy]][r2[xy]]
-            rhs = phi[x][y] + php[y][star[xy]]
-            if red(lhs - rhs) != 0:
-                vs.append(("cocycle.O5a", (x, y)))
+            yield "cocycle.O5a", (x, y), (
+                (nn + xy, 1), (r1[xy] * n + r2[xy], 1),
+                (xy, -1), (nn + y * n + star[xy], -1))
             x_y = sinv[xy]
             for z in range(n):
                 xz = x * n + z
-                lhs = phi[x][y] + phi[star[xy]][z]
-                rhs = phi[x][z] + phi[star[xz]][star[y * n + z]]
-                if red(lhs - rhs) != 0:
-                    vs.append(("cocycle.RIII", (x, y, z)))
-                # move O4a
+                yield "cocycle.RIII", (x, y, z), (
+                    (xy, 1), (star[xy] * n + z, 1),
+                    (xz, -1), (star[xz] * n + star[y * n + z], -1))
                 zy = star[z * n + y]
-                lhs = -phi[x_y][y] + php[x_y][z] + phi[r1[x_y * n + z]][y]
-                rhs = (phi[z][y] + php[x][zy]
-                       - phi[sinv[r2[x * n + zy] * n + y]][y])
-                if red(lhs - rhs) != 0:
-                    vs.append(("cocycle.O4a", (x, y, z)))
-                # move O4e
+                yield "cocycle.O4a", (x, y, z), (
+                    (x_y * n + y, -1), (nn + x_y * n + z, 1),
+                    (r1[x_y * n + z] * n + y, 1),
+                    (z * n + y, -1), (nn + x * n + zy, -1),
+                    (sinv[r2[x * n + zy] * n + y] * n + y, 1))
                 a, b = r1[xz], r2[xz]
                 w = sinv[y * n + a]
-                lhs = phi[w][x] - phi[w][a]
-                rhs = -phi[sinv[star[y * n + b] * n + z]][z] + phi[y][b]
-                if red(lhs - rhs) != 0:
-                    vs.append(("cocycle.O4e", (x, y, z)))
+                yield "cocycle.O4e", (x, y, z), (
+                    (w * n + x, 1), (w * n + a, -1),
+                    (sinv[star[y * n + b] * n + z] * n + z, 1),
+                    (y * n + b, -1))
+
+
+def _evaluate(n: int, pair: _WeightPair, system) -> ValidationReport:
+    """The report listing, sorted, ``(axiom, witness)`` of every instance of
+    ``system`` that ``pair`` fails, each sum reduced mod the pair's modulus
+    (0 means Z)."""
+    vec, m = _flat_pair(n, pair), pair.modulus
+    vs = []
+    for axiom, witness, terms in system:
+        total = 0
+        for k, c in terms:
+            total += c * vec[k]
+        if total % m if m else total:
+            vs.append((axiom, witness))
     return ValidationReport(tuple(sorted(vs)))
+
+
+def validate_cocycle_pair(s: OrientedSingquandle, cp: CocyclePair) -> ValidationReport:
+    """Exhaustive check of the classical 2-cocycle condition and the three
+    conditions imposed by the singular moves: every instance of
+    ``_cocycle_system(s)``, each violation listed."""
+    return _evaluate(s.n, cp, _cocycle_system(s))
 
 
 def _weight_sums(d: SingularDiagram, colorings: list, weights: dict) -> list:
@@ -207,11 +230,18 @@ def sqp(s: OrientedSingquandle) -> BasePolynomial:
     return _profile_sum(range(s.n), profile(s))
 
 
-def restrict(s: OrientedSingquandle, sub: Iterable[int]) -> OrientedSingquandle:
-    """Induced structure on a subset closed under *, its inverse, R1, R2."""
+def _closed_elements(s: OrientedSingquandle, sub: Iterable) -> list:
+    """Sorted elements of ``sub``, which must be closed under the
+    operations."""
     elems = sorted(set(sub))
     if substructure_closure(s, elems) != frozenset(elems):
         raise InvariantError(f"{elems} is not closed under the operations")
+    return elems
+
+
+def restrict(s: OrientedSingquandle, sub: Iterable[int]) -> OrientedSingquandle:
+    """Induced structure on a subset closed under *, its inverse, R1, R2."""
+    elems = _closed_elements(s, sub)
     pos = {e: i for i, e in enumerate(elems)}
     def table(op):
         return OperationTable([[pos[op(x, y)] for y in elems] for x in elems])
@@ -223,9 +253,7 @@ def ssqp(sub: Iterable[int], s: OrientedSingquandle) -> BasePolynomial:
     """Subsingquandle polynomial: the contribution of the substructure to
     sqp(s).  Counting stays in the ambient structure; only the summation
     range shrinks."""
-    elems = sorted(set(sub))
-    if substructure_closure(s, elems) != frozenset(elems):
-        raise InvariantError(f"{elems} is not closed under the operations")
+    elems = _closed_elements(s, sub)
     return _profile_sum(elems, profile(s))
 
 
@@ -304,64 +332,60 @@ class BoltzmannPair(_WeightPair):
         self.psi, self._passed = _frozen(psi), {}
 
 
-def validate_boltzmann(p: Psyquandle, bp: BoltzmannPair) -> ValidationReport:
-    """Boltzmann weight axioms (I)-(III); axiom (IV) only sets the
-    strong-compatibility flag, via :func:`strongly_compatible`."""
+def _boltzmann_system(p: Psyquandle, axiom_iv: bool = False):
+    """Instances over (phi, psi) of the Boltzmann weight axioms I, II and
+    III.1-III.3, or with ``axiom_iv`` of axiom IV: psi is invariant under
+    the two translation actions."""
     n = p.n
-    _check_tables(n, bp.phi, bp.psi)
-    m = bp.modulus
-    red = (lambda v: v % m) if m else (lambda v: v)
-    phi, psi = bp.phi, bp.psi
+    nn = n * n
     # flat tables: op(x, y) is op[x * n + y]
     ut, ot, ub, ob = p.ut.flat(), p.ot.flat(), p.ub.flat(), p.ob.flat()
     obi = p.ob_inv.flat()
-    vs = []
     for x in range(n):
-        if red(phi[x][x]) != 0:
-            vs.append(("boltzmann.I", (x,)))
+        if not axiom_iv:
+            yield "boltzmann.I", (x,), ((x * n + x, 1),)
         for y in range(n):
             xy, yx = x * n + y, y * n + x
-            a = obi[ot[yx] * n + x]   # (y ot x) ob^-1 x
-            b = obi[ut[xy] * n + y]   # (x ut y) ob^-1 y
-            lhs = phi[x][y] + psi[y][b]
-            rhs = phi[a][b] + psi[x][a]
-            if red(lhs - rhs) != 0:
-                vs.append(("boltzmann.II", (x, y)))
+            if not axiom_iv:
+                a = obi[ot[yx] * n + x]   # (y ot x) ob^-1 x
+                b = obi[ut[xy] * n + y]   # (x ut y) ob^-1 y
+                yield "boltzmann.II", (x, y), (
+                    (xy, 1), (nn + y * n + b, 1),
+                    (a * n + b, -1), (nn + x * n + a, -1))
             for z in range(n):
                 xz, yz, zy, zx = x * n + z, y * n + z, z * n + y, z * n + x
-                lhs = phi[x][y] + phi[y][z] + phi[ut[xy]][ot[zy]]
-                rhs = (phi[ut[xz]][ut[yz]] + phi[x][z]
-                       + phi[ot[yx]][ot[zx]])
-                if red(lhs - rhs) != 0:
-                    vs.append(("boltzmann.III.1", (x, y, z)))
-                lhs = psi[x][y] + phi[y][z] + phi[ub[xy]][ot[zy]]
-                rhs = (psi[ut[xz]][ut[yz]] + phi[x][z]
-                       + phi[ob[yx]][ot[zx]])
-                if red(lhs - rhs) != 0:
-                    vs.append(("boltzmann.III.2", (x, y, z)))
-                lhs = psi[z][y] - phi[x][y] - phi[ut[xy]][ub[zy]]
-                rhs = (psi[ot[zx]][ot[yx]] - phi[x][z]
-                       - phi[ut[xz]][ob[yz]])
-                if red(lhs - rhs) != 0:
-                    vs.append(("boltzmann.III.3", (x, y, z)))
-    return ValidationReport(tuple(sorted(vs)))
+                if axiom_iv:
+                    yield "boltzmann.IV.1", (x, y, z), (
+                        (nn + xy, 1), (nn + ut[xz] * n + ut[yz], -1))
+                    yield "boltzmann.IV.2", (x, y, z), (
+                        (nn + zy, 1), (nn + ot[zx] * n + ot[yx], -1))
+                    continue
+                yield "boltzmann.III.1", (x, y, z), (
+                    (xy, 1), (yz, 1), (ut[xy] * n + ot[zy], 1),
+                    (ut[xz] * n + ut[yz], -1), (xz, -1),
+                    (ot[yx] * n + ot[zx], -1))
+                yield "boltzmann.III.2", (x, y, z), (
+                    (nn + xy, 1), (yz, 1), (ub[xy] * n + ot[zy], 1),
+                    (nn + ut[xz] * n + ut[yz], -1), (xz, -1),
+                    (ob[yx] * n + ot[zx], -1))
+                yield "boltzmann.III.3", (x, y, z), (
+                    (nn + zy, 1), (xy, -1), (ut[xy] * n + ub[zy], -1),
+                    (nn + ot[zx] * n + ot[yx], -1), (xz, 1),
+                    (ut[xz] * n + ob[yz], 1))
+
+
+def validate_boltzmann(p: Psyquandle, bp: BoltzmannPair) -> ValidationReport:
+    """Boltzmann weight axioms (I)-(III): every instance of
+    ``_boltzmann_system(p)``, each violation listed.  Axiom (IV) only sets
+    the strong-compatibility flag, via :func:`strongly_compatible`."""
+    return _evaluate(p.n, bp, _boltzmann_system(p))
 
 
 def strongly_compatible(p: Psyquandle, bp: BoltzmannPair) -> bool:
-    """Axiom (IV): psi is invariant under the two translation actions."""
-    n = p.n
-    m = bp.modulus
-    red = (lambda v: v % m) if m else (lambda v: v)
-    psi = bp.psi
-    ut, ot = p.ut.flat(), p.ot.flat()
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if red(psi[x][y] - psi[ut[x * n + z]][ut[y * n + z]]) != 0:
-                    return False
-                if red(psi[z][y] - psi[ot[z * n + x]][ot[y * n + x]]) != 0:
-                    return False
-    return True
+    """Axiom (IV): psi is invariant under the two translation actions;
+    every instance of ``_boltzmann_system(p, axiom_iv=True)`` holds.
+    Raises InvariantError unless both tables are n x n."""
+    return _evaluate(p.n, bp, _boltzmann_system(p, axiom_iv=True)).valid
 
 
 def _boltzmann_totals(d: SingularDiagram, p: Psyquandle,
@@ -407,51 +431,20 @@ def boltzmann_two(d: SingularDiagram, p: Psyquandle,
 # the generators, gives the annihilator rows that decide membership.
 
 def _cocycle_rows(s: OrientedSingquandle) -> list:
-    """Sparse coefficient rows, each nonzero and emitted once; unknowns are
-    phi (first n^2) then phi_prime.  In the elimination a zero row is a zero
-    column, and a repeated row a column its first copy's pivot has already
-    cleared, so dropping them leaves the kernel generators unchanged."""
-    n = s.n
-    nn = n * n
-    # flat tables: op(x, y) is op[x * n + y]; the unknown phi(x, y) is
-    # x * n + y and phi_prime(x, y) is nn + x * n + y
-    star, sinv = s.star.flat(), s.star_inv.flat()
-    r1, r2 = s.r1.flat(), s.r2.flat()
-    rows = []
-    seen = set()
-
-    def add(*terms):
+    """The rows of ``_cocycle_system(s)`` as sparse coefficient dicts, in
+    emission order: each row's terms merged, zero rows and repeated rows
+    dropped.  In the elimination a zero row is a zero column, and a repeated
+    row a column its first copy's pivot has already cleared, so dropping
+    them leaves the kernel generators unchanged."""
+    rows = {}   # frozenset of a row's items -> its first copy
+    for _, _, terms in _cocycle_system(s):
         row = {}
         for idx, coef in terms:
             row[idx] = row.get(idx, 0) + coef
         row = {idx: coef for idx, coef in row.items() if coef}
-        key = frozenset(row.items())
-        if row and key not in seen:
-            seen.add(key)
-            rows.append(row)
-
-    for x in range(n):
-        add((x * n + x, 1))
-        for y in range(n):
-            xy = x * n + y
-            add((nn + xy, 1), (r1[xy] * n + r2[xy], 1),
-                (xy, -1), (nn + y * n + star[xy], -1))
-            x_y = sinv[xy]
-            for z in range(n):
-                xz = x * n + z
-                add((xy, 1), (star[xy] * n + z, 1),
-                    (xz, -1), (star[xz] * n + star[y * n + z], -1))
-                zy = star[z * n + y]
-                add((x_y * n + y, -1), (nn + x_y * n + z, 1),
-                    (r1[x_y * n + z] * n + y, 1),
-                    (z * n + y, -1), (nn + x * n + zy, -1),
-                    (sinv[r2[x * n + zy] * n + y] * n + y, 1))
-                a, b = r1[xz], r2[xz]
-                w = sinv[y * n + a]
-                add((w * n + x, 1), (w * n + a, -1),
-                    (sinv[star[y * n + b] * n + z] * n + z, 1),
-                    (y * n + b, -1))
-    return rows
+        if row:
+            rows.setdefault(frozenset(row.items()), row)
+    return list(rows.values())
 
 
 def _prime_powers(m: int) -> list:
@@ -577,9 +570,7 @@ class CocycleSpace:
     def contains(self, cp: CocyclePair) -> bool:
         if cp.modulus != self.modulus:
             raise InvariantError("modulus mismatch")
-        _check_tables(self.structure.n, cp.phi, cp.phi_prime)
-        vec = ([v for row in cp.phi for v in row]
-               + [v for row in cp.phi_prime for v in row])
+        vec = _flat_pair(self.structure.n, cp)
         nonzero = [(k, v) for k, v in enumerate(vec) if v]
         for q, columns in self.annihilators:
             dots = {}   # row -> its dot product with the pair so far

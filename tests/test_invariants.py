@@ -160,6 +160,11 @@ class TestBoltzmann:
         broken = BoltzmannPair.from_rows(2, phi, psy6_boltzmann.psi)
         assert not validate_boltzmann(psy6, broken).valid
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_strong_check_rejects_wrong_size(self, psy6, n):
+        with pytest.raises(InvariantError, match="weight table is not 6x6"):
+            strongly_compatible(psy6, BoltzmannPair.zero(n, 2))
+
     def test_zero_pair(self, corpus, psy6):
         zero = BoltzmannPair.zero(6, 2)
         assert validate_boltzmann(psy6, zero).valid
