@@ -345,7 +345,8 @@ def cmd_corpus(args) -> int:
         elif args.timing:
             line += f"  [{ms:.0f} ms]"
         out.append(line)
-    print("\n".join(out))
+    if out:
+        print("\n".join(out))
     return status
 
 

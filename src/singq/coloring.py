@@ -13,10 +13,22 @@ where its ports are colored; its other solved forms are skipped.
 
 The invariants read the sorted color tuples of the ``*_tuples`` functions;
 the ``*_colorings`` functions wrap them into :class:`Coloring` records.
+Every invariant of a diagram over a structure is a sum over the same
+coloring set, so a diagram also keeps, per notion (``singquandle``,
+``psyquandle``, ``shadow``), the last set found, as a tuple that no caller
+can change, with the objects it was made from: the structure and each
+table its search read.  The set is reused while the same objects, by
+``is``, are asked for again; any other structure, or a table reassigned on
+the same one, searches again and replaces it.  A diagram so holds at most
+one set per notion.  Shadow colorings take their base colorings from the
+singquandle set, so the base search is shared with the singquandle
+invariants of the base.
 """
 
 from __future__ import annotations
 
+import sys
+from operator import is_
 from typing import NamedTuple, Optional
 
 from .algebra import OrientedSingquandle, Psyquandle, ShadowStructure
@@ -78,24 +90,49 @@ PSYQUANDLE_RULES = {
           (2, 3, 7, 1, H2), (3, 1, 11, 0, E2), (2, 0, 10, 1, E1))}
 
 
-def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> list:
+def _shared(d: SingularDiagram, notion: str, key: tuple, search) -> tuple:
+    """The coloring set of ``notion`` kept on ``d`` if it was made from the
+    very objects in ``key`` (the structure and the tables its search read);
+    otherwise ``search()``, kept on ``d`` in its place."""
+    kept = d.color_sets.get(notion)
+    if kept is not None and all(map(is_, kept[0], key)):
+        return kept[1]
+    found = search()
+    d.color_sets[notion] = key, found
+    return found
+
+
+def _singquandle_key(s: OrientedSingquandle) -> tuple:
+    return s, s.star, s.star_inv, s.r1, s.r2
+
+
+def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> tuple:
     """Sorted semiarc color tuples of every singquandle coloring."""
-    n = s.n
-    first = [x for x in range(n) for _ in range(n)]
-    return _enumerate(d, n, "singquandle", (
-        first, s.star.flat(), s.star_inv.flat(), s.r1.flat(), s.r2.flat()))
+    def search():
+        n = s.n
+        first = [x for x in range(n) for _ in range(n)]
+        return _enumerate(d, n, "singquandle", (
+            first, s.star.flat(), s.star_inv.flat(), s.r1.flat(),
+            s.r2.flat()))
+
+    return _shared(d, "singquandle", _singquandle_key(s), search)
 
 
-def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> list:
+def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> tuple:
     """Sorted semiarc color tuples of every psyquandle coloring."""
     def split(pairs):
         return [a for a, _ in pairs], [b for _, b in pairs]
 
     # S(x, y) = (y ot x, x ut y) and S'(x, y) = (y ob x, x ub y)
-    return _enumerate(d, p.n, "psyquandle", (
-        *split(p.smap), *split(p.sprime), *split(p.smap_inv),
-        *split(p.sprime_inv), p.ot_inv.flat(), p.ut_inv.flat(),
-        p.ob_inv.flat(), p.ub_inv.flat()))
+    def search():
+        return _enumerate(d, p.n, "psyquandle", (
+            *split(p.smap), *split(p.sprime), *split(p.smap_inv),
+            *split(p.sprime_inv), p.ot_inv.flat(), p.ut_inv.flat(),
+            p.ob_inv.flat(), p.ub_inv.flat()))
+
+    return _shared(d, "psyquandle", (
+        p, p.smap, p.sprime, p.smap_inv, p.sprime_inv, p.ot_inv, p.ut_inv,
+        p.ob_inv, p.ub_inv), search)
 
 
 RULES = {"singquandle": SINGQUANDLE_RULES, "psyquandle": PSYQUANDLE_RULES}
@@ -114,54 +151,80 @@ def _plan(d: SingularDiagram, rules: dict) -> list:
     (then the most checks, then the lowest index), which keeps the levels,
     and so the search tree, small."""
     props = []
-    watch = [[] for _ in d.semiarcs]   # semiarc -> propagators reading it
+    watch = [[] for _ in d.semiarcs]   # semiarc -> (k, x, y, out) reading it
     for c, (kind, *ports) in enumerate(d.compiled):
         for x, y, slot, out, relation in rules[kind]:
-            for i in {ports[x], ports[y]}:
-                watch[i].append(len(props))
-            props.append((ports[x], ports[y], slot, ports[out], c, relation))
+            x, y, out = ports[x], ports[y], ports[out]
+            for i in {x, y}:
+                watch[i].append((len(props), x, y, out))
+            props.append((slot, c, relation))
 
-    def spread(branch: int, known: list, fired: list, have: list) -> tuple:
-        """Color ``branch`` and propagate, updating ``known``, ``fired`` and
-        the relations ``have`` established per crossing; returns the steps
-        taken, and the propagators fired and checks among them, implied
-        ones included."""
-        known[branch] = True
-        steps = []
-        count = checks = 0
+    DONE = sys.maxsize
+    # colored[i] and fired[k]: the trial that colored semiarc i or fired
+    # propagator k, or DONE once the plan has; trials count up from 1, so a
+    # mark of an earlier trial reads as unmarked.
+    colored = [0] * len(d.semiarcs)
+    fired = [0] * len(props)
+    have = [0] * len(d.compiled)   # relations established per crossing
+    trial = 0
+
+    def score(branch: int) -> tuple:
+        """(propagators fired, checks among them, -branch) if ``branch``
+        were colored next.  Both counts depend only on the closure, not on
+        the order of propagation: a propagator that is not a check colors
+        exactly one semiarc (one whose relation is established has all its
+        ports colored), so checks = fired - newly colored semiarcs, the branch
+        not counted."""
+        nonlocal trial
+        trial += 1
+        t = trial
+        colored[branch] = t
+        count = new = 0
         queue = [branch]
         while queue:
-            for k in watch[queue.pop()]:
-                x, y, slot, out, c, relation = props[k]
-                if fired[k] or not (known[x] and known[y]):
+            for k, x, y, out in watch[queue.pop()]:
+                if fired[k] >= t or colored[x] < t or colored[y] < t:
                     continue
-                fired[k] = True
+                fired[k] = t
                 count += 1
-                checks += known[out]
+                if colored[out] < t:
+                    colored[out] = t
+                    new += 1
+                    queue.append(out)
+        return count, count - new, -branch
+
+    def spread(branch: int) -> list:
+        """Color ``branch`` and propagate, marking what is colored and
+        fired DONE and updating ``have``; returns the steps taken."""
+        colored[branch] = DONE
+        steps = []
+        queue = [branch]
+        while queue:
+            for k, x, y, out in watch[queue.pop()]:
+                if fired[k] == DONE or colored[x] != DONE or colored[y] != DONE:
+                    continue
+                fired[k] = DONE
+                slot, c, relation = props[k]
                 if have[c] & relation:
                     continue
                 have[c] = _establish(have[c], relation)
-                steps.append((x, y, slot, out, known[out]))
-                if not known[out]:
-                    known[out] = True
+                check = colored[out] == DONE
+                steps.append((x, y, slot, out, check))
+                if not check:
+                    colored[out] = DONE
                     queue.append(out)
-        return steps, count, checks
+        return steps
 
-    def score(branch: int) -> tuple:
-        _, count, checks = spread(branch, list(known), list(fired), list(have))
-        return count, checks, -branch
-
-    known = [False] * len(d.semiarcs)
-    fired = [False] * len(props)
-    have = [0] * len(d.compiled)
     plan = []
-    while not all(known):
-        branch = max((i for i, k in enumerate(known) if not k), key=score)
-        plan.append((branch, spread(branch, known, fired, have)[0]))
-    return plan
+    while True:
+        free = [i for i, mark in enumerate(colored) if mark != DONE]
+        if not free:
+            return plan
+        branch = max(free, key=score)
+        plan.append((branch, spread(branch)))
 
 
-def _enumerate(d: SingularDiagram, n: int, notion: str, tables: tuple) -> list:
+def _enumerate(d: SingularDiagram, n: int, notion: str, tables: tuple) -> tuple:
     """Sorted color tuples of every semiarc coloring that passes the rules
     of ``notion``, reading ``tables`` by slot.  The plan is kept on the
     diagram, per notion."""
@@ -192,10 +255,10 @@ def _enumerate(d: SingularDiagram, n: int, notion: str, tables: tuple) -> list:
 
     search(0)
     solutions.sort()
-    return solutions
+    return tuple(solutions)
 
 
-def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> list:
+def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> tuple:
     """Sorted (semiarc colors, region colors) pairs of every shadow
     coloring, region colors in region-id order.
 
@@ -207,6 +270,12 @@ def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> list:
     all on an inconsistent side convention, which the S-set axioms rule
     out).
     """
+    return _shared(d, "shadow",
+                   (sh, sh.action, sh.action_inv, *_singquandle_key(sh.base)),
+                   lambda: _shadow_search(d, sh))
+
+
+def _shadow_search(d: SingularDiagram, sh: ShadowStructure) -> tuple:
     regions = d.regions()
     if not regions:
         raise ColoringError("diagram has no crossings, so no regions")
@@ -255,7 +324,7 @@ def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> list:
             else:
                 out.append((colors, tuple(rc)))
     out.sort()
-    return out
+    return tuple(out)
 
 
 def singquandle_colorings(d: SingularDiagram, s: OrientedSingquandle) -> list:

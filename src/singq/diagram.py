@@ -24,7 +24,9 @@ from typing import NamedTuple, Optional, Sequence
 
 
 class DiagramError(ValueError):
-    pass
+    def __init__(self, message: str, crossing: Optional[int] = None):
+        super().__init__(message)
+        self.crossing = crossing   # index of the crossing at fault, if one is
 
 
 class ParseError(DiagramError):
@@ -64,6 +66,8 @@ class SingularDiagram:
         self._build_semiarcs()
         # coloring-search plans by coloring notion, made on first use
         self.plans = {}
+        # the last coloring set by notion, with the objects it was made from
+        self.color_sets = {}
 
     def _build_semiarcs(self):
         """Collect the semiarcs and compile the diagram: ``compiled`` holds
@@ -78,12 +82,14 @@ class SingularDiagram:
                 if label in side:
                     raise DiagramError(
                         f"semiarc {label!r} has two "
-                        f"{'heads' if side is heads else 'tails'}")
+                        f"{'heads' if side is heads else 'tails'}", c.index)
                 side[label] = (c.index, port)
                 order.setdefault(label, len(order))
-        dangling = set(tails) ^ set(heads)
+        dangling = sorted(set(tails) ^ set(heads))
         if dangling:
-            raise DiagramError(f"dangling semiarc endpoint(s): {sorted(dangling)}")
+            end = tails.get(dangling[0]) or heads[dangling[0]]
+            raise DiagramError(f"dangling semiarc endpoint(s): {dangling}",
+                               end[0])
         self.semiarcs = [SemiArc(lbl, tails[lbl], heads[lbl]) for lbl in order]
         self._arc_index = order
         self.compiled = [(c.kind, *(order[c.arcs[p]] for p in c.ports))
@@ -240,6 +246,7 @@ class DiagramReport(NamedTuple):
 
 def parse_diagram(text: str) -> SingularDiagram:
     records = []   # (kind, port -> semiarc label)
+    record_lines = []
     rot_lines = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -253,6 +260,7 @@ def parse_diagram(text: str) -> SingularDiagram:
                                           f"{len(tokens) - 1}")
             ports = SINGULAR_PORTS if head == "S" else CLASSICAL_PORTS
             records.append((head, dict(zip(ports, tokens[1:]))))
+            record_lines.append(line_no)
         elif head == "rot":
             if len(tokens) != 6:
                 raise ParseError(line_no, "rot needs a crossing number and 4 ports")
@@ -276,7 +284,7 @@ def parse_diagram(text: str) -> SingularDiagram:
     try:
         return SingularDiagram(crossings)
     except DiagramError as exc:
-        raise ParseError(0, str(exc)) from exc
+        raise ParseError(record_lines[exc.crossing], str(exc)) from exc
 
 
 def validate_diagram(d: SingularDiagram) -> DiagramReport:

@@ -100,6 +100,14 @@ class TestInputErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_diagram_error_cites_its_line(self, tmp_path, capsys):
+        path = tmp_path / "heads.dgm"
+        path.write_text("P a a b b\n")
+        rc = main(["invariant", "count", str(path), "z6_singquandle.alg"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: line 1: semiarc 'a' has two heads\n"
+
     @pytest.mark.parametrize("kind", ["shadow-count", "SP"])
     def test_disconnected_regions(self, tmp_path, capsys, kind):
         """Two separate components leave the region graph disconnected, so
@@ -193,6 +201,12 @@ class TestCorpus:
         out = capsys.readouterr().out
         assert rc == 0
         assert "5k6" in out and "4_1k" not in out
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_no_matching_row_prints_nothing(self, capsys, flags):
+        rc = main(["corpus", "--filter", "nomatch", *flags])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
 
     def test_json_records(self, capsys):
         rc = main(["corpus", "--json"])

@@ -1,10 +1,13 @@
+import copy
+
 import pytest
 
-from singq import coloring
+from singq import coloring, data
+from singq.algebra import parse_algebra
 from singq.coloring import (PSYQUANDLE_RULES, SINGQUANDLE_RULES,
                             ColoringError, psyquandle_colorings,
                             shadow_colorings, shadow_tuples,
-                            singquandle_colorings)
+                            singquandle_colorings, singquandle_tuples)
 from singq.data import corpus_path, load_diagram
 from singq.diagram import parse_diagram, validate_diagram
 from singq.invariants import (SP, boltzmann_single, boltzmann_two, phi_ssqp,
@@ -113,6 +116,68 @@ class TestPlanReuse:
         boltzmann_single(d, psy6, psy6_boltzmann)
         boltzmann_two(d, psy6, psy6_boltzmann_strong)
         assert made == [SINGQUANDLE_RULES, PSYQUANDLE_RULES]
+
+
+class TestSetReuse:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The notions of the searches run, in order."""
+        enumerate_ = coloring._enumerate
+        made = []
+
+        def counted(d, n, notion, tables):
+            made.append(notion)
+            return enumerate_(d, n, notion, tables)
+
+        monkeypatch.setattr(coloring, "_enumerate", counted)
+        return made
+
+    def test_one_search_per_notion_and_structure(
+            self, searches, z6, z6_cocycle, z8_z6_shadow, psy6,
+            psy6_boltzmann, psy6_boltzmann_strong):
+        d = load_diagram("4_1k.dgm")
+        singquandle_colorings(d, z6)
+        state_sum(d, z6, z6_cocycle)
+        phi_ssqp(d, z6)
+        shadow_colorings(d, z8_z6_shadow)
+        SP(d, z8_z6_shadow)
+        psyquandle_colorings(d, psy6)
+        boltzmann_single(d, psy6, psy6_boltzmann)
+        boltzmann_two(d, psy6, psy6_boltzmann_strong)
+        assert searches == ["singquandle", "singquandle", "psyquandle"]
+
+    def test_other_structure_replaces_the_set(self, searches, z6, z8k):
+        d = load_diagram("k1.dgm")
+        found = [singquandle_colorings(d, s) for s in (z6, z8k, z6)]
+        assert searches == ["singquandle"] * 3
+        for s, colorings in zip((z6, z8k, z6), found):
+            assert colorings == singquandle_colorings(load_diagram("k1.dgm"), s)
+
+    def test_equal_structure_searches_again(self, searches):
+        text = data.fixture_path("z6_singquandle.alg").read_text()
+        one, two = (parse_algebra(text).structure for _ in range(2))
+        d = load_diagram("5k6.dgm")
+        assert singquandle_colorings(d, one) == singquandle_colorings(d, two)
+        assert searches == ["singquandle"] * 2
+
+    def test_reassigned_table_searches_again(self, searches, z6, z8k):
+        s = copy.copy(z6)
+        d = load_diagram("k1.dgm")
+        singquandle_colorings(d, s)
+        # the same object, now with the tables of z8_k
+        s.n, s.star, s.star_inv, s.r1, s.r2 = (
+            z8k.n, z8k.star, z8k.star_inv, z8k.r1, z8k.r2)
+        assert singquandle_colorings(d, s) == singquandle_colorings(
+            load_diagram("k1.dgm"), z8k)
+        assert searches == ["singquandle"] * 3
+
+    def test_returned_sets_cannot_change_the_kept_one(self, z6):
+        d = load_diagram("5k6.dgm")
+        first = singquandle_colorings(d, z6)
+        expected = list(first)
+        first.clear()
+        assert singquandle_colorings(d, z6) == expected
+        assert isinstance(singquandle_tuples(d, z6), tuple)
 
 
 class TestShadowColorings:

@@ -24,6 +24,22 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_diagram("P a b a b\nP a b c d\n")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("P a a b b\n", 1, "semiarc 'a' has two heads"),
+        ("# two tails\nP a b c d\n\nP e f c d\n", 4,
+         "semiarc 'c' has two tails"),
+        ("P a b a b\nP a b c d\n", 2, "semiarc 'a' has two heads"),
+        ("P a b c d\nP c d x y\nrot 1 ui oi uo oo\n", 1,
+         "dangling semiarc endpoint(s): ['a', 'b', 'x', 'y']"),
+        ("P e f e f\n# a comment\nS a b c d\n", 3,
+         "dangling semiarc endpoint(s): ['a', 'b', 'c', 'd']"),
+    ])
+    def test_semiarc_errors_cite_their_record(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_diagram(text)
+        assert err.value.line_no == line
+        assert str(err.value) == f"line {line}: {message}"
+
     def test_unknown_record_rejected(self):
         with pytest.raises(ParseError):
             parse_diagram("Q a b c d\n")

@@ -8,7 +8,9 @@ it emits is checked against every crossing relation, and every
 aggregation with the per-coloring loop it replaced, kept below as the
 reference and run over the oracle's colorings.  The search planner is
 compared with the planner that fired every propagator as a step, on these
-braids and on the benchmark's braid pool and link family.
+braids and on the benchmark's braid pool and link family, and required to
+give the very plans of the planner that scored each branch by a trial
+propagation over copies of its state, on large braids too.
 """
 
 import importlib.util
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from singq.algebra import shadow_closure, substructure_closure
-from singq.coloring import (RULES, _plan, psyquandle_colorings,
+from singq.coloring import (RULES, _establish, _plan, psyquandle_colorings,
                             shadow_colorings, singquandle_colorings)
 from singq.diagram import parse_diagram
 from singq.invariants import (CocyclePair, SP, boltzmann_single,
@@ -290,3 +292,83 @@ def test_plan_drops_only_implied_steps(planned, notion, most):
         steps = [step[:4] for _, level in plan for step in level]
         assert len(steps) >= 2 * d.n_crossings, k
         assert fits([sources[step] for step in steps], most), k
+
+
+# -- the planner against the planner that scored branches on state copies ---
+
+def parent_plan(d, rules: dict) -> list:
+    """Branch order and propagation steps: one (semiarc, steps) pair per
+    search level, a step being (x, y, slot, out, check) over semiarc
+    indices.  Each propagator fires once, at the level where both its
+    inputs are colored, and becomes a step unless its relation is already
+    established at its crossing (an exact inverse of a step taken, which
+    cannot fail); a step checks ``out`` if that is colored by then.  Each
+    level branches on the semiarc whose coloring fires the most propagators
+    (then the most checks, then the lowest index), which keeps the levels,
+    and so the search tree, small."""
+    props = []
+    watch = [[] for _ in d.semiarcs]   # semiarc -> propagators reading it
+    for c, (kind, *ports) in enumerate(d.compiled):
+        for x, y, slot, out, relation in rules[kind]:
+            for i in {ports[x], ports[y]}:
+                watch[i].append(len(props))
+            props.append((ports[x], ports[y], slot, ports[out], c, relation))
+
+    def spread(branch: int, known: list, fired: list, have: list) -> tuple:
+        """Color ``branch`` and propagate, updating ``known``, ``fired`` and
+        the relations ``have`` established per crossing; returns the steps
+        taken, and the propagators fired and checks among them, implied
+        ones included."""
+        known[branch] = True
+        steps = []
+        count = checks = 0
+        queue = [branch]
+        while queue:
+            for k in watch[queue.pop()]:
+                x, y, slot, out, c, relation = props[k]
+                if fired[k] or not (known[x] and known[y]):
+                    continue
+                fired[k] = True
+                count += 1
+                checks += known[out]
+                if have[c] & relation:
+                    continue
+                have[c] = _establish(have[c], relation)
+                steps.append((x, y, slot, out, known[out]))
+                if not known[out]:
+                    known[out] = True
+                    queue.append(out)
+        return steps, count, checks
+
+    def score(branch: int) -> tuple:
+        _, count, checks = spread(branch, list(known), list(fired), list(have))
+        return count, checks, -branch
+
+    known = [False] * len(d.semiarcs)
+    fired = [False] * len(props)
+    have = [0] * len(d.compiled)
+    plan = []
+    while not all(known):
+        branch = max((i for i, k in enumerate(known) if not k), key=score)
+        plan.append((branch, spread(branch, known, fired, have)[0]))
+    return plan
+
+
+def large_braid(seed: int):
+    """A closed braid on 5-7 strands with 40-100 crossings, every strand
+    position used."""
+    rng = random.Random(seed)
+    strands, crossings = rng.randint(5, 7), rng.randint(40, 100)
+    positions = gen._covering_positions(rng, strands, crossings)
+    return strands, [(rng.choice("PNS"), j) for j in positions]
+
+
+@pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
+def test_plan_equals_parent_plan(planned, notion):
+    """Scoring a branch by one marking pass over its closure gives the very
+    plans of scoring it by a trial propagation over copies of the state."""
+    rules = RULES[notion]
+    large = [parse_diagram(gen.closure_text(*large_braid(seed)))
+             for seed in range(12)]
+    for k, d in enumerate(planned + large):
+        assert _plan(d, rules) == parent_plan(d, rules), k
