@@ -10,7 +10,7 @@ how finite structures are usually tabulated.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .polynomial import PolynomialError, parse_polynomial
@@ -176,10 +176,12 @@ class OrientedSingquandle:
 
     ``star_inv`` is always derived from ``star`` so the pair of tables can
     never disagree.  Instances are validated on construction unless built
-    through :func:`validate_singquandle` on raw tables.
+    through :func:`validate_singquandle` on raw tables.  ``_tags`` holds
+    what the invariants keep per structure object (see
+    :mod:`singq.invariants`); equality and hashing ignore it.
     """
 
-    __slots__ = ("n", "star", "star_inv", "r1", "r2")
+    __slots__ = ("n", "star", "star_inv", "r1", "r2", "_tags")
 
     def __init__(self, star: OperationTable, r1: OperationTable,
                  r2: OperationTable, _checked: bool = False):
@@ -194,6 +196,7 @@ class OrientedSingquandle:
         self.star_inv = star.right_inverse()
         self.r1 = r1
         self.r2 = r2
+        self._tags = {}
 
     def op(self, x: int, y: int) -> int:
         return self.star(x, y)
@@ -501,9 +504,11 @@ def validate_psyquandle(ut: OperationTable, ot: OperationTable,
 
 
 class ShadowStructure:
-    """A singquandle S acting on a carrier set X (region colors)."""
+    """A singquandle S acting on a carrier set X (region colors).
+    ``_tags`` holds what the invariants keep per structure object (see
+    :mod:`singq.invariants`)."""
 
-    __slots__ = ("base", "carrier", "action", "action_inv")
+    __slots__ = ("base", "carrier", "action", "action_inv", "_tags")
 
     def __init__(self, base: OrientedSingquandle, action: OperationTable | Sequence,
                  _checked: bool = False):
@@ -532,6 +537,7 @@ class ShadowStructure:
             for x in range(carrier):
                 inv[rows[x][s]][s] = x
         self.action_inv = tuple(tuple(r) for r in inv)
+        self._tags = {}
 
     def act(self, x: int, s: int) -> int:
         return self.action[x][s]
@@ -590,12 +596,14 @@ def profile(s: OrientedSingquandle) -> list:
     each of *, R1, R2 in turn, the number of y with ``op(x, y) == x`` (r)
     and with ``op(y, x) == y`` (c).  Any isomorphism preserves them."""
     n = s.n
+    flats = (s.star.flat(), s.r1.flat(), s.r2.flat())
     out = []
     for x in range(n):
         counts = []
-        for op in (s.op, s.r1, s.r2):
-            counts.append(sum(1 for y in range(n) if op(x, y) == x))
-            counts.append(sum(1 for y in range(n) if op(y, x) == y))
+        for t in flats:
+            # row x is t[x * n:(x + 1) * n], column x is t[x::n]
+            counts.append(t[x * n:(x + 1) * n].count(x))
+            counts.append(sum(map(eq, t[x::n], range(n))))
         out.append(tuple(counts))
     return out
 

@@ -19,8 +19,8 @@ import time
 from . import data
 from .algebra import (AlgebraError, InvalidStructureError, OrientedSingquandle,
                       Psyquandle, ShadowStructure, parse_algebra)
-from .coloring import (ColoringError, psyquandle_colorings, shadow_colorings,
-                       singquandle_colorings)
+from .coloring import (ColoringError, psyquandle_tuples, shadow_tuples,
+                       singquandle_tuples)
 from .diagram import DiagramError, parse_diagram, validate_diagram
 from .invariants import (BoltzmannPair, CocyclePair, InvariantError,
                          boltzmann_single, boltzmann_two, parse_weights,
@@ -131,7 +131,7 @@ def compute_invariant(kind, diagram, structure, weights):
 
     if kind == "count":
         s = _expect(structure, OrientedSingquandle, kind)
-        return counted(len(singquandle_colorings(_need(diagram, "a diagram"), s)))
+        return counted(len(singquandle_tuples(_need(diagram, "a diagram"), s)))
     if kind == "state-sum":
         s = _expect(structure, OrientedSingquandle, kind)
         w = _need(weights, "a cocycle weight file")
@@ -143,7 +143,7 @@ def compute_invariant(kind, diagram, structure, weights):
         return packed(phi_ssqp(_need(diagram, "a diagram"), s))
     if kind == "shadow-count":
         sh = _expect(structure, ShadowStructure, kind)
-        return counted(len(shadow_colorings(_need(diagram, "a diagram"), sh)))
+        return counted(len(shadow_tuples(_need(diagram, "a diagram"), sh)))
     if kind == "sp":
         sh = _expect(structure, ShadowStructure, kind)
         poly = sp(sh)
@@ -157,7 +157,7 @@ def compute_invariant(kind, diagram, structure, weights):
         return packed(shadow_polynomial_invariant(_need(diagram, "a diagram"), sh))
     if kind == "psy-count":
         p = _expect(structure, Psyquandle, kind)
-        return counted(len(psyquandle_colorings(_need(diagram, "a diagram"), p)))
+        return counted(len(psyquandle_tuples(_need(diagram, "a diagram"), p)))
     if kind in ("boltzmann-1", "boltzmann-2"):
         p = _expect(structure, Psyquandle, kind)
         w = _need(weights, "a boltzmann weight file")
@@ -251,9 +251,9 @@ def _corpus_rows():
         rows.append((group, name, thunk, expected))
 
     row("z6", "5k6 count", lambda: str(len(
-        singquandle_colorings(dgm("5k6.dgm"), alg("z6_singquandle.alg")))), "6")
+        singquandle_tuples(dgm("5k6.dgm"), alg("z6_singquandle.alg")))), "6")
     row("z6", "5k7 count", lambda: str(len(
-        singquandle_colorings(dgm("5k7.dgm"), alg("z6_singquandle.alg")))), "6")
+        singquandle_tuples(dgm("5k7.dgm"), alg("z6_singquandle.alg")))), "6")
     row("z6", "5k6 state-sum", lambda: state_sum(
         dgm("5k6.dgm"), alg("z6_singquandle.alg"),
         wgt("z6_cocycle.wgt")).render(), "6u^3")
@@ -262,9 +262,9 @@ def _corpus_rows():
         wgt("z6_cocycle.wgt")).render(), "6")
 
     row("z8k", "k1 count", lambda: str(len(
-        singquandle_colorings(dgm("k1.dgm"), alg("z8_k.alg")))), "8")
+        singquandle_tuples(dgm("k1.dgm"), alg("z8_k.alg")))), "8")
     row("z8k", "k2 count", lambda: str(len(
-        singquandle_colorings(dgm("k2.dgm"), alg("z8_k.alg")))), "8")
+        singquandle_tuples(dgm("k2.dgm"), alg("z8_k.alg")))), "8")
     row("z8k", "k1 phi-ssqp", lambda: phi_ssqp(
         dgm("k1.dgm"), alg("z8_k.alg")).render(),
         "4u^{s1^4 s2^2 s3 t1^4 t2^2 t3} + 4u^{2 s1^4 s2^2 s3 t1^4 t2^2 t3}")
@@ -277,10 +277,10 @@ def _corpus_rows():
         "2t^8 + 2")
     for name in ("4_1k", "5_4k"):
         row("shadow", f"{name} count", lambda name=name: str(len(
-            singquandle_colorings(dgm(f"{name}.dgm"),
+            singquandle_tuples(dgm(f"{name}.dgm"),
                                   alg("z8_z6_shadow.alg").base))), "16")
         row("shadow", f"{name} shadow-count", lambda name=name: str(len(
-            shadow_colorings(dgm(f"{name}.dgm"), alg("z8_z6_shadow.alg")))),
+            shadow_tuples(dgm(f"{name}.dgm"), alg("z8_z6_shadow.alg")))),
             "96")
         row("shadow", f"{name} phi-ssqp", lambda name=name: phi_ssqp(
             dgm(f"{name}.dgm"), alg("z8_z6_shadow.alg").base).render(),
@@ -294,7 +294,7 @@ def _corpus_rows():
         "48u^{t^4} + 24u^{t^2} + 24u^{t}")
 
     row("bouquet", "1l1 psy-count", lambda: str(len(
-        psyquandle_colorings(dgm("1l1.dgm"), alg("psy6.alg")))), "24")
+        psyquandle_tuples(dgm("1l1.dgm"), alg("psy6.alg")))), "24")
     row("bouquet", "1l1 boltzmann-1", lambda: boltzmann_single(
         dgm("1l1.dgm"), alg("psy6.alg"),
         wgt("psy6_boltzmann.wgt")).render(var="w"), "6 + 18w")

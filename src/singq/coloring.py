@@ -90,20 +90,24 @@ PSYQUANDLE_RULES = {
           (2, 3, 7, 1, H2), (3, 1, 11, 0, E2), (2, 0, 10, 1, E1))}
 
 
-def _shared(d: SingularDiagram, notion: str, key: tuple, search) -> tuple:
-    """The coloring set of ``notion`` kept on ``d`` if it was made from the
-    very objects in ``key`` (the structure and the tables its search read);
-    otherwise ``search()``, kept on ``d`` in its place."""
-    kept = d.color_sets.get(notion)
+def _shared(store: dict, name: str, key: tuple, make):
+    """The value kept in ``store`` under ``name`` if it was made from the
+    very objects in ``key`` (a structure and the tables its maker read);
+    otherwise ``make()``, kept in ``store`` in its place."""
+    kept = store.get(name)
     if kept is not None and all(map(is_, kept[0], key)):
         return kept[1]
-    found = search()
-    d.color_sets[notion] = key, found
-    return found
+    made = make()
+    store[name] = key, made
+    return made
 
 
 def _singquandle_key(s: OrientedSingquandle) -> tuple:
     return s, s.star, s.star_inv, s.r1, s.r2
+
+
+def _shadow_key(sh: ShadowStructure) -> tuple:
+    return (sh, sh.action, sh.action_inv, *_singquandle_key(sh.base))
 
 
 def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> tuple:
@@ -115,7 +119,7 @@ def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> tuple:
             first, s.star.flat(), s.star_inv.flat(), s.r1.flat(),
             s.r2.flat()))
 
-    return _shared(d, "singquandle", _singquandle_key(s), search)
+    return _shared(d.color_sets, "singquandle", _singquandle_key(s), search)
 
 
 def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> tuple:
@@ -130,7 +134,7 @@ def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> tuple:
             *split(p.sprime_inv), p.ot_inv.flat(), p.ut_inv.flat(),
             p.ob_inv.flat(), p.ub_inv.flat()))
 
-    return _shared(d, "psyquandle", (
+    return _shared(d.color_sets, "psyquandle", (
         p, p.smap, p.sprime, p.smap_inv, p.sprime_inv, p.ot_inv, p.ut_inv,
         p.ob_inv, p.ub_inv), search)
 
@@ -270,8 +274,7 @@ def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> tuple:
     all on an inconsistent side convention, which the S-set axioms rule
     out).
     """
-    return _shared(d, "shadow",
-                   (sh, sh.action, sh.action_inv, *_singquandle_key(sh.base)),
+    return _shared(d.color_sets, "shadow", _shadow_key(sh),
                    lambda: _shadow_search(d, sh))
 
 

@@ -4,16 +4,28 @@ Cocycle state sums, the six-variable singquandle polynomial and its
 subsingquandle refinement, shadow polynomials, and the Boltzmann-enhanced
 psyquandle polynomials.  All values are exact; multisets of per-coloring
 weights are packaged as :class:`~singq.polynomial.InvariantValue`.
+
+The tag of a phi-ssqp or SP coloring depends only on the structure and
+the set of colors the coloring uses (for SP, the semiarc set and the
+region set), so both count colorings by used set and keep, on the
+structure object, a map from used set to tag that fills as diagrams use
+new sets.  The map is kept with the objects it was made from, compared by
+``is``: the singquandle and its tables for phi-ssqp; the shadow
+structure, its action tables, its base and the base's tables for SP.
+Reassigning any of them starts a fresh map, and an equal but distinct
+structure builds its own.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Sequence
 
 from .algebra import (OperationTable, OrientedSingquandle, Psyquandle,
                       ShadowStructure, ValidationReport, profile,
                       substructure_closure, shadow_closure)
-from .coloring import psyquandle_tuples, shadow_tuples, singquandle_tuples
+from .coloring import (_shadow_key, _shared, _singquandle_key,
+                       psyquandle_tuples, shadow_tuples, singquandle_tuples)
 from .diagram import SingularDiagram
 from .polynomial import BasePolynomial, ExponentTag, InvariantValue
 
@@ -167,10 +179,7 @@ def _weight_sums(d: SingularDiagram, colorings: list, weights: dict) -> list:
 def _tally(keys: Iterable, tag_of) -> InvariantValue:
     """Multiset of ``tag_of(key)`` over ``keys``, building one tag per
     distinct key."""
-    counts: dict = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    return InvariantValue((tag_of(key), k) for key, k in counts.items())
+    return InvariantValue((tag_of(key), k) for key, k in Counter(keys).items())
 
 
 def _require_valid(s, pair: _WeightPair, strong: bool = False) -> None:
@@ -259,18 +268,18 @@ def ssqp(sub: Iterable[int], s: OrientedSingquandle) -> BasePolynomial:
 
 def phi_ssqp(d: SingularDiagram, s: OrientedSingquandle) -> InvariantValue:
     """Multiset of ssqp(image of f) over all colorings f, rendered in u.
-    The image, and so the tag, depends only on the set of colors used."""
-    full = profile(s)
-    images: dict = {}   # set of colors used -> its closure, the image
+    The image, and so the tag, depends only on the set of colors used; the
+    tags are kept on ``s`` by that set."""
+    full, tags = _shared(s._tags, "phi-ssqp", _singquandle_key(s),
+                         lambda: (profile(s), {}))
 
-    def image(colors: tuple) -> frozenset:
-        used = frozenset(colors)
-        if used not in images:
-            images[used] = substructure_closure(s, used)
-        return images[used]
+    def tag(used: frozenset) -> ExponentTag:
+        if used not in tags:
+            image = substructure_closure(s, used)
+            tags[used] = ExponentTag.poly(_profile_sum(image, full))
+        return tags[used]
 
-    return _tally(map(image, singquandle_tuples(d, s)),
-                  lambda img: ExponentTag.poly(_profile_sum(img, full)))
+    return _tally(map(frozenset, singquandle_tuples(d, s)), tag)
 
 
 # -- shadow polynomials -------------------------------------------------------
@@ -302,18 +311,19 @@ def shadow_polynomial_invariant(d: SingularDiagram,
                                 sh: ShadowStructure) -> InvariantValue:
     """SP(L): multiset of subsp over the shadow image of each shadow
     coloring.  The image depends only on the sets of semiarc and region
-    colors used."""
-    images: dict = {}   # (semiarc colors, region colors) -> shadow image
+    colors used; the tags are kept on ``sh`` by that pair of sets."""
+    tags = _shared(sh._tags, "SP", _shadow_key(sh), dict)
 
-    def image(pair: tuple) -> tuple:
-        used = (frozenset(pair[0]), frozenset(pair[1]))
-        if used not in images:
+    def tag(used: tuple) -> ExponentTag:
+        if used not in tags:
             acting = substructure_closure(sh.base, used[0])
-            images[used] = (shadow_closure(sh, used[1], acting), acting)
-        return images[used]
+            image = shadow_closure(sh, used[1], acting)
+            tags[used] = ExponentTag.poly(
+                subsp(image, acting, sh, _checked=True))
+        return tags[used]
 
-    return _tally(map(image, shadow_tuples(d, sh)),
-                  lambda img: ExponentTag.poly(subsp(*img, sh, _checked=True)))
+    colorings = shadow_tuples(d, sh)
+    return _tally(((frozenset(c), frozenset(r)) for c, r in colorings), tag)
 
 
 SP = shadow_polynomial_invariant

@@ -2,8 +2,8 @@ import copy
 
 import pytest
 
-from singq import coloring, data
-from singq.algebra import parse_algebra
+from singq import coloring, data, invariants
+from singq.algebra import OperationTable, parse_algebra
 from singq.coloring import (PSYQUANDLE_RULES, SINGQUANDLE_RULES,
                             ColoringError, psyquandle_colorings,
                             shadow_colorings, shadow_tuples,
@@ -178,6 +178,105 @@ class TestSetReuse:
         first.clear()
         assert singquandle_colorings(d, z6) == expected
         assert isinstance(singquandle_tuples(d, z6), tuple)
+
+
+def fresh(name: str):
+    """The structure of a bundled fixture, parsed into new objects."""
+    return data.load_algebra(name).structure
+
+
+class TestTagReuse:
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        """The seeds of the substructure closures the invariants compute,
+        in order."""
+        closure = invariants.substructure_closure
+        seeds = []
+
+        def counted(s, seed):
+            seeds.append(frozenset(seed))
+            return closure(s, seed)
+
+        monkeypatch.setattr(invariants, "substructure_closure", counted)
+        return seeds
+
+    def test_seen_sets_are_not_closed_again(self, closures):
+        s = fresh("z8_k.alg")
+        seen = set()
+        for name in ("k1.dgm", "k2.dgm", "k1.dgm"):
+            d = load_diagram(name)
+            del closures[:]
+            value = phi_ssqp(d, s)
+            used = {frozenset(c) for c in singquandle_tuples(d, s)}
+            new = sorted(used - seen, key=sorted)
+            assert sorted(closures, key=sorted) == new
+            seen |= used
+            assert value == phi_ssqp(load_diagram(name), fresh("z8_k.alg"))
+        assert len(seen) > len(used)
+
+    def test_equal_structure_builds_its_own_map(self, closures):
+        text = data.fixture_path("z8_k.alg").read_text()
+        one, two = (parse_algebra(text).structure for _ in range(2))
+        d = load_diagram("k2.dgm")
+        first = phi_ssqp(d, one)
+        half = len(closures)
+        assert half > 0
+        assert phi_ssqp(d, two) == first
+        assert len(closures) == 2 * half
+        # each keeps its own map
+        assert phi_ssqp(load_diagram("k2.dgm"), one) == first
+        assert len(closures) == 2 * half
+
+    @pytest.mark.parametrize("table", ["star", "r1", "r2"])
+    def test_reassigned_table_builds_a_new_map(self, closures, table):
+        s = fresh("z8_k.alg")
+        d = load_diagram("k1.dgm")
+        expected = phi_ssqp(d, s)
+        before = len(closures)
+        # an equal table, but another object
+        setattr(s, table, OperationTable(getattr(s, table).rows))
+        assert phi_ssqp(d, s) == expected
+        assert len(closures) == 2 * before
+
+    def test_other_tables_give_the_other_value(self, closures):
+        s = fresh("z6_singquandle.alg")
+        d = load_diagram("k1.dgm")
+        phi_ssqp(d, s)
+        z8k = fresh("z8_k.alg")
+        s.n, s.star, s.star_inv, s.r1, s.r2 = (
+            z8k.n, z8k.star, z8k.star_inv, z8k.r1, z8k.r2)
+        assert phi_ssqp(d, s) == phi_ssqp(load_diagram("k1.dgm"),
+                                          fresh("z8_k.alg"))
+        assert phi_ssqp(d, s) != phi_ssqp(d, fresh("z6_singquandle.alg"))
+
+    def test_reassigned_action_builds_a_new_map(self, closures):
+        sh, other = fresh("z8_z4_shadow_a.alg"), fresh("z8_z4_shadow_b.alg")
+        d = load_diagram("4_1k.dgm")
+        first = SP(d, sh)
+        before = len(closures)
+        sh.carrier, sh.action, sh.action_inv = (
+            other.carrier, other.action, other.action_inv)
+        value = SP(d, sh)
+        assert len(closures) > before
+        assert value != first
+        assert value == SP(load_diagram("4_1k.dgm"),
+                           fresh("z8_z4_shadow_b.alg"))
+
+    def test_base_and_shadow_keep_separate_maps(self, closures):
+        sh = fresh("z8_z6_shadow.alg")
+        d = load_diagram("4_1k.dgm")
+        phi = phi_ssqp(d, sh.base)
+        base_sets = set(closures)
+        del closures[:]
+        value = SP(d, sh)
+        # SP closes the same semiarc sets again, in its own map
+        assert set(closures) == base_sets
+        del closures[:]
+        assert phi_ssqp(d, sh.base) == phi and SP(d, sh) == value
+        assert not closures
+        assert value == SP(load_diagram("4_1k.dgm"), fresh("z8_z6_shadow.alg"))
+        assert phi == phi_ssqp(load_diagram("4_1k.dgm"),
+                               fresh("z8_z6_shadow.alg").base)
 
 
 class TestShadowColorings:

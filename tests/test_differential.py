@@ -10,7 +10,9 @@ reference and run over the oracle's colorings.  The search planner is
 compared with the planner that fired every propagator as a step, on these
 braids and on the benchmark's braid pool and link family, and required to
 give the very plans of the planner that scored each branch by a trial
-propagation over copies of its state, on large braids too.
+propagation over copies of its state, on large braids too.  The tags that
+phi-ssqp and SP keep per structure object are compared, with the diagrams
+in either order, with the per-coloring aggregation they replaced.
 """
 
 import importlib.util
@@ -19,13 +21,16 @@ from pathlib import Path
 
 import pytest
 
-from singq.algebra import shadow_closure, substructure_closure
+from singq import invariants
+from singq.algebra import profile, shadow_closure, substructure_closure
 from singq.coloring import (RULES, _establish, _plan, psyquandle_colorings,
-                            shadow_colorings, singquandle_colorings)
+                            shadow_colorings, shadow_tuples,
+                            singquandle_colorings, singquandle_tuples)
+from singq.data import load_algebra
 from singq.diagram import parse_diagram
-from singq.invariants import (CocyclePair, SP, boltzmann_single,
-                              boltzmann_two, phi_ssqp, solve_cocycle_space,
-                              ssqp, state_sum, subsp)
+from singq.invariants import (CocyclePair, SP, _profile_sum,
+                              boltzmann_single, boltzmann_two, phi_ssqp,
+                              solve_cocycle_space, ssqp, state_sum, subsp)
 from singq.polynomial import ExponentTag, InvariantValue
 
 from conftest import (assert_colorings_satisfy, brute_force_psyquandle,
@@ -175,9 +180,10 @@ def test_phi_ssqp(braids, z6, z8k, z8_z6_shadow):
             assert phi_ssqp(d, s) == reference_phi_ssqp(d, s), (s.n, k)
 
 
-def test_SP(braids, z8_z6_shadow):
-    for k, d in enumerate(braids):
-        assert SP(d, z8_z6_shadow) == reference_SP(d, z8_z6_shadow), k
+def test_SP(braids, z8_z6_shadow, z8_z4_shadow_a, z8_z4_shadow_b):
+    for sh in (z8_z6_shadow, z8_z4_shadow_a, z8_z4_shadow_b):
+        for k, d in enumerate(braids):
+            assert SP(d, sh) == reference_SP(d, sh), (sh.carrier, k)
 
 
 def test_boltzmann(braids, psy6, psy6_boltzmann, psy6_boltzmann_strong):
@@ -372,3 +378,101 @@ def test_plan_equals_parent_plan(planned, notion):
              for seed in range(12)]
     for k, d in enumerate(planned + large):
         assert _plan(d, rules) == parent_plan(d, rules), k
+
+
+# -- kept tags against the per-coloring aggregation, in both orders ----------
+
+def parent_tally(keys, tag_of) -> InvariantValue:
+    """Multiset of ``tag_of(key)`` over ``keys``, building one tag per
+    distinct key."""
+    counts: dict = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return InvariantValue((tag_of(key), k) for key, k in counts.items())
+
+
+def parent_phi_ssqp(d, s) -> InvariantValue:
+    """Multiset of ssqp(image of f) over all colorings f, rendered in u.
+    The image, and so the tag, depends only on the set of colors used."""
+    full = profile(s)
+    images: dict = {}   # set of colors used -> its closure, the image
+
+    def image(colors: tuple) -> frozenset:
+        used = frozenset(colors)
+        if used not in images:
+            images[used] = substructure_closure(s, used)
+        return images[used]
+
+    return parent_tally(map(image, singquandle_tuples(d, s)),
+                        lambda img: ExponentTag.poly(_profile_sum(img, full)))
+
+
+def parent_SP(d, sh) -> InvariantValue:
+    """SP(L): multiset of subsp over the shadow image of each shadow
+    coloring.  The image depends only on the sets of semiarc and region
+    colors used."""
+    images: dict = {}   # (semiarc colors, region colors) -> shadow image
+
+    def image(pair: tuple) -> tuple:
+        used = (frozenset(pair[0]), frozenset(pair[1]))
+        if used not in images:
+            acting = substructure_closure(sh.base, used[0])
+            images[used] = (shadow_closure(sh, used[1], acting), acting)
+        return images[used]
+
+    return parent_tally(
+        map(image, shadow_tuples(d, sh)),
+        lambda img: ExponentTag.poly(subsp(*img, sh, _checked=True)))
+
+
+def tagged_structures() -> list:
+    """(label, structure, shadow) for phi-ssqp over z6, z8_k and the base
+    of z8_z6_shadow, and for SP (``shadow``) over z8_z6_shadow, each loaded
+    into new objects."""
+    z6, z8k, sh = (load_algebra(name).structure for name in
+                   ("z6_singquandle.alg", "z8_k.alg", "z8_z6_shadow.alg"))
+    return [("z6", z6, False), ("z8k", z8k, False), ("base", sh.base, False),
+            ("shadow", sh, True)]
+
+
+@pytest.fixture(scope="module")
+def searched(planned):
+    """The diagrams of ``planned`` and the 12 large braids, and the
+    coloring set of each over each tagged structure, searched once: brute
+    force is infeasible at these sizes, so both sides aggregate the
+    searched tuples."""
+    diagrams = planned + [parse_diagram(gen.closure_text(*large_braid(seed)))
+                          for seed in range(12)]
+    found = {}
+    for label, s, shadow in tagged_structures():
+        search = shadow_tuples if shadow else singquandle_tuples
+        for k, d in enumerate(diagrams):
+            found[k, label] = search(d, s)
+    return diagrams, found
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_kept_tags_equal_parent_aggregation(searched, monkeypatch, order):
+    """phi-ssqp and SP with the tags kept per structure object, read by
+    the diagrams in either order, equal the per-coloring aggregation.
+    Each order starts from fresh structure objects, and every call reads
+    the tuples of ``searched``."""
+    diagrams, found = searched
+    structures = tagged_structures()
+    label = {id(s): name for name, s, _ in structures}
+    index = {id(d): k for k, d in enumerate(diagrams)}
+
+    def lookup(d, s):
+        return found[index[id(d)], label[id(s)]]
+
+    for namespace in (vars(invariants), globals()):
+        monkeypatch.setitem(namespace, "singquandle_tuples", lookup)
+        monkeypatch.setitem(namespace, "shadow_tuples", lookup)
+    ks = range(len(diagrams))
+    for k in (ks if order == "forward" else reversed(ks)):
+        d = diagrams[k]
+        for name, s, shadow in structures:
+            if shadow:
+                assert SP(d, s) == parent_SP(d, s), (k, name)
+            else:
+                assert phi_ssqp(d, s) == parent_phi_ssqp(d, s), (k, name)
