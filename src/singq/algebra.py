@@ -2,9 +2,10 @@
 
 Quandles, oriented singquandles, shadow structures (a singquandle acting on
 a set) and psyquandles, together with exhaustive axiom validators that
-report a witness tuple for every violated axiom instance.  Elements are
-indices ``0..n-1`` internally; the text file format is 1-indexed to match
-how finite structures are usually tabulated.
+report a witness tuple for every violated axiom instance.  Tables and
+structures are read-only once built, so whatever is kept for one stays
+valid.  Elements are indices ``0..n-1`` internally; the text file format
+is 1-indexed to match how finite structures are usually tabulated.
 """
 
 from __future__ import annotations
@@ -50,7 +51,23 @@ class ValidationReport(NamedTuple):
         return "\n".join(lines)
 
 
-class OperationTable:
+class _ReadOnly:
+    """Base of objects whose public fields are set once, in ``__init__``:
+    setting one again, or deleting any field, raises AttributeError.
+    ``_``-prefixed fields are private caches and stay writable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        if name[0] != "_" and hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class OperationTable(_ReadOnly):
     """An n x n table of element indices encoding one binary operation."""
 
     __slots__ = ("n", "rows", "_inverse", "_flat")
@@ -171,14 +188,14 @@ def validate_quandle(table: OperationTable) -> ValidationReport:
     return ValidationReport(tuple(sorted(vs)))
 
 
-class OrientedSingquandle:
+class OrientedSingquandle(_ReadOnly):
     """A quandle with singular-crossing maps R1, R2.
 
     ``star_inv`` is always derived from ``star`` so the pair of tables can
     never disagree.  Instances are validated on construction unless built
-    through :func:`validate_singquandle` on raw tables.  ``_tags`` holds
-    what the invariants keep per structure object (see
-    :mod:`singq.invariants`); equality and hashing ignore it.
+    through :func:`validate_singquandle` on raw tables.  ``_tags`` maps
+    each color set a phi-ssqp coloring has used to its tag; equality and
+    hashing ignore it.
     """
 
     __slots__ = ("n", "star", "star_inv", "r1", "r2", "_tags")
@@ -401,7 +418,7 @@ def _pair_map(n: int, a: OperationTable, b: OperationTable) -> tuple:
     return fwd, tuple(inv)
 
 
-class Psyquandle:
+class Psyquandle(_ReadOnly):
     """Four-operation structure coloring semiarcs of singular diagrams.
 
     Operation order follows the usual block-matrix listing: under-crossing
@@ -503,10 +520,10 @@ def validate_psyquandle(ut: OperationTable, ot: OperationTable,
     return ValidationReport(tuple(sorted(vs)))
 
 
-class ShadowStructure:
+class ShadowStructure(_ReadOnly):
     """A singquandle S acting on a carrier set X (region colors).
-    ``_tags`` holds what the invariants keep per structure object (see
-    :mod:`singq.invariants`)."""
+    ``_tags`` maps each (semiarc colors, region colors) set pair an SP
+    coloring has used to its tag."""
 
     __slots__ = ("base", "carrier", "action", "action_inv", "_tags")
 

@@ -226,78 +226,68 @@ def cmd_search_cocycles(args) -> int:
 # -- corpus ------------------------------------------------------------------
 
 def _corpus_rows():
-    """(group, name, thunk or None, expected) rows; thunk None = skipped."""
+    """(group, name, thunk or None, expected) rows; thunk None = skipped.
+    Each thunk computes its row as ``singq invariant`` does, through
+    :func:`compute_invariant`, loading each bundled file on first use."""
     lazy = {}
 
-    def alg(name):
+    def load(name):
         if name not in lazy:
-            lazy[name] = data.load_algebra(name).structure
+            if name.endswith(".dgm"):
+                lazy[name] = data.load_diagram(name)
+            elif name.endswith(".wgt"):
+                lazy[name] = data.load_weights(name)
+            else:
+                lazy[name] = data.load_algebra(name).structure
         return lazy[name]
 
-    def wgt(name):
-        if name not in lazy:
-            lazy[name] = data.load_weights(name)
-        return lazy[name]
+    def structure(spec):
+        name, *base = spec.split()   # "<file> base": the shadow's base
+        return load(name).base if base else load(name)
 
-    def dgm(name):
-        key = ("d", name)
-        if key not in lazy:
-            lazy[key] = data.load_diagram(name)
-        return lazy[key]
+    def thunk(kind, dgm, alg, wgt):
+        return lambda: compute_invariant(
+            kind, dgm and load(dgm), structure(alg), wgt and load(wgt))[0]
 
-    rows = []
-
-    def row(group, name, thunk, expected):
-        rows.append((group, name, thunk, expected))
-
-    row("z6", "5k6 count", lambda: str(len(
-        singquandle_tuples(dgm("5k6.dgm"), alg("z6_singquandle.alg")))), "6")
-    row("z6", "5k7 count", lambda: str(len(
-        singquandle_tuples(dgm("5k7.dgm"), alg("z6_singquandle.alg")))), "6")
-    row("z6", "5k6 state-sum", lambda: state_sum(
-        dgm("5k6.dgm"), alg("z6_singquandle.alg"),
-        wgt("z6_cocycle.wgt")).render(), "6u^3")
-    row("z6", "5k7 state-sum", lambda: state_sum(
-        dgm("5k7.dgm"), alg("z6_singquandle.alg"),
-        wgt("z6_cocycle.wgt")).render(), "6")
-
-    row("z8k", "k1 count", lambda: str(len(
-        singquandle_tuples(dgm("k1.dgm"), alg("z8_k.alg")))), "8")
-    row("z8k", "k2 count", lambda: str(len(
-        singquandle_tuples(dgm("k2.dgm"), alg("z8_k.alg")))), "8")
-    row("z8k", "k1 phi-ssqp", lambda: phi_ssqp(
-        dgm("k1.dgm"), alg("z8_k.alg")).render(),
-        "4u^{s1^4 s2^2 s3 t1^4 t2^2 t3} + 4u^{2 s1^4 s2^2 s3 t1^4 t2^2 t3}")
-    row("z8k", "k2 phi-ssqp", lambda: phi_ssqp(
-        dgm("k2.dgm"), alg("z8_k.alg")).render(),
-        "4u^{s1^4 s2^2 s3 t1^4 t2^2 t3} + 4u^{4 s1^4 s3 t1^4 t3}")
-
-    row("shadow", "sp a", lambda: sp(alg("z8_z4_shadow_a.alg")).render(), "4t^4")
-    row("shadow", "sp b", lambda: sp(alg("z8_z4_shadow_b.alg")).render(),
-        "2t^8 + 2")
+    z6, z8k, psy = "z6_singquandle.alg", "z8_k.alg", "psy6.alg"
+    shadow = "z8_z6_shadow.alg"
+    base = shadow + " base"
+    specs = [   # (group, name, kind, diagram, structure, weights, expected)
+        ("z6", "5k6 count", "count", "5k6.dgm", z6, None, "6"),
+        ("z6", "5k7 count", "count", "5k7.dgm", z6, None, "6"),
+        ("z6", "5k6 state-sum", "state-sum", "5k6.dgm", z6, "z6_cocycle.wgt",
+         "6u^3"),
+        ("z6", "5k7 state-sum", "state-sum", "5k7.dgm", z6, "z6_cocycle.wgt",
+         "6"),
+        ("z8k", "k1 count", "count", "k1.dgm", z8k, None, "8"),
+        ("z8k", "k2 count", "count", "k2.dgm", z8k, None, "8"),
+        ("z8k", "k1 phi-ssqp", "phi-ssqp", "k1.dgm", z8k, None,
+         "4u^{s1^4 s2^2 s3 t1^4 t2^2 t3} + 4u^{2 s1^4 s2^2 s3 t1^4 t2^2 t3}"),
+        ("z8k", "k2 phi-ssqp", "phi-ssqp", "k2.dgm", z8k, None,
+         "4u^{s1^4 s2^2 s3 t1^4 t2^2 t3} + 4u^{4 s1^4 s3 t1^4 t3}"),
+        ("shadow", "sp a", "sp", None, "z8_z4_shadow_a.alg", None, "4t^4"),
+        ("shadow", "sp b", "sp", None, "z8_z4_shadow_b.alg", None, "2t^8 + 2"),
+    ]
     for name in ("4_1k", "5_4k"):
-        row("shadow", f"{name} count", lambda name=name: str(len(
-            singquandle_tuples(dgm(f"{name}.dgm"),
-                                  alg("z8_z6_shadow.alg").base))), "16")
-        row("shadow", f"{name} shadow-count", lambda name=name: str(len(
-            shadow_tuples(dgm(f"{name}.dgm"), alg("z8_z6_shadow.alg")))),
-            "96")
-        row("shadow", f"{name} phi-ssqp", lambda name=name: phi_ssqp(
-            dgm(f"{name}.dgm"), alg("z8_z6_shadow.alg").base).render(),
-            "4u^{s1^2 s2^2 s3 t1^2 t2^2 t3} + 4u^{2 s1^2 s2^2 s3 t1^2 t2^2 t3}"
-            " + 8u^{4 s1^2 s2^2 s3 t1^2 t2^2 t3}")
-    row("shadow", "4_1k SP", lambda: shadow_polynomial_invariant(
-        dgm("4_1k.dgm"), alg("z8_z6_shadow.alg")).render(),
-        "24u^{t^2} + 24u^{t} + 48u^{2}")
-    row("shadow", "5_4k SP", lambda: shadow_polynomial_invariant(
-        dgm("5_4k.dgm"), alg("z8_z6_shadow.alg")).render(),
-        "48u^{t^4} + 24u^{t^2} + 24u^{t}")
-
-    row("bouquet", "1l1 psy-count", lambda: str(len(
-        psyquandle_tuples(dgm("1l1.dgm"), alg("psy6.alg")))), "24")
-    row("bouquet", "1l1 boltzmann-1", lambda: boltzmann_single(
-        dgm("1l1.dgm"), alg("psy6.alg"),
-        wgt("psy6_boltzmann.wgt")).render(var="w"), "6 + 18w")
+        dgm = f"{name}.dgm"
+        specs += [
+            ("shadow", f"{name} count", "count", dgm, base, None, "16"),
+            ("shadow", f"{name} shadow-count", "shadow-count", dgm, shadow,
+             None, "96"),
+            ("shadow", f"{name} phi-ssqp", "phi-ssqp", dgm, base, None,
+             "4u^{s1^2 s2^2 s3 t1^2 t2^2 t3} + 4u^{2 s1^2 s2^2 s3 t1^2 t2^2 t3}"
+             " + 8u^{4 s1^2 s2^2 s3 t1^2 t2^2 t3}")]
+    specs += [
+        ("shadow", "4_1k SP", "SP", "4_1k.dgm", shadow, None,
+         "24u^{t^2} + 24u^{t} + 48u^{2}"),
+        ("shadow", "5_4k SP", "SP", "5_4k.dgm", shadow, None,
+         "48u^{t^4} + 24u^{t^2} + 24u^{t}"),
+        ("bouquet", "1l1 psy-count", "psy-count", "1l1.dgm", psy, None, "24"),
+        ("bouquet", "1l1 boltzmann-1", "boltzmann-1", "1l1.dgm", psy,
+         "psy6_boltzmann.wgt", "6 + 18w"),
+    ]
+    rows = [(group, name, thunk(*spec), expected)
+            for group, name, *spec, expected in specs]
     skipped = [
         ("5_2l", "12", "12w"), ("6_1l", "12", "12w"),
         ("3_1l", "12", "6 + 6w"), ("4_1l", "12", "6 + 6w"),
@@ -310,8 +300,8 @@ def _corpus_rows():
         ("6_4l", "36", "18 + 18w"), ("6_12l", "36", "18 + 18w"),
     ]
     for name, count, value in skipped:
-        row("bouquet", f"{name} psy-count", None, count)
-        row("bouquet", f"{name} boltzmann-1", None, value)
+        rows.append(("bouquet", f"{name} psy-count", None, count))
+        rows.append(("bouquet", f"{name} boltzmann-1", None, value))
     return rows
 
 

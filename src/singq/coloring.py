@@ -16,11 +16,10 @@ the ``*_colorings`` functions wrap them into :class:`Coloring` records.
 Every invariant of a diagram over a structure is a sum over the same
 coloring set, so a diagram also keeps, per notion (``singquandle``,
 ``psyquandle``, ``shadow``), the last set found, as a tuple that no caller
-can change, with the objects it was made from: the structure and each
-table its search read.  The set is reused while the same objects, by
-``is``, are asked for again; any other structure, or a table reassigned on
-the same one, searches again and replaces it.  A diagram so holds at most
-one set per notion.  Shadow colorings take their base colorings from the
+can change, with the structure it was found for.  Structures are
+read-only, so the set is reused while the same structure object is asked
+for again; any other structure, even an equal one, searches again and
+replaces it.  Shadow colorings take their base colorings from the
 singquandle set, so the base search is shared with the singquandle
 invariants of the base.
 """
@@ -28,7 +27,6 @@ invariants of the base.
 from __future__ import annotations
 
 import sys
-from operator import is_
 from typing import NamedTuple, Optional
 
 from .algebra import OrientedSingquandle, Psyquandle, ShadowStructure
@@ -90,24 +88,15 @@ PSYQUANDLE_RULES = {
           (2, 3, 7, 1, H2), (3, 1, 11, 0, E2), (2, 0, 10, 1, E1))}
 
 
-def _shared(store: dict, name: str, key: tuple, make):
-    """The value kept in ``store`` under ``name`` if it was made from the
-    very objects in ``key`` (a structure and the tables its maker read);
-    otherwise ``make()``, kept in ``store`` in its place."""
+def _shared(store: dict, name: str, owner, make):
+    """The value kept in ``store`` under ``name`` if it was made for
+    ``owner``, by ``is``; otherwise ``make()``, kept in its place."""
     kept = store.get(name)
-    if kept is not None and all(map(is_, kept[0], key)):
+    if kept is not None and kept[0] is owner:
         return kept[1]
     made = make()
-    store[name] = key, made
+    store[name] = owner, made
     return made
-
-
-def _singquandle_key(s: OrientedSingquandle) -> tuple:
-    return s, s.star, s.star_inv, s.r1, s.r2
-
-
-def _shadow_key(sh: ShadowStructure) -> tuple:
-    return (sh, sh.action, sh.action_inv, *_singquandle_key(sh.base))
 
 
 def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> tuple:
@@ -119,7 +108,7 @@ def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> tuple:
             first, s.star.flat(), s.star_inv.flat(), s.r1.flat(),
             s.r2.flat()))
 
-    return _shared(d.color_sets, "singquandle", _singquandle_key(s), search)
+    return _shared(d.color_sets, "singquandle", s, search)
 
 
 def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> tuple:
@@ -134,9 +123,7 @@ def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> tuple:
             *split(p.sprime_inv), p.ot_inv.flat(), p.ut_inv.flat(),
             p.ob_inv.flat(), p.ub_inv.flat()))
 
-    return _shared(d.color_sets, "psyquandle", (
-        p, p.smap, p.sprime, p.smap_inv, p.sprime_inv, p.ot_inv, p.ut_inv,
-        p.ob_inv, p.ub_inv), search)
+    return _shared(d.color_sets, "psyquandle", p, search)
 
 
 RULES = {"singquandle": SINGQUANDLE_RULES, "psyquandle": PSYQUANDLE_RULES}
@@ -274,8 +261,7 @@ def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> tuple:
     all on an inconsistent side convention, which the S-set axioms rule
     out).
     """
-    return _shared(d.color_sets, "shadow", _shadow_key(sh),
-                   lambda: _shadow_search(d, sh))
+    return _shared(d.color_sets, "shadow", sh, lambda: _shadow_search(d, sh))
 
 
 def _shadow_search(d: SingularDiagram, sh: ShadowStructure) -> tuple:
@@ -307,11 +293,9 @@ def _shadow_search(d: SingularDiagram, sh: ShadowStructure) -> tuple:
                 queue.append(other)
     if not all(reached):
         raise ColoringError("region adjacency graph is disconnected")
-    v, e, f = d.n_crossings, d.n_semiarcs, len(regions)
-    components = d.graph_component_count()
-    if v - e + f != 2 * components:
-        raise ColoringError(f"Euler check failed: V={v} E={e} F={f} "
-                            f"components={components}")
+    problem = d.euler_problem(regions)
+    if problem:
+        raise ColoringError(problem)
 
     out = []
     rc = [0] * len(regions)

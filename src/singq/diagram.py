@@ -205,10 +205,18 @@ class SingularDiagram:
 
     def euler_check(self) -> tuple:
         """(V, E, F, ok): ok iff V - E + F == 2 per connected component."""
-        v = self.n_crossings
-        e = self.n_semiarcs
-        f = len(self.regions())
-        return v, e, f, (v - e + f == 2 * self.graph_component_count())
+        regions = self.regions()
+        return (self.n_crossings, self.n_semiarcs, len(regions),
+                self.euler_problem(regions) is None)
+
+    def euler_problem(self, regions: list) -> Optional[str]:
+        """Why the faces ``regions`` fail the Euler check, or None if
+        V - E + F == 2 per connected component."""
+        v, e, f = self.n_crossings, self.n_semiarcs, len(regions)
+        components = self.graph_component_count()
+        if v - e + f == 2 * components:
+            return None
+        return f"Euler check failed: V={v} E={e} F={f} components={components}"
 
     def side_regions(self, regions: Optional[list] = None) -> dict:
         """Map semiarc label -> (left region id, right region id)."""
@@ -292,9 +300,7 @@ def validate_diagram(d: SingularDiagram) -> DiagramReport:
     if d.n_semiarcs != 2 * d.n_crossings:
         problems.append(f"expected {2 * d.n_crossings} semiarcs, "
                         f"found {d.n_semiarcs}")
-    if d.has_rotations():
-        v, e, f, ok = d.euler_check()
-        if not ok:
-            problems.append(f"Euler check failed: V={v} E={e} F={f} "
-                            f"components={d.graph_component_count()}")
+    problem = d.euler_problem(d.regions()) if d.has_rotations() else None
+    if problem:
+        problems.append(problem)
     return DiagramReport(valid=not problems, problems=tuple(problems))

@@ -9,11 +9,8 @@ The tag of a phi-ssqp or SP coloring depends only on the structure and
 the set of colors the coloring uses (for SP, the semiarc set and the
 region set), so both count colorings by used set and keep, on the
 structure object, a map from used set to tag that fills as diagrams use
-new sets.  The map is kept with the objects it was made from, compared by
-``is``: the singquandle and its tables for phi-ssqp; the shadow
-structure, its action tables, its base and the base's tables for SP.
-Reassigning any of them starts a fresh map, and an equal but distinct
-structure builds its own.
+new sets.  Structures are read-only, so the map never goes stale; an
+equal but distinct structure builds its own.
 """
 
 from __future__ import annotations
@@ -22,10 +19,9 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .algebra import (OperationTable, OrientedSingquandle, Psyquandle,
-                      ShadowStructure, ValidationReport, profile,
+                      ShadowStructure, ValidationReport, _ReadOnly, profile,
                       substructure_closure, shadow_closure)
-from .coloring import (_shadow_key, _shared, _singquandle_key,
-                       psyquandle_tuples, shadow_tuples, singquandle_tuples)
+from .coloring import psyquandle_tuples, shadow_tuples, singquandle_tuples
 from .diagram import SingularDiagram
 from .polynomial import BasePolynomial, ExponentTag, InvariantValue
 
@@ -48,10 +44,10 @@ def _frozen(rows: Sequence) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
-class _WeightPair:
+class _WeightPair(_ReadOnly):
     """A modulus and two n x n weight tables, the fields named by the
     subclass's ``__slots__``; equal to a pair of the same class with equal
-    fields.  The tables are tuples of tuples, so the pair never changes.
+    fields.  The pair is read-only and its tables are tuples of tuples.
 
     ``_passed`` maps ``id(structure)`` to ``(structure, strong)`` for each
     structure the pair has passed the exhaustive weight check against
@@ -270,13 +266,12 @@ def phi_ssqp(d: SingularDiagram, s: OrientedSingquandle) -> InvariantValue:
     """Multiset of ssqp(image of f) over all colorings f, rendered in u.
     The image, and so the tag, depends only on the set of colors used; the
     tags are kept on ``s`` by that set."""
-    full, tags = _shared(s._tags, "phi-ssqp", _singquandle_key(s),
-                         lambda: (profile(s), {}))
+    tags = s._tags
 
     def tag(used: frozenset) -> ExponentTag:
         if used not in tags:
             image = substructure_closure(s, used)
-            tags[used] = ExponentTag.poly(_profile_sum(image, full))
+            tags[used] = ExponentTag.poly(_profile_sum(image, profile(s)))
         return tags[used]
 
     return _tally(map(frozenset, singquandle_tuples(d, s)), tag)
@@ -312,7 +307,7 @@ def shadow_polynomial_invariant(d: SingularDiagram,
     """SP(L): multiset of subsp over the shadow image of each shadow
     coloring.  The image depends only on the sets of semiarc and region
     colors used; the tags are kept on ``sh`` by that pair of sets."""
-    tags = _shared(sh._tags, "SP", _shadow_key(sh), dict)
+    tags = sh._tags
 
     def tag(used: tuple) -> ExponentTag:
         if used not in tags:

@@ -12,7 +12,8 @@ from singq.algebra import (AlgebraError, InvalidStructureError,
                            shadow_closure, substructure_closure,
                            validate_psyquandle, validate_quandle,
                            validate_shadow, validate_singquandle)
-from singq.data import fixture_names, load_algebra
+from singq.data import fixture_names, load_algebra, load_weights
+from singq.invariants import BoltzmannPair, CocyclePair
 
 
 def table(n, fn):
@@ -262,6 +263,46 @@ def test_load_inverts_each_table_once(monkeypatch, name, inverted):
     load_algebra(name)
     assert len({id(t) for t, _ in calls}) == inverted
     assert len({id(inverse) for _, inverse in calls}) == inverted
+
+
+def public_fields(cls) -> list:
+    return [name for c in cls.__mro__ for name in getattr(c, "__slots__", ())
+            if not name.startswith("_")]
+
+
+READ_ONLY = (   # each class with a maker of a fresh instance
+    (OperationTable, lambda: load_algebra("z6_singquandle.alg").structure.star),
+    (OrientedSingquandle, lambda: load_algebra("z6_singquandle.alg").structure),
+    (Psyquandle, lambda: load_algebra("psy6.alg").structure),
+    (ShadowStructure, lambda: load_algebra("z8_z6_shadow.alg").structure),
+    (CocyclePair, lambda: load_weights("z6_cocycle.wgt")),
+    (BoltzmannPair, lambda: load_weights("psy6_boltzmann.wgt")),
+)
+
+
+@pytest.mark.parametrize("cls,make,field", [
+    pytest.param(cls, make, field, id=f"{cls.__name__}.{field}")
+    for cls, make in READ_ONLY for field in public_fields(cls)])
+def test_public_fields_are_read_only(cls, make, field):
+    obj = make()
+    assert type(obj) is cls
+    value = getattr(obj, field)
+    with pytest.raises(AttributeError, match="read-only"):
+        setattr(obj, field, value)
+    with pytest.raises(AttributeError, match="read-only"):
+        delattr(obj, field)
+    assert getattr(obj, field) is value
+
+
+def test_private_caches_still_fill():
+    s = load_algebra("z8_k.alg").structure
+    table = OperationTable(s.star.rows)
+    assert table._flat is None and table._inverse is None
+    flat, inverse = table.flat(), table.right_inverse()
+    assert table._flat is flat and table._inverse is inverse
+    assert table.flat() is flat and table.right_inverse() is inverse
+    with pytest.raises(AttributeError, match="read-only"):
+        del table._flat
 
 
 class TestShadow:

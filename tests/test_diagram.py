@@ -72,6 +72,7 @@ class TestRegions:
         d = parse_diagram(KINK)
         assert len(d.regions()) == 3
         assert d.euler_check() == (1, 2, 3, True)
+        assert d.euler_problem(d.regions()) is None
 
     def test_singular_loop_has_three_regions(self):
         d = parse_diagram(SINGULAR_LOOP)
@@ -94,7 +95,9 @@ class TestRegions:
         d = parse_diagram(text)
         v, e, f, ok = d.euler_check()
         assert not ok
-        assert not validate_diagram(d).valid
+        message = f"Euler check failed: V={v} E={e} F={f} components=1"
+        assert d.euler_problem(d.regions()) == message
+        assert validate_diagram(d).problems == (message,)
 
     def test_missing_rotation_raises(self):
         d = parse_diagram("P b a a b\n")

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import pickle
@@ -11,6 +12,7 @@ from singq.algebra import (AlgebraError, OperationTable,
                            validate_singquandle)
 from singq import coloring
 from singq.coloring import singquandle_colorings, psyquandle_colorings
+from singq.data import load_algebra
 from singq.diagram import parse_diagram
 from singq import invariants
 from singq.invariants import (BoltzmannPair, CocyclePair, InvariantError,
@@ -20,7 +22,7 @@ from singq.invariants import (BoltzmannPair, CocyclePair, InvariantError,
                               solve_cocycle_space, sp, sqp, ssqp, state_sum,
                               strongly_compatible, subsp, validate_boltzmann,
                               validate_cocycle_pair)
-from singq.polynomial import parse_polynomial
+from singq.polynomial import ExponentTag, parse_polynomial
 
 from conftest import STRUCTURES
 
@@ -311,6 +313,41 @@ class TestWeightChecksOnce:
         state_sum(corpus["5k6.dgm"], z6, copy)
         assert calls == {("validate_cocycle_pair", id(z6), id(cp)): 1,
                          ("validate_cocycle_pair", id(z6), id(copy)): 1}
+
+    def test_tables_cannot_change_under_a_pass(self, calls, corpus, z6,
+                                               z6_cocycle):
+        """Neither the structure's tables nor the pair's can be swapped
+        after a pass, so no value comes from an unchecked pair."""
+        d = corpus["5k6.dgm"]
+        s, cp = copy.copy(z6), fresh(z6_cocycle)
+        assert state_sum(d, s, cp).render() == "6u^3"
+        relabelled = z6.relabel([0, 1, 2, 3, 5, 4])
+        with pytest.raises(InvariantError, match="invalid cocycle pair"):
+            state_sum(d, relabelled, cp)
+        for name in ("star", "star_inv", "r1", "r2"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(s, name, getattr(relabelled, name))
+        ones = tuple((1,) * 6 for _ in range(6))
+        with pytest.raises(AttributeError, match="read-only"):
+            cp.phi = ones
+        assert state_sum(d, s, cp).render() == "6u^3"
+        with pytest.raises(InvariantError, match="invalid cocycle pair"):
+            state_sum(d, s, CocyclePair(6, ones, cp.phi_prime))
+        assert calls[("validate_cocycle_pair", id(s), id(cp))] == 1
+
+    def test_invariants_fill_private_caches(self, corpus, z6, z6_cocycle):
+        s, cp = copy.copy(z6), fresh(z6_cocycle)
+        sh = load_algebra("z8_z6_shadow.alg").structure
+        state_sum(corpus["5k6.dgm"], s, cp)
+        assert cp._passed == {id(s): (s, False)}
+        phi_ssqp(corpus["4_1k.dgm"], sh.base)
+        SP(corpus["4_1k.dgm"], sh)
+        # each structure's tags map is kept on it alone, with no other key
+        assert sh.base._tags and sh._tags
+        assert all(type(used) is frozenset for used in sh.base._tags)
+        assert all(type(s) is type(r) is frozenset for s, r in sh._tags)
+        for tags in (sh.base._tags, sh._tags):
+            assert all(isinstance(t, ExponentTag) for t in tags.values())
 
     def test_use_leaves_equality_and_hash(self, corpus, z6, z6_cocycle, psy6,
                                           psy6_boltzmann_strong):
