@@ -1,20 +1,19 @@
 """Finite algebraic structures given by operation tables.
 
-Quandles, oriented singquandles, shadow structures (a singquandle acting on
-a set) and psyquandles, together with exhaustive axiom validators that
-report a witness tuple for every violated axiom instance.  Tables and
-structures are read-only once built, so whatever is kept for one stays
-valid.  Elements are indices ``0..n-1`` internally; the text file format
-is 1-indexed to match how finite structures are usually tabulated.
+Quandles, oriented singquandles and shadow structures (a singquandle acting
+on a set), together with exhaustive axiom validators that report a witness
+tuple for every violated axiom instance, and the ``.alg`` file parser;
+psyquandles are in :mod:`singq.psyquandle`.  Tables and structures are
+read-only once built, so whatever is kept for one stays valid.  Elements
+are indices ``0..n-1`` internally; the text file format is 1-indexed to
+match how finite structures are usually tabulated.
 """
 
 from __future__ import annotations
 
 import math
 from operator import eq, itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
-
-from .polynomial import PolynomialError, parse_polynomial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class AlgebraError(ValueError):
@@ -317,6 +316,7 @@ def eval_table(formula: str, modulus: int, var_names: Sequence[str],
     """Tabulate an integer-polynomial formula in the two variables
     ``var_names`` over ``modulus x cols`` inputs (``cols`` defaults to
     ``modulus``), exactly and reduced mod ``modulus``."""
+    from .polynomial import PolynomialError, parse_polynomial
     if modulus < 1:
         raise AlgebraError("modulus must be >= 1")
     try:
@@ -360,164 +360,6 @@ def formula_structure(n: int, star_expr: str, r1_expr: str,
     if not report.valid:
         raise InvalidStructureError(report)
     return OrientedSingquandle(star, r1, r2, _checked=True)
-
-
-def validate_group(mult: OperationTable) -> ValidationReport:
-    n = mult.n
-    rows = mult.rows
-    vs = []
-    identity = None
-    for e in range(n):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
-        vs.append(("group.identity", ()))
-    else:
-        for x in range(n):
-            if not any(rows[x][y] == identity and rows[y][x] == identity
-                       for y in range(n)):
-                vs.append(("group.inverse", (x,)))
-    encode, compose = _map_codec(n)
-    col, col_t = encode(zip(*rows))
-    # (xy)z == x(yz), over x at each (y, z)
-    for y in range(n):
-        for z in range(n):
-            for x in _differences(compose(col[y], col_t[z]), col[rows[y][z]]):
-                vs.append(("group.associativity", (x, y, z)))
-    return ValidationReport(tuple(sorted(vs)))
-
-
-def quandle_from_group(mult: OperationTable, mode: str) -> OperationTable:
-    """Conjugation (``a*b = b^-1 a b``) or core (``a*b = b a^-1 b``) quandle."""
-    report = validate_group(mult)
-    if not report.valid:
-        raise AlgebraError("input is not a group table:\n" + report.summary())
-    n = mult.n
-    identity = next(e for e in range(n)
-                    if all(mult(e, x) == x == mult(x, e) for x in range(n)))
-    inv = [next(y for y in range(n) if mult(x, y) == identity) for x in range(n)]
-    if mode == "conj":
-        fn = lambda a, b: mult(mult(inv[b], a), b)
-    elif mode == "core":
-        fn = lambda a, b: mult(mult(b, inv[a]), b)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}, expected 'conj' or 'core'")
-    return OperationTable.from_function(n, fn)
-
-
-def _pair_map(n: int, a: OperationTable, b: OperationTable) -> tuple:
-    """Forward and inverse tables of (x, y) -> (a(y, x), b(x, y)), both
-    flat tuples of pairs indexed ``x * n + y``."""
-    fwd = tuple((a(y, x), b(x, y)) for x in range(n) for y in range(n))
-    inv = [None] * (n * n)
-    for i, (u, v) in enumerate(fwd):
-        inv[u * n + v] = divmod(i, n)
-    if None in inv:
-        raise AlgebraError("pair map is not invertible")
-    return fwd, tuple(inv)
-
-
-class Psyquandle(_ReadOnly):
-    """Four-operation structure coloring semiarcs of singular diagrams.
-
-    Operation order follows the usual block-matrix listing: under-crossing
-    ``ut`` (x goes under y), over-crossing ``ot``, singular-under ``ub``,
-    singular-over ``ob``.  Right inverses and the crossing pair maps
-    S(x, y) = (y ot x, x ut y), S'(x, y) = (y ob x, x ub y) and their
-    inverses are precomputed as flat tuples indexed ``x * n + y``.
-    """
-
-    __slots__ = ("n", "ut", "ot", "ub", "ob",
-                 "ut_inv", "ot_inv", "ub_inv", "ob_inv",
-                 "smap", "smap_inv", "sprime", "sprime_inv", "pI_adequate")
-
-    def __init__(self, ut: OperationTable, ot: OperationTable,
-                 ub: OperationTable, ob: OperationTable, _checked: bool = False):
-        if not (ut.n == ot.n == ub.n == ob.n):
-            raise AlgebraError("tables have mismatched orders")
-        if not _checked:
-            report = validate_psyquandle(ut, ot, ub, ob)
-            if not report.valid:
-                raise InvalidStructureError(report)
-        self.n = ut.n
-        self.ut, self.ot, self.ub, self.ob = ut, ot, ub, ob
-        self.ut_inv = ut.right_inverse()
-        self.ot_inv = ot.right_inverse()
-        self.ub_inv = ub.right_inverse()
-        self.ob_inv = ob.right_inverse()
-        self.smap, self.smap_inv = _pair_map(self.n, ot, ut)
-        self.sprime, self.sprime_inv = _pair_map(self.n, ob, ub)
-        self.pI_adequate = all(ub(x, x) == ob(x, x) for x in range(self.n))
-
-    @classmethod
-    def from_biquandle(cls, ut: OperationTable, ot: OperationTable) -> "Psyquandle":
-        """Lift a biquandle by reusing its two operations at singular crossings."""
-        return cls(ut, ot, ut, ot)
-
-    def elements(self) -> range:
-        return range(self.n)
-
-
-# Axioms (IV) and (VI), each A(B(x, y), C(z, y)) == D(E(x, z), F(y, z)):
-# (name, A, B, C, D, E, F).
-_PSYQUANDLE_AXIOMS = (
-    ("IV.1", "ut", "ut", "ut", "ut", "ut", "ot"),
-    ("IV.2", "ot", "ut", "ut", "ut", "ot", "ot"),
-    ("IV.3", "ot", "ot", "ot", "ot", "ot", "ut"),
-    ("VI.1", "ot", "ot", "ob", "ot", "ot", "ub"),
-    ("VI.2", "ut", "ut", "ob", "ut", "ut", "ub"),
-    ("VI.3", "ob", "ot", "ot", "ot", "ob", "ut"),
-    ("VI.4", "ub", "ut", "ut", "ut", "ub", "ot"),
-    ("VI.5", "ub", "ot", "ot", "ot", "ub", "ut"),
-    ("VI.6", "ob", "ut", "ut", "ut", "ob", "ot"),
-)
-
-
-def validate_psyquandle(ut: OperationTable, ot: OperationTable,
-                        ub: OperationTable, ob: OperationTable) -> ValidationReport:
-    """Exhaustive check of psyquandle axioms (I)-(VI)."""
-    n = ut.n
-    vs = []
-    for name, t in (("ut", ut), ("ot", ot), ("ub", ub), ("ob", ob)):
-        for y in range(n):
-            if not t.column_is_bijective(y):
-                vs.append((f"psyquandle.I.{name}", (y,)))
-    if vs:
-        # right inverses are needed below; bail out with what we have
-        return ValidationReport(tuple(sorted(vs)))
-    T = {"ut": ut.rows, "ot": ot.rows, "ub": ub.rows, "ob": ob.rows}
-    UT, OT, UB, OB = T["ut"], T["ot"], T["ub"], T["ob"]
-    UBI, OBI = ub.right_inverse().rows, ob.right_inverse().rows
-    for x in range(n):
-        if UT[x][x] != OT[x][x]:
-            vs.append(("psyquandle.II", (x,)))
-    for name, a, b in (("S", OT, UT), ("Sprime", OB, UB)):
-        seen = {(a[y][x], b[x][y]) for x in range(n) for y in range(n)}
-        if len(seen) != n * n:
-            vs.append((f"psyquandle.III.{name}", ()))
-    encode, compose = _map_codec(n)
-    col, col_t = {}, {}
-    for name, rows in T.items():
-        col[name], col_t[name] = encode(zip(*rows))
-    for y in range(n):
-        for z in range(n):
-            for name, A, B, C, D, E, F in _PSYQUANDLE_AXIOMS:
-                for x in _differences(
-                        compose(col[B][y], col_t[A][T[C][z][y]]),
-                        compose(col[E][z], col_t[D][T[F][y][z]])):
-                    vs.append((f"psyquandle.{name}", (x, y, z)))
-    for x in range(n):
-        for y in range(n):
-            lhs = UB[x][OBI[OT[y][x]][x]]
-            rhs = OT[OBI[UT[x][y]][y]][UBI[OT[y][x]][x]]
-            if lhs != rhs:
-                vs.append(("psyquandle.V.1", (x, y)))
-            lhs = UB[y][OBI[UT[x][y]][y]]
-            rhs = UT[OBI[OT[y][x]][x]][OBI[UT[x][y]][y]]
-            if lhs != rhs:
-                vs.append(("psyquandle.V.2", (x, y)))
-    return ValidationReport(tuple(sorted(vs)))
 
 
 class ShadowStructure(_ReadOnly):
@@ -593,21 +435,6 @@ def formula_shadow(base: OrientedSingquandle, carrier: int,
     return ShadowStructure(base, rows)
 
 
-def is_homomorphism(f: Sequence[int], src: OrientedSingquandle,
-                    dst: OrientedSingquandle) -> bool:
-    if len(f) != src.n or any(not (0 <= v < dst.n) for v in f):
-        raise AlgebraError("mapping is not total on the source elements")
-    for x in range(src.n):
-        for y in range(src.n):
-            if f[src.op(x, y)] != dst.op(f[x], f[y]):
-                return False
-            if f[src.r1(x, y)] != dst.r1(f[x], f[y]):
-                return False
-            if f[src.r2(x, y)] != dst.r2(f[x], f[y]):
-                return False
-    return True
-
-
 def profile(s: OrientedSingquandle) -> list:
     """Per-element trivial-action counts ``(r1, c1, r2, c2, r3, c3)``: for
     each of *, R1, R2 in turn, the number of y with ``op(x, y) == x`` (r)
@@ -623,57 +450,6 @@ def profile(s: OrientedSingquandle) -> list:
             counts.append(sum(map(eq, t[x::n], range(n))))
         out.append(tuple(counts))
     return out
-
-
-def are_isomorphic(a: OrientedSingquandle,
-                   b: OrientedSingquandle) -> Optional[list]:
-    """Search for an isomorphism a -> b; returns the bijection or None.
-
-    Candidates are pruned by the trivial-action count profile, which any
-    isomorphism must preserve.
-    """
-    if a.n != b.n:
-        return None
-    n = a.n
-    pa = profile(a)
-    pb = profile(b)
-    if sorted(pa) != sorted(pb):
-        return None
-    candidates = [[y for y in range(n) if pb[y] == pa[x]] for x in range(n)]
-
-    f = [-1] * n
-    used = [False] * n
-
-    def consistent(x: int) -> bool:
-        for u in range(n):
-            if f[u] < 0:
-                continue
-            for (p, q) in ((x, u), (u, x), (x, x)):
-                if f[p] < 0 or f[q] < 0:
-                    continue
-                for op_a, op_b in ((a.op, b.op), (a.r1, b.r1), (a.r2, b.r2)):
-                    img = f[op_a(p, q)]
-                    if img >= 0 and img != op_b(f[p], f[q]):
-                        return False
-        return True
-
-    def extend(x: int) -> bool:
-        if x == n:
-            return True
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            f[x] = y
-            used[y] = True
-            if consistent(x) and extend(x + 1):
-                return True
-            f[x] = -1
-            used[y] = False
-        return False
-
-    if extend(0):
-        return list(f)
-    return None
 
 
 def substructure_closure(s: OrientedSingquandle, seed: Iterable[int]) -> frozenset:
@@ -819,6 +595,7 @@ def parse_algebra(text: str) -> LoadedAlgebra:
             table("star"), table("r1"), table("r2")))
 
     if kind in ("biquandle", "psyquandle"):
+        from .psyquandle import Psyquandle
         parts = 2 if kind == "biquandle" else 4
         rows = blocks.get("ops")
         if rows is None:

@@ -7,25 +7,19 @@ over Z_n), ``corpus`` (recompute every bundled reference value).  Output is
 deterministic; ``--json`` switches to a machine-readable record.
 
 Exit codes: 0 success, 1 value mismatch, 2 input or validation error.
+
+Every command is a fresh process that compiles what it imports, so each
+subcommand imports the modules it runs when it runs, and ``json`` only
+with ``--json``: ``invariant count`` loads no invariant, solver or JSON
+code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 
 from . import data
-from .algebra import (AlgebraError, InvalidStructureError, OrientedSingquandle,
-                      Psyquandle, ShadowStructure, parse_algebra)
-from .coloring import (ColoringError, psyquandle_tuples, shadow_tuples,
-                       singquandle_tuples)
-from .diagram import DiagramError, parse_diagram, validate_diagram
-from .invariants import (BoltzmannPair, CocyclePair, InvariantError,
-                         boltzmann_single, boltzmann_two, parse_weights,
-                         phi_ssqp, shadow_polynomial_invariant,
-                         solve_cocycle_space, sp, state_sum)
 
 
 class UsageError(Exception):
@@ -33,21 +27,13 @@ class UsageError(Exception):
 
 
 def _read_path(path: str) -> str:
-    candidates = [path]
-    base = path.split("/")[-1]
-    if base.endswith(".dgm"):
-        candidates.append(data.corpus_path(base))
-    else:
-        candidates.append(data.fixture_path(base))
-    for cand in candidates:
+    """The text of ``path``, or else of the bundled file of that name."""
+    for cand in (path, data.bundled_path(path.split("/")[-1])):
         try:
             with open(cand) as fh:
                 return fh.read()
-        except (OSError, TypeError):
-            try:
-                return cand.read_text()
-            except (OSError, AttributeError):
-                continue
+        except OSError:
+            continue
     raise UsageError(f"cannot read {path!r}")
 
 
@@ -65,14 +51,28 @@ def _classify(paths):
     return out["dgm"], out["alg"], out["wgt"]
 
 
+def _input_errors() -> tuple:
+    """(InvalidStructureError, the typed input errors): every ``ValueError``
+    subclass that singq raises for bad input, imported only where one is
+    being handled."""
+    from .algebra import AlgebraError, InvalidStructureError
+    from .coloring import ColoringError
+    from .diagram import DiagramError
+    from .invariants import InvariantError
+    return InvalidStructureError, (AlgebraError, ColoringError, DiagramError,
+                                   InvariantError)
+
+
 # -- validate ----------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    from .algebra import parse_algebra
     status = 0
     for path in args.paths:
         try:
             text = _read_path(path)
             if path.endswith(".dgm"):
+                from .diagram import parse_diagram, validate_diagram
                 d = parse_diagram(text)
                 rep = validate_diagram(d)
                 if rep.valid:
@@ -84,6 +84,7 @@ def cmd_validate(args) -> int:
                         print(f"  {p}")
                     status = 2
             elif path.endswith(".wgt"):
+                from .invariants import CocyclePair, parse_weights
                 w = parse_weights(text)
                 kind = "cocycle" if isinstance(w, CocyclePair) else "boltzmann"
                 print(f"{path}: well-formed {kind} weights "
@@ -91,12 +92,15 @@ def cmd_validate(args) -> int:
             else:
                 loaded = parse_algebra(text)
                 print(f"{path}: valid {loaded.kind} (order {loaded.n})")
-        except InvalidStructureError as exc:
-            print(f"{path}: INVALID")
-            print("  " + exc.report.summary().replace("\n", "\n  "))
-            status = 2
-        except (AlgebraError, DiagramError, InvariantError, UsageError) as exc:
-            print(f"{path}: error: {exc}")
+        except (UsageError, ValueError) as exc:
+            invalid, typed = _input_errors()
+            if isinstance(exc, invalid):
+                print(f"{path}: INVALID")
+                print("  " + exc.report.summary().replace("\n", "\n  "))
+            elif isinstance(exc, (UsageError, *typed)):
+                print(f"{path}: error: {exc}")
+            else:
+                raise
             status = 2
     return status
 
@@ -121,7 +125,10 @@ def _expect(structure, cls, kind):
 
 
 def compute_invariant(kind, diagram, structure, weights):
-    """Returns (rendered value, multiset as [exponent, multiplicity] rows)."""
+    """Returns (rendered value, multiset as [exponent, multiplicity] rows).
+    The counting kinds run the coloring search alone."""
+    from .algebra import OrientedSingquandle, ShadowStructure
+
     def counted(n):
         return str(n), [["0", n]]
 
@@ -130,21 +137,26 @@ def compute_invariant(kind, diagram, structure, weights):
                 [[t.render_exponent(), m] for t, m in value.items_sorted()])
 
     if kind == "count":
+        from .coloring import singquandle_tuples
         s = _expect(structure, OrientedSingquandle, kind)
         return counted(len(singquandle_tuples(_need(diagram, "a diagram"), s)))
     if kind == "state-sum":
+        from .invariants import CocyclePair, state_sum
         s = _expect(structure, OrientedSingquandle, kind)
         w = _need(weights, "a cocycle weight file")
         if not isinstance(w, CocyclePair):
             raise UsageError("state-sum needs phi/phiprime weights")
         return packed(state_sum(_need(diagram, "a diagram"), s, w))
     if kind == "phi-ssqp":
+        from .invariants import phi_ssqp
         s = _expect(structure, OrientedSingquandle, kind)
         return packed(phi_ssqp(_need(diagram, "a diagram"), s))
     if kind == "shadow-count":
+        from .coloring import shadow_tuples
         sh = _expect(structure, ShadowStructure, kind)
         return counted(len(shadow_tuples(_need(diagram, "a diagram"), sh)))
     if kind == "sp":
+        from .invariants import sp
         sh = _expect(structure, ShadowStructure, kind)
         poly = sp(sh)
         multiset = []
@@ -153,12 +165,17 @@ def compute_invariant(kind, diagram, structure, weights):
             multiset.append([body or "1", coeff])
         return poly.render(), multiset
     if kind == "SP":
+        from .invariants import shadow_polynomial_invariant
         sh = _expect(structure, ShadowStructure, kind)
         return packed(shadow_polynomial_invariant(_need(diagram, "a diagram"), sh))
     if kind == "psy-count":
+        from .coloring import psyquandle_tuples
+        from .psyquandle import Psyquandle
         p = _expect(structure, Psyquandle, kind)
         return counted(len(psyquandle_tuples(_need(diagram, "a diagram"), p)))
     if kind in ("boltzmann-1", "boltzmann-2"):
+        from .invariants import BoltzmannPair, boltzmann_single, boltzmann_two
+        from .psyquandle import Psyquandle
         p = _expect(structure, Psyquandle, kind)
         w = _need(weights, "a boltzmann weight file")
         if not isinstance(w, BoltzmannPair):
@@ -171,12 +188,19 @@ def compute_invariant(kind, diagram, structure, weights):
 
 
 def cmd_invariant(args) -> int:
+    from .algebra import parse_algebra
     dgm, alg, wgt = _classify(args.paths)
-    diagram = parse_diagram(_read_path(dgm)) if dgm else None
+    diagram = weights = None
+    if dgm:
+        from .diagram import parse_diagram
+        diagram = parse_diagram(_read_path(dgm))
     structure = parse_algebra(_read_path(_need(alg, "a structure file"))).structure
-    weights = parse_weights(_read_path(wgt)) if wgt else None
+    if wgt:
+        from .invariants import parse_weights
+        weights = parse_weights(_read_path(wgt))
     value, multiset = compute_invariant(args.kind, diagram, structure, weights)
     if args.json:
+        import json
         print(json.dumps({
             "kind": args.kind,
             "inputs": {"diagram": dgm, "structure": alg, "weights": wgt},
@@ -191,6 +215,8 @@ def cmd_invariant(args) -> int:
 # -- search-cocycles ----------------------------------------------------------
 
 def cmd_search_cocycles(args) -> int:
+    from .algebra import OrientedSingquandle, parse_algebra
+    from .solver import solve_cocycle_space
     if args.modulus < 2:
         raise UsageError("--modulus must be >= 2")
     loaded = parse_algebra(_read_path(args.structure))
@@ -206,6 +232,7 @@ def cmd_search_cocycles(args) -> int:
     }
     status = 0
     if args.contains:
+        from .invariants import CocyclePair, parse_weights
         w = parse_weights(_read_path(args.contains))
         if not isinstance(w, CocyclePair):
             raise UsageError("--contains needs a cocycle weight file")
@@ -214,6 +241,7 @@ def cmd_search_cocycles(args) -> int:
         if not member:
             status = 1
     if args.json:
+        import json
         print(json.dumps(record))
     else:
         print(f"solution space size: {space.size}")
@@ -229,6 +257,7 @@ def _corpus_rows():
     """(group, name, thunk or None, expected) rows; thunk None = skipped.
     Each thunk computes its row as ``singq invariant`` does, through
     :func:`compute_invariant`, loading each bundled file on first use."""
+    from .corpus import SKIPPED, SPECS
     lazy = {}
 
     def load(name):
@@ -249,67 +278,22 @@ def _corpus_rows():
         return lambda: compute_invariant(
             kind, dgm and load(dgm), structure(alg), wgt and load(wgt))[0]
 
-    z6, z8k, psy = "z6_singquandle.alg", "z8_k.alg", "psy6.alg"
-    shadow = "z8_z6_shadow.alg"
-    base = shadow + " base"
-    specs = [   # (group, name, kind, diagram, structure, weights, expected)
-        ("z6", "5k6 count", "count", "5k6.dgm", z6, None, "6"),
-        ("z6", "5k7 count", "count", "5k7.dgm", z6, None, "6"),
-        ("z6", "5k6 state-sum", "state-sum", "5k6.dgm", z6, "z6_cocycle.wgt",
-         "6u^3"),
-        ("z6", "5k7 state-sum", "state-sum", "5k7.dgm", z6, "z6_cocycle.wgt",
-         "6"),
-        ("z8k", "k1 count", "count", "k1.dgm", z8k, None, "8"),
-        ("z8k", "k2 count", "count", "k2.dgm", z8k, None, "8"),
-        ("z8k", "k1 phi-ssqp", "phi-ssqp", "k1.dgm", z8k, None,
-         "4u^{s1^4 s2^2 s3 t1^4 t2^2 t3} + 4u^{2 s1^4 s2^2 s3 t1^4 t2^2 t3}"),
-        ("z8k", "k2 phi-ssqp", "phi-ssqp", "k2.dgm", z8k, None,
-         "4u^{s1^4 s2^2 s3 t1^4 t2^2 t3} + 4u^{4 s1^4 s3 t1^4 t3}"),
-        ("shadow", "sp a", "sp", None, "z8_z4_shadow_a.alg", None, "4t^4"),
-        ("shadow", "sp b", "sp", None, "z8_z4_shadow_b.alg", None, "2t^8 + 2"),
-    ]
-    for name in ("4_1k", "5_4k"):
-        dgm = f"{name}.dgm"
-        specs += [
-            ("shadow", f"{name} count", "count", dgm, base, None, "16"),
-            ("shadow", f"{name} shadow-count", "shadow-count", dgm, shadow,
-             None, "96"),
-            ("shadow", f"{name} phi-ssqp", "phi-ssqp", dgm, base, None,
-             "4u^{s1^2 s2^2 s3 t1^2 t2^2 t3} + 4u^{2 s1^2 s2^2 s3 t1^2 t2^2 t3}"
-             " + 8u^{4 s1^2 s2^2 s3 t1^2 t2^2 t3}")]
-    specs += [
-        ("shadow", "4_1k SP", "SP", "4_1k.dgm", shadow, None,
-         "24u^{t^2} + 24u^{t} + 48u^{2}"),
-        ("shadow", "5_4k SP", "SP", "5_4k.dgm", shadow, None,
-         "48u^{t^4} + 24u^{t^2} + 24u^{t}"),
-        ("bouquet", "1l1 psy-count", "psy-count", "1l1.dgm", psy, None, "24"),
-        ("bouquet", "1l1 boltzmann-1", "boltzmann-1", "1l1.dgm", psy,
-         "psy6_boltzmann.wgt", "6 + 18w"),
-    ]
     rows = [(group, name, thunk(*spec), expected)
-            for group, name, *spec, expected in specs]
-    skipped = [
-        ("5_2l", "12", "12w"), ("6_1l", "12", "12w"),
-        ("3_1l", "12", "6 + 6w"), ("4_1l", "12", "6 + 6w"),
-        ("5_3l", "12", "6 + 6w"), ("6_2l", "12", "6 + 6w"),
-        ("6_6l", "12", "6 + 6w"),
-        ("6_3l", "24", "24w"), ("6_8l", "24", "24w"), ("6_9l", "24", "24w"),
-        ("6_10l", "24", "24w"), ("6_11l", "24", "24w"),
-        ("5_1l", "24", "18 + 6w"), ("6_5l", "24", "18 + 6w"),
-        ("6_7l", "24", "18 + 6w"),
-        ("6_4l", "36", "18 + 18w"), ("6_12l", "36", "18 + 18w"),
-    ]
-    for name, count, value in skipped:
+            for group, name, *spec, expected in SPECS]
+    for name, count, value in SKIPPED:
         rows.append(("bouquet", f"{name} psy-count", None, count))
         rows.append(("bouquet", f"{name} boltzmann-1", None, value))
     return rows
 
 
 def cmd_corpus(args) -> int:
+    import time
     rows = _corpus_rows()
     if args.filter:
         rows = [r for r in rows
                 if args.filter in r[0] or args.filter in r[1]]
+    if args.json:
+        import json
     status = 0
     out = []
     for group, name, thunk, expected in rows:
@@ -382,12 +366,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidStructureError as exc:
-        print(f"error: invalid structure\n{exc.report.summary()}",
-              file=sys.stderr)
-        return 2
-    except (AlgebraError, ColoringError, DiagramError, InvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        invalid, typed = _input_errors()
+        if isinstance(exc, invalid):
+            print(f"error: invalid structure\n{exc.report.summary()}",
+                  file=sys.stderr)
+        elif isinstance(exc, typed):
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            raise
         return 2
 
 

@@ -27,10 +27,12 @@ invariants of the base.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .algebra import OrientedSingquandle, Psyquandle, ShadowStructure
-from .diagram import SingularDiagram
+if TYPE_CHECKING:
+    from .algebra import OrientedSingquandle, ShadowStructure
+    from .diagram import SingularDiagram
+    from .psyquandle import Psyquandle
 
 
 class ColoringError(ValueError):

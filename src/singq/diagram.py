@@ -1,6 +1,6 @@
 """Combinatorial diagrams of oriented singular links.
 
-A diagram is a list of crossing records over directed semiarcs.  Classical
+A diagram is a tuple of crossing records over directed semiarcs.  Classical
 crossings carry ports ``ui, oi, uo, oo`` (under/over in/out); singular
 crossings carry ``i1, i2, o1, o2`` where the strand entering at ``i1``
 leaves at ``o2`` and the one entering at ``i2`` leaves at ``o1``.  An
@@ -21,6 +21,8 @@ Crossing numbers in ``rot`` lines are 1-based in file order.
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
+
+from .algebra import _ReadOnly
 
 
 class DiagramError(ValueError):
@@ -60,9 +62,17 @@ class SemiArc(NamedTuple):
     head: tuple  # (crossing index, in-port)
 
 
-class SingularDiagram:
+class SingularDiagram(_ReadOnly):
+    """Crossings, semiarcs and the compiled crossing tuples, all tuples and
+    read-only once built, so the plans and coloring sets kept with the
+    diagram stay valid.  ``plans`` and ``color_sets`` fill as they are
+    used; the coloring search owns them."""
+
+    __slots__ = ("crossings", "semiarcs", "compiled", "plans", "color_sets",
+                 "_arc_index")
+
     def __init__(self, crossings: Sequence[Crossing]):
-        self.crossings = list(crossings)
+        self.crossings = tuple(crossings)
         self._build_semiarcs()
         # coloring-search plans by coloring notion, made on first use
         self.plans = {}
@@ -90,10 +100,11 @@ class SingularDiagram:
             end = tails.get(dangling[0]) or heads[dangling[0]]
             raise DiagramError(f"dangling semiarc endpoint(s): {dangling}",
                                end[0])
-        self.semiarcs = [SemiArc(lbl, tails[lbl], heads[lbl]) for lbl in order]
+        self.semiarcs = tuple(SemiArc(lbl, tails[lbl], heads[lbl])
+                              for lbl in order)
         self._arc_index = order
-        self.compiled = [(c.kind, *(order[c.arcs[p]] for p in c.ports))
-                         for c in self.crossings]
+        self.compiled = tuple((c.kind, *(order[c.arcs[p]] for p in c.ports))
+                              for c in self.crossings)
 
     # -- basic counts ------------------------------------------------------
 

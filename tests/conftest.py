@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from singq.algebra import (Psyquandle, ShadowStructure, affine_singquandle,
-                           parse_algebra)
+from singq.algebra import ShadowStructure, affine_singquandle, parse_algebra
 from singq.data import (corpus_names, load_algebra, load_diagram,
                         load_weights)
+from singq.psyquandle import Psyquandle
 
 
 @pytest.fixture(scope="session")

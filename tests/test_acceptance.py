@@ -12,15 +12,16 @@ import pytest
 
 from singq.algebra import (ParameterError, affine_singquandle, eval_table,
                            formula_structure, substructure_closure,
-                           validate_psyquandle, validate_shadow,
-                           validate_singquandle)
+                           validate_shadow, validate_singquandle)
 from singq.coloring import (psyquandle_colorings, shadow_colorings,
                             singquandle_colorings)
 from singq.diagram import parse_diagram
 from singq.invariants import (CocyclePair, SP, boltzmann_single,
-                              boltzmann_two, phi_ssqp, solve_cocycle_space,
-                              sp, state_sum, strongly_compatible,
-                              validate_boltzmann, validate_cocycle_pair)
+                              boltzmann_two, phi_ssqp, sp, state_sum,
+                              strongly_compatible, validate_boltzmann,
+                              validate_cocycle_pair)
+from singq.psyquandle import validate_psyquandle
+from singq.solver import solve_cocycle_space
 
 from conftest import (MOVE_PAIRS, brute_force_psyquandle,
                       brute_force_singquandle)

@@ -5,15 +5,16 @@ from hypothesis import given, strategies as st
 
 from singq.algebra import (AlgebraError, InvalidStructureError,
                            OperationTable, OrientedSingquandle,
-                           ParameterError, Psyquandle, ShadowStructure,
-                           affine_singquandle, are_isomorphic, eval_table,
-                           formula_shadow, formula_structure,
-                           is_homomorphism, parse_algebra, quandle_from_group,
-                           shadow_closure, substructure_closure,
-                           validate_psyquandle, validate_quandle,
+                           ParameterError, ShadowStructure,
+                           affine_singquandle, eval_table, formula_shadow,
+                           formula_structure, parse_algebra, shadow_closure,
+                           substructure_closure, validate_quandle,
                            validate_shadow, validate_singquandle)
 from singq.data import fixture_names, load_algebra, load_weights
 from singq.invariants import BoltzmannPair, CocyclePair
+from singq.morphisms import (are_isomorphic, is_homomorphism,
+                             quandle_from_group)
+from singq.psyquandle import Psyquandle, validate_psyquandle
 
 
 def table(n, fn):

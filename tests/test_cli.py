@@ -159,6 +159,16 @@ class TestInputErrors:
         assert rc == 2
         assert "weight table is not 6x6" in capsys.readouterr().err
 
+    def test_untyped_value_error_propagates(self, monkeypatch):
+        """Only singq's typed input errors exit 2; any other ValueError
+        propagates as before."""
+        def fail(args):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr("singq.cli.cmd_corpus", fail)
+        with pytest.raises(ValueError, match="not an input error"):
+            main(["corpus"])
+
 
 class TestSearchCocycles:
     def test_member(self, capsys):

@@ -13,9 +13,9 @@ import random
 
 import pytest
 
-from singq.invariants import (CocyclePair, _cocycle_rows, _kernel_prime_power,
-                              _prime_powers, solve_cocycle_space,
-                              validate_cocycle_pair)
+from singq.invariants import CocyclePair, validate_cocycle_pair
+from singq.solver import (_cocycle_rows, _kernel_prime_power, _prime_powers,
+                          solve_cocycle_space)
 
 from conftest import STRUCTURES
 

@@ -1,5 +1,7 @@
 import pytest
 
+from singq.coloring import singquandle_tuples
+from singq.data import load_diagram
 from singq.diagram import (DiagramError, ParseError, parse_diagram,
                            validate_diagram)
 
@@ -129,3 +131,29 @@ class TestComponents:
     def test_two_component_link(self):
         text = "P a b c d\nP c d a b\n"
         assert parse_diagram(text).component_count() == 2
+
+
+class TestReadOnly:
+    FIELDS = ("crossings", "semiarcs", "compiled")
+
+    def test_fields_are_tuples_set_once(self):
+        d, other = load_diagram("5k6.dgm"), load_diagram("5k7.dgm")
+        for name in self.FIELDS:
+            assert isinstance(getattr(d, name), tuple)
+            with pytest.raises(AttributeError):
+                setattr(d, name, getattr(other, name))
+            with pytest.raises(AttributeError):
+                delattr(d, name)
+
+    def test_kept_coloring_set_cannot_go_stale(self, z6):
+        """The coloring set a diagram keeps stays the set of its own
+        crossings: the fields it was searched from cannot be changed in
+        place, as lists once could."""
+        a, b = load_diagram("5k6.dgm"), load_diagram("5k7.dgm")
+        kept = singquandle_tuples(a, z6)
+        assert kept != singquandle_tuples(b, z6)
+        assert a.plans and a.color_sets   # the caches still fill
+        for name in self.FIELDS:
+            with pytest.raises(TypeError):
+                getattr(a, name)[:] = getattr(b, name)
+        assert singquandle_tuples(a, z6) == kept

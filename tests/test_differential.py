@@ -30,8 +30,9 @@ from singq.data import load_algebra
 from singq.diagram import parse_diagram
 from singq.invariants import (CocyclePair, SP, _profile_sum,
                               boltzmann_single, boltzmann_two, phi_ssqp,
-                              solve_cocycle_space, ssqp, state_sum, subsp)
-from singq.polynomial import ExponentTag, InvariantValue
+                              ssqp, state_sum, subsp)
+from singq.solver import solve_cocycle_space
+from singq.values import ExponentTag, InvariantValue
 
 from conftest import (assert_colorings_satisfy, brute_force_psyquandle,
                       brute_force_shadow, brute_force_singquandle)

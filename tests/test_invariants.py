@@ -14,15 +14,15 @@ from singq import coloring
 from singq.coloring import singquandle_colorings, psyquandle_colorings
 from singq.data import load_algebra
 from singq.diagram import parse_diagram
-from singq import invariants
+from singq import invariants, solver
 from singq.invariants import (BoltzmannPair, CocyclePair, InvariantError,
-                              _cocycle_rows,
                               SP, boltzmann_single, boltzmann_two,
-                              parse_weights, phi_ssqp, restrict,
-                              solve_cocycle_space, sp, sqp, ssqp, state_sum,
-                              strongly_compatible, subsp, validate_boltzmann,
-                              validate_cocycle_pair)
-from singq.polynomial import ExponentTag, parse_polynomial
+                              parse_weights, phi_ssqp, restrict, sp, sqp,
+                              ssqp, state_sum, strongly_compatible, subsp,
+                              validate_boltzmann, validate_cocycle_pair)
+from singq.polynomial import parse_polynomial
+from singq.solver import _cocycle_rows, solve_cocycle_space
+from singq.values import ExponentTag
 
 from conftest import STRUCTURES
 
@@ -489,13 +489,13 @@ class TestCocycleSolver:
         serve every membership test without eliminating again."""
         s = affine_singquandle(10, 7, 6, 5)
         calls = []
-        kernel = invariants._kernel_prime_power
+        kernel = solver._kernel_prime_power
 
         def counted(rows, width, p, e):
             calls.append((p, e))
             return kernel(rows, width, p, e)
 
-        monkeypatch.setattr(invariants, "_kernel_prime_power", counted)
+        monkeypatch.setattr(solver, "_kernel_prime_power", counted)
         space = solve_cocycle_space(s, 10)
         assert calls == [(2, 1), (2, 1), (5, 1), (5, 1)]
         assert all(space.contains(g) for g in space.generators)

@@ -1,7 +1,7 @@
 import pytest
 
-from singq.polynomial import (BasePolynomial, ExponentTag, InvariantValue,
-                              PolynomialError, parse_polynomial)
+from singq.polynomial import BasePolynomial, PolynomialError, parse_polynomial
+from singq.values import ExponentTag, InvariantValue
 
 
 def P(text):

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singq.algebra import (ParameterError, ShadowStructure,
-                           affine_singquandle, are_isomorphic,
-                           is_homomorphism, substructure_closure,
+                           affine_singquandle, substructure_closure,
                            validate_shadow, validate_singquandle)
 from singq.coloring import (psyquandle_colorings, shadow_colorings,
                             singquandle_colorings)
 from singq.invariants import (SP, boltzmann_single, boltzmann_two, phi_ssqp,
                               sp, state_sum)
-from singq.polynomial import BasePolynomial, ExponentTag, parse_polynomial
+from singq.morphisms import are_isomorphic, is_homomorphism
+from singq.polynomial import BasePolynomial, parse_polynomial
+from singq.values import ExponentTag
 
 from conftest import MOVE_PAIRS
 

@@ -14,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from singq.algebra import (OperationTable, OrientedSingquandle, Psyquandle,
+from singq.algebra import (OperationTable, OrientedSingquandle,
                            ShadowStructure, ValidationReport, parse_algebra,
-                           validate_group, validate_psyquandle,
                            validate_quandle, validate_shadow,
                            validate_singquandle)
 from singq.data import fixture_names, load_algebra
+from singq.morphisms import validate_group
+from singq.psyquandle import Psyquandle, validate_psyquandle
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")

@@ -14,8 +14,9 @@ import pytest
 from singq.algebra import ValidationReport, affine_singquandle
 from singq.data import load_algebra, load_weights
 from singq.invariants import (BoltzmannPair, CocyclePair, InvariantError,
-                              solve_cocycle_space, strongly_compatible,
-                              validate_boltzmann, validate_cocycle_pair)
+                              strongly_compatible, validate_boltzmann,
+                              validate_cocycle_pair)
+from singq.solver import solve_cocycle_space
 
 
 # -- reference: the loop validators -------------------------------------------
