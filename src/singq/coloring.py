@@ -271,8 +271,7 @@ def _shadow_search(d: SingularDiagram, sh: ShadowStructure) -> tuple:
     if not regions:
         raise ColoringError("diagram has no crossings, so no regions")
     neighbors = [[] for _ in regions]   # region -> (region, semiarc, table)
-    for label, (left, right) in d.side_regions(regions).items():
-        ai = d._arc_index[label]
+    for ai, (left, right) in enumerate(d.sides):
         # crossing the semiarc from right to left applies the action
         neighbors[right].append((left, ai, sh.action))
         neighbors[left].append((right, ai, sh.action_inv))

@@ -20,7 +20,8 @@ Crossing numbers in ``rot`` lines are 1-based in file order.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import _ReadOnly
 
@@ -41,14 +42,11 @@ CLASSICAL_PORTS = ("ui", "oi", "uo", "oo")
 SINGULAR_PORTS = ("i1", "i2", "o1", "o2")
 IN_PORTS = {"ui", "oi", "i1", "i2"}
 
-# strand continuation across a crossing, by in-port
-CONTINUATION = {"ui": "uo", "oi": "oo", "i1": "o2", "i2": "o1"}
-
 
 class Crossing(NamedTuple):
     index: int
     kind: str  # 'P', 'N' or 'S'
-    arcs: dict  # port -> semiarc label
+    arcs: Mapping  # port -> semiarc label, read-only in a diagram
     rotation: Optional[tuple] = None  # CCW cyclic order of the four ports
 
     @property
@@ -63,17 +61,20 @@ class SemiArc(NamedTuple):
 
 
 class SingularDiagram(_ReadOnly):
-    """Crossings, semiarcs and the compiled crossing tuples, all tuples and
-    read-only once built, so the plans and coloring sets kept with the
-    diagram stay valid.  ``plans`` and ``color_sets`` fill as they are
-    used; the coloring search owns them."""
+    """Crossings (each port map a read-only copy), semiarcs, the compiled
+    crossing tuples and the regions, all tuples and read-only once built,
+    so the plans and coloring sets kept with the diagram stay valid.
+    ``plans`` and ``color_sets`` fill as they are used; the coloring search
+    owns them."""
 
-    __slots__ = ("crossings", "semiarcs", "compiled", "plans", "color_sets",
-                 "_arc_index")
+    __slots__ = ("crossings", "semiarcs", "compiled", "faces", "sides",
+                 "plans", "color_sets", "_arc_index")
 
     def __init__(self, crossings: Sequence[Crossing]):
-        self.crossings = tuple(crossings)
+        self.crossings = tuple(c._replace(arcs=MappingProxyType(dict(c.arcs)))
+                               for c in crossings)
         self._build_semiarcs()
+        self._build_regions()
         # coloring-search plans by coloring notion, made on first use
         self.plans = {}
         # the last coloring set by notion, with the objects it was made from
@@ -123,71 +124,83 @@ class SingularDiagram(_ReadOnly):
         return all(c.rotation is not None for c in self.crossings)
 
     def component_count(self) -> int:
-        seen = set()
+        # a strand entering a classical crossing at port position p leaves
+        # at p + 2; one entering a singular crossing leaves at 3 - p
+        follow = [0] * self.n_semiarcs
+        for kind, a, b, c, d in self.compiled:
+            follow[a], follow[b] = (d, c) if kind == "S" else (c, d)
+        seen = [False] * self.n_semiarcs
         count = 0
-        for start in self.semiarcs:
-            if start.label in seen:
+        for i in range(self.n_semiarcs):
+            if seen[i]:
                 continue
             count += 1
-            label = start.label
-            while label not in seen:
-                seen.add(label)
-                cid, port = self.arc(label).head
-                out_port = CONTINUATION[port]
-                label = self.crossings[cid].arcs[out_port]
+            while not seen[i]:
+                seen[i] = True
+                i = follow[i]
         return count
 
     def graph_component_count(self) -> int:
         # connectivity of the underlying 4-valent graph
-        if not self.crossings:
-            return 0
-        adj = {c.index: set() for c in self.crossings}
+        adj = [[] for _ in self.crossings]
         for a in self.semiarcs:
-            adj[a.tail[0]].add(a.head[0])
-            adj[a.head[0]].add(a.tail[0])
-        seen: set = set()
+            adj[a.tail[0]].append(a.head[0])
+            adj[a.head[0]].append(a.tail[0])
+        seen = [False] * self.n_crossings
         count = 0
-        for start in adj:
-            if start in seen:
+        for start in range(self.n_crossings):
+            if seen[start]:
                 continue
             count += 1
+            seen[start] = True
             stack = [start]
             while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                stack.extend(adj[v] - seen)
+                for w in adj[stack.pop()]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
         return count
 
     # -- combinatorial map -------------------------------------------------
 
-    def _port_dart_away(self, cid: int, port: str) -> tuple:
-        """Dart leaving crossing ``cid`` along ``port``: (arc index, direction)."""
-        label = self.crossings[cid].arcs[port]
-        arc = self.arc(label)
-        i = self._arc_index[label]
-        if arc.tail == (cid, port):
-            return (i, +1)
-        if arc.head == (cid, port):
-            return (i, -1)
-        raise DiagramError(f"port {port} of crossing {cid} inconsistent")
-
-    def _dart_arrival(self, dart: tuple) -> tuple:
-        i, direction = dart
-        arc = self.semiarcs[i]
-        return arc.head if direction == +1 else arc.tail
-
-    def _next_dart_left(self, dart: tuple) -> tuple:
-        # Face-to-the-left traversal: arrive at a crossing, turn to the next
-        # port clockwise (= previous in the CCW rotation), leave along it.
-        cid, port = self._dart_arrival(dart)
-        rot = self.crossings[cid].rotation
-        if rot is None:
-            raise DiagramError(f"crossing {cid} has no rotation")
-        k = rot.index(port)
-        nxt = rot[(k - 1) % 4]
-        return self._port_dart_away(cid, nxt)
+    def _build_regions(self):
+        """Trace the faces of the combinatorial map once, over darts: dart
+        ``2*i`` runs along semiarc i and dart ``2*i + 1`` against it.
+        ``faces`` keeps the ``Region`` records and ``sides`` the (left,
+        right) region ids per semiarc index; both are None unless every
+        crossing has a rotation."""
+        if not self.has_rotations():
+            self.faces = self.sides = None
+            return
+        turn = [0] * (2 * self.n_semiarcs)
+        for c, (_, *arcs) in zip(self.crossings, self.compiled):
+            if sorted(c.rotation) != sorted(c.ports):
+                raise DiagramError(f"rotation must permute {c.ports}", c.index)
+            # the dart leaving along each port; the one arriving there is
+            # the same semiarc the other way
+            away = {port: 2 * i + (port in IN_PORTS)
+                    for port, i in zip(c.ports, arcs)}
+            rot = [away[port] for port in c.rotation]
+            # face to the left: arrive, turn to the next port clockwise (the
+            # previous in the CCW rotation) and leave along it
+            for k in range(4):
+                turn[rot[k] ^ 1] = rot[k - 1]
+        face_of = [None] * len(turn)
+        faces = []
+        # scanning darts upwards finds each face at its least dart, so the
+        # faces come out in least-dart order, each starting there
+        for start in range(len(turn)):
+            if face_of[start] is not None:
+                continue
+            boundary = []
+            dart = start
+            while face_of[dart] is None:
+                face_of[dart] = len(faces)
+                boundary.append((dart >> 1, 1 - 2 * (dart & 1)))
+                dart = turn[dart]
+            faces.append(Region(len(faces), tuple(boundary)))
+        self.faces = tuple(faces)
+        self.sides = tuple(zip(face_of[::2], face_of[1::2]))
 
     def regions(self) -> list:
         """Faces of the combinatorial map, as ``Region`` records.
@@ -196,23 +209,9 @@ class SingularDiagram(_ReadOnly):
         one region; the face containing the forward dart of a semiarc is the
         region to the left of that semiarc.
         """
-        if not self.has_rotations():
+        if self.faces is None:
             raise DiagramError("regions need a rotation at every crossing")
-        darts = [(i, d) for i in range(self.n_semiarcs) for d in (+1, -1)]
-        seen = set()
-        faces = []
-        for start in darts:
-            if start in seen:
-                continue
-            cycle = []
-            d = start
-            while d not in seen:
-                seen.add(d)
-                cycle.append(d)
-                d = self._next_dart_left(d)
-            faces.append(tuple(cycle))
-        faces.sort(key=lambda f: min((i, -d) for i, d in f))
-        return [Region(k, f) for k, f in enumerate(faces)]
+        return list(self.faces)
 
     def euler_check(self) -> tuple:
         """(V, E, F, ok): ok iff V - E + F == 2 per connected component."""
@@ -230,16 +229,11 @@ class SingularDiagram(_ReadOnly):
         return f"Euler check failed: V={v} E={e} F={f} components={components}"
 
     def side_regions(self, regions: Optional[list] = None) -> dict:
-        """Map semiarc label -> (left region id, right region id)."""
-        if regions is None:
-            regions = self.regions()
-        sides: dict = {}
-        for r in regions:
-            for i, d in r.boundary:
-                label = self.semiarcs[i].label
-                pair = sides.setdefault(label, [None, None])
-                pair[0 if d == +1 else 1] = r.id
-        return {lbl: tuple(pair) for lbl, pair in sides.items()}
+        """Map semiarc label -> (left region id, right region id), a view of
+        ``sides`` by label.  The sides are those of the diagram's own
+        ``regions()``, so ``regions`` is not read."""
+        self.regions()   # raises without rotations
+        return {a.label: side for a, side in zip(self.semiarcs, self.sides)}
 
     # -- serialization -----------------------------------------------------
 
@@ -311,7 +305,7 @@ def validate_diagram(d: SingularDiagram) -> DiagramReport:
     if d.n_semiarcs != 2 * d.n_crossings:
         problems.append(f"expected {2 * d.n_crossings} semiarcs, "
                         f"found {d.n_semiarcs}")
-    problem = d.euler_problem(d.regions()) if d.has_rotations() else None
+    problem = d.euler_problem(d.faces) if d.faces is not None else None
     if problem:
         problems.append(problem)
     return DiagramReport(valid=not problems, problems=tuple(problems))

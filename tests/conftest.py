@@ -105,18 +105,16 @@ STRUCTURES = {
 # the result equals naive generate-and-test while staying tractable.
 
 def _oracle(diagram, n, predicates):
-    index = diagram._arc_index
     order = []
-    for c in diagram.crossings:
-        for port in c.ports:
-            i = index[c.arcs[port]]
+    for _, *arcs in diagram.compiled:
+        for i in arcs:
             if i not in order:
                 order.append(i)
     pos = {arc: k for k, arc in enumerate(order)}
 
     pending = []
-    for c in diagram.crossings:
-        cols = {port: pos[index[c.arcs[port]]] for port in c.ports}
+    for c, (_, *arcs) in zip(diagram.crossings, diagram.compiled):
+        cols = {port: pos[i] for port, i in zip(c.ports, arcs)}
         ready_at = max(cols.values())
         pending.append((ready_at, c, cols))
 
@@ -185,13 +183,10 @@ def brute_force_shadow(diagram, sh):
     rows = np.array(brute_force_singquandle(diagram, sh.base),
                     dtype=np.int64).reshape(-1, m)
     action = np.array(sh.action)
-    regions = diagram.regions()
-    sides = [(left, right, diagram._arc_index[label]) for label, (left, right)
-             in diagram.side_regions(regions).items()]
-    for k in range(len(regions)):
+    for k in range(len(diagram.regions())):
         new_col = np.tile(np.arange(sh.carrier), rows.shape[0]).reshape(-1, 1)
         rows = np.hstack([np.repeat(rows, sh.carrier, axis=0), new_col])
-        for left, right, i in sides:
+        for i, (left, right) in enumerate(diagram.sides):
             if max(left, right) == k:
                 rows = rows[rows[:, m + left]
                             == action[rows[:, m + right], rows[:, i]]]
@@ -223,15 +218,12 @@ def assert_colorings_satisfy(diagram, structure, colorings):
     of color s."""
     shadow = isinstance(structure, ShadowStructure)
     relations = _relations(structure.base if shadow else structure)
-    if shadow:
-        sides = [(left, right, diagram._arc_index[label]) for label, (left, right)
-                 in diagram.side_regions().items()]
     for coloring in colorings:
         colors, regions = coloring if shadow else (coloring, None)
         assert len(colors) == diagram.n_semiarcs, coloring
         for kind, *arcs in diagram.compiled:
             assert relations[kind](*(colors[i] for i in arcs)), (coloring, kind, arcs)
         if shadow:
-            for left, right, i in sides:
+            for i, (left, right) in enumerate(diagram.sides):
                 assert regions[left] == structure.act(regions[right], colors[i]), \
                     (coloring, left, right, i)

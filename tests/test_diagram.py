@@ -1,9 +1,9 @@
 import pytest
 
-from singq.coloring import singquandle_tuples
+from singq.coloring import shadow_tuples, singquandle_tuples
 from singq.data import load_diagram
-from singq.diagram import (DiagramError, ParseError, parse_diagram,
-                           validate_diagram)
+from singq.diagram import (Crossing, DiagramError, ParseError, Region,
+                           SingularDiagram, parse_diagram, validate_diagram)
 
 KINK = """\
 P b a a b
@@ -75,6 +75,9 @@ class TestRegions:
         assert len(d.regions()) == 3
         assert d.euler_check() == (1, 2, 3, True)
         assert d.euler_problem(d.regions()) is None
+        assert d.regions() == [Region(0, ((0, 1),)),
+                               Region(1, ((0, -1), (1, 1))),
+                               Region(2, ((1, -1),))]
 
     def test_singular_loop_has_three_regions(self):
         d = parse_diagram(SINGULAR_LOOP)
@@ -106,6 +109,17 @@ class TestRegions:
         with pytest.raises(DiagramError):
             d.regions()
 
+    @pytest.mark.parametrize("rotation", [("i1", "i2", "o1", "o2"),
+                                          ("ui", "ui", "uo", "oo")])
+    def test_built_rotation_must_permute_ports(self, rotation):
+        """Regions are traced when a diagram is built, so a crossing built
+        without the parser is refused there if its rotation is not a
+        permutation of its ports, not traced into wrong faces."""
+        kink = Crossing(0, "P", {"ui": "b", "oi": "a", "uo": "a", "oo": "b"},
+                        rotation)
+        with pytest.raises(DiagramError, match="rotation must permute"):
+            SingularDiagram([kink])
+
     def test_every_dart_in_one_region(self, corpus):
         for name, d in corpus.items():
             darts = [dart for r in d.regions() for dart in r.boundary]
@@ -118,6 +132,16 @@ class TestRegions:
             assert set(sides) == {a.label for a in d.semiarcs}
             for label, (left, right) in sides.items():
                 assert left is not None and right is not None, (name, label)
+
+    def test_sides_hold_their_darts(self, corpus):
+        """The forward dart of semiarc i lies in region ``sides[i][0]``, the
+        one to its left, and the backward dart in ``sides[i][1]``."""
+        for name, d in corpus.items():
+            regions = d.regions()
+            assert len(d.sides) == d.n_semiarcs, name
+            for i, (left, right) in enumerate(d.sides):
+                assert (i, +1) in regions[left].boundary, (name, i)
+                assert (i, -1) in regions[right].boundary, (name, i)
 
 
 class TestComponents:
@@ -134,7 +158,7 @@ class TestComponents:
 
 
 class TestReadOnly:
-    FIELDS = ("crossings", "semiarcs", "compiled")
+    FIELDS = ("crossings", "semiarcs", "compiled", "faces", "sides")
 
     def test_fields_are_tuples_set_once(self):
         d, other = load_diagram("5k6.dgm"), load_diagram("5k7.dgm")
@@ -157,3 +181,20 @@ class TestReadOnly:
             with pytest.raises(TypeError):
                 getattr(a, name)[:] = getattr(b, name)
         assert singquandle_tuples(a, z6) == kept
+
+    def test_crossing_ports_are_frozen(self, z8_z6_shadow):
+        """A crossing's port map is a read-only copy: once it was the
+        caller's dict, so swapping two of its labels left the kept shadow
+        set stale, changed ``serialize()`` and broke ``regions()``."""
+        d = load_diagram("4_1k.dgm")
+        arcs = [dict(c.arcs) for c in d.crossings]
+        d = SingularDiagram([c._replace(arcs=a)
+                             for c, a in zip(d.crossings, arcs)])
+        text, kept = d.serialize(), shadow_tuples(d, z8_z6_shadow)
+        with pytest.raises(TypeError):
+            d.crossings[0].arcs["ui"] = d.crossings[0].arcs["oi"]
+        arcs[0]["ui"], arcs[0]["oi"] = arcs[0]["oi"], arcs[0]["ui"]
+        assert d.serialize() == text
+        assert len(d.regions()) == d.n_crossings + 2
+        assert shadow_tuples(d, z8_z6_shadow) is kept
+        assert len(kept) == 96
