@@ -193,11 +193,13 @@ class OrientedSingquandle(_ReadOnly):
     ``star_inv`` is always derived from ``star`` so the pair of tables can
     never disagree.  Instances are validated on construction unless built
     through :func:`validate_singquandle` on raw tables.  ``_tags`` maps
-    each color set a phi-ssqp coloring has used to its tag; equality and
-    hashing ignore it.
+    each color set a phi-ssqp coloring has used to its tag, and
+    ``_symmetry`` keeps the permutations the coloring search found to
+    preserve the tables, once it first runs; equality and hashing ignore
+    both.
     """
 
-    __slots__ = ("n", "star", "star_inv", "r1", "r2", "_tags")
+    __slots__ = ("n", "star", "star_inv", "r1", "r2", "_tags", "_symmetry")
 
     def __init__(self, star: OperationTable, r1: OperationTable,
                  r2: OperationTable, _checked: bool = False):
@@ -213,6 +215,7 @@ class OrientedSingquandle(_ReadOnly):
         self.r1 = r1
         self.r2 = r2
         self._tags = {}
+        self._symmetry = None
 
     def op(self, x: int, y: int) -> int:
         return self.star(x, y)
@@ -439,8 +442,14 @@ def profile(s: OrientedSingquandle) -> list:
     """Per-element trivial-action counts ``(r1, c1, r2, c2, r3, c3)``: for
     each of *, R1, R2 in turn, the number of y with ``op(x, y) == x`` (r)
     and with ``op(y, x) == y`` (c).  Any isomorphism preserves them."""
-    n = s.n
-    flats = (s.star.flat(), s.r1.flat(), s.r2.flat())
+    return table_profile(s.n, (s.star.flat(), s.r1.flat(), s.r2.flat()))
+
+
+def table_profile(n: int, flats) -> list:
+    """Per-element trivial-action counts over the flat n x n tables
+    ``flats``: for each table in turn, the number of y with ``t(x, y) ==
+    x`` and with ``t(y, x) == y``.  A permutation that preserves every
+    table preserves them."""
     out = []
     for x in range(n):
         counts = []

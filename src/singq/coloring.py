@@ -11,6 +11,20 @@ steps below each branch are planned once per diagram and notion, and kept
 on the diagram.  Each crossing relation is evaluated once per search node
 where its ports are colored; its other solved forms are skipped.
 
+The search also uses the symmetry of the structure.  A permutation g of the
+colors that preserves every table the rules read maps a coloring c to a
+coloring g.c (each crossing relation holds at c's colors, so at their
+images), and its inverse maps back.  Each structure object keeps, once its
+first search has run, generators of a group of such permutations, its
+orbits on the colors and a Schreier transversal: per color v, one group
+element taking the least color of v's orbit to v.  The first search level
+then tries only the least color of each orbit, and the colorings found
+there are mapped through the transversal onto the rest of the orbit: a
+bijection onto the colorings with that first color, so the set is exact
+with no deduplication.  Any subgroup is sound, the trivial one included;
+the generator search has a fixed budget, and running out of it only finds
+fewer generators.
+
 The invariants read the sorted color tuples of the ``*_tuples`` functions;
 the ``*_colorings`` functions wrap them into :class:`Coloring` records.
 Every invariant of a diagram over a structure is a sum over the same
@@ -28,6 +42,8 @@ from __future__ import annotations
 
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
+
+from .algebra import _map_codec, table_profile
 
 if TYPE_CHECKING:
     from .algebra import OrientedSingquandle, ShadowStructure
@@ -103,29 +119,32 @@ def _shared(store: dict, name: str, owner, make):
 
 def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> tuple:
     """Sorted semiarc color tuples of every singquandle coloring."""
-    def search():
-        n = s.n
-        first = [x for x in range(n) for _ in range(n)]
-        return _enumerate(d, n, "singquandle", (
-            first, s.star.flat(), s.star_inv.flat(), s.r1.flat(),
-            s.r2.flat()))
-
-    return _shared(d.color_sets, "singquandle", s, search)
+    return _shared(d.color_sets, "singquandle", s, lambda: _enumerate(
+        d, s, "singquandle", _singquandle_tables(s)))
 
 
 def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> tuple:
     """Sorted semiarc color tuples of every psyquandle coloring."""
+    return _shared(d.color_sets, "psyquandle", p, lambda: _enumerate(
+        d, p, "psyquandle", _psyquandle_tables(p)))
+
+
+def _singquandle_tables(s: OrientedSingquandle) -> tuple:
+    """The flat tables of ``SINGQUANDLE_RULES``, by slot."""
+    n = s.n
+    first = [x for x in range(n) for _ in range(n)]
+    return first, s.star.flat(), s.star_inv.flat(), s.r1.flat(), s.r2.flat()
+
+
+def _psyquandle_tables(p: Psyquandle) -> tuple:
+    """The flat tables of ``PSYQUANDLE_RULES``, by slot."""
     def split(pairs):
         return [a for a, _ in pairs], [b for _, b in pairs]
 
     # S(x, y) = (y ot x, x ut y) and S'(x, y) = (y ob x, x ub y)
-    def search():
-        return _enumerate(d, p.n, "psyquandle", (
-            *split(p.smap), *split(p.sprime), *split(p.smap_inv),
+    return (*split(p.smap), *split(p.sprime), *split(p.smap_inv),
             *split(p.sprime_inv), p.ot_inv.flat(), p.ut_inv.flat(),
-            p.ob_inv.flat(), p.ub_inv.flat()))
-
-    return _shared(d.color_sets, "psyquandle", p, search)
+            p.ob_inv.flat(), p.ub_inv.flat())
 
 
 RULES = {"singquandle": SINGQUANDLE_RULES, "psyquandle": PSYQUANDLE_RULES}
@@ -217,25 +236,37 @@ def _plan(d: SingularDiagram, rules: dict) -> list:
         plan.append((branch, spread(branch)))
 
 
-def _enumerate(d: SingularDiagram, n: int, notion: str, tables: tuple) -> tuple:
-    """Sorted color tuples of every semiarc coloring that passes the rules
-    of ``notion``, reading ``tables`` by slot.  The plan is kept on the
-    diagram, per notion."""
+def _enumerate(d: SingularDiagram, owner: OrientedSingquandle | Psyquandle,
+               notion: str, tables: tuple) -> tuple:
+    """Sorted color tuples of every semiarc coloring by the structure
+    ``owner`` that passes the rules of ``notion``, reading ``tables`` by
+    slot.  The plan is kept on the diagram, per notion, and the symmetry of
+    the tables on ``owner``.  The first level runs over the least value of
+    each orbit only; the colorings found there are mapped onto each value
+    of the orbit by its transversal element, a bijection onto the colorings
+    with that first value."""
+    n = owner.n
+    symmetry = owner._symmetry
+    if symmetry is None:
+        symmetry = owner._symmetry = _symmetry(n, tables)
     plan = d.plans.get(notion)
     if plan is None:
         plan = d.plans[notion] = _plan(d, RULES[notion])
+    if not plan:
+        return ((),)   # no semiarcs: the one empty coloring
     plan = [(branch, [(x, y, tables[slot], out, check)
                       for x, y, slot, out, check in steps])
             for branch, steps in plan]
     colors = [0] * len(d.semiarcs)
-    solutions = []
+    every = range(n)
+    found = []   # the colorings of one orbit's least value, concatenated
 
-    def search(level: int) -> None:
+    def search(level: int, values) -> None:
         if level == len(plan):
-            solutions.append(tuple(colors))
+            found.extend(colors)
             return
         branch, steps = plan[level]
-        for value in range(n):
+        for value in values:
             colors[branch] = value
             for x, y, table, out, check in steps:
                 v = table[colors[x] * n + colors[y]]
@@ -244,11 +275,164 @@ def _enumerate(d: SingularDiagram, n: int, notion: str, tables: tuple) -> tuple:
                 elif colors[out] != v:
                     break
             else:
-                search(level + 1)
+                search(level + 1, every)
 
-    search(0)
+    # an orbit's colorings are mapped as one concatenated vector per value,
+    # then cut into tuples
+    encode, compose = _map_codec(n)
+    _, images = encode(symmetry.transversal)
+    solutions = []
+    for orbit in symmetry.orbits:
+        found.clear()
+        search(0, orbit[:1])
+        if found:
+            (block,), _ = encode([found])
+            for value in orbit:
+                mapped = compose(block, images[value])
+                solutions += zip(*[iter(mapped)] * len(colors))
     solutions.sort()
     return tuple(solutions)
+
+
+# -- symmetry of the tables (see the module docstring) -----------------------
+
+class Symmetry(NamedTuple):
+    """Generators (permutations as tuples, each preserving every table),
+    the orbits of the group they generate, each ascending, and per value a
+    group element taking the least value of its orbit to it."""
+    generators: tuple
+    orbits: tuple
+    transversal: tuple
+
+
+# binding steps the generator search may take per set of tables, over all
+# the maps it tries; a search that runs out finds fewer generators, which
+# gives smaller orbits and the same colorings
+_BUDGET = 2000
+
+
+def _symmetry(n: int, tables: tuple) -> Symmetry:
+    """Generators of a group of permutations that preserve ``tables``,
+    flat n x n tables, with its orbits and a Schreier transversal.  For
+    each value x least in its orbit so far, and each larger y of the same
+    profile outside it, a generator taking x to y is searched for; one
+    found merges the orbits, and each is checked entry by entry."""
+    sig = table_profile(n, tables)
+    budget = [_BUDGET]
+    generators = []
+    least, transversal = _schreier(n, generators)
+    for x in range(n):
+        if least[x] != x:
+            continue
+        outside = set()   # orbits known to hold no image of x
+        for y in range(x + 1, n):
+            if least[y] == x or least[y] in outside or sig[y] != sig[x]:
+                continue
+            g = _automorphism(n, tables, sig, x, y, budget)
+            if g is None or not _preserves(g, n, tables):
+                outside.add(least[y])
+                continue
+            generators.append(g)
+            least, transversal = _schreier(n, generators)
+    orbits = {}
+    for v in range(n):
+        orbits.setdefault(least[v], []).append(v)
+    return Symmetry(tuple(generators), tuple(map(tuple, orbits.values())),
+                    transversal)
+
+
+def _schreier(n: int, generators: list) -> tuple:
+    """(least, transversal): per value, the least value of its orbit under
+    ``generators``, and a product of generators taking that value to it."""
+    least = [-1] * n
+    transversal = [None] * n
+    for x in range(n):
+        if least[x] >= 0:
+            continue
+        least[x] = x
+        transversal[x] = tuple(range(n))
+        orbit = [x]
+        for u in orbit:   # grows as it is read: breadth first
+            for g in generators:
+                w = g[u]
+                if least[w] < 0:
+                    least[w] = x
+                    transversal[w] = tuple(g[i] for i in transversal[u])
+                    orbit.append(w)
+    return least, tuple(transversal)
+
+
+def _automorphism(n: int, tables: tuple, sig: list, x: int, y: int,
+                  budget: list) -> Optional[tuple]:
+    """A permutation taking x to y that preserves ``tables``, by
+    backtracking: map the least unmapped value to each unused one of the
+    same profile in turn, and extend the map through the tables, which
+    fixes the image of every table entry over mapped values.  None if
+    there is none, or if the ``budget[0]`` binding steps left run out
+    first."""
+    g = [-1] * n     # value -> image, -1 while unmapped
+    inv = [-1] * n   # image -> value
+    mapped = []      # values in the order they were mapped
+
+    def bind(a: int, b: int) -> bool:
+        """Map a to b and close the map through the tables; False on a
+        clash or with no budget left (``undo`` takes back what was
+        mapped)."""
+        if not budget[0] or inv[b] >= 0 or sig[a] != sig[b]:
+            return False
+        budget[0] -= 1
+        g[a], inv[b] = b, a
+        mapped.append(a)
+        k = len(mapped) - 1
+        while k < len(mapped):
+            u = mapped[k]
+            k += 1
+            gu = g[u]
+            for v in mapped[:k]:
+                gv = g[v]
+                for t in tables:
+                    for z, w in ((t[u * n + v], t[gu * n + gv]),
+                                 (t[v * n + u], t[gv * n + gu])):
+                        if g[z] < 0:
+                            if inv[w] >= 0 or sig[z] != sig[w]:
+                                return False
+                            g[z], inv[w] = w, z
+                            mapped.append(z)
+                        elif g[z] != w:
+                            return False
+        return True
+
+    def undo(mark: int) -> None:
+        while len(mapped) > mark:
+            a = mapped.pop()
+            inv[g[a]] = g[a] = -1
+
+    if not bind(x, y):
+        return None
+    stack = []   # per level: (value mapped there, images left, trail mark)
+    while len(mapped) < n:
+        a = g.index(-1)
+        stack.append((a, iter(range(n)), len(mapped)))
+        while True:
+            a, images, mark = stack[-1]
+            undo(mark)
+            for b in images:
+                if bind(a, b):
+                    break
+                undo(mark)
+            else:
+                stack.pop()
+                if not stack:
+                    return None
+                continue
+            break
+    return tuple(g)
+
+
+def _preserves(g: tuple, n: int, tables: tuple) -> bool:
+    """Whether g(t[x, y]) == t[g(x), g(y)] at every entry of every table."""
+    return all(t[g[x] * n + g[y]] == g[t[x * n + y]]
+               for t in tables for x in range(n) for y in range(n))
 
 
 def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> tuple:
@@ -267,8 +451,9 @@ def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> tuple:
 
 
 def _shadow_search(d: SingularDiagram, sh: ShadowStructure) -> tuple:
-    regions = d.regions()
-    if not regions:
+    regions = d.faces
+    if not regions:   # None without rotations, () without crossings
+        d.regions()   # raises without rotations
         raise ColoringError("diagram has no crossings, so no regions")
     neighbors = [[] for _ in regions]   # region -> (region, semiarc, table)
     for ai, (left, right) in enumerate(d.sides):
@@ -294,9 +479,8 @@ def _shadow_search(d: SingularDiagram, sh: ShadowStructure) -> tuple:
                 queue.append(other)
     if not all(reached):
         raise ColoringError("region adjacency graph is disconnected")
-    problem = d.euler_problem(regions)
-    if problem:
-        raise ColoringError(problem)
+    if d.euler_failure:
+        raise ColoringError(d.euler_failure)
 
     out = []
     rc = [0] * len(regions)

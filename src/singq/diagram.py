@@ -68,7 +68,7 @@ class SingularDiagram(_ReadOnly):
     owns them."""
 
     __slots__ = ("crossings", "semiarcs", "compiled", "faces", "sides",
-                 "plans", "color_sets", "_arc_index")
+                 "euler_failure", "plans", "color_sets", "_arc_index")
 
     def __init__(self, crossings: Sequence[Crossing]):
         self.crossings = tuple(c._replace(arcs=MappingProxyType(dict(c.arcs)))
@@ -166,11 +166,12 @@ class SingularDiagram(_ReadOnly):
     def _build_regions(self):
         """Trace the faces of the combinatorial map once, over darts: dart
         ``2*i`` runs along semiarc i and dart ``2*i + 1`` against it.
-        ``faces`` keeps the ``Region`` records and ``sides`` the (left,
-        right) region ids per semiarc index; both are None unless every
-        crossing has a rotation."""
+        ``faces`` keeps the ``Region`` records, ``sides`` the (left,
+        right) region ids per semiarc index, and ``euler_failure`` why the
+        faces fail the Euler check, or None if they pass; all three are
+        None unless every crossing has a rotation."""
         if not self.has_rotations():
-            self.faces = self.sides = None
+            self.faces = self.sides = self.euler_failure = None
             return
         turn = [0] * (2 * self.n_semiarcs)
         for c, (_, *arcs) in zip(self.crossings, self.compiled):
@@ -201,6 +202,7 @@ class SingularDiagram(_ReadOnly):
             faces.append(Region(len(faces), tuple(boundary)))
         self.faces = tuple(faces)
         self.sides = tuple(zip(face_of[::2], face_of[1::2]))
+        self.euler_failure = self.euler_problem(self.faces)
 
     def regions(self) -> list:
         """Faces of the combinatorial map, as ``Region`` records.
@@ -305,7 +307,6 @@ def validate_diagram(d: SingularDiagram) -> DiagramReport:
     if d.n_semiarcs != 2 * d.n_crossings:
         problems.append(f"expected {2 * d.n_crossings} semiarcs, "
                         f"found {d.n_semiarcs}")
-    problem = d.euler_problem(d.faces) if d.faces is not None else None
-    if problem:
-        problems.append(problem)
+    if d.euler_failure:
+        problems.append(d.euler_failure)
     return DiagramReport(valid=not problems, problems=tuple(problems))

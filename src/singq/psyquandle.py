@@ -31,11 +31,14 @@ class Psyquandle(_ReadOnly):
     singular-over ``ob``.  Right inverses and the crossing pair maps
     S(x, y) = (y ot x, x ut y), S'(x, y) = (y ob x, x ub y) and their
     inverses are precomputed as flat tuples indexed ``x * n + y``.
+    ``_symmetry`` keeps the permutations the coloring search found to
+    preserve the tables, once it first runs.
     """
 
     __slots__ = ("n", "ut", "ot", "ub", "ob",
                  "ut_inv", "ot_inv", "ub_inv", "ob_inv",
-                 "smap", "smap_inv", "sprime", "sprime_inv", "pI_adequate")
+                 "smap", "smap_inv", "sprime", "sprime_inv", "pI_adequate",
+                 "_symmetry")
 
     def __init__(self, ut: OperationTable, ot: OperationTable,
                  ub: OperationTable, ob: OperationTable, _checked: bool = False):
@@ -54,6 +57,7 @@ class Psyquandle(_ReadOnly):
         self.smap, self.smap_inv = _pair_map(self.n, ot, ut)
         self.sprime, self.sprime_inv = _pair_map(self.n, ob, ub)
         self.pI_adequate = all(ub(x, x) == ob(x, x) for x in range(self.n))
+        self._symmetry = None
 
     @classmethod
     def from_biquandle(cls, ut: OperationTable, ot: OperationTable) -> "Psyquandle":

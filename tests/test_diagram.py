@@ -1,6 +1,6 @@
 import pytest
 
-from singq.coloring import shadow_tuples, singquandle_tuples
+from singq.coloring import ColoringError, shadow_tuples, singquandle_tuples
 from singq.data import load_diagram
 from singq.diagram import (Crossing, DiagramError, ParseError, Region,
                            SingularDiagram, parse_diagram, validate_diagram)
@@ -102,7 +102,29 @@ class TestRegions:
         assert not ok
         message = f"Euler check failed: V={v} E={e} F={f} components=1"
         assert d.euler_problem(d.regions()) == message
+        assert d.euler_failure == message
         assert validate_diagram(d).problems == (message,)
+
+    def test_euler_result_is_kept(self, monkeypatch, z8_z6_shadow):
+        """The Euler result is worked out once, when the diagram is built:
+        validation and the shadow search read it and count no graph
+        components again."""
+        good = load_diagram("4_1k.dgm")
+        bad = parse_diagram("P a d b e\nP b e c f\nP c f a d\n"
+                            "rot 1 ui oi uo oo\nrot 2 ui oi uo oo\n"
+                            "rot 3 ui oi uo oo\n")
+        message = bad.euler_failure
+        assert good.euler_failure is None and message.startswith("Euler")
+
+        def recount(self):
+            raise AssertionError("graph components counted again")
+
+        monkeypatch.setattr(SingularDiagram, "graph_component_count", recount)
+        assert validate_diagram(good).valid
+        assert validate_diagram(bad).problems == (message,)
+        assert len(shadow_tuples(good, z8_z6_shadow)) == 96
+        with pytest.raises(ColoringError, match=message):
+            shadow_tuples(bad, z8_z6_shadow)
 
     def test_missing_rotation_raises(self):
         d = parse_diagram("P b a a b\n")
@@ -158,12 +180,16 @@ class TestComponents:
 
 
 class TestReadOnly:
-    FIELDS = ("crossings", "semiarcs", "compiled", "faces", "sides")
+    FIELDS = ("crossings", "semiarcs", "compiled", "faces", "sides",
+              "euler_failure")
 
     def test_fields_are_tuples_set_once(self):
+        """Each field is a tuple, or, for the Euler result of a diagram
+        that passes, None; none can be set again or deleted."""
         d, other = load_diagram("5k6.dgm"), load_diagram("5k7.dgm")
         for name in self.FIELDS:
-            assert isinstance(getattr(d, name), tuple)
+            assert isinstance(getattr(d, name),
+                              type(None) if name == "euler_failure" else tuple)
             with pytest.raises(AttributeError):
                 setattr(d, name, getattr(other, name))
             with pytest.raises(AttributeError):

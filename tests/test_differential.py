@@ -12,18 +12,25 @@ braids and on the benchmark's braid pool and link family, and required to
 give the very plans of the planner that scored each branch by a trial
 propagation over copies of its state, on large braids too.  The tags that
 phi-ssqp and SP keep per structure object are compared, with the diagrams
-in either order, with the per-coloring aggregation they replaced.
+in either order, with the per-coloring aggregation they replaced.  The
+search that tries one first-branch value per orbit of the structure's
+symmetry is compared with the search over every value, kept below as the
+reference, and the orbits and permutations it keeps are pinned.
 """
 
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from singq import invariants
-from singq.algebra import profile, shadow_closure, substructure_closure
-from singq.coloring import (RULES, _establish, _plan, psyquandle_colorings,
+from singq import coloring, invariants
+from singq.algebra import (OperationTable, OrientedSingquandle, profile,
+                           shadow_closure, substructure_closure)
+from singq.coloring import (RULES, _enumerate, _establish, _plan,
+                            _psyquandle_tables, _singquandle_tables,
+                            psyquandle_colorings, psyquandle_tuples,
                             shadow_colorings, shadow_tuples,
                             singquandle_colorings, singquandle_tuples)
 from singq.data import load_algebra
@@ -477,3 +484,158 @@ def test_kept_tags_equal_parent_aggregation(searched, monkeypatch, order):
                 assert SP(d, s) == parent_SP(d, s), (k, name)
             else:
                 assert phi_ssqp(d, s) == parent_phi_ssqp(d, s), (k, name)
+
+
+# -- the orbit search against the search over every first value --------------
+
+def parent_enumerate(d, n: int, notion: str, tables: tuple) -> tuple:
+    """Sorted color tuples of every semiarc coloring that passes the rules
+    of ``notion``, reading ``tables`` by slot.  The plan is kept on the
+    diagram, per notion."""
+    plan = d.plans.get(notion)
+    if plan is None:
+        plan = d.plans[notion] = _plan(d, RULES[notion])
+    plan = [(branch, [(x, y, tables[slot], out, check)
+                      for x, y, slot, out, check in steps])
+            for branch, steps in plan]
+    colors = [0] * len(d.semiarcs)
+    solutions = []
+
+    def search(level: int) -> None:
+        if level == len(plan):
+            solutions.append(tuple(colors))
+            return
+        branch, steps = plan[level]
+        for value in range(n):
+            colors[branch] = value
+            for x, y, table, out, check in steps:
+                v = table[colors[x] * n + colors[y]]
+                if not check:
+                    colors[out] = v
+                elif colors[out] != v:
+                    break
+            else:
+                search(level + 1)
+
+    search(0)
+    solutions.sort()
+    return tuple(solutions)
+
+
+def rigid():
+    """A singquandle of order 3 whose tables no permutation but the
+    identity preserves: the trivial quandle, with R2 the transpose of an
+    R1 that has no symmetry (the axioms then hold for any R1).  Every
+    element has the same profile, so the generator search, not the
+    profile, has to rule the other permutations out."""
+    r1 = [[1, 0, 2], [0, 0, 1], [2, 1, 1]]
+    return OrientedSingquandle(OperationTable([[x] * 3 for x in range(3)]),
+                               OperationTable(r1),
+                               OperationTable(list(zip(*r1))))
+
+
+def searched_structures() -> dict:
+    """Label -> (structure, notion, its tables), each loaded afresh."""
+    found = {"z6": load_algebra("z6_singquandle.alg").structure,
+             "z8k": load_algebra("z8_k.alg").structure,
+             "psy6": load_algebra("psy6.alg").structure,
+             "z8_z6_base": load_algebra("z8_z6_shadow.alg").structure.base,
+             "z8_z4_base": load_algebra("z8_z4_shadow_a.alg").structure.base,
+             "rigid": rigid()}
+    return {label: (s, "psyquandle", _psyquandle_tables(s)) if label == "psy6"
+            else (s, "singquandle", _singquandle_tables(s))
+            for label, s in found.items()}
+
+
+@pytest.mark.parametrize("label", ["z6", "z8k", "psy6", "z8_z6_base",
+                                   "z8_z4_base", "rigid"])
+def test_enumerate_equals_parent_enumerate(planned, label):
+    """The 40 braids, the pool and the link family give the very tuples of
+    the search over every first-branch value."""
+    s, notion, tables = searched_structures()[label]
+    for k, d in enumerate(planned):
+        assert _enumerate(d, s, notion, tables) == \
+            parent_enumerate(d, s.n, notion, tables), k
+
+
+def test_orbits(planned):
+    """The orbits the kept symmetry gives, once a search has run: z6 is
+    transitive, and the rigid structure has the trivial group."""
+    structures = searched_structures()
+    for s, notion, tables in structures.values():
+        _enumerate(planned[0], s, notion, tables)
+    orbits = {label: s._symmetry.orbits
+              for label, (s, _, _) in structures.items()}
+    assert orbits == {
+        "z6": ((0, 1, 2, 3, 4, 5),),
+        "z8k": ((0, 4), (1, 3, 5, 7), (2, 6)),
+        "psy6": ((0, 3), (1, 2), (4, 5)),
+        "z8_z6_base": ((0, 2, 4, 6), (1, 3, 5, 7)),
+        "z8_z4_base": ((0, 4), (1, 3, 5, 7), (2, 6)),
+        "rigid": ((0,), (1,), (2,))}
+
+
+def test_kept_permutations_preserve_every_table(planned):
+    """Every generator and every transversal element is a permutation that
+    maps each entry of each table the search reads to an entry; each takes
+    its orbit's least value to its own value."""
+    for label, (s, notion, tables) in searched_structures().items():
+        _enumerate(planned[0], s, notion, tables)
+        n, symmetry = s.n, s._symmetry
+        for g in symmetry.generators + symmetry.transversal:
+            assert sorted(g) == list(range(n)), label
+            for t in tables:
+                for x in range(n):
+                    for y in range(n):
+                        assert t[g[x] * n + g[y]] == g[t[x * n + y]], label
+        for orbit in symmetry.orbits:
+            for v in orbit:
+                assert symmetry.transversal[v][orbit[0]] == v, label
+
+
+def test_rigid_structure_gives_the_plain_set(braids):
+    """The identity is the only permutation preserving the rigid tables
+    (by trying all six), and its colorings are the brute-force oracle's."""
+    s, _, tables = searched_structures()["rigid"]
+    assert [g for g in itertools.permutations(range(3))
+            if all(t[g[x] * 3 + g[y]] == g[t[x * 3 + y]]
+                   for t in tables for x in range(3) for y in range(3))] \
+        == [(0, 1, 2)]
+    for k, d in enumerate(braids):
+        found = list(singquandle_tuples(d, s))
+        assert s._symmetry.generators == ()
+        assert_colorings_satisfy(d, s, found)
+        assert found == brute_force_singquandle(d, s), k
+
+
+def test_symmetry_built_once_per_structure_object(planned, monkeypatch):
+    """One group per structure object, whatever the diagrams searched, the
+    base of a shadow structure included; an equal but distinct object
+    builds its own."""
+    build = coloring._symmetry
+    built = []
+
+    def counted(n, tables):
+        built.append(n)
+        return build(n, tables)
+
+    monkeypatch.setattr(coloring, "_symmetry", counted)
+    z6, again = (load_algebra("z6_singquandle.alg").structure
+                 for _ in range(2))
+    psy6 = load_algebra("psy6.alg").structure
+    shadow = load_algebra("z8_z6_shadow.alg").structure
+    assert z6 == again and z6 is not again
+    diagrams = [parse_diagram(d.serialize()) for d in planned[40:44]]
+    for d in diagrams:
+        singquandle_tuples(d, z6)
+        psyquandle_tuples(d, psy6)
+    assert built == [6, 6]
+    for d in diagrams:
+        singquandle_tuples(d, again)
+    assert built == [6, 6, 6]
+    kept = again._symmetry
+    for d in diagrams:
+        shadow_tuples(d, shadow)
+        singquandle_tuples(d, shadow.base)
+    assert built == [6, 6, 6, 8]
+    assert again._symmetry is kept
