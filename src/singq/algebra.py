@@ -228,6 +228,9 @@ class OrientedSingquandle(_ReadOnly):
 
     def relabel(self, perm: Sequence[int]) -> "OrientedSingquandle":
         """Transport of structure along a permutation of the elements."""
+        if sorted(perm) != list(range(self.n)):
+            raise ParameterError(f"relabel needs a permutation of "
+                                 f"0..{self.n - 1}, got {list(perm)!r}")
         inv = [0] * self.n
         for i, p in enumerate(perm):
             inv[p] = i
@@ -509,6 +512,8 @@ def shadow_closure(sh: ShadowStructure, region_seed: Iterable[int],
 #                         left-to-right: under, over[, singular-under,
 #                         singular-over]
 #     action:             carrier rows of n entries (1-indexed carrier values)
+#
+# Each table is given once, by a formula line or by a block.
 
 _ALG_TYPES = ("quandle", "singquandle", "biquandle", "psyquandle", "shadow")
 
@@ -552,11 +557,20 @@ def parse_algebra(text: str) -> LoadedAlgebra:
             if len(parts) != 2:
                 raise AlgebraError(f"line {line_no}: formula needs a name and "
                                    f"an expression")
-            formulas[parts[0]] = parts[1]
+            name = parts[0]
+            if name not in ("star", "r1", "r2", "action"):
+                raise AlgebraError(f"line {line_no}: no type reads a formula "
+                                   f"named {name!r}")
+            if name in formulas or name in blocks:
+                raise AlgebraError(f"line {line_no}: {name} is given twice")
+            formulas[name] = parts[1]
             current = None
         elif line.endswith(":") and line[:-1] in ("star", "r1", "r2", "ops",
                                                   "action"):
-            current = blocks.setdefault(line[:-1], [])
+            name = line[:-1]
+            if name in formulas or name in blocks:
+                raise AlgebraError(f"line {line_no}: {name} is given twice")
+            current = blocks[name] = []
         elif current is not None:
             try:
                 current.append([int(tok) for tok in line.split()])

@@ -41,7 +41,7 @@ invariants of the base.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .algebra import _map_codec, table_profile
 
@@ -328,8 +328,8 @@ def _symmetry(n: int, tables: tuple) -> Symmetry:
         for y in range(x + 1, n):
             if least[y] == x or least[y] in outside or sig[y] != sig[x]:
                 continue
-            g = _automorphism(n, tables, sig, x, y, budget)
-            if g is None or not _preserves(g, n, tables):
+            g = _isomorphism(n, tables, sig, tables, sig, x, y, budget)
+            if g is None or not _preserves(g, n, tables, n, tables):
                 outside.add(least[y])
                 continue
             generators.append(g)
@@ -362,14 +362,16 @@ def _schreier(n: int, generators: list) -> tuple:
     return least, tuple(transversal)
 
 
-def _automorphism(n: int, tables: tuple, sig: list, x: int, y: int,
-                  budget: list) -> Optional[tuple]:
-    """A permutation taking x to y that preserves ``tables``, by
-    backtracking: map the least unmapped value to each unused one of the
-    same profile in turn, and extend the map through the tables, which
-    fixes the image of every table entry over mapped values.  None if
-    there is none, or if the ``budget[0]`` binding steps left run out
-    first."""
+def _isomorphism(n: int, src: tuple, src_sig: list, dst: tuple,
+                 dst_sig: list, x: int, y: int, budget: list) -> Optional[tuple]:
+    """A bijection g taking x to y with g(s[u, v]) == t[g(u), g(v)] for
+    each pair (s, t) of flat n x n tables in ``src`` and ``dst`` (profiles
+    ``src_sig`` and ``dst_sig``), by backtracking: map the least unmapped
+    value to each unused one of the same profile in ascending order, and
+    extend the map through the tables, which fixes the image of every table
+    entry over mapped values.  The first map found is the least in
+    lexicographic order.  None if there is none, or if the ``budget[0]``
+    binding steps left run out first."""
     g = [-1] * n     # value -> image, -1 while unmapped
     inv = [-1] * n   # image -> value
     mapped = []      # values in the order they were mapped
@@ -378,7 +380,7 @@ def _automorphism(n: int, tables: tuple, sig: list, x: int, y: int,
         """Map a to b and close the map through the tables; False on a
         clash or with no budget left (``undo`` takes back what was
         mapped)."""
-        if not budget[0] or inv[b] >= 0 or sig[a] != sig[b]:
+        if not budget[0] or inv[b] >= 0 or src_sig[a] != dst_sig[b]:
             return False
         budget[0] -= 1
         g[a], inv[b] = b, a
@@ -390,11 +392,11 @@ def _automorphism(n: int, tables: tuple, sig: list, x: int, y: int,
             gu = g[u]
             for v in mapped[:k]:
                 gv = g[v]
-                for t in tables:
-                    for z, w in ((t[u * n + v], t[gu * n + gv]),
-                                 (t[v * n + u], t[gv * n + gu])):
+                for s, t in zip(src, dst):
+                    for z, w in ((s[u * n + v], t[gu * n + gv]),
+                                 (s[v * n + u], t[gv * n + gu])):
                         if g[z] < 0:
-                            if inv[w] >= 0 or sig[z] != sig[w]:
+                            if inv[w] >= 0 or src_sig[z] != dst_sig[w]:
                                 return False
                             g[z], inv[w] = w, z
                             mapped.append(z)
@@ -429,10 +431,12 @@ def _automorphism(n: int, tables: tuple, sig: list, x: int, y: int,
     return tuple(g)
 
 
-def _preserves(g: tuple, n: int, tables: tuple) -> bool:
-    """Whether g(t[x, y]) == t[g(x), g(y)] at every entry of every table."""
-    return all(t[g[x] * n + g[y]] == g[t[x * n + y]]
-               for t in tables for x in range(n) for y in range(n))
+def _preserves(g: Sequence[int], n: int, src: tuple, m: int,
+               dst: tuple) -> bool:
+    """Whether g(s[x, y]) == t[g(x), g(y)] at every entry of each pair (s,
+    t) of flat tables in ``src`` (n x n) and ``dst`` (m x m)."""
+    return all(t[g[x] * m + g[y]] == g[s[x * n + y]]
+               for s, t in zip(src, dst) for x in range(n) for y in range(n))
 
 
 def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> tuple:

@@ -1,7 +1,8 @@
 """Maps between finite structures: group tables and the quandles built
 from them, homomorphism checks and isomorphism search between
 singquandles.  None of this is needed to compute an invariant, so it is
-kept apart from :mod:`singq.algebra`.
+kept apart from :mod:`singq.algebra`.  The map search and the map check
+are the ones the coloring search finds a structure's symmetries with.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from typing import Optional, Sequence
 
 from .algebra import (AlgebraError, OperationTable, OrientedSingquandle,
                       ParameterError, ValidationReport, _differences,
-                      _map_codec, profile)
+                      _map_codec, table_profile)
+from .coloring import _isomorphism, _preserves
 
 
 def validate_group(mult: OperationTable) -> ValidationReport:
@@ -57,67 +59,32 @@ def quandle_from_group(mult: OperationTable, mode: str) -> OperationTable:
     return OperationTable.from_function(n, fn)
 
 
+def _tables(s: OrientedSingquandle) -> tuple:
+    return (s.star.flat(), s.r1.flat(), s.r2.flat())
+
+
 def is_homomorphism(f: Sequence[int], src: OrientedSingquandle,
                     dst: OrientedSingquandle) -> bool:
     if len(f) != src.n or any(not (0 <= v < dst.n) for v in f):
         raise AlgebraError("mapping is not total on the source elements")
-    for x in range(src.n):
-        for y in range(src.n):
-            if f[src.op(x, y)] != dst.op(f[x], f[y]):
-                return False
-            if f[src.r1(x, y)] != dst.r1(f[x], f[y]):
-                return False
-            if f[src.r2(x, y)] != dst.r2(f[x], f[y]):
-                return False
-    return True
+    return _preserves(f, src.n, _tables(src), dst.n, _tables(dst))
 
 
 def are_isomorphic(a: OrientedSingquandle,
                    b: OrientedSingquandle) -> Optional[list]:
-    """Search for an isomorphism a -> b; returns the bijection or None.
-
-    Candidates are pruned by the trivial-action count profile, which any
-    isomorphism must preserve.
-    """
-    if a.n != b.n:
-        return None
+    """The least isomorphism a -> b in lexicographic order, or None.
+    Images are pruned by the trivial-action count profile, which any
+    isomorphism preserves, and each partial map is closed through the
+    tables."""
     n = a.n
-    pa = profile(a)
-    pb = profile(b)
+    if n != b.n:
+        return None
+    src, dst = _tables(a), _tables(b)
+    pa, pb = table_profile(n, src), table_profile(n, dst)
     if sorted(pa) != sorted(pb):
         return None
-    candidates = [[y for y in range(n) if pb[y] == pa[x]] for x in range(n)]
-
-    f = [-1] * n
-    used = [False] * n
-
-    def consistent(x: int) -> bool:
-        for u in range(n):
-            if f[u] < 0:
-                continue
-            for (p, q) in ((x, u), (u, x), (x, x)):
-                if f[p] < 0 or f[q] < 0:
-                    continue
-                for op_a, op_b in ((a.op, b.op), (a.r1, b.r1), (a.r2, b.r2)):
-                    img = f[op_a(p, q)]
-                    if img >= 0 and img != op_b(f[p], f[q]):
-                        return False
-        return True
-
-    def extend(x: int) -> bool:
-        if x == n:
-            return True
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            f[x] = y
-            used[y] = True
-            if consistent(x) and extend(x + 1):
-                return True
-            f[x] = -1
-            used[y] = False
-        return False
-
-    if extend(0):
-        return list(f)
+    for y in range(n):   # no budget: the search is complete
+        f = _isomorphism(n, src, pa, dst, pb, 0, y, [float("inf")])
+        if f is not None and _preserves(f, n, src, n, dst):
+            return list(f)
     return None

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,14 +9,17 @@ from singq.algebra import (AlgebraError, InvalidStructureError,
                            OperationTable, OrientedSingquandle,
                            ParameterError, ShadowStructure,
                            affine_singquandle, eval_table, formula_shadow,
-                           formula_structure, parse_algebra, shadow_closure,
-                           substructure_closure, validate_quandle,
-                           validate_shadow, validate_singquandle)
+                           formula_structure, parse_algebra, profile,
+                           shadow_closure, substructure_closure,
+                           validate_quandle, validate_shadow,
+                           validate_singquandle)
 from singq.data import fixture_names, load_algebra, load_weights
 from singq.invariants import BoltzmannPair, CocyclePair
 from singq.morphisms import (are_isomorphic, is_homomorphism,
                              quandle_from_group)
 from singq.psyquandle import Psyquandle, validate_psyquandle
+
+from conftest import gen
 
 
 def table(n, fn):
@@ -342,8 +347,9 @@ class TestHomomorphisms:
         assert not is_homomorphism([1, 0, 2, 3, 4, 5], z6, z6)
 
     def test_partial_map_rejected(self, z6):
-        with pytest.raises(AlgebraError):
-            is_homomorphism([0, 1], z6, z6)
+        for f in ([0, 1], [0] * 7, [6] * 6, [-1] * 6):
+            with pytest.raises(AlgebraError):
+                is_homomorphism(f, z6, z6)
 
 
 class TestIsomorphism:
@@ -365,6 +371,165 @@ class TestIsomorphism:
     def test_symmetric(self, z8k, z6):
         assert are_isomorphic(z6, z8k) is None
         assert are_isomorphic(z8k, z6) is None
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("perm", [
+        [0, 1, 2],                 # too short
+        [0, 1, 2, 3, 4, 5, 6],     # too long
+        [0, 0, 1, 2, 3, 4],        # a repeated value
+        [1, 2, 3, 4, 5, 6],        # a value out of range
+    ])
+    def test_non_permutation_rejected(self, z6, perm):
+        with pytest.raises(ParameterError, match="permutation"):
+            z6.relabel(perm)
+
+
+# -- the parent's map checks, kept verbatim as the reference ------------------
+#
+# ``are_isomorphic`` and ``is_homomorphism`` now run the coloring search's
+# map search and map check.  These are the versions they replaced: a
+# profile-pruned backtracking that checks each new image against every
+# mapped pair, and a check of every table entry.  Both searches are
+# complete and take the least unmapped element first with ascending
+# images, so both return the least isomorphism in lexicographic order.
+
+def parent_is_homomorphism(f, src, dst):
+    if len(f) != src.n or any(not (0 <= v < dst.n) for v in f):
+        raise AlgebraError("mapping is not total on the source elements")
+    for x in range(src.n):
+        for y in range(src.n):
+            if f[src.op(x, y)] != dst.op(f[x], f[y]):
+                return False
+            if f[src.r1(x, y)] != dst.r1(f[x], f[y]):
+                return False
+            if f[src.r2(x, y)] != dst.r2(f[x], f[y]):
+                return False
+    return True
+
+
+def parent_are_isomorphic(a, b):
+    """Search for an isomorphism a -> b; returns the bijection or None.
+
+    Candidates are pruned by the trivial-action count profile, which any
+    isomorphism must preserve.
+    """
+    if a.n != b.n:
+        return None
+    n = a.n
+    pa = profile(a)
+    pb = profile(b)
+    if sorted(pa) != sorted(pb):
+        return None
+    candidates = [[y for y in range(n) if pb[y] == pa[x]] for x in range(n)]
+
+    f = [-1] * n
+    used = [False] * n
+
+    def consistent(x: int) -> bool:
+        for u in range(n):
+            if f[u] < 0:
+                continue
+            for (p, q) in ((x, u), (u, x), (x, x)):
+                if f[p] < 0 or f[q] < 0:
+                    continue
+                for op_a, op_b in ((a.op, b.op), (a.r1, b.r1), (a.r2, b.r2)):
+                    img = f[op_a(p, q)]
+                    if img >= 0 and img != op_b(f[p], f[q]):
+                        return False
+        return True
+
+    def extend(x: int) -> bool:
+        if x == n:
+            return True
+        for y in candidates[x]:
+            if used[y]:
+                continue
+            f[x] = y
+            used[y] = True
+            if consistent(x) and extend(x + 1):
+                return True
+            f[x] = -1
+            used[y] = False
+        return False
+
+    if extend(0):
+        return list(f)
+    return None
+
+
+@pytest.fixture(scope="module")
+def sweep_pairs():
+    """200 structures: the bundled singquandles and shadow bases and a
+    seeded sample of the valid affine singquandles of order at most 13.
+    Each is paired with two random relabelings of itself and three random
+    other structures.  The sample is kept small because the reference
+    takes seconds on some order-13 relabelings."""
+    structures = [load_algebra("z6_singquandle.alg").structure,
+                  load_algebra("z8_k.alg").structure,
+                  load_algebra("one.alg").structure]
+    structures += [load_algebra(name).structure.base
+                   for name in ("z8_z6_shadow.alg", "z8_z4_shadow_a.alg",
+                                "z8_z4_shadow_b.alg")]
+    affine = []
+    for n in range(1, 14):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    try:
+                        affine.append(affine_singquandle(n, a, b, c))
+                    except AlgebraError:
+                        pass
+    rng = random.Random(18)
+    structures += rng.sample(affine, 200 - len(structures))
+    pairs = []
+    for s in structures:
+        for _ in range(2):
+            perm = list(range(s.n))
+            rng.shuffle(perm)
+            pairs.append((s, s.relabel(perm)))
+        pairs += [(s, rng.choice(structures)) for _ in range(3)]
+    return pairs
+
+
+class TestMapSearchEqualsParent:
+    def test_isomorphisms(self, sweep_pairs):
+        found = 0
+        for a, b in sweep_pairs:
+            f = are_isomorphic(a, b)
+            assert f == parent_are_isomorphic(a, b)
+            assert f is None or type(f) is list
+            found += f is not None
+        assert found > len(sweep_pairs) * 2 // 5   # every relabeling, at least
+
+    def test_homomorphisms(self, sweep_pairs):
+        rng = random.Random(19)
+        verdicts = set()
+        for a, b in sweep_pairs:
+            maps = [[e] * a.n for e in range(b.n)]   # constant maps
+            maps += [[rng.randrange(b.n) for _ in range(a.n)] for _ in range(2)]
+            if a.n == b.n:
+                maps.append(list(range(a.n)))
+                iso = are_isomorphic(a, b)
+                if iso is not None:   # it, and a 2-to-1 map made from it
+                    maps += [iso, iso[:1] + iso[:-1]]
+            for f in maps:
+                verdict = is_homomorphism(f, a, b)
+                assert verdict == parent_is_homomorphism(f, a, b)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_order_47_relabeling(self):
+        # the reference search takes 13.6 s here (Python 3.11, 2-CPU
+        # machine): it never closes the map through the tables
+        s = affine_singquandle(47, 26, 26, 22)
+        perm = list(range(47))
+        random.Random(1).shuffle(perm)
+        moved = s.relabel(perm)
+        f = are_isomorphic(s, moved)
+        assert sorted(f) == list(range(47))
+        assert is_homomorphism(f, s, moved)
+        assert f <= perm   # perm is an isomorphism too, and f the least
 
 
 class TestClosures:
@@ -417,6 +582,28 @@ class TestFileFormat:
     def test_missing_block_rejected(self):
         with pytest.raises(AlgebraError):
             parse_algebra("type: quandle\norder: 2\n")
+
+    @pytest.mark.parametrize("body, line", [
+        ("formula: star x\nformula: star y\n", 4),      # formula twice
+        ("star:\n1 1\n2 2\nstar:\n1 1\n2 2\n", 6),   # block twice
+        ("formula: star x\nstar:\n1 1\n2 2\n", 4),     # formula, then block
+        ("star:\n1 1\n2 2\nformula: star x\n", 6),     # block, then formula
+        ("formula: r1 x\nformula: rr x\n", 4),          # a name no type reads
+        ("formula: ops x\n", 3),
+    ])
+    def test_table_given_twice_or_unread_rejected(self, body, line):
+        with pytest.raises(AlgebraError, match=f"^line {line}: "):
+            parse_algebra("type: singquandle\norder: 2\n" + body)
+
+    def test_generated_and_benchmark_files_load(self):
+        rng = random.Random(18)
+        for n in (3, 5, 6, 8, 12, 31, 47):
+            for _ in range(3):
+                text = gen.affine_alg_text(n, *gen.affine_params(rng, n))
+                assert parse_algebra(text).structure.n == n
+        fixture = Path(__file__).resolve().parent.parent / "bench" / "fixtures"
+        loaded = parse_algebra((fixture / "z8_z6_base.alg").read_text())
+        assert loaded.structure == load_algebra("z8_z6_shadow.alg").structure.base
 
     def test_out_of_range_entry_rejected(self):
         with pytest.raises(AlgebraError):
