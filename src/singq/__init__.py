@@ -28,11 +28,11 @@ _HOME = {name: module for module, names in (
                  "validate_diagram")),
     ("coloring", ("Coloring", "psyquandle_colorings", "shadow_colorings",
                   "singquandle_colorings")),
-    ("invariants", ("BoltzmannPair", "CocyclePair", "InvariantError", "SP",
-                    "boltzmann_single", "boltzmann_two", "parse_weights",
-                    "phi_ssqp", "restrict", "shadow_polynomial_invariant",
-                    "sp", "sqp", "ssqp", "state_sum", "strongly_compatible",
-                    "validate_boltzmann", "validate_cocycle_pair")),
+    ("invariants", ("InvariantError", "SP", "WeightPair", "boltzmann_single",
+                    "boltzmann_two", "parse_weights", "phi_ssqp", "restrict",
+                    "shadow_polynomial_invariant", "sp", "sqp", "ssqp",
+                    "state_sum", "strongly_compatible", "validate_boltzmann",
+                    "validate_cocycle_pair")),
     ("solver", ("CocycleSpace", "solve_cocycle_space")),
 ) for name in names}
 

@@ -203,8 +203,6 @@ class OrientedSingquandle(_ReadOnly):
 
     def __init__(self, star: OperationTable, r1: OperationTable,
                  r2: OperationTable, _checked: bool = False):
-        if not (star.n == r1.n == r2.n):
-            raise AlgebraError("tables have mismatched orders")
         if not _checked:
             report = validate_singquandle(star, r1, r2)
             if not report.valid:
@@ -222,9 +220,6 @@ class OrientedSingquandle(_ReadOnly):
 
     def op_inv(self, x: int, y: int) -> int:
         return self.star_inv(x, y)
-
-    def elements(self) -> range:
-        return range(self.n)
 
     def relabel(self, perm: Sequence[int]) -> "OrientedSingquandle":
         """Transport of structure along a permutation of the elements."""
@@ -253,8 +248,11 @@ def validate_singquandle(star: OperationTable, r1: OperationTable,
 
     The quandle axioms on ``star`` are a prerequisite; if they fail the
     report carries those violations and the five identities are skipped
-    (they need the derived inverse operation).
+    (they need the derived inverse operation).  Tables of different orders
+    are an AlgebraError.
     """
+    if not (star.n == r1.n == r2.n):
+        raise AlgebraError("tables have mismatched orders")
     base = validate_quandle(star)
     if not base.valid:
         return ValidationReport(tuple(sorted(
@@ -263,10 +261,6 @@ def validate_singquandle(star: OperationTable, r1: OperationTable,
     sinv = star.right_inverse()
     S, I, R1, R2 = star.rows, sinv.rows, r1.rows, r2.rows
     vs = []
-    for x in range(n):
-        for y in range(n):
-            if R1[x][y] >= n or R2[x][y] >= n:
-                vs.append(("singquandle.range", (x, y)))
     for x in range(n):
         for y in range(n):
             # two-variable axioms (4) and (5)
@@ -362,10 +356,7 @@ def formula_structure(n: int, star_expr: str, r1_expr: str,
     star = OperationTable(eval_table(star_expr, n, ("x", "y")))
     r1 = OperationTable(eval_table(r1_expr, n, ("x", "y")))
     r2 = OperationTable(eval_table(r2_expr, n, ("x", "y")))
-    report = validate_singquandle(star, r1, r2)
-    if not report.valid:
-        raise InvalidStructureError(report)
-    return OrientedSingquandle(star, r1, r2, _checked=True)
+    return OrientedSingquandle(star, r1, r2)
 
 
 class ShadowStructure(_ReadOnly):
@@ -375,8 +366,7 @@ class ShadowStructure(_ReadOnly):
 
     __slots__ = ("base", "carrier", "action", "action_inv", "_tags")
 
-    def __init__(self, base: OrientedSingquandle, action: OperationTable | Sequence,
-                 _checked: bool = False):
+    def __init__(self, base: OrientedSingquandle, action: OperationTable | Sequence):
         rows = action.rows if isinstance(action, OperationTable) else tuple(
             tuple(r) for r in action)
         carrier = len(rows)
@@ -390,10 +380,9 @@ class ShadowStructure(_ReadOnly):
         self.base = base
         self.carrier = carrier
         self.action = rows
-        if not _checked:
-            report = validate_shadow(base, rows)
-            if not report.valid:
-                raise InvalidStructureError(report)
+        report = validate_shadow(base, rows)
+        if not report.valid:
+            raise InvalidStructureError(report)
         # per-s inverse of the bijection x -> x.s
         inv = []
         for x in range(carrier):
@@ -513,9 +502,13 @@ def shadow_closure(sh: ShadowStructure, region_seed: Iterable[int],
 #                         singular-over]
 #     action:             carrier rows of n entries (1-indexed carrier values)
 #
-# Each table is given once, by a formula line or by a block.
+# Each table is given once, by a formula line or by a block, and a file
+# gives only the tables (and the carrier: header) its type reads.
 
-_ALG_TYPES = ("quandle", "singquandle", "biquandle", "psyquandle", "shadow")
+# type -> the tables and the carrier: header it reads
+_READS = {"quandle": ("star",), "singquandle": ("star", "r1", "r2"),
+          "biquandle": ("ops",), "psyquandle": ("ops",),
+          "shadow": ("star", "r1", "r2", "action", "carrier")}
 
 
 class LoadedAlgebra(NamedTuple):
@@ -543,6 +536,7 @@ def parse_algebra(text: str) -> LoadedAlgebra:
     headers: dict = {}
     formulas: dict = {}
     blocks: dict = {}
+    given: dict = {}   # table or carrier: header -> the line giving it
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -551,6 +545,8 @@ def parse_algebra(text: str) -> LoadedAlgebra:
         head = line.split(":", 1)[0] if ":" in line else None
         if head in ("type", "order", "modulus", "carrier"):
             headers[head] = line.split(":", 1)[1].strip()
+            if head == "carrier":
+                given[head] = line_no
             current = None
         elif head == "formula":
             parts = line.split(":", 1)[1].split(None, 1)
@@ -561,16 +557,17 @@ def parse_algebra(text: str) -> LoadedAlgebra:
             if name not in ("star", "r1", "r2", "action"):
                 raise AlgebraError(f"line {line_no}: no type reads a formula "
                                    f"named {name!r}")
-            if name in formulas or name in blocks:
+            if name in given:
                 raise AlgebraError(f"line {line_no}: {name} is given twice")
-            formulas[name] = parts[1]
+            formulas[name], given[name] = parts[1], line_no
             current = None
         elif line.endswith(":") and line[:-1] in ("star", "r1", "r2", "ops",
                                                   "action"):
             name = line[:-1]
-            if name in formulas or name in blocks:
+            if name in given:
                 raise AlgebraError(f"line {line_no}: {name} is given twice")
             current = blocks[name] = []
+            given[name] = line_no
         elif current is not None:
             try:
                 current.append([int(tok) for tok in line.split()])
@@ -580,8 +577,12 @@ def parse_algebra(text: str) -> LoadedAlgebra:
             raise AlgebraError(f"line {line_no}: unexpected line {line!r}")
 
     kind = headers.get("type")
-    if kind not in _ALG_TYPES:
-        raise AlgebraError(f"type: must be one of {_ALG_TYPES}, got {kind!r}")
+    if kind not in _READS:
+        raise AlgebraError(f"type: must be one of {tuple(_READS)}, got {kind!r}")
+    for name, line_no in given.items():
+        if name not in _READS[kind]:
+            raise AlgebraError(f"line {line_no}: a {kind} does not read "
+                               f"{name}")
 
     def number(key: str, default=None) -> int:
         text = headers.get(key, default)

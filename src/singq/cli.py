@@ -84,10 +84,9 @@ def cmd_validate(args) -> int:
                         print(f"  {p}")
                     status = 2
             elif path.endswith(".wgt"):
-                from .invariants import CocyclePair, parse_weights
+                from .invariants import parse_weights
                 w = parse_weights(text)
-                kind = "cocycle" if isinstance(w, CocyclePair) else "boltzmann"
-                print(f"{path}: well-formed {kind} weights "
+                print(f"{path}: well-formed {w.kind} weights "
                       f"(modulus {w.modulus})")
             else:
                 loaded = parse_algebra(text)
@@ -141,10 +140,10 @@ def compute_invariant(kind, diagram, structure, weights):
         s = _expect(structure, OrientedSingquandle, kind)
         return counted(len(singquandle_tuples(_need(diagram, "a diagram"), s)))
     if kind == "state-sum":
-        from .invariants import CocyclePair, state_sum
+        from .invariants import state_sum
         s = _expect(structure, OrientedSingquandle, kind)
         w = _need(weights, "a cocycle weight file")
-        if not isinstance(w, CocyclePair):
+        if w.kind != "cocycle":
             raise UsageError("state-sum needs phi/phiprime weights")
         return packed(state_sum(_need(diagram, "a diagram"), s, w))
     if kind == "phi-ssqp":
@@ -174,11 +173,11 @@ def compute_invariant(kind, diagram, structure, weights):
         p = _expect(structure, Psyquandle, kind)
         return counted(len(psyquandle_tuples(_need(diagram, "a diagram"), p)))
     if kind in ("boltzmann-1", "boltzmann-2"):
-        from .invariants import BoltzmannPair, boltzmann_single, boltzmann_two
+        from .invariants import boltzmann_single, boltzmann_two
         from .psyquandle import Psyquandle
         p = _expect(structure, Psyquandle, kind)
         w = _need(weights, "a boltzmann weight file")
-        if not isinstance(w, BoltzmannPair):
+        if w.kind != "boltzmann":
             raise UsageError(f"{kind} needs phi/psi weights")
         d = _need(diagram, "a diagram")
         if kind == "boltzmann-1":
@@ -232,9 +231,9 @@ def cmd_search_cocycles(args) -> int:
     }
     status = 0
     if args.contains:
-        from .invariants import CocyclePair, parse_weights
+        from .invariants import parse_weights
         w = parse_weights(_read_path(args.contains))
-        if not isinstance(w, CocyclePair):
+        if w.kind != "cocycle":
             raise UsageError("--contains needs a cocycle weight file")
         member = space.contains(w)
         record["member"] = member

@@ -117,9 +117,6 @@ class SingularDiagram(_ReadOnly):
     def n_semiarcs(self) -> int:
         return len(self.semiarcs)
 
-    def arc(self, label: str) -> SemiArc:
-        return self.semiarcs[self._arc_index[label]]
-
     def has_rotations(self) -> bool:
         return all(c.rotation is not None for c in self.crossings)
 

@@ -16,6 +16,7 @@ equal but distinct structure builds its own.
 from __future__ import annotations
 
 from collections import Counter
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import (OperationTable, OrientedSingquandle, ShadowStructure,
@@ -34,62 +35,59 @@ class InvariantError(ValueError):
     pass
 
 
-def _flat_pair(n: int, pair: _WeightPair) -> list:
-    """A weight pair's two tables, which must be n x n, as one list: entry
-    (x, y) of the first at x * n + y, of the second at n * n + x * n + y."""
-    tables = pair._values()[1:]
-    for t in tables:
-        if len(t) != n or any(len(row) != n for row in t):
-            raise InvariantError(f"weight table is not {n}x{n}")
-    return [v for t in tables for row in t for v in row]
+def _require_kind(pair: WeightPair, kind: str) -> None:
+    if pair.kind != kind:
+        raise InvariantError(f"needs a {kind} pair, got a {pair.kind} pair")
 
 
-def _frozen(rows: Sequence) -> tuple:
-    return tuple(tuple(row) for row in rows)
+def _flat_pair(n: int, pair: WeightPair, kind: str) -> list:
+    """A pair of ``kind`` with two n x n tables as one list: entry (x, y)
+    of phi at x * n + y, of the singular table at n * n + x * n + y."""
+    _require_kind(pair, kind)
+    rows = pair.phi + pair.singular
+    if {len(pair.phi), len(pair.singular), *map(len, rows)} != {n}:
+        raise InvariantError(f"weight table is not {n}x{n}")
+    return [v for row in rows for v in row]
 
 
-class _WeightPair(_ReadOnly):
-    """A modulus and two n x n weight tables, the fields named by the
-    subclass's ``__slots__``; equal to a pair of the same class with equal
-    fields.  The pair is read-only and its tables are tuples of tuples.
+class WeightPair(_ReadOnly):
+    """Two n x n weight tables valued in Z_modulus (0 means Z), read-only
+    and equal to a pair with equal fields: ``phi`` at classical crossings,
+    ``singular`` at singular ones.  ``kind`` names the axiom system:
+    ``"cocycle"`` (``singular`` is phi') or ``"boltzmann"`` (it is psi).
 
     ``_passed`` maps ``id(structure)`` to ``(structure, strong)`` for each
     structure the pair has passed the exhaustive weight check against
     (``strong``: axiom IV too); an entry counts only for that structure
     object itself.  It is not a field: equality and hashing ignore it."""
 
-    __slots__ = ("_passed",)
+    __slots__ = ("kind", "modulus", "phi", "singular", "_passed")
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init__(self, kind: str, modulus: int, phi: Sequence,
+                 singular: Sequence):
+        self.kind, self.modulus, self._passed = kind, modulus, {}
+        self.phi = tuple(map(tuple, phi))
+        self.singular = tuple(map(tuple, singular))
+
+    def _key(self) -> tuple:
+        return self.kind, self.modulus, self.phi, self.singular
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other._values() == self._values()
+        return type(other) is WeightPair and other._key() == self._key()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key())
 
     @classmethod
-    def from_rows(cls, modulus: int, phi: Sequence, second: Sequence):
+    def from_rows(cls, kind: str, modulus: int, phi: Sequence,
+                  singular: Sequence) -> WeightPair:
         red = (lambda v: v % modulus) if modulus else (lambda v: v)
-        return cls(modulus, [map(red, row) for row in phi],
-                   [map(red, row) for row in second])
+        return cls(kind, modulus, [map(red, row) for row in phi],
+                   [map(red, row) for row in singular])
 
     @classmethod
-    def zero(cls, n: int, modulus: int):
-        z = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-        return cls(modulus, z, z)
-
-
-class CocyclePair(_WeightPair):
-    """Boltzmann weights for a singquandle: phi at classical crossings,
-    phi_prime at singular ones, valued in Z_modulus (0 means Z)."""
-
-    __slots__ = ("modulus", "phi", "phi_prime")
-
-    def __init__(self, modulus: int, phi: Sequence, phi_prime: Sequence):
-        self.modulus, self.phi = modulus, _frozen(phi)
-        self.phi_prime, self._passed = _frozen(phi_prime), {}
+    def zero(cls, kind: str, n: int, modulus: int) -> WeightPair:
+        return cls(kind, modulus, ((0,) * n,) * n, ((0,) * n,) * n)
 
 
 # -- weight-pair axiom systems ------------------------------------------------
@@ -100,7 +98,7 @@ class CocyclePair(_WeightPair):
 # evaluate every instance; the cocycle solver reads the same rows.
 
 def _cocycle_system(s: OrientedSingquandle):
-    """Instances over (phi, phi_prime) of the classical 2-cocycle condition
+    """Instances over (phi, phi') of the classical 2-cocycle condition
     (the diagonal and move RIII) and of the conditions imposed by the
     singular moves O5a, O4a and O4e, written additively."""
     n = s.n
@@ -135,11 +133,11 @@ def _cocycle_system(s: OrientedSingquandle):
                     (y * n + b, -1))
 
 
-def _evaluate(n: int, pair: _WeightPair, system) -> ValidationReport:
+def _evaluate(n: int, pair: WeightPair, kind: str, system) -> ValidationReport:
     """The report listing, sorted, ``(axiom, witness)`` of every instance of
-    ``system`` that ``pair`` fails, each sum reduced mod the pair's modulus
-    (0 means Z)."""
-    vec, m = _flat_pair(n, pair), pair.modulus
+    ``system`` that ``pair``, of ``kind``, fails, each sum reduced mod the
+    pair's modulus (0 means Z)."""
+    vec, m = _flat_pair(n, pair, kind), pair.modulus
     vs = []
     for axiom, witness, terms in system:
         total = 0
@@ -150,30 +148,11 @@ def _evaluate(n: int, pair: _WeightPair, system) -> ValidationReport:
     return ValidationReport(tuple(sorted(vs)))
 
 
-def validate_cocycle_pair(s: OrientedSingquandle, cp: CocyclePair) -> ValidationReport:
+def validate_cocycle_pair(s: OrientedSingquandle, cp: WeightPair) -> ValidationReport:
     """Exhaustive check of the classical 2-cocycle condition and the three
     conditions imposed by the singular moves: every instance of
     ``_cocycle_system(s)``, each violation listed."""
-    return _evaluate(s.n, cp, _cocycle_system(s))
-
-
-def _weight_sums(d: SingularDiagram, colorings: list, weights: dict) -> list:
-    """Per coloring (a tuple of semiarc colors), the sum over crossings of
-    ``sign * table[c_x][c_y]``, where ``weights[kind] = (table, sign, x, y)``
-    names ports x and y by their position in the compiled crossing tuple;
-    crossings of a kind missing from ``weights`` add nothing."""
-    terms = []
-    for kind, *arcs in d.compiled:
-        if kind in weights:
-            table, sign, x, y = weights[kind]
-            terms.append((table, sign, arcs[x], arcs[y]))
-    sums = []
-    for c in colorings:
-        total = 0
-        for table, sign, x, y in terms:
-            total += sign * table[c[x]][c[y]]
-        sums.append(total)
-    return sums
+    return _evaluate(s.n, cp, "cocycle", _cocycle_system(s))
 
 
 def _tally(keys: Iterable, tag_of) -> InvariantValue:
@@ -182,16 +161,18 @@ def _tally(keys: Iterable, tag_of) -> InvariantValue:
     return InvariantValue((tag_of(key), k) for key, k in Counter(keys).items())
 
 
-def _require_valid(s, pair: _WeightPair, strong: bool = False) -> None:
-    """Raise InvariantError unless ``pair`` passes the exhaustive cocycle
-    or Boltzmann check against ``s`` (and axiom IV too when ``strong``).
+def _require_valid(s, pair: WeightPair, kind: str,
+                   strong: bool = False) -> None:
+    """Raise InvariantError unless ``pair`` is of ``kind`` and passes that
+    kind's exhaustive check against ``s`` (axiom IV too when ``strong``).
 
     Passes are recorded on the pair, so each check runs once per structure
     object the pair is used with; a failing pair is checked again, and
     rejected, on every call."""
+    _require_kind(pair, kind)
     entry = pair._passed.get(id(s))
     if entry is None or entry[0] is not s:
-        if isinstance(pair, CocyclePair):
+        if kind == "cocycle":
             report, what = validate_cocycle_pair(s, pair), "cocycle"
         else:
             report, what = validate_boltzmann(s, pair), "Boltzmann"
@@ -204,22 +185,40 @@ def _require_valid(s, pair: _WeightPair, strong: bool = False) -> None:
         pair._passed[id(s)] = (s, True)
 
 
-def state_sum(d: SingularDiagram, s: OrientedSingquandle,
-              cp: CocyclePair) -> InvariantValue:
-    """Multiset of per-coloring total Boltzmann weights, rendered in u.
+def _weight_parts(d: SingularDiagram, s, pair: WeightPair, kind: str,
+                  strong: bool = False) -> tuple:
+    """The classical and the singular parts of the weight of each coloring
+    of ``d`` by ``s``, as two lists in coloring order: the sums of
+    +phi(ui, oi) at positive crossings and -phi(uo, oo) at negative ones
+    (so that a direct poke cancels exactly), and of singular(i1, i2) at
+    singular crossings, once ``pair`` passes ``_require_valid``."""
+    _require_valid(s, pair, kind, strong)
+    search = singquandle_tuples if kind == "cocycle" else psyquandle_tuples
+    plus = [(a, b) for k, a, b, _, _ in d.compiled if k == "P"]
+    minus = [(c, e) for k, _, _, c, e in d.compiled if k == "N"]
+    crossed = [(a, b) for k, a, b, _, _ in d.compiled if k == "S"]
+    phi, table, first, second = pair.phi, pair.singular, [], []
+    for col in search(d, s):
+        u = v = 0
+        for x, y in plus:
+            u += phi[col[x]][col[y]]
+        for x, y in minus:
+            u -= phi[col[x]][col[y]]
+        for x, y in crossed:
+            v += table[col[x]][col[y]]
+        first.append(u)
+        second.append(v)
+    return first, second
 
-    Classical contributions are +phi(under_in, over_in) at a positive
-    crossing and -phi(under_out, over_in) at a negative one (so that a
-    direct poke cancels exactly); a singular crossing contributes
-    phi_prime(in1, in2).  ``cp`` is checked exhaustively against ``s``
-    once per structure it is used with; an invalid pair is rejected on
-    every call.
-    """
-    _require_valid(s, cp)
-    totals = _weight_sums(d, singquandle_tuples(d, s),
-                          {"P": (cp.phi, 1, 0, 1), "N": (cp.phi, -1, 2, 1),
-                           "S": (cp.phi_prime, 1, 0, 1)})
-    return _tally(totals, lambda t: ExponentTag.ring(t, cp.modulus))
+
+def state_sum(d: SingularDiagram, s: OrientedSingquandle,
+              cp: WeightPair) -> InvariantValue:
+    """Multiset of per-coloring total Boltzmann weights, rendered in u; in
+    a singquandle coloring over_out has the color of over_in.  ``cp`` must
+    be a cocycle pair, checked exhaustively against ``s`` once per
+    structure it is used with; an invalid pair is rejected on every call."""
+    return _tally(map(add, *_weight_parts(d, s, cp, "cocycle")),
+                  lambda t: ExponentTag.ring(t, cp.modulus))
 
 
 # -- singquandle polynomials --------------------------------------------------
@@ -330,17 +329,6 @@ SP = shadow_polynomial_invariant
 
 # -- psyquandle Boltzmann weights ---------------------------------------------
 
-class BoltzmannPair(_WeightPair):
-    """phi (classical) and psi (singular) weights for a psyquandle,
-    valued in Z_modulus (0 means Z)."""
-
-    __slots__ = ("modulus", "phi", "psi")
-
-    def __init__(self, modulus: int, phi: Sequence, psi: Sequence):
-        self.modulus, self.phi = modulus, _frozen(phi)
-        self.psi, self._passed = _frozen(psi), {}
-
-
 def _boltzmann_system(p: Psyquandle, axiom_iv: bool = False):
     """Instances over (phi, psi) of the Boltzmann weight axioms I, II and
     III.1-III.3, or with ``axiom_iv`` of axiom IV: psi is invariant under
@@ -383,50 +371,41 @@ def _boltzmann_system(p: Psyquandle, axiom_iv: bool = False):
                     (ut[xz] * n + ob[yz], 1))
 
 
-def validate_boltzmann(p: Psyquandle, bp: BoltzmannPair) -> ValidationReport:
+def validate_boltzmann(p: Psyquandle, bp: WeightPair) -> ValidationReport:
     """Boltzmann weight axioms (I)-(III): every instance of
     ``_boltzmann_system(p)``, each violation listed.  Axiom (IV) only sets
     the strong-compatibility flag, via :func:`strongly_compatible`."""
-    return _evaluate(p.n, bp, _boltzmann_system(p))
+    return _evaluate(p.n, bp, "boltzmann", _boltzmann_system(p))
 
 
-def strongly_compatible(p: Psyquandle, bp: BoltzmannPair) -> bool:
+def strongly_compatible(p: Psyquandle, bp: WeightPair) -> bool:
     """Axiom (IV): psi is invariant under the two translation actions;
     every instance of ``_boltzmann_system(p, axiom_iv=True)`` holds.
-    Raises InvariantError unless both tables are n x n."""
-    return _evaluate(p.n, bp, _boltzmann_system(p, axiom_iv=True)).valid
-
-
-def _boltzmann_totals(d: SingularDiagram, p: Psyquandle,
-                      bp: BoltzmannPair) -> list:
-    """Per psyquandle coloring, the (phi part, psi part) of its weight."""
-    colorings = psyquandle_tuples(d, p)
-    phi = _weight_sums(d, colorings, {"P": (bp.phi, 1, 0, 1),
-                                      "N": (bp.phi, -1, 2, 3)})
-    psi = _weight_sums(d, colorings, {"S": (bp.psi, 1, 0, 1)})
-    return list(zip(phi, psi))
+    Raises InvariantError unless ``bp`` is a Boltzmann pair with both
+    tables n x n."""
+    return _evaluate(p.n, bp, "boltzmann",
+                     _boltzmann_system(p, axiom_iv=True)).valid
 
 
 def boltzmann_single(d: SingularDiagram, p: Psyquandle,
-                     bp: BoltzmannPair) -> InvariantValue:
+                     bp: WeightPair) -> InvariantValue:
     """Single-variable enhanced polynomial: multiset of total weights in w.
-    ``bp`` is checked exhaustively against ``p`` (axioms I-III) once per
-    structure it is used with; an invalid pair is rejected on every call."""
-    _require_valid(p, bp)
-    return _tally((a + b for a, b in _boltzmann_totals(d, p, bp)),
+    ``bp`` must be a Boltzmann pair, and is checked exhaustively against
+    ``p`` (axioms I-III) once per structure it is used with; an invalid
+    pair is rejected on every call."""
+    return _tally(map(add, *_weight_parts(d, p, bp, "boltzmann")),
                   lambda t: ExponentTag.ring(t, bp.modulus))
 
 
 def boltzmann_two(d: SingularDiagram, p: Psyquandle,
-                  bp: BoltzmannPair) -> InvariantValue:
+                  bp: WeightPair) -> InvariantValue:
     """Two-variable enhanced polynomial: multiset of (phi, psi) part totals.
-    ``bp`` is checked exhaustively against ``p`` (axioms I-IV) once per
-    structure it is used with; an invalid or not strongly compatible pair
-    is rejected on every call."""
-    _require_valid(p, bp, strong=True)
+    ``bp`` must be a Boltzmann pair, and is checked exhaustively against
+    ``p`` (axioms I-IV) once per structure it is used with; an invalid or
+    not strongly compatible pair is rejected on every call."""
     m = bp.modulus
     red = (lambda v: v % m) if m else (lambda v: v)
-    return _tally(_boltzmann_totals(d, p, bp),
+    return _tally(zip(*_weight_parts(d, p, bp, "boltzmann", strong=True)),
                   lambda ab: ExponentTag.pair(red(ab[0]), red(ab[1])))
 
 
@@ -441,7 +420,8 @@ def boltzmann_two(d: SingularDiagram, p: Psyquandle,
 #     <n rows of n integers>
 
 def parse_weights(text: str):
-    """Parse a weight file into a CocyclePair or BoltzmannPair.
+    """Parse a weight file into a WeightPair, a cocycle pair with a
+    ``phiprime:`` block or a Boltzmann pair with a ``psi:`` block.
 
     Rows and columns follow the 1-indexed element order of the companion
     algebra file; the entries themselves are ring values.
@@ -485,5 +465,5 @@ def parse_weights(text: str):
     key = "phiprime" if "phiprime" in blocks else "psi"
     if len(blocks[key]) != n or any(len(r) != n for r in blocks[key]):
         raise InvariantError(f"{key} block must be {n}x{n}, like phi")
-    pair = CocyclePair if key == "phiprime" else BoltzmannPair
-    return pair.from_rows(modulus, blocks["phi"], blocks[key])
+    kind = "cocycle" if key == "phiprime" else "boltzmann"
+    return WeightPair.from_rows(kind, modulus, blocks["phi"], blocks[key])

@@ -41,13 +41,12 @@ class Psyquandle(_ReadOnly):
                  "_symmetry")
 
     def __init__(self, ut: OperationTable, ot: OperationTable,
-                 ub: OperationTable, ob: OperationTable, _checked: bool = False):
+                 ub: OperationTable, ob: OperationTable):
         if not (ut.n == ot.n == ub.n == ob.n):
             raise AlgebraError("tables have mismatched orders")
-        if not _checked:
-            report = validate_psyquandle(ut, ot, ub, ob)
-            if not report.valid:
-                raise InvalidStructureError(report)
+        report = validate_psyquandle(ut, ot, ub, ob)
+        if not report.valid:
+            raise InvalidStructureError(report)
         self.n = ut.n
         self.ut, self.ot, self.ub, self.ob = ut, ot, ub, ob
         self.ut_inv = ut.right_inverse()
@@ -63,9 +62,6 @@ class Psyquandle(_ReadOnly):
     def from_biquandle(cls, ut: OperationTable, ot: OperationTable) -> "Psyquandle":
         """Lift a biquandle by reusing its two operations at singular crossings."""
         return cls(ut, ot, ut, ot)
-
-    def elements(self) -> range:
-        return range(self.n)
 
 
 # Axioms (IV) and (VI), each A(B(x, y), C(z, y)) == D(E(x, z), F(y, z)):

@@ -1,7 +1,7 @@
-"""The cocycle solver: all valid (phi, phi_prime) pairs mod n for one
+"""The cocycle solver: all valid (phi, phi') pairs mod n for one
 singquandle, as a :class:`CocycleSpace`.
 
-The validity conditions are Z-linear in the entries of (phi, phi_prime),
+The validity conditions are Z-linear in the entries of (phi, phi'),
 so the valid pairs mod n form the kernel of an integer matrix.  The kernel
 is computed per prime-power factor of n (elimination with p-adic pivots
 and annihilator rows, so nothing is lost to zero divisors) and the factors
@@ -12,7 +12,8 @@ the generators, gives the annihilator rows that decide membership.
 from __future__ import annotations
 
 from .algebra import OrientedSingquandle
-from .invariants import CocyclePair, InvariantError, _cocycle_system, _flat_pair
+from .invariants import (InvariantError, WeightPair, _cocycle_system,
+                         _flat_pair, _require_kind)
 
 
 def _cocycle_rows(s: OrientedSingquandle) -> list:
@@ -126,8 +127,8 @@ def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> tuple:
 
 
 class CocycleSpace:
-    """All valid (phi, phi_prime) pairs mod ``modulus`` for one singquandle:
-    the span of ``generators``, a tuple of CocyclePair (the zero pair is
+    """All valid (phi, phi') pairs mod ``modulus`` for one singquandle: the
+    span of ``generators``, a tuple of cocycle WeightPair (the zero pair is
     always a member).  ``annihilators`` holds (q, rows spanning the
     annihilator of the space mod q) for each prime power q exactly dividing
     the modulus, the rows transposed as ``{unknown: [(row, coef)]}``; over
@@ -152,10 +153,11 @@ class CocycleSpace:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def contains(self, cp: CocyclePair) -> bool:
+    def contains(self, cp: WeightPair) -> bool:
+        _require_kind(cp, "cocycle")
         if cp.modulus != self.modulus:
             raise InvariantError("modulus mismatch")
-        vec = _flat_pair(self.structure.n, cp)
+        vec = _flat_pair(self.structure.n, cp, "cocycle")
         nonzero = [(k, v) for k, v in enumerate(vec) if v]
         for q, columns in self.annihilators:
             dots = {}   # row -> its dot product with the pair so far
@@ -192,5 +194,5 @@ def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
         for g in kq:
             vec = [g.get(k, 0) * lift % m for k in range(width)]
             tables = [vec[i * n:(i + 1) * n] for i in range(2 * n)]
-            pairs.append(CocyclePair.from_rows(m, tables[:n], tables[n:]))
+            pairs.append(WeightPair("cocycle", m, tables[:n], tables[n:]))
     return CocycleSpace(s, m, tuple(pairs), size, annihilators)

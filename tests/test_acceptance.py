@@ -16,7 +16,7 @@ from singq.algebra import (ParameterError, affine_singquandle, eval_table,
 from singq.coloring import (psyquandle_colorings, shadow_colorings,
                             singquandle_colorings)
 from singq.diagram import parse_diagram
-from singq.invariants import (CocyclePair, SP, boltzmann_single,
+from singq.invariants import (SP, WeightPair, boltzmann_single,
                               boltzmann_two, phi_ssqp, sp, state_sum,
                               strongly_compatible, validate_boltzmann,
                               validate_cocycle_pair)
@@ -237,8 +237,9 @@ class TestAcceptance:
             space = solve_cocycle_space(s, 2)
             valid = 0
             for bits in itertools.product((0, 1), repeat=8):
-                cp = CocyclePair.from_rows(
-                    2, [bits[0:2], bits[2:4]], [bits[4:6], bits[6:8]])
+                cp = WeightPair.from_rows(
+                    "cocycle", 2, [bits[0:2], bits[2:4]],
+                    [bits[4:6], bits[6:8]])
                 if validate_cocycle_pair(s, cp).valid:
                     valid += 1
                     complete = complete and space.contains(cp)

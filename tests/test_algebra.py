@@ -13,8 +13,9 @@ from singq.algebra import (AlgebraError, InvalidStructureError,
                            shadow_closure, substructure_closure,
                            validate_quandle, validate_shadow,
                            validate_singquandle)
-from singq.data import fixture_names, load_algebra, load_weights
-from singq.invariants import BoltzmannPair, CocyclePair
+from singq.data import (fixture_names, fixture_path, load_algebra,
+                        load_weights)
+from singq.invariants import WeightPair
 from singq.morphisms import (are_isomorphic, is_homomorphism,
                              quandle_from_group)
 from singq.psyquandle import Psyquandle, validate_psyquandle
@@ -60,6 +61,14 @@ class TestSingquandleValidation:
         bad = table(3, lambda x, y: x + y)
         report = validate_singquandle(bad, bad, bad)
         assert ("singquandle.prerequisite_quandle", ()) in report.violations
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_mismatched_orders_rejected(self, z6, k):
+        other = table(k, lambda x, y: x)
+        for r1, r2 in ((other, other), (other, z6.r2), (z6.r1, other)):
+            with pytest.raises(AlgebraError,
+                               match="^tables have mismatched orders$"):
+                validate_singquandle(z6.star, r1, r2)
 
     def test_star_inverse_is_two_sided(self, z6, z8k):
         for s in (z6, z8k):
@@ -276,19 +285,24 @@ def public_fields(cls) -> list:
             if not name.startswith("_")]
 
 
-READ_ONLY = (   # each class with a maker of a fresh instance
-    (OperationTable, lambda: load_algebra("z6_singquandle.alg").structure.star),
-    (OrientedSingquandle, lambda: load_algebra("z6_singquandle.alg").structure),
-    (Psyquandle, lambda: load_algebra("psy6.alg").structure),
-    (ShadowStructure, lambda: load_algebra("z8_z6_shadow.alg").structure),
-    (CocyclePair, lambda: load_weights("z6_cocycle.wgt")),
-    (BoltzmannPair, lambda: load_weights("psy6_boltzmann.wgt")),
+READ_ONLY = (   # each class, named, with a maker of a fresh instance
+    ("OperationTable", OperationTable,
+     lambda: load_algebra("z6_singquandle.alg").structure.star),
+    ("OrientedSingquandle", OrientedSingquandle,
+     lambda: load_algebra("z6_singquandle.alg").structure),
+    ("Psyquandle", Psyquandle, lambda: load_algebra("psy6.alg").structure),
+    ("ShadowStructure", ShadowStructure,
+     lambda: load_algebra("z8_z6_shadow.alg").structure),
+    ("WeightPair(cocycle)", WeightPair,
+     lambda: load_weights("z6_cocycle.wgt")),
+    ("WeightPair(boltzmann)", WeightPair,
+     lambda: load_weights("psy6_boltzmann.wgt")),
 )
 
 
 @pytest.mark.parametrize("cls,make,field", [
-    pytest.param(cls, make, field, id=f"{cls.__name__}.{field}")
-    for cls, make in READ_ONLY for field in public_fields(cls)])
+    pytest.param(cls, make, field, id=f"{name}.{field}")
+    for name, cls, make in READ_ONLY for field in public_fields(cls)])
 def test_public_fields_are_read_only(cls, make, field):
     obj = make()
     assert type(obj) is cls
@@ -558,6 +572,10 @@ class TestClosures:
         assert shadow_closure(z8_z6_shadow, {0}, range(8)) == frozenset({0, 3})
 
 
+# the bundled psyquandle with a star formula, which no psyquandle reads
+PSY6_STAR = fixture_path("psy6.alg").read_text() + "formula: star 7\n"
+
+
 class TestFileFormat:
     def test_round_trip_verdicts(self):
         text = ("type: singquandle\norder: 6\n"
@@ -594,6 +612,28 @@ class TestFileFormat:
     def test_table_given_twice_or_unread_rejected(self, body, line):
         with pytest.raises(AlgebraError, match=f"^line {line}: "):
             parse_algebra("type: singquandle\norder: 2\n" + body)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("type: quandle\norder: 2\nformula: star x\nformula: r1 y\n", 4,
+         "a quandle does not read r1"),
+        ("type: quandle\norder: 2\nformula: action x\nstar:\n1 1\n2 2\n",
+         3, "a quandle does not read action"),
+        ("type: singquandle\norder: 2\ncarrier: 3\nformula: star x\n"
+         "formula: r1 x\nformula: r2 y\n", 3,
+         "a singquandle does not read carrier"),
+        ("type: singquandle\norder: 2\nformula: star x\nformula: r1 x\n"
+         "formula: r2 y\nops:\n1 1 1 1\n2 2 2 2\n", 6,
+         "a singquandle does not read ops"),
+        ("type: biquandle\norder: 2\nops:\n1 1 1 1\n2 2 2 2\n"
+         "formula: r1 x\n", 6, "a biquandle does not read r1"),
+        ("type: shadow\norder: 2\ncarrier: 2\nformula: star x\n"
+         "formula: r1 x\nformula: r2 y\nformula: action x\n"
+         "ops:\n1 1 1 1\n2 2 2 2\n", 8, "a shadow does not read ops"),
+        (PSY6_STAR, PSY6_STAR.count("\n"), "a psyquandle does not read star"),
+    ])
+    def test_what_the_type_does_not_read_rejected(self, text, line, message):
+        with pytest.raises(AlgebraError, match=f"^line {line}: {message}$"):
+            parse_algebra(text)
 
     def test_generated_and_benchmark_files_load(self):
         rng = random.Random(18)

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from singq.invariants import CocyclePair, validate_cocycle_pair
+from singq.invariants import WeightPair, validate_cocycle_pair
 from singq.solver import (_cocycle_rows, _kernel_prime_power, _prime_powers,
                           solve_cocycle_space)
 
@@ -107,7 +107,7 @@ def test_contains_agrees_with_validator(name, modulus):
     s = STRUCTURES[name]()
     n = s.n
     space = solve_cocycle_space(s, modulus)
-    flats = [[v for row in g.phi + g.phi_prime for v in row]
+    flats = [[v for row in g.phi + g.singular for v in row]
              for g in space.generators]
     rng = random.Random(modulus * 100 + n)
     outcomes = set()
@@ -120,7 +120,7 @@ def test_contains_agrees_with_validator(name, modulus):
             k = rng.randrange(len(vec))
             vec[k] = (vec[k] + rng.randrange(1, modulus)) % modulus
         rows = [vec[i * n:(i + 1) * n] for i in range(2 * n)]
-        cp = CocyclePair.from_rows(modulus, rows[:n], rows[n:])
+        cp = WeightPair.from_rows("cocycle", modulus, rows[:n], rows[n:])
         member = space.contains(cp)
         assert member == validate_cocycle_pair(s, cp).valid
         outcomes.add(member)

@@ -19,25 +19,25 @@ import singq
 SRC = str(Path(singq.__file__).resolve().parent.parent)
 ENV = dict(os.environ, PYTHONPATH=SRC)
 
-# What ``from singq import *`` bound before the package loaded lazily.
+# What ``from singq import *`` binds: the names it bound before the package
+# loaded lazily, with the one weight-pair class in place of the two.
 PUBLIC_NAMES = [
-    "AlgebraError", "BasePolynomial", "BoltzmannPair", "CocyclePair",
-    "CocycleSpace", "Coloring", "Crossing", "DiagramError", "ExponentTag",
-    "InvalidStructureError", "InvariantError", "InvariantValue",
-    "OperationTable", "OrientedSingquandle", "ParameterError", "ParseError",
-    "Psyquandle", "Region", "SP", "SemiArc", "ShadowStructure",
-    "SingularDiagram", "ValidationReport", "affine_singquandle", "algebra",
-    "are_isomorphic", "boltzmann_single", "boltzmann_two", "coloring",
-    "diagram", "formula_shadow", "formula_structure", "invariants",
-    "is_homomorphism", "parse_algebra", "parse_diagram", "parse_polynomial",
-    "parse_weights", "phi_ssqp", "polynomial", "profile",
-    "psyquandle_colorings", "quandle_from_group", "restrict",
-    "shadow_closure", "shadow_colorings", "shadow_polynomial_invariant",
-    "singquandle_colorings", "solve_cocycle_space", "sp", "sqp", "ssqp",
-    "state_sum", "strongly_compatible", "substructure_closure",
-    "validate_boltzmann", "validate_cocycle_pair", "validate_diagram",
-    "validate_psyquandle", "validate_quandle", "validate_shadow",
-    "validate_singquandle",
+    "AlgebraError", "BasePolynomial", "CocycleSpace", "Coloring", "Crossing",
+    "DiagramError", "ExponentTag", "InvalidStructureError", "InvariantError",
+    "InvariantValue", "OperationTable", "OrientedSingquandle",
+    "ParameterError", "ParseError", "Psyquandle", "Region", "SP", "SemiArc",
+    "ShadowStructure", "SingularDiagram", "ValidationReport", "WeightPair",
+    "affine_singquandle", "algebra", "are_isomorphic", "boltzmann_single",
+    "boltzmann_two", "coloring", "diagram", "formula_shadow",
+    "formula_structure", "invariants", "is_homomorphism", "parse_algebra",
+    "parse_diagram", "parse_polynomial", "parse_weights", "phi_ssqp",
+    "polynomial", "profile", "psyquandle_colorings", "quandle_from_group",
+    "restrict", "shadow_closure", "shadow_colorings",
+    "shadow_polynomial_invariant", "singquandle_colorings",
+    "solve_cocycle_space", "sp", "sqp", "ssqp", "state_sum",
+    "strongly_compatible", "substructure_closure", "validate_boltzmann",
+    "validate_cocycle_pair", "validate_diagram", "validate_psyquandle",
+    "validate_quandle", "validate_shadow", "validate_singquandle",
 ]
 
 # Runs ``singq <argv>`` as ``python -m singq.cli`` does, then writes the

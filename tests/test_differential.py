@@ -35,7 +35,7 @@ from singq.coloring import (RULES, _enumerate, _establish, _plan,
                             singquandle_colorings, singquandle_tuples)
 from singq.data import load_algebra
 from singq.diagram import parse_diagram
-from singq.invariants import (CocyclePair, SP, _profile_sum,
+from singq.invariants import (SP, WeightPair, _profile_sum,
                               boltzmann_single, boltzmann_two, phi_ssqp,
                               ssqp, state_sum, subsp)
 from singq.solver import solve_cocycle_space
@@ -82,8 +82,8 @@ def z8k_cocycle(z8k):
         for x in range(8):
             for y in range(8):
                 phi[x][y] += k * g.phi[x][y]
-                php[x][y] += k * g.phi_prime[x][y]
-    return CocyclePair.from_rows(8, phi, php)
+                php[x][y] += k * g.singular[x][y]
+    return WeightPair.from_rows("cocycle", 8, phi, php)
 
 
 def test_braids_are_mixed(braids):
@@ -139,7 +139,7 @@ def reference_state_sum(d, s, cp):
                 total -= cp.phi[x][y]
             else:
                 x, y = _ports(d, colors, c, "i1", "i2")
-                total += cp.phi_prime[x][y]
+                total += cp.singular[x][y]
         tags.append(ExponentTag.ring(total, cp.modulus))
     return InvariantValue.from_tags(tags)
 
@@ -171,7 +171,7 @@ def reference_boltzmann_totals(d, p, bp):
                 tphi -= bp.phi[x][y]
             else:
                 x, y = _ports(d, colors, c, "i1", "i2")
-                tpsi += bp.psi[x][y]
+                tpsi += bp.singular[x][y]
         yield tphi, tpsi
 
 

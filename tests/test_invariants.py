@@ -15,8 +15,8 @@ from singq.coloring import singquandle_colorings, psyquandle_colorings
 from singq.data import load_algebra
 from singq.diagram import parse_diagram
 from singq import invariants, solver
-from singq.invariants import (BoltzmannPair, CocyclePair, InvariantError,
-                              SP, boltzmann_single, boltzmann_two,
+from singq.invariants import (InvariantError, SP, WeightPair,
+                              boltzmann_single, boltzmann_two,
                               parse_weights, phi_ssqp, restrict, sp, sqp,
                               ssqp, state_sum, strongly_compatible, subsp,
                               validate_boltzmann, validate_cocycle_pair)
@@ -33,17 +33,18 @@ class TestCocycleValidation:
 
     def test_zero_pair_always_valid(self, z6, z8k):
         for s in (z6, z8k):
-            assert validate_cocycle_pair(s, CocyclePair.zero(s.n, 6)).valid
+            zero = WeightPair.zero("cocycle", s.n, 6)
+            assert validate_cocycle_pair(s, zero).valid
 
     def test_dropping_phi_prime_breaks_validity(self, z6, z6_cocycle):
-        broken = CocyclePair.from_rows(6, z6_cocycle.phi,
-                                       [[0] * 6 for _ in range(6)])
+        broken = WeightPair.from_rows("cocycle", 6, z6_cocycle.phi,
+                                      [[0] * 6 for _ in range(6)])
         report = validate_cocycle_pair(z6, broken)
         assert not report.valid
 
     def test_size_mismatch(self, z6):
         with pytest.raises(InvariantError):
-            validate_cocycle_pair(z6, CocyclePair.zero(3, 6))
+            validate_cocycle_pair(z6, WeightPair.zero("cocycle", 3, 6))
 
 
 class TestStateSum:
@@ -52,7 +53,7 @@ class TestStateSum:
         assert state_sum(corpus["5k7.dgm"], z6, z6_cocycle).render() == "6"
 
     def test_zero_pair_counts_colorings(self, corpus, z6):
-        zero = CocyclePair.zero(6, 6)
+        zero = WeightPair.zero("cocycle", 6, 6)
         for name, d in corpus.items():
             value = state_sum(d, z6, zero)
             count = len(singquandle_colorings(d, z6))
@@ -60,8 +61,8 @@ class TestStateSum:
             assert value.total() == count, name
 
     def test_invalid_pair_rejected(self, corpus, z6):
-        bad = CocyclePair.from_rows(6, [[1] * 6 for _ in range(6)],
-                                    [[0] * 6 for _ in range(6)])
+        bad = WeightPair.from_rows("cocycle", 6, [[1] * 6 for _ in range(6)],
+                                   [[0] * 6 for _ in range(6)])
         with pytest.raises(InvariantError):
             state_sum(corpus["5k6.dgm"], z6, bad)
 
@@ -159,16 +160,17 @@ class TestBoltzmann:
     def test_flipped_entry_invalid(self, psy6, psy6_boltzmann):
         phi = [list(r) for r in psy6_boltzmann.phi]
         phi[0][1] ^= 1
-        broken = BoltzmannPair.from_rows(2, phi, psy6_boltzmann.psi)
+        broken = WeightPair.from_rows("boltzmann", 2, phi,
+                                      psy6_boltzmann.singular)
         assert not validate_boltzmann(psy6, broken).valid
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_strong_check_rejects_wrong_size(self, psy6, n):
         with pytest.raises(InvariantError, match="weight table is not 6x6"):
-            strongly_compatible(psy6, BoltzmannPair.zero(n, 2))
+            strongly_compatible(psy6, WeightPair.zero("boltzmann", n, 2))
 
     def test_zero_pair(self, corpus, psy6):
-        zero = BoltzmannPair.zero(6, 2)
+        zero = WeightPair.zero("boltzmann", 6, 2)
         assert validate_boltzmann(psy6, zero).valid
         assert strongly_compatible(psy6, zero)
         d = corpus["1l1.dgm"]
@@ -201,20 +203,74 @@ class TestBoltzmann:
                              in single.multiplicities.items()}
 
 
-@pytest.mark.parametrize("cls", [CocyclePair, BoltzmannPair])
-def test_constructor_freezes_rows(cls):
+@pytest.mark.parametrize("kind", ["cocycle", "boltzmann"])
+def test_constructor_freezes_rows(kind):
     rows = [[0, 1], [1, 0]]
-    pair = cls(2, rows, [[0, 0], [0, 0]])
-    assert pair.phi == ((0, 1), (1, 0))
-    assert pair == cls.from_rows(2, rows, [[0, 0], [0, 0]])
-    assert hash(pair) == hash(cls.from_rows(2, rows, [[0, 0], [0, 0]]))
-    zero = cls(2, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
-    assert zero == cls.zero(2, 2) and hash(zero) == hash(cls.zero(2, 2))
+    pair = WeightPair(kind, 2, rows, [[0, 0], [0, 0]])
+    assert pair.kind == kind and pair.phi == ((0, 1), (1, 0))
+    same = WeightPair.from_rows(kind, 2, rows, [[0, 0], [0, 0]])
+    assert pair == same and hash(pair) == hash(same)
+    zero = WeightPair(kind, 2, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    assert zero == WeightPair.zero(kind, 2, 2)
+    assert hash(zero) == hash(WeightPair.zero(kind, 2, 2))
+    other = "boltzmann" if kind == "cocycle" else "cocycle"
+    assert zero != WeightPair.zero(other, 2, 2)
+
+
+def other_kind(pair):
+    """``pair``'s modulus and tables, as a pair of the other kind."""
+    kind = "boltzmann" if pair.kind == "cocycle" else "cocycle"
+    return WeightPair.from_rows(kind, pair.modulus, pair.phi, pair.singular)
+
+
+@pytest.mark.parametrize("kind, call", [
+    pytest.param("cocycle", lambda d, s, w: state_sum(d, s, w),
+                 id="state_sum"),
+    pytest.param("cocycle", lambda d, s, w: validate_cocycle_pair(s, w),
+                 id="validate_cocycle_pair"),
+    pytest.param("cocycle",
+                 lambda d, s, w: solve_cocycle_space(s, w.modulus).contains(w),
+                 id="contains"),
+    pytest.param("boltzmann", lambda d, s, w: boltzmann_single(d, s, w),
+                 id="boltzmann_single"),
+    pytest.param("boltzmann", lambda d, s, w: boltzmann_two(d, s, w),
+                 id="boltzmann_two"),
+    pytest.param("boltzmann", lambda d, s, w: validate_boltzmann(s, w),
+                 id="validate_boltzmann"),
+    pytest.param("boltzmann", lambda d, s, w: strongly_compatible(s, w),
+                 id="strongly_compatible"),
+])
+def test_wrong_kind_rejected(kind, call, corpus, z6, z6_cocycle, psy6,
+                             psy6_boltzmann_strong):
+    """The structure's own valid pair, as a pair of the other kind, is
+    refused by name: the invariant, not the pair, picks the axiom system."""
+    s, pair = ((z6, z6_cocycle) if kind == "cocycle"
+               else (psy6, psy6_boltzmann_strong))
+    wrong = other_kind(pair)
+    with pytest.raises(InvariantError, match=f"^needs a {kind} pair, "
+                                             f"got a {wrong.kind} pair$"):
+        call(corpus["1l1.dgm"], s, wrong)
+
+
+def test_pass_does_not_cover_the_other_kind(corpus, z6, z6_cocycle, psy6,
+                                            psy6_boltzmann_strong):
+    """A recorded pass is for the pair's own kind: used as the other kind
+    with the same structure object, the pair is refused all the same."""
+    d = corpus["1l1.dgm"]
+    cp, bp = fresh(z6_cocycle), fresh(psy6_boltzmann_strong)
+    state_sum(d, z6, cp)
+    boltzmann_two(d, psy6, bp)
+    for call in (lambda: boltzmann_single(d, z6, cp),
+                 lambda: boltzmann_two(d, z6, cp),
+                 lambda: state_sum(d, psy6, bp)):
+        with pytest.raises(InvariantError, match="^needs a "):
+            call()
 
 
 def fresh(pair):
     """An equal pair that no invariant has used yet."""
-    return type(pair).from_rows(pair.modulus, *pair._values()[1:])
+    return WeightPair.from_rows(pair.kind, pair.modulus, pair.phi,
+                                pair.singular)
 
 
 @pytest.fixture
@@ -253,10 +309,9 @@ class TestWeightChecksOnce:
     def test_invalid_pair_rejected_on_every_call(self, calls, corpus, z6,
                                                  psy6):
         d = corpus["5k6.dgm"]
-        bad = CocyclePair.from_rows(6, [[1] * 6 for _ in range(6)],
-                                    [[0] * 6 for _ in range(6)])
-        bad_b = BoltzmannPair.from_rows(2, [[1] * 6 for _ in range(6)],
-                                        [[0] * 6 for _ in range(6)])
+        ones, zeros = [[1] * 6 for _ in range(6)], [[0] * 6 for _ in range(6)]
+        bad = WeightPair.from_rows("cocycle", 6, ones, zeros)
+        bad_b = WeightPair.from_rows("boltzmann", 2, ones, zeros)
         for call, prefix in ((lambda: state_sum(d, z6, bad),
                               "invalid cocycle pair:\n"),
                              (lambda: boltzmann_single(d, psy6, bad_b),
@@ -332,7 +387,7 @@ class TestWeightChecksOnce:
             cp.phi = ones
         assert state_sum(d, s, cp).render() == "6u^3"
         with pytest.raises(InvariantError, match="invalid cocycle pair"):
-            state_sum(d, s, CocyclePair(6, ones, cp.phi_prime))
+            state_sum(d, s, WeightPair("cocycle", 6, ones, cp.singular))
         assert calls[("validate_cocycle_pair", id(s), id(cp))] == 1
 
     def test_invariants_fill_private_caches(self, corpus, z6, z6_cocycle):
@@ -439,7 +494,7 @@ class TestCocycleSolver:
         assert space.size == smith_kernel_size(_cocycle_rows(s),
                                                2 * s.n * s.n, modulus)
 
-    # (generator count, size, SHA-256 of the generators' (phi, phi_prime)
+    # (generator count, size, SHA-256 of the generators' (phi, singular)
     # reprs in order), recorded before zero and repeated rows were dropped
     RECORDED = {
         "z6": (22, 241864704, "36ce257aa085e92aabfdfc4739474584"
@@ -458,7 +513,7 @@ class TestCocycleSolver:
         space = solve_cocycle_space(s, modulus)
         digest = hashlib.sha256()
         for g in space.generators:
-            digest.update(repr((g.phi, g.phi_prime)).encode())
+            digest.update(repr((g.phi, g.singular)).encode())
         assert (len(space.generators), space.size,
                 digest.hexdigest()) == self.RECORDED[name]
 
@@ -499,8 +554,8 @@ class TestCocycleSolver:
         space = solve_cocycle_space(s, 10)
         assert calls == [(2, 1), (2, 1), (5, 1), (5, 1)]
         assert all(space.contains(g) for g in space.generators)
-        assert not space.contains(CocyclePair.from_rows(
-            10, [[1] * 10 for _ in range(10)], [[0] * 10 for _ in range(10)]))
+        assert not space.contains(WeightPair.from_rows(
+            "cocycle", 10, [[1] * 10 for _ in range(10)], [[0] * 10 for _ in range(10)]))
         assert len(calls) == 4
 
     def test_generators_validate_and_contain_bundled_pair(self, z6,
@@ -508,14 +563,14 @@ class TestCocycleSolver:
         space = solve_cocycle_space(z6, 6)
         for g in space.generators:
             assert validate_cocycle_pair(z6, g).valid
-        assert space.contains(CocyclePair.zero(6, 6))
+        assert space.contains(WeightPair.zero("cocycle", 6, 6))
         assert space.contains(z6_cocycle)
 
     def test_modulus_mismatch(self, z6, z6_cocycle):
         space = solve_cocycle_space(z6, 6)
         with pytest.raises(InvariantError):
-            space.contains(CocyclePair.from_rows(5, z6_cocycle.phi,
-                                                 z6_cocycle.phi_prime))
+            space.contains(WeightPair.from_rows("cocycle", 5, z6_cocycle.phi,
+                                                z6_cocycle.singular))
 
     @pytest.mark.parametrize("k", [2, 5, 7])
     def test_contains_rejects_wrong_size_tables(self, z6, k):
@@ -523,7 +578,7 @@ class TestCocycleSolver:
         # 2x2 table raised IndexError
         space = solve_cocycle_space(z6, 6)
         with pytest.raises(InvariantError, match="weight table is not 6x6"):
-            space.contains(CocyclePair.zero(k, 6))
+            space.contains(WeightPair.zero("cocycle", k, 6))
 
     def test_small_modulus_rejected(self, z6):
         with pytest.raises(InvariantError):
@@ -545,12 +600,12 @@ class TestCocycleSolver:
             for bits in itertools.product((0, 1), repeat=8):
                 phi = [bits[0:2], bits[2:4]]
                 php = [bits[4:6], bits[6:8]]
-                cp = CocyclePair.from_rows(2, phi, php)
+                cp = WeightPair.from_rows("cocycle", 2, phi, php)
                 if validate_cocycle_pair(s, cp).valid:
-                    valid.add((cp.phi, cp.phi_prime))
+                    valid.add((cp.phi, cp.singular))
             assert space.size == len(valid)
             for phi, php in valid:
-                assert space.contains(CocyclePair(2, phi, php))
+                assert space.contains(WeightPair("cocycle", 2, phi, php))
         assert found >= 4
 
     def test_complete_at_orders_two_and_three(self):
@@ -586,7 +641,7 @@ class TestWeightParsing:
                 + "\n".join(" ".join(map(str, r)) for r in z6_cocycle.phi)
                 + "\nphiprime:\n"
                 + "\n".join(" ".join(map(str, r))
-                            for r in z6_cocycle.phi_prime) + "\n")
+                            for r in z6_cocycle.singular) + "\n")
         assert parse_weights(text) == z6_cocycle
 
     def test_missing_modulus(self):

@@ -13,7 +13,7 @@ import pytest
 
 from singq.algebra import ValidationReport, affine_singquandle
 from singq.data import load_algebra, load_weights
-from singq.invariants import (BoltzmannPair, CocyclePair, InvariantError,
+from singq.invariants import (InvariantError, WeightPair,
                               strongly_compatible, validate_boltzmann,
                               validate_cocycle_pair)
 from singq.solver import solve_cocycle_space
@@ -31,10 +31,10 @@ def ref_validate_cocycle_pair(s, cp) -> ValidationReport:
     """Exhaustive check of the classical 2-cocycle condition and the three
     conditions imposed by the singular moves (written additively)."""
     n = s.n
-    _check_tables(n, cp.phi, cp.phi_prime)
+    _check_tables(n, cp.phi, cp.singular)
     m = cp.modulus
     red = (lambda v: v % m) if m else (lambda v: v)
-    phi, php = cp.phi, cp.phi_prime
+    phi, php = cp.phi, cp.singular
     # flat tables: op(x, y) is op[x * n + y]
     star, sinv = s.star.flat(), s.star_inv.flat()
     r1, r2 = s.r1.flat(), s.r2.flat()
@@ -77,10 +77,10 @@ def ref_validate_boltzmann(p, bp) -> ValidationReport:
     """Boltzmann weight axioms (I)-(III); axiom (IV) only sets the
     strong-compatibility flag, via :func:`strongly_compatible`."""
     n = p.n
-    _check_tables(n, bp.phi, bp.psi)
+    _check_tables(n, bp.phi, bp.singular)
     m = bp.modulus
     red = (lambda v: v % m) if m else (lambda v: v)
-    phi, psi = bp.phi, bp.psi
+    phi, psi = bp.phi, bp.singular
     # flat tables: op(x, y) is op[x * n + y]
     ut, ot, ub, ob = p.ut.flat(), p.ot.flat(), p.ub.flat(), p.ob.flat()
     obi = p.ob_inv.flat()
@@ -121,7 +121,7 @@ def ref_strongly_compatible(p, bp) -> bool:
     n = p.n
     m = bp.modulus
     red = (lambda v: v % m) if m else (lambda v: v)
-    psi = bp.psi
+    psi = bp.singular
     ut, ot = p.ut.flat(), p.ot.flat()
     for x in range(n):
         for y in range(n):
@@ -138,7 +138,7 @@ def ref_strongly_compatible(p, bp) -> bool:
 def assert_same(s, pair) -> bool:
     """Assert that the row validators agree with the reference on ``pair``
     and return whether it is valid (for a Boltzmann pair: axioms I-III)."""
-    if isinstance(pair, CocyclePair):
+    if pair.kind == "cocycle":
         report = validate_cocycle_pair(s, pair)
         assert report == ref_validate_cocycle_pair(s, pair)
     else:
@@ -152,18 +152,18 @@ def perturbed(pair, rng):
     """``pair`` with one seeded entry of one table shifted by a nonzero
     amount (mod the modulus, if any)."""
     m = pair.modulus
-    tables = [[list(row) for row in t] for t in pair._values()[1:]]
+    tables = [[list(row) for row in t] for t in (pair.phi, pair.singular)]
     n = len(tables[0])
     t, x, y = rng.randrange(2), rng.randrange(n), rng.randrange(n)
     tables[t][x][y] += rng.randrange(1, m) if m else rng.choice((-2, -1, 1, 2))
-    return type(pair).from_rows(m, *tables)
+    return WeightPair.from_rows(pair.kind, m, *tables)
 
 
-def random_pair(cls, n, m, rng):
+def random_pair(kind, n, m, rng):
     def entry():
         return rng.randrange(m) if m else rng.randrange(-3, 4)
-    return cls.from_rows(m, *[[[entry() for _ in range(n)] for _ in range(n)]
-                              for _ in range(2)])
+    return WeightPair.from_rows(kind, m, *[
+        [[entry() for _ in range(n)] for _ in range(n)] for _ in range(2)])
 
 
 def combination(space, rng):
@@ -173,11 +173,11 @@ def combination(space, rng):
     tables = [[[0] * n for _ in range(n)] for _ in range(2)]
     for g in space.generators:
         c = rng.randrange(m)
-        for t, gt in zip(tables, g._values()[1:]):
+        for t, gt in zip(tables, (g.phi, g.singular)):
             for row, grow in zip(t, gt):
                 for y, v in enumerate(grow):
                     row[y] += c * v
-    return CocyclePair.from_rows(m, *tables)
+    return WeightPair.from_rows("cocycle", m, *tables)
 
 
 STRUCTURES = {
@@ -224,21 +224,22 @@ def test_random_pairs_and_perturbations(structure, modulus):
     into Z_modulus."""
     s = STRUCTURES[structure]()
     n = s.n
-    cls = BoltzmannPair if structure == "psy6" else CocyclePair
+    kind = "boltzmann" if structure == "psy6" else "cocycle"
     rng = random.Random(f"{structure}/{modulus}")
     zero = [[0] * n for _ in range(n)]
-    pairs = [cls.zero(n, modulus),
-             cls.from_rows(modulus, zero, [[1] * n for _ in range(n)])]
-    pairs += [random_pair(cls, n, modulus, rng) for _ in range(4)]
-    if modulus and cls is CocyclePair:
+    pairs = [WeightPair.zero(kind, n, modulus),
+             WeightPair.from_rows(kind, modulus, zero,
+                                  [[1] * n for _ in range(n)])]
+    pairs += [random_pair(kind, n, modulus, rng) for _ in range(4)]
+    if modulus and kind == "cocycle":
         space = solve_cocycle_space(s, modulus)
         pairs += [combination(space, rng) for _ in range(3)]
     elif modulus and modulus % 2 == 0:
         for name in ("psy6_boltzmann.wgt", "psy6_boltzmann_strong.wgt"):
             w = load_weights(name)
-            pairs.append(cls.from_rows(modulus, *[
+            pairs.append(WeightPair.from_rows(kind, modulus, *[
                 [[v * modulus // 2 for v in row] for row in t]
-                for t in w._values()[1:]]))
+                for t in (w.phi, w.singular)]))
     outcomes = set()
     for pair in pairs:
         outcomes.add(assert_same(s, pair))
