@@ -502,13 +502,67 @@ def shadow_closure(sh: ShadowStructure, region_seed: Iterable[int],
 #                         singular-over]
 #     action:             carrier rows of n entries (1-indexed carrier values)
 #
-# Each table is given once, by a formula line or by a block, and a file
-# gives only the tables (and the carrier: header) its type reads.
+# Each header and each table is given at most once, a table by a formula
+# line or by a block, and a file gives only the tables (and the carrier:
+# header) its type reads.  Weight files (singq.invariants) have the same line
+# format, without formulas, and are read by the same section reader.
 
 # type -> the tables and the carrier: header it reads
 _READS = {"quandle": ("star",), "singquandle": ("star", "r1", "r2"),
           "biquandle": ("ops",), "psyquandle": ("ops",),
           "shadow": ("star", "r1", "r2", "action", "carrier")}
+# the tables a formula line may give
+_FORMULAS = ("star", "r1", "r2", "action")
+
+
+def _read_sections(text: str, heads: tuple, blocks: tuple, formulas: tuple,
+                   error: type) -> dict:
+    """The sections of an ``.alg`` or ``.wgt`` text, as ``{key: (line
+    number, value)}`` in file order.
+
+    ``#`` comments and blank lines are skipped.  A ``head: value`` line,
+    for each of ``heads``, gives that head its text; a ``formula: name
+    expr`` line, for each of ``formulas``, gives the table ``name`` its
+    expression; a ``name:`` line, for each of ``blocks``, gives that table
+    the list of the integer rows that follow it.  A key given twice, a row
+    that is not integers and any other line raise ``error``, naming the
+    line.
+    """
+    sections: dict = {}
+    rows = None   # the block being read, if any
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, colon, value = line.partition(":")
+        value = value.strip()
+        if colon and key == "formula" and formulas:
+            parts = value.split(None, 1)
+            if len(parts) != 2:
+                raise error(f"line {line_no}: formula needs a name and an "
+                            f"expression")
+            key, value = parts
+            if key not in formulas:
+                raise error(f"line {line_no}: no type reads a formula "
+                            f"named {key!r}")
+        elif colon and key in heads:
+            pass
+        elif colon and not value and key in blocks:
+            value = []
+        elif rows is not None:
+            try:
+                rows.append([int(tok) for tok in line.split()])
+            except ValueError:
+                raise error(f"line {line_no}: bad integer row "
+                            f"{line!r}") from None
+            continue
+        else:
+            raise error(f"line {line_no}: unexpected line {line!r}")
+        if key in sections:
+            raise error(f"line {line_no}: {key} is given twice")
+        sections[key] = (line_no, value)
+        rows = value if isinstance(value, list) else None
+    return sections
 
 
 class LoadedAlgebra(NamedTuple):
@@ -522,70 +576,20 @@ class LoadedAlgebra(NamedTuple):
         return self.structure.n
 
 
-def _block_to_table(rows: list, n: int, what: str) -> OperationTable:
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise AlgebraError(f"{what} block must be {n}x{n}")
-    for r in rows:
-        for v in r:
-            if not (1 <= v <= n):
-                raise AlgebraError(f"{what} entry {v} outside 1..{n}")
-    return OperationTable([[v - 1 for v in r] for r in rows])
-
-
 def parse_algebra(text: str) -> LoadedAlgebra:
-    headers: dict = {}
-    formulas: dict = {}
-    blocks: dict = {}
-    given: dict = {}   # table or carrier: header -> the line giving it
-    current = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split(":", 1)[0] if ":" in line else None
-        if head in ("type", "order", "modulus", "carrier"):
-            headers[head] = line.split(":", 1)[1].strip()
-            if head == "carrier":
-                given[head] = line_no
-            current = None
-        elif head == "formula":
-            parts = line.split(":", 1)[1].split(None, 1)
-            if len(parts) != 2:
-                raise AlgebraError(f"line {line_no}: formula needs a name and "
-                                   f"an expression")
-            name = parts[0]
-            if name not in ("star", "r1", "r2", "action"):
-                raise AlgebraError(f"line {line_no}: no type reads a formula "
-                                   f"named {name!r}")
-            if name in given:
-                raise AlgebraError(f"line {line_no}: {name} is given twice")
-            formulas[name], given[name] = parts[1], line_no
-            current = None
-        elif line.endswith(":") and line[:-1] in ("star", "r1", "r2", "ops",
-                                                  "action"):
-            name = line[:-1]
-            if name in given:
-                raise AlgebraError(f"line {line_no}: {name} is given twice")
-            current = blocks[name] = []
-            given[name] = line_no
-        elif current is not None:
-            try:
-                current.append([int(tok) for tok in line.split()])
-            except ValueError:
-                raise AlgebraError(f"line {line_no}: bad integer row {line!r}")
-        else:
-            raise AlgebraError(f"line {line_no}: unexpected line {line!r}")
-
-    kind = headers.get("type")
+    sections = _read_sections(text, ("type", "order", "modulus", "carrier"),
+                              ("star", "r1", "r2", "ops", "action"),
+                              _FORMULAS, AlgebraError)
+    kind = sections.get("type", (0, None))[1]
     if kind not in _READS:
         raise AlgebraError(f"type: must be one of {tuple(_READS)}, got {kind!r}")
-    for name, line_no in given.items():
-        if name not in _READS[kind]:
+    for name, (line_no, _) in sections.items():
+        if name not in ("type", "order", "modulus") + _READS[kind]:
             raise AlgebraError(f"line {line_no}: a {kind} does not read "
                                f"{name}")
 
     def number(key: str, default=None) -> int:
-        text = headers.get(key, default)
+        text = sections[key][1] if key in sections else default
         if text is None:
             raise AlgebraError(f"missing {key}: header")
         try:
@@ -596,16 +600,31 @@ def parse_algebra(text: str) -> LoadedAlgebra:
 
     n = number("order")
     modulus = number("modulus", n)
-    if formulas and modulus != n:
+    if modulus != n and any(isinstance(sections.get(name, (0, ()))[1], str)
+                            for name in _FORMULAS):
         raise AlgebraError(f"modulus: {modulus} differs from order: {n}; "
                            f"formula tables are computed mod the order")
 
+    def rows(name: str, height: int = n, width: int = n,
+             variables: tuple = ("x", "y")) -> list:
+        """Table ``name`` as ``height`` rows of ``width`` 0-based entries
+        below ``height``: its formula tabulated, or its block checked and
+        made 0-based."""
+        if name not in sections:
+            raise AlgebraError(f"missing {name} (block or formula)")
+        given = sections[name][1]
+        if isinstance(given, str):
+            return eval_table(given, height, variables, cols=width)
+        if len(given) != height or any(len(r) != width for r in given):
+            raise AlgebraError(f"{name} block must be {height}x{width}")
+        for r in given:
+            for v in r:
+                if not 1 <= v <= height:
+                    raise AlgebraError(f"{name} entry {v} outside 1..{height}")
+        return [[v - 1 for v in r] for r in given]
+
     def table(name: str) -> OperationTable:
-        if name in formulas:
-            return OperationTable(eval_table(formulas[name], n, ("x", "y")))
-        if name in blocks:
-            return _block_to_table(blocks[name], n, name)
-        raise AlgebraError(f"missing {name} (block or formula)")
+        return OperationTable(rows(name))
 
     if kind == "quandle":
         star = table("star")
@@ -620,33 +639,17 @@ def parse_algebra(text: str) -> LoadedAlgebra:
 
     if kind in ("biquandle", "psyquandle"):
         from .psyquandle import Psyquandle
-        parts = 2 if kind == "biquandle" else 4
-        rows = blocks.get("ops")
-        if rows is None:
+        if "ops" not in sections:
             raise AlgebraError(f"{kind} needs an ops: block")
-        if len(rows) != n or any(len(r) != parts * n for r in rows):
-            raise AlgebraError(f"ops block must be {n}x{parts * n}")
-        tables = [
-            _block_to_table([r[k * n:(k + 1) * n] for r in rows], n, "ops")
-            for k in range(parts)]
+        parts = 2 if kind == "biquandle" else 4
+        ops = rows("ops", width=parts * n)
+        tables = [OperationTable([r[k * n:(k + 1) * n] for r in ops])
+                  for k in range(parts)]
         if kind == "biquandle":
             return LoadedAlgebra(kind, Psyquandle.from_biquandle(*tables))
         return LoadedAlgebra(kind, Psyquandle(*tables))
 
     # shadow
     base = OrientedSingquandle(table("star"), table("r1"), table("r2"))
-    carrier = number("carrier")
-    if "action" in formulas:
-        rows = eval_table(formulas["action"], carrier, ("x", "s"), cols=n)
-    elif "action" in blocks:
-        rows = blocks["action"]
-        if len(rows) != carrier or any(len(r) != n for r in rows):
-            raise AlgebraError(f"action block must be {carrier}x{n}")
-        for r in rows:
-            for v in r:
-                if not (1 <= v <= carrier):
-                    raise AlgebraError(f"action entry {v} outside 1..{carrier}")
-        rows = [[v - 1 for v in r] for r in rows]
-    else:
-        raise AlgebraError("missing action (block or formula)")
-    return LoadedAlgebra(kind, ShadowStructure(base, rows))
+    action = rows("action", number("carrier"), n, ("x", "s"))
+    return LoadedAlgebra(kind, ShadowStructure(base, action))

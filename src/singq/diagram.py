@@ -15,7 +15,8 @@ File format, one record per line, ``#`` comments::
     S <i1> <i2> <o1> <o2>
     rot <crossing-number> <p> <q> <r> <s>
 
-Crossing numbers in ``rot`` lines are 1-based in file order.
+Crossing numbers in ``rot`` lines are 1-based in file order, and a crossing
+has at most one ``rot`` line.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class SingularDiagram(_ReadOnly):
     owns them."""
 
     __slots__ = ("crossings", "semiarcs", "compiled", "faces", "sides",
-                 "euler_failure", "plans", "color_sets", "_arc_index")
+                 "euler_failure", "plans", "color_sets")
 
     def __init__(self, crossings: Sequence[Crossing]):
         self.crossings = tuple(c._replace(arcs=MappingProxyType(dict(c.arcs)))
@@ -103,7 +104,6 @@ class SingularDiagram(_ReadOnly):
                                end[0])
         self.semiarcs = tuple(SemiArc(lbl, tails[lbl], heads[lbl])
                               for lbl in order)
-        self._arc_index = order
         self.compiled = tuple((c.kind, *(order[c.arcs[p]] for p in c.ports))
                               for c in self.crossings)
 
@@ -199,7 +199,10 @@ class SingularDiagram(_ReadOnly):
             faces.append(Region(len(faces), tuple(boundary)))
         self.faces = tuple(faces)
         self.sides = tuple(zip(face_of[::2], face_of[1::2]))
-        self.euler_failure = self.euler_problem(self.faces)
+        v, e, f = self.n_crossings, self.n_semiarcs, len(faces)
+        components = self.graph_component_count()
+        self.euler_failure = None if v - e + f == 2 * components else (
+            f"Euler check failed: V={v} E={e} F={f} components={components}")
 
     def regions(self) -> list:
         """Faces of the combinatorial map, as ``Region`` records.
@@ -213,19 +216,10 @@ class SingularDiagram(_ReadOnly):
         return list(self.faces)
 
     def euler_check(self) -> tuple:
-        """(V, E, F, ok): ok iff V - E + F == 2 per connected component."""
-        regions = self.regions()
-        return (self.n_crossings, self.n_semiarcs, len(regions),
-                self.euler_problem(regions) is None)
-
-    def euler_problem(self, regions: list) -> Optional[str]:
-        """Why the faces ``regions`` fail the Euler check, or None if
-        V - E + F == 2 per connected component."""
-        v, e, f = self.n_crossings, self.n_semiarcs, len(regions)
-        components = self.graph_component_count()
-        if v - e + f == 2 * components:
-            return None
-        return f"Euler check failed: V={v} E={e} F={f} components={components}"
+        """(V, E, F, ok): ok iff V - E + F == 2 per connected component,
+        the kept ``euler_failure`` being None."""
+        return (self.n_crossings, self.n_semiarcs, len(self.regions()),
+                self.euler_failure is None)
 
     def side_regions(self, regions: Optional[list] = None) -> dict:
         """Map semiarc label -> (left region id, right region id), a view of
@@ -279,7 +273,7 @@ def parse_diagram(text: str) -> SingularDiagram:
             rot_lines.append((line_no, tokens[1], tuple(tokens[2:])))
         else:
             raise ParseError(line_no, f"unknown record {head!r}")
-    rotations = {}   # crossing index -> its last rotation
+    rotations = {}   # crossing index -> its rotation
     for line_no, idx_text, ports in rot_lines:
         try:
             idx = int(idx_text) - 1
@@ -287,6 +281,8 @@ def parse_diagram(text: str) -> SingularDiagram:
             idx = -1
         if not 0 <= idx < len(records):
             raise ParseError(line_no, f"bad crossing number {idx_text!r}")
+        if idx in rotations:
+            raise ParseError(line_no, f"rot {idx + 1} is given twice")
         expected = tuple(records[idx][1])
         if sorted(ports) != sorted(expected):
             raise ParseError(line_no, f"rotation must permute {expected}")

@@ -20,7 +20,7 @@ from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import (OperationTable, OrientedSingquandle, ShadowStructure,
-                      ValidationReport, _ReadOnly, profile,
+                      ValidationReport, _ReadOnly, _read_sections, profile,
                       substructure_closure, shadow_closure)
 from .coloring import psyquandle_tuples, shadow_tuples, singquandle_tuples
 from .polynomial import BasePolynomial
@@ -426,37 +426,19 @@ def parse_weights(text: str):
     Rows and columns follow the 1-indexed element order of the companion
     algebra file; the entries themselves are ring values.
     """
-    modulus = None
-    blocks: dict = {}
-    current = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("modulus:"):
-            text_m = line.split(":", 1)[1].strip()
-            try:
-                modulus = int(text_m)
-            except ValueError:
-                raise InvariantError(f"line {line_no}: modulus must be an "
-                                     f"integer, got {text_m!r}") from None
-            if modulus < 0:
-                raise InvariantError(f"line {line_no}: modulus must be >= 0")
-            continue
-        key = line.rstrip(":")
-        if line.endswith(":") and key in ("phi", "phiprime", "psi"):
-            if key in blocks:
-                raise InvariantError(f"line {line_no}: duplicate block {key!r}")
-            current = blocks.setdefault(key, [])
-            continue
-        if current is None:
-            raise InvariantError(f"line {line_no}: data outside a block")
-        try:
-            current.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise InvariantError(f"line {line_no}: bad integer row {line!r}")
-    if modulus is None:
+    sections = _read_sections(text, ("modulus",), ("phi", "phiprime", "psi"),
+                              (), InvariantError)
+    if "modulus" not in sections:
         raise InvariantError("missing modulus: header")
+    line_no, given = sections["modulus"]
+    try:
+        modulus = int(given)
+    except ValueError:
+        raise InvariantError(f"line {line_no}: modulus must be an integer, "
+                             f"got {given!r}") from None
+    if modulus < 0:
+        raise InvariantError(f"line {line_no}: modulus must be >= 0")
+    blocks = {key: value for key, (_, value) in sections.items()}
     n = len(blocks.get("phi", []))
     if not n or any(len(r) != n for r in blocks["phi"]):
         raise InvariantError("phi block must be a square table")

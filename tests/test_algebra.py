@@ -608,6 +608,11 @@ class TestFileFormat:
         ("star:\n1 1\n2 2\nformula: star x\n", 6),     # block, then formula
         ("formula: r1 x\nformula: rr x\n", 4),          # a name no type reads
         ("formula: ops x\n", 3),
+        ("type: quandle\n", 3),                         # headers twice
+        ("order: 3\n", 3),
+        # carrier twice, refused at the first repeat before any check of
+        # what a singquandle reads
+        ("carrier: 2\ncarrier: 2\ncarrier: 3\n", 4),
     ])
     def test_table_given_twice_or_unread_rejected(self, body, line):
         with pytest.raises(AlgebraError, match=f"^line {line}: "):

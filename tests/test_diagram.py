@@ -59,6 +59,13 @@ class TestParsing:
             with pytest.raises(ParseError):
                 parse_diagram(f"P a b b a\nrot {number} ui oi uo oo\n")
 
+    def test_rotation_given_twice(self):
+        """A second rotation of one crossing is refused at its line, not
+        kept in place of the first."""
+        with pytest.raises(ParseError, match="^line 4: rot 1 is given twice$"):
+            parse_diagram("P a b b a\nrot 1 ui oi uo oo\n# again\n"
+                          "rot 1 ui uo oo oi\n")
+
     def test_comments_and_blank_lines(self):
         d = parse_diagram("# comment\n\nP b a a b # trailing\n")
         assert d.n_crossings == 1
@@ -74,7 +81,7 @@ class TestRegions:
         d = parse_diagram(KINK)
         assert len(d.regions()) == 3
         assert d.euler_check() == (1, 2, 3, True)
-        assert d.euler_problem(d.regions()) is None
+        assert d.euler_failure is None
         assert d.regions() == [Region(0, ((0, 1),)),
                                Region(1, ((0, -1), (1, 1))),
                                Region(2, ((1, -1),))]
@@ -101,7 +108,6 @@ class TestRegions:
         v, e, f, ok = d.euler_check()
         assert not ok
         message = f"Euler check failed: V={v} E={e} F={f} components=1"
-        assert d.euler_problem(d.regions()) == message
         assert d.euler_failure == message
         assert validate_diagram(d).problems == (message,)
 

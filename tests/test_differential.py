@@ -122,23 +122,28 @@ def test_shadow_search(braids, z8_z6_shadow):
 
 # -- aggregations against the per-coloring loops ----------------------------
 
-def _ports(d, colors, c, *ports):
-    return [colors[d._arc_index[c.arcs[port]]] for port in ports]
+def _arc_index(d) -> dict:
+    return {a.label: i for i, a in enumerate(d.semiarcs)}
+
+
+def _ports(index, colors, c, *ports):
+    return [colors[index[c.arcs[port]]] for port in ports]
 
 
 def reference_state_sum(d, s, cp):
+    index = _arc_index(d)
     tags = []
     for colors in brute_force_singquandle(d, s):
         total = 0
         for c in d.crossings:
             if c.kind == "P":
-                x, y = _ports(d, colors, c, "ui", "oi")
+                x, y = _ports(index, colors, c, "ui", "oi")
                 total += cp.phi[x][y]
             elif c.kind == "N":
-                x, y = _ports(d, colors, c, "uo", "oi")
+                x, y = _ports(index, colors, c, "uo", "oi")
                 total -= cp.phi[x][y]
             else:
-                x, y = _ports(d, colors, c, "i1", "i2")
+                x, y = _ports(index, colors, c, "i1", "i2")
                 total += cp.singular[x][y]
         tags.append(ExponentTag.ring(total, cp.modulus))
     return InvariantValue.from_tags(tags)
@@ -160,17 +165,18 @@ def reference_SP(d, sh):
 
 
 def reference_boltzmann_totals(d, p, bp):
+    index = _arc_index(d)
     for colors in brute_force_psyquandle(d, p):
         tphi = tpsi = 0
         for c in d.crossings:
             if c.kind == "P":
-                x, y = _ports(d, colors, c, "ui", "oi")
+                x, y = _ports(index, colors, c, "ui", "oi")
                 tphi += bp.phi[x][y]
             elif c.kind == "N":
-                x, y = _ports(d, colors, c, "uo", "oo")
+                x, y = _ports(index, colors, c, "uo", "oo")
                 tphi -= bp.phi[x][y]
             else:
-                x, y = _ports(d, colors, c, "i1", "i2")
+                x, y = _ports(index, colors, c, "i1", "i2")
                 tpsi += bp.singular[x][y]
         yield tphi, tpsi
 

@@ -656,6 +656,16 @@ class TestWeightParsing:
         with pytest.raises(InvariantError):
             parse_weights("modulus: 2\nphi:\n0 1\n0\nphiprime:\n0 0\n0 0\n")
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("modulus: 6\nphi:\n0\nmodulus: 2\npsi:\n0\n", 4, "modulus"),
+        ("modulus: 2\nphi:\n0\n# again\nphi:\n1\npsi:\n0\n", 5, "phi"),
+        ("modulus: 2\nphi:\n0\npsi:\n0\npsi:\n0\n", 6, "psi"),
+    ], ids=["modulus", "phi", "psi"])
+    def test_given_twice_rejected(self, text, line, key):
+        with pytest.raises(InvariantError,
+                           match=f"^line {line}: {key} is given twice$"):
+            parse_weights(text)
+
     @pytest.mark.parametrize("block", ["phiprime", "psi"])
     @pytest.mark.parametrize("rows", ["1 2 3\n4\n", "0 0\n", "0 0\n0 0\n0 0\n"],
                              ids=["ragged", "short", "long"])
