@@ -580,9 +580,15 @@ def parse_algebra(text: str) -> LoadedAlgebra:
     sections = _read_sections(text, ("type", "order", "modulus", "carrier"),
                               ("star", "r1", "r2", "ops", "action"),
                               _FORMULAS, AlgebraError)
+
+    def where(key: str) -> str:
+        """``line N: `` for a header given at line N, else nothing."""
+        return f"line {sections[key][0]}: " if key in sections else ""
+
     kind = sections.get("type", (0, None))[1]
     if kind not in _READS:
-        raise AlgebraError(f"type: must be one of {tuple(_READS)}, got {kind!r}")
+        raise AlgebraError(f"{where('type')}type: must be one of "
+                           f"{tuple(_READS)}, got {kind!r}")
     for name, (line_no, _) in sections.items():
         if name not in ("type", "order", "modulus") + _READS[kind]:
             raise AlgebraError(f"line {line_no}: a {kind} does not read "
@@ -595,7 +601,7 @@ def parse_algebra(text: str) -> LoadedAlgebra:
         try:
             return int(text)
         except ValueError:
-            raise AlgebraError(f"{key}: must be an integer, "
+            raise AlgebraError(f"{where(key)}{key}: must be an integer, "
                                f"got {text!r}") from None
 
     n = number("order")

@@ -161,15 +161,29 @@ def _plan(d: SingularDiagram, rules: dict) -> list:
     cannot fail); a step checks ``out`` if that is colored by then.  Each
     level branches on the semiarc whose coloring fires the most propagators
     (then the most checks, then the lowest index), which keeps the levels,
-    and so the search tree, small."""
+    and so the search tree, small.
+
+    A level scores its free semiarcs in ascending order, each by a trial
+    closure, and skips every semiarc that an earlier trial of the level
+    colored (its mark is that trial's): it cannot win.  The closure is
+    forward chaining over two-premise rules, so it is monotone.  Say the
+    trial of b colors b'.  Then the closure of b' lies inside that of b,
+    and every propagator b' fires, b fires too.  If the closure of b' holds
+    b, the two closures are equal, so both counts are equal and b wins on
+    its lower index.  If it does not, b' fires none of the propagators that
+    read b, and b fires at least one (the first propagator of any trial
+    reads the branch, as the plan so far has fired every propagator whose
+    inputs it colored), so b' fires fewer.  Either way b' ranks below b, so
+    the plan is unchanged."""
     props = []
-    watch = [[] for _ in d.semiarcs]   # semiarc -> (k, x, y, out) reading it
+    watch = [[] for _ in d.semiarcs]   # semiarc -> (k, other input, out)
     for c, (kind, *ports) in enumerate(d.compiled):
         for x, y, slot, out, relation in rules[kind]:
             x, y, out = ports[x], ports[y], ports[out]
-            for i in {x, y}:
-                watch[i].append((len(props), x, y, out))
-            props.append((slot, c, relation))
+            watch[x].append((len(props), y, out))
+            if y != x:
+                watch[y].append((len(props), x, out))
+            props.append((x, y, slot, c, relation))
 
     DONE = sys.maxsize
     # colored[i] and fired[k]: the trial that colored semiarc i or fired
@@ -194,8 +208,8 @@ def _plan(d: SingularDiagram, rules: dict) -> list:
         count = new = 0
         queue = [branch]
         while queue:
-            for k, x, y, out in watch[queue.pop()]:
-                if fired[k] >= t or colored[x] < t or colored[y] < t:
+            for k, other, out in watch[queue.pop()]:
+                if fired[k] >= t or colored[other] < t:
                     continue
                 fired[k] = t
                 count += 1
@@ -212,11 +226,11 @@ def _plan(d: SingularDiagram, rules: dict) -> list:
         steps = []
         queue = [branch]
         while queue:
-            for k, x, y, out in watch[queue.pop()]:
-                if fired[k] == DONE or colored[x] != DONE or colored[y] != DONE:
+            for k, other, out in watch[queue.pop()]:
+                if fired[k] == DONE or colored[other] != DONE:
                     continue
                 fired[k] = DONE
-                slot, c, relation = props[k]
+                x, y, slot, c, relation = props[k]
                 if have[c] & relation:
                     continue
                 have[c] = _establish(have[c], relation)
@@ -232,7 +246,12 @@ def _plan(d: SingularDiagram, rules: dict) -> list:
         free = [i for i, mark in enumerate(colored) if mark != DONE]
         if not free:
             return plan
-        branch = max(free, key=score)
+        first = trial + 1   # the first trial of this level
+        best = (-1,)
+        for b in free:
+            if colored[b] < first:   # no trial of this level colored b
+                best = max(best, score(b))
+        branch = -best[2]
         plan.append((branch, spread(branch)))
 
 

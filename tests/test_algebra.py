@@ -572,6 +572,8 @@ class TestClosures:
         assert shadow_closure(z8_z6_shadow, {0}, range(8)) == frozenset({0, 3})
 
 
+TYPES = ('quandle', 'singquandle', 'biquandle', 'psyquandle', 'shadow')
+
 # the bundled psyquandle with a star formula, which no psyquandle reads
 PSY6_STAR = fixture_path("psy6.alg").read_text() + "formula: star 7\n"
 
@@ -639,6 +641,25 @@ class TestFileFormat:
     def test_what_the_type_does_not_read_rejected(self, text, line, message):
         with pytest.raises(AlgebraError, match=f"^line {line}: {message}$"):
             parse_algebra(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("type: quandle\norder: x\n",
+         "line 2: order: must be an integer, got 'x'"),
+        ("type: singquandle\norder: 2\n\nmodulus: two\n",
+         "line 4: modulus: must be an integer, got 'two'"),
+        ("# action on 2 regions\ntype: shadow\norder: 2\ncarrier: 2.5\n"
+         "formula: star x\nformula: r1 x\nformula: r2 y\nformula: action x\n",
+         "line 4: carrier: must be an integer, got '2.5'"),
+        ("order: 2\ntype: magma\n",
+         f"line 2: type: must be one of {TYPES}, got 'magma'"),
+        # a header that is absent has no line to name
+        ("order: 2\n", f"type: must be one of {TYPES}, got None"),
+        ("type: singquandle\n", "missing order: header"),
+    ])
+    def test_header_value_error_names_its_line(self, text, message):
+        with pytest.raises(AlgebraError) as err:
+            parse_algebra(text)
+        assert str(err.value) == message
 
     def test_generated_and_benchmark_files_load(self):
         rng = random.Random(18)

@@ -8,9 +8,11 @@ it emits is checked against every crossing relation, and every
 aggregation with the per-coloring loop it replaced, kept below as the
 reference and run over the oracle's colorings.  The search planner is
 compared with the planner that fired every propagator as a step, on these
-braids and on the benchmark's braid pool and link family, and required to
-give the very plans of the planner that scored each branch by a trial
-propagation over copies of its state, on large braids too.  The tags that
+braids, the benchmark's braid pool and link family, every bundled corpus
+diagram (the pokes too) and two kink diagrams, where one semiarc feeds both
+inputs of a propagator.  On the same diagrams, and on large braids too, it
+is required to give the very plans of the planner that scored every free
+branch by a trial propagation over copies of its state.  The tags that
 phi-ssqp and SP keep per structure object are compared, with the diagrams
 in either order, with the per-coloring aggregation they replaced.  The
 search that tries one first-branch value per orbit of the structure's
@@ -270,6 +272,19 @@ def planned(braids):
     return braids + [parse_diagram(gen.closure_text(*m)) for m in members]
 
 
+# one semiarc on both inputs of a propagator: the over-arc rule of a kink
+# reads its over arc twice, and the trial of that arc re-derives it
+KINKS = ["P a b b a\nP c d d c", "S a b b a\nN c d d c"]
+
+
+@pytest.fixture(scope="module")
+def exact(planned, corpus):
+    """The diagrams of ``planned``, every bundled corpus diagram (the
+    pokes too) and the two kink diagrams of ``KINKS``."""
+    return (planned + list(corpus.values())
+            + [parse_diagram(text) for text in KINKS])
+
+
 def fits(sources: list, most: int) -> bool:
     """Whether each step can be given one of its ``sources`` (the crossings
     it can come from) with no crossing given more than ``most`` steps; by
@@ -290,7 +305,7 @@ def fits(sources: list, most: int) -> bool:
 
 @pytest.mark.parametrize("notion, most", [("singquandle", 2),
                                           ("psyquandle", 3)])
-def test_plan_drops_only_implied_steps(planned, notion, most):
+def test_plan_drops_only_implied_steps(exact, notion, most):
     """Same branch order as the reference planner, so the same search tree;
     each level's steps a subsequence of the reference's; at most ``most``
     steps per crossing and two per crossing on the whole (one per
@@ -298,7 +313,7 @@ def test_plan_drops_only_implied_steps(planned, notion, most):
     rules = RULES[notion]
     untagged = {kind: [prop[:4] for prop in props]
                 for kind, props in rules.items()}
-    for k, d in enumerate(planned):
+    for k, d in enumerate(exact):
         plan, ref = _plan(d, rules), reference_plan(d, untagged)
         assert [b for b, _ in plan] == [b for b, _ in ref], k
         for (_, steps), (_, ref_steps) in zip(plan, ref):
@@ -384,13 +399,13 @@ def large_braid(seed: int):
 
 
 @pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
-def test_plan_equals_parent_plan(planned, notion):
+def test_plan_equals_parent_plan(exact, notion):
     """Scoring a branch by one marking pass over its closure gives the very
     plans of scoring it by a trial propagation over copies of the state."""
     rules = RULES[notion]
     large = [parse_diagram(gen.closure_text(*large_braid(seed)))
              for seed in range(12)]
-    for k, d in enumerate(planned + large):
+    for k, d in enumerate(exact + large):
         assert _plan(d, rules) == parent_plan(d, rules), k
 
 
