@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _HOME = {name: module for module, names in (
     ("polynomial", ("BasePolynomial", "parse_polynomial")),
-    ("values", ("ExponentTag", "InvariantValue")),
+    ("values", ("InvariantValue",)),
     ("algebra", ("OperationTable", "OrientedSingquandle", "ShadowStructure",
                  "ValidationReport", "AlgebraError", "InvalidStructureError",
                  "ParameterError", "affine_singquandle", "formula_shadow",

@@ -191,8 +191,8 @@ class OrientedSingquandle(_ReadOnly):
     """A quandle with singular-crossing maps R1, R2.
 
     ``star_inv`` is always derived from ``star`` so the pair of tables can
-    never disagree.  Instances are validated on construction unless built
-    through :func:`validate_singquandle` on raw tables.  ``_tags`` maps
+    never disagree.  Instances are validated on construction, by
+    :func:`validate_singquandle`.  ``_tags`` maps
     each color set a phi-ssqp coloring has used to its tag, and
     ``_symmetry`` keeps the permutations the coloring search found to
     preserve the tables, once it first runs; equality and hashing ignore
@@ -202,11 +202,10 @@ class OrientedSingquandle(_ReadOnly):
     __slots__ = ("n", "star", "star_inv", "r1", "r2", "_tags", "_symmetry")
 
     def __init__(self, star: OperationTable, r1: OperationTable,
-                 r2: OperationTable, _checked: bool = False):
-        if not _checked:
-            report = validate_singquandle(star, r1, r2)
-            if not report.valid:
-                raise InvalidStructureError(report)
+                 r2: OperationTable):
+        report = validate_singquandle(star, r1, r2)
+        if not report.valid:
+            raise InvalidStructureError(report)
         self.n = star.n
         self.star = star
         self.star_inv = star.right_inverse()
@@ -360,29 +359,21 @@ def formula_structure(n: int, star_expr: str, r1_expr: str,
 
 
 class ShadowStructure(_ReadOnly):
-    """A singquandle S acting on a carrier set X (region colors).
-    ``_tags`` maps each (semiarc colors, region colors) set pair an SP
-    coloring has used to its tag."""
+    """A singquandle S acting on a carrier set X (region colors): row x of
+    ``action`` lists x.s for each s in S.  ``_tags`` maps each (semiarc
+    colors, region colors) set pair an SP coloring has used to its tag."""
 
     __slots__ = ("base", "carrier", "action", "action_inv", "_tags")
 
-    def __init__(self, base: OrientedSingquandle, action: OperationTable | Sequence):
-        rows = action.rows if isinstance(action, OperationTable) else tuple(
-            tuple(r) for r in action)
-        carrier = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != base.n:
-                raise AlgebraError(f"action row {i} has {len(row)} entries, "
-                                   f"expected {base.n}")
-            for v in row:
-                if not (0 <= v < carrier):
-                    raise AlgebraError(f"action entry {v} out of range [0, {carrier})")
-        self.base = base
-        self.carrier = carrier
-        self.action = rows
+    def __init__(self, base: OrientedSingquandle, action: Sequence):
+        rows = tuple(map(tuple, action))
         report = validate_shadow(base, rows)
         if not report.valid:
             raise InvalidStructureError(report)
+        carrier = len(rows)
+        self.base = base
+        self.carrier = carrier
+        self.action = rows
         # per-s inverse of the bijection x -> x.s
         inv = []
         for x in range(carrier):
@@ -401,9 +392,18 @@ class ShadowStructure(_ReadOnly):
 
 
 def validate_shadow(base: OrientedSingquandle, action: Sequence) -> ValidationReport:
-    """Column bijectivity plus the classical and singular action identities."""
+    """Column bijectivity plus the classical and singular action identities.
+    A row of other than ``base.n`` entries, or an entry outside the carrier
+    ``range(len(action))``, is an AlgebraError."""
     carrier = len(action)
     nS = base.n
+    for i, row in enumerate(action):
+        if len(row) != nS:
+            raise AlgebraError(f"action row {i} has {len(row)} entries, "
+                               f"expected {nS}")
+        for v in row:
+            if not 0 <= v < carrier:
+                raise AlgebraError(f"action entry {v} out of range [0, {carrier})")
     vs = []
     for s in range(nS):
         if len({action[x][s] for x in range(carrier)}) != carrier:
@@ -608,7 +608,8 @@ def parse_algebra(text: str) -> LoadedAlgebra:
     modulus = number("modulus", n)
     if modulus != n and any(isinstance(sections.get(name, (0, ()))[1], str)
                             for name in _FORMULAS):
-        raise AlgebraError(f"modulus: {modulus} differs from order: {n}; "
+        raise AlgebraError(f"{where('modulus')}modulus: {modulus} differs "
+                           f"from order: {n}; "
                            f"formula tables are computed mod the order")
 
     def rows(name: str, height: int = n, width: int = n,
@@ -618,15 +619,17 @@ def parse_algebra(text: str) -> LoadedAlgebra:
         made 0-based."""
         if name not in sections:
             raise AlgebraError(f"missing {name} (block or formula)")
-        given = sections[name][1]
+        line_no, given = sections[name]
         if isinstance(given, str):
             return eval_table(given, height, variables, cols=width)
         if len(given) != height or any(len(r) != width for r in given):
-            raise AlgebraError(f"{name} block must be {height}x{width}")
+            raise AlgebraError(f"line {line_no}: {name} block must be "
+                               f"{height}x{width}")
         for r in given:
             for v in r:
                 if not 1 <= v <= height:
-                    raise AlgebraError(f"{name} entry {v} outside 1..{height}")
+                    raise AlgebraError(f"line {line_no}: {name} entry {v} "
+                                       f"outside 1..{height}")
         return [[v - 1 for v in r] for r in given]
 
     def table(name: str) -> OperationTable:

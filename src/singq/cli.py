@@ -133,7 +133,7 @@ def compute_invariant(kind, diagram, structure, weights):
 
     def packed(value, **render_args):
         return (value.render(**render_args),
-                [[t.render_exponent(), m] for t, m in value.items_sorted()])
+                [[str(e), m] for e, m in value.items_sorted()])
 
     if kind == "count":
         from .coloring import singquandle_tuples
@@ -156,13 +156,10 @@ def compute_invariant(kind, diagram, structure, weights):
         return counted(len(shadow_tuples(_need(diagram, "a diagram"), sh)))
     if kind == "sp":
         from .invariants import sp
-        sh = _expect(structure, ShadowStructure, kind)
-        poly = sp(sh)
-        multiset = []
-        for mono, coeff in poly.terms:
-            body = " ".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
-            multiset.append([body or "1", coeff])
-        return poly.render(), multiset
+        from .polynomial import BasePolynomial
+        poly = sp(_expect(structure, ShadowStructure, kind))
+        return poly.render(), [[BasePolynomial({mono: 1}).render(), coeff]
+                               for mono, coeff in poly.terms]
     if kind == "SP":
         from .invariants import shadow_polynomial_invariant
         sh = _expect(structure, ShadowStructure, kind)

@@ -5,12 +5,12 @@ subsingquandle refinement, shadow polynomials, and the Boltzmann-enhanced
 psyquandle polynomials.  All values are exact; multisets of per-coloring
 weights are packaged as :class:`~singq.values.InvariantValue`.
 
-The tag of a phi-ssqp or SP coloring depends only on the structure and
-the set of colors the coloring uses (for SP, the semiarc set and the
-region set), so both count colorings by used set and keep, on the
-structure object, a map from used set to tag that fills as diagrams use
-new sets.  Structures are read-only, so the map never goes stale; an
-equal but distinct structure builds its own.
+The polynomial exponent (the tag) of a phi-ssqp or SP coloring depends
+only on the structure and the set of colors the coloring uses (for SP,
+the semiarc set and the region set), so both count colorings by used set
+and keep, on the structure object, a map from used set to tag that fills
+as diagrams use new sets.  Structures are read-only, so the map never
+goes stale; an equal but distinct structure builds its own.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .algebra import (OperationTable, OrientedSingquandle, ShadowStructure,
                       substructure_closure, shadow_closure)
 from .coloring import psyquandle_tuples, shadow_tuples, singquandle_tuples
 from .polynomial import BasePolynomial
-from .values import ExponentTag, InvariantValue
+from .values import InvariantValue
 
 if TYPE_CHECKING:
     from .diagram import SingularDiagram
@@ -33,6 +33,11 @@ if TYPE_CHECKING:
 
 class InvariantError(ValueError):
     pass
+
+
+def _reduce(m: int):
+    """Reduction of integers mod ``m``, or the identity when ``m`` is 0."""
+    return (lambda v: v % m) if m else (lambda v: v)
 
 
 def _require_kind(pair: WeightPair, kind: str) -> None:
@@ -65,6 +70,8 @@ class WeightPair(_ReadOnly):
 
     def __init__(self, kind: str, modulus: int, phi: Sequence,
                  singular: Sequence):
+        if modulus < 0:
+            raise InvariantError(f"modulus must be >= 0, got {modulus}")
         self.kind, self.modulus, self._passed = kind, modulus, {}
         self.phi = tuple(map(tuple, phi))
         self.singular = tuple(map(tuple, singular))
@@ -81,7 +88,7 @@ class WeightPair(_ReadOnly):
     @classmethod
     def from_rows(cls, kind: str, modulus: int, phi: Sequence,
                   singular: Sequence) -> WeightPair:
-        red = (lambda v: v % modulus) if modulus else (lambda v: v)
+        red = _reduce(modulus)
         return cls(kind, modulus, [map(red, row) for row in phi],
                    [map(red, row) for row in singular])
 
@@ -155,10 +162,11 @@ def validate_cocycle_pair(s: OrientedSingquandle, cp: WeightPair) -> ValidationR
     return _evaluate(s.n, cp, "cocycle", _cocycle_system(s))
 
 
-def _tally(keys: Iterable, tag_of) -> InvariantValue:
-    """Multiset of ``tag_of(key)`` over ``keys``, building one tag per
-    distinct key."""
-    return InvariantValue((tag_of(key), k) for key, k in Counter(keys).items())
+def _tally(keys: Iterable, exponent_of) -> InvariantValue:
+    """Multiset of ``exponent_of(key)`` over ``keys``, building one exponent
+    per distinct key."""
+    return InvariantValue((exponent_of(key), k)
+                          for key, k in Counter(keys).items())
 
 
 def _require_valid(s, pair: WeightPair, kind: str,
@@ -218,7 +226,7 @@ def state_sum(d: SingularDiagram, s: OrientedSingquandle,
     be a cocycle pair, checked exhaustively against ``s`` once per
     structure it is used with; an invalid pair is rejected on every call."""
     return _tally(map(add, *_weight_parts(d, s, cp, "cocycle")),
-                  lambda t: ExponentTag.ring(t, cp.modulus))
+                  _reduce(cp.modulus))
 
 
 # -- singquandle polynomials --------------------------------------------------
@@ -253,8 +261,7 @@ def restrict(s: OrientedSingquandle, sub: Iterable[int]) -> OrientedSingquandle:
     pos = {e: i for i, e in enumerate(elems)}
     def table(op):
         return OperationTable([[pos[op(x, y)] for y in elems] for x in elems])
-    return OrientedSingquandle(table(s.op), table(s.r1), table(s.r2),
-                               _checked=True)
+    return OrientedSingquandle(table(s.op), table(s.r1), table(s.r2))
 
 
 def ssqp(sub: Iterable[int], s: OrientedSingquandle) -> BasePolynomial:
@@ -271,10 +278,10 @@ def phi_ssqp(d: SingularDiagram, s: OrientedSingquandle) -> InvariantValue:
     tags are kept on ``s`` by that set."""
     tags = s._tags
 
-    def tag(used: frozenset) -> ExponentTag:
+    def tag(used: frozenset) -> BasePolynomial:
         if used not in tags:
             image = substructure_closure(s, used)
-            tags[used] = ExponentTag.poly(_profile_sum(image, profile(s)))
+            tags[used] = _profile_sum(image, profile(s))
         return tags[used]
 
     return _tally(map(frozenset, singquandle_tuples(d, s)), tag)
@@ -284,19 +291,18 @@ def phi_ssqp(d: SingularDiagram, s: OrientedSingquandle) -> InvariantValue:
 
 def sp(sh: ShadowStructure) -> BasePolynomial:
     """Shadow polynomial: sum over carrier elements of t^(fixing count)."""
-    return subsp(range(sh.carrier), range(sh.base.n), sh, _checked=True)
+    return subsp(range(sh.carrier), range(sh.base.n), sh)
 
 
 def subsp(region_subset: Iterable[int], acting: Iterable[int],
-          sh: ShadowStructure, _checked: bool = False) -> BasePolynomial:
+          sh: ShadowStructure) -> BasePolynomial:
     """Subshadow polynomial, with the fixing count taken against ``acting``."""
     ys = sorted(set(region_subset))
     ss = sorted(set(acting))
-    if not _checked:
-        if substructure_closure(sh.base, ss) != frozenset(ss):
-            raise InvariantError("acting set is not a subsingquandle")
-        if shadow_closure(sh, ys, ss) != frozenset(ys):
-            raise InvariantError("region subset is not closed under the action")
+    if substructure_closure(sh.base, ss) != frozenset(ss):
+        raise InvariantError("acting set is not a subsingquandle")
+    if shadow_closure(sh, ys, ss) != frozenset(ys):
+        raise InvariantError("region subset is not closed under the action")
     fixing: dict = {}   # fixing count -> number of region colors
     for x in ys:
         row = sh.action[x]
@@ -312,12 +318,11 @@ def shadow_polynomial_invariant(d: SingularDiagram,
     colors used; the tags are kept on ``sh`` by that pair of sets."""
     tags = sh._tags
 
-    def tag(used: tuple) -> ExponentTag:
+    def tag(used: tuple) -> BasePolynomial:
         if used not in tags:
             acting = substructure_closure(sh.base, used[0])
             image = shadow_closure(sh, used[1], acting)
-            tags[used] = ExponentTag.poly(
-                subsp(image, acting, sh, _checked=True))
+            tags[used] = subsp(image, acting, sh)
         return tags[used]
 
     colorings = shadow_tuples(d, sh)
@@ -394,7 +399,7 @@ def boltzmann_single(d: SingularDiagram, p: Psyquandle,
     ``p`` (axioms I-III) once per structure it is used with; an invalid
     pair is rejected on every call."""
     return _tally(map(add, *_weight_parts(d, p, bp, "boltzmann")),
-                  lambda t: ExponentTag.ring(t, bp.modulus))
+                  _reduce(bp.modulus))
 
 
 def boltzmann_two(d: SingularDiagram, p: Psyquandle,
@@ -403,10 +408,9 @@ def boltzmann_two(d: SingularDiagram, p: Psyquandle,
     ``bp`` must be a Boltzmann pair, and is checked exhaustively against
     ``p`` (axioms I-IV) once per structure it is used with; an invalid or
     not strongly compatible pair is rejected on every call."""
-    m = bp.modulus
-    red = (lambda v: v % m) if m else (lambda v: v)
+    red = _reduce(bp.modulus)
     return _tally(zip(*_weight_parts(d, p, bp, "boltzmann", strong=True)),
-                  lambda ab: ExponentTag.pair(red(ab[0]), red(ab[1])))
+                  lambda ab: (red(ab[0]), red(ab[1])))
 
 
 # -- weight file parsing ------------------------------------------------------

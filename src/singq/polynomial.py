@@ -119,7 +119,7 @@ class BasePolynomial:
 
     def sort_key(self) -> tuple:
         # Graded-lex on the canonical term sequence; used for the total order
-        # on Poly exponent tags.  Leading high-degree terms compare first.
+        # on polynomial exponents.  Leading high-degree terms compare first.
         return tuple((_mono_sort_key(m), c) for m, c in self._terms)
 
     def render(self) -> str:
@@ -149,6 +149,8 @@ class BasePolynomial:
             else:
                 out.append(f"{'+' if coeff > 0 else '-'} {piece}")
         return " ".join(out)
+
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"BasePolynomial({self.render()!r})"

@@ -42,8 +42,6 @@ class Psyquandle(_ReadOnly):
 
     def __init__(self, ut: OperationTable, ot: OperationTable,
                  ub: OperationTable, ob: OperationTable):
-        if not (ut.n == ot.n == ub.n == ob.n):
-            raise AlgebraError("tables have mismatched orders")
         report = validate_psyquandle(ut, ot, ub, ob)
         if not report.valid:
             raise InvalidStructureError(report)
@@ -81,7 +79,10 @@ _PSYQUANDLE_AXIOMS = (
 
 def validate_psyquandle(ut: OperationTable, ot: OperationTable,
                         ub: OperationTable, ob: OperationTable) -> ValidationReport:
-    """Exhaustive check of psyquandle axioms (I)-(VI)."""
+    """Exhaustive check of psyquandle axioms (I)-(VI).  Tables of
+    different orders are an AlgebraError."""
+    if not (ut.n == ot.n == ub.n == ob.n):
+        raise AlgebraError("tables have mismatched orders")
     n = ut.n
     vs = []
     for name, t in (("ut", ut), ("ot", ot), ("ub", ub), ("ob", ob)):

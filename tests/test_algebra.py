@@ -241,6 +241,18 @@ class TestPsyquandle:
         assert validate_psyquandle(lifted.ut, lifted.ot,
                                    lifted.ub, lifted.ob).valid
 
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_mismatched_orders_rejected(self, psy6, k):
+        """Orders 2 and 3 once raised a bare ValueError or IndexError."""
+        other = table(k, lambda x, y: x)
+        tables = [psy6.ut, psy6.ot, psy6.ub, psy6.ob]
+        for i in range(4):
+            mixed = tables[:i] + [other] + tables[i + 1:]
+            for check in (validate_psyquandle, Psyquandle):
+                with pytest.raises(AlgebraError,
+                                   match="^tables have mismatched orders$"):
+                    check(*mixed)
+
     def test_corrupted_table_reports_witness(self, psy6):
         rows = [list(r) for r in psy6.ub.rows]
         rows[0][0] = (rows[0][0] + 1) % psy6.n
@@ -340,6 +352,19 @@ class TestShadow:
         rows = eval_table("x+s", 4, ("x", "s"), cols=8)
         report = validate_shadow(base, rows)
         assert not report.valid
+
+    @pytest.mark.parametrize("action, message", [
+        ([[0] * 6, [1] * 6, [7] * 6], r"action entry 7 out of range \[0, 3\)"),
+        ([[0] * 6, [-1] * 6], r"action entry -1 out of range \[0, 2\)"),
+        ([[0] * 6, [1] * 5], "action row 1 has 5 entries, expected 6"),
+        ([[0] * 7, [1] * 7], "action row 0 has 7 entries, expected 6"),
+    ], ids=["outside", "negative", "short", "long"])
+    def test_action_outside_carrier_rejected(self, z6, action, message):
+        """Entries outside the carrier once validated, and a short row
+        raised IndexError."""
+        for check in (validate_shadow, ShadowStructure):
+            with pytest.raises(AlgebraError, match=f"^{message}$"):
+                check(z6, action)
 
     def test_action_inverse(self, z8_z6_shadow):
         sh = z8_z6_shadow
@@ -652,11 +677,31 @@ class TestFileFormat:
          "line 4: carrier: must be an integer, got '2.5'"),
         ("order: 2\ntype: magma\n",
          f"line 2: type: must be one of {TYPES}, got 'magma'"),
+        ("type: singquandle\norder: 2\nmodulus: 3\nformula: star x\n"
+         "formula: r1 x\nformula: r2 y\n",
+         "line 3: modulus: 3 differs from order: 2; formula tables are "
+         "computed mod the order"),
         # a header that is absent has no line to name
         ("order: 2\n", f"type: must be one of {TYPES}, got None"),
         ("type: singquandle\n", "missing order: header"),
     ])
     def test_header_value_error_names_its_line(self, text, message):
+        with pytest.raises(AlgebraError) as err:
+            parse_algebra(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("type: quandle\norder: 2\n\nstar:\n1 1\n2\n",
+         "line 4: star block must be 2x2"),
+        ("type: singquandle\norder: 2\nformula: star x\nformula: r1 x\n"
+         "r2:\n1 1\n", "line 5: r2 block must be 2x2"),
+        ("type: psyquandle\norder: 2\n# under, over, sing-under, sing-over\n"
+         "ops:\n1 1 1 1\n2 2 2 2\n", "line 4: ops block must be 2x8"),
+        ("type: shadow\norder: 2\ncarrier: 2\nformula: star x\n"
+         "formula: r1 x\nformula: r2 y\naction:\n1 3\n2 1\n",
+         "line 7: action entry 3 outside 1..2"),
+    ], ids=["block", "short-block", "ops", "action"])
+    def test_table_error_names_its_line(self, text, message):
         with pytest.raises(AlgebraError) as err:
             parse_algebra(text)
         assert str(err.value) == message
@@ -672,5 +717,6 @@ class TestFileFormat:
         assert loaded.structure == load_algebra("z8_z6_shadow.alg").structure.base
 
     def test_out_of_range_entry_rejected(self):
-        with pytest.raises(AlgebraError):
+        with pytest.raises(AlgebraError,
+                           match=r"^line 3: star entry 3 outside 1\.\.2$"):
             parse_algebra("type: quandle\norder: 2\nstar:\n1 3\n2 2\n")

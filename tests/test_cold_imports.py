@@ -20,10 +20,11 @@ SRC = str(Path(singq.__file__).resolve().parent.parent)
 ENV = dict(os.environ, PYTHONPATH=SRC)
 
 # What ``from singq import *`` binds: the names it bound before the package
-# loaded lazily, with the one weight-pair class in place of the two.
+# loaded lazily, with the one weight-pair class in place of the two, and
+# without ``ExponentTag`` now that invariant values hold plain exponents.
 PUBLIC_NAMES = [
     "AlgebraError", "BasePolynomial", "CocycleSpace", "Coloring", "Crossing",
-    "DiagramError", "ExponentTag", "InvalidStructureError", "InvariantError",
+    "DiagramError", "InvalidStructureError", "InvariantError",
     "InvariantValue", "OperationTable", "OrientedSingquandle",
     "ParameterError", "ParseError", "Psyquandle", "Region", "SP", "SemiArc",
     "ShadowStructure", "SingularDiagram", "ValidationReport", "WeightPair",

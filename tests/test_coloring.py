@@ -3,7 +3,8 @@ import copy
 import pytest
 
 from singq import coloring, data, invariants
-from singq.algebra import OperationTable, parse_algebra
+from singq.algebra import (OperationTable, parse_algebra,
+                           substructure_closure)
 from singq.coloring import (PSYQUANDLE_RULES, SINGQUANDLE_RULES,
                             ColoringError, psyquandle_colorings,
                             shadow_colorings, shadow_tuples,
@@ -257,8 +258,10 @@ class TestTagReuse:
         base_sets = set(closures)
         del closures[:]
         value = SP(d, sh)
-        # SP closes the same semiarc sets again, in its own map
-        assert set(closures) == base_sets
+        # SP closes the same semiarc sets again, in its own map, and subsp
+        # closes each closure once more to check that it is closed
+        assert set(closures) == base_sets | {
+            substructure_closure(sh.base, used) for used in base_sets}
         del closures[:]
         assert phi_ssqp(d, sh.base) == phi and SP(d, sh) == value
         assert not closures

@@ -23,6 +23,7 @@ reference, and the orbits and permutations it keeps are pinned.
 import importlib.util
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,7 @@ from singq.invariants import (SP, WeightPair, _profile_sum,
                               boltzmann_single, boltzmann_two, phi_ssqp,
                               ssqp, state_sum, subsp)
 from singq.solver import solve_cocycle_space
-from singq.values import ExponentTag, InvariantValue
+from singq.values import InvariantValue
 
 from conftest import (assert_colorings_satisfy, brute_force_psyquandle,
                       brute_force_shadow, brute_force_singquandle)
@@ -134,7 +135,8 @@ def _ports(index, colors, c, *ports):
 
 def reference_state_sum(d, s, cp):
     index = _arc_index(d)
-    tags = []
+    red = (lambda v: v % cp.modulus) if cp.modulus else (lambda v: v)
+    exponents = []
     for colors in brute_force_singquandle(d, s):
         total = 0
         for c in d.crossings:
@@ -147,23 +149,23 @@ def reference_state_sum(d, s, cp):
             else:
                 x, y = _ports(index, colors, c, "i1", "i2")
                 total += cp.singular[x][y]
-        tags.append(ExponentTag.ring(total, cp.modulus))
-    return InvariantValue.from_tags(tags)
+        exponents.append(red(total))
+    return InvariantValue(Counter(exponents))
 
 
 def reference_phi_ssqp(d, s):
-    return InvariantValue.from_tags(
-        ExponentTag.poly(ssqp(substructure_closure(s, set(colors)), s))
-        for colors in brute_force_singquandle(d, s))
+    return InvariantValue(Counter(
+        ssqp(substructure_closure(s, set(colors)), s)
+        for colors in brute_force_singquandle(d, s)))
 
 
 def reference_SP(d, sh):
-    tags = []
+    exponents = []
     for colors, region_colors in brute_force_shadow(d, sh):
         image = substructure_closure(sh.base, set(colors))
         shadow_image = shadow_closure(sh, set(region_colors), image)
-        tags.append(ExponentTag.poly(subsp(shadow_image, image, sh)))
-    return InvariantValue.from_tags(tags)
+        exponents.append(subsp(shadow_image, image, sh))
+    return InvariantValue(Counter(exponents))
 
 
 def reference_boltzmann_totals(d, p, bp):
@@ -204,14 +206,15 @@ def test_SP(braids, z8_z6_shadow, z8_z4_shadow_a, z8_z4_shadow_b):
 
 def test_boltzmann(braids, psy6, psy6_boltzmann, psy6_boltzmann_strong):
     for k, d in enumerate(braids):
-        one = InvariantValue.from_tags(
-            ExponentTag.ring(a + b, psy6_boltzmann.modulus)
-            for a, b in reference_boltzmann_totals(d, psy6, psy6_boltzmann))
+        m = psy6_boltzmann.modulus
+        one = InvariantValue(Counter(
+            (a + b) % m
+            for a, b in reference_boltzmann_totals(d, psy6, psy6_boltzmann)))
         assert boltzmann_single(d, psy6, psy6_boltzmann) == one, k
         m = psy6_boltzmann_strong.modulus
-        two = InvariantValue.from_tags(
-            ExponentTag.pair(a % m, b % m) for a, b
-            in reference_boltzmann_totals(d, psy6, psy6_boltzmann_strong))
+        two = InvariantValue(Counter(
+            (a % m, b % m) for a, b
+            in reference_boltzmann_totals(d, psy6, psy6_boltzmann_strong)))
         assert boltzmann_two(d, psy6, psy6_boltzmann_strong) == two, k
 
 
@@ -433,7 +436,7 @@ def parent_phi_ssqp(d, s) -> InvariantValue:
         return images[used]
 
     return parent_tally(map(image, singquandle_tuples(d, s)),
-                        lambda img: ExponentTag.poly(_profile_sum(img, full)))
+                        lambda img: _profile_sum(img, full))
 
 
 def parent_SP(d, sh) -> InvariantValue:
@@ -451,7 +454,7 @@ def parent_SP(d, sh) -> InvariantValue:
 
     return parent_tally(
         map(image, shadow_tuples(d, sh)),
-        lambda img: ExponentTag.poly(subsp(*img, sh, _checked=True)))
+        lambda img: subsp(*img, sh))
 
 
 def tagged_structures() -> list:

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from singq.invariants import (InvariantError, SP, WeightPair,
                               parse_weights, phi_ssqp, restrict, sp, sqp,
                               ssqp, state_sum, strongly_compatible, subsp,
                               validate_boltzmann, validate_cocycle_pair)
-from singq.polynomial import parse_polynomial
+from singq.polynomial import BasePolynomial, parse_polynomial
 from singq.solver import _cocycle_rows, solve_cocycle_space
-from singq.values import ExponentTag
+from singq.values import InvariantValue
 
 from conftest import STRUCTURES
 
@@ -195,12 +196,61 @@ class TestBoltzmann:
         two = boltzmann_two(d, psy6, psy6_boltzmann_strong)
         assert two.render() == "18 + 6uv"
         single = boltzmann_single(d, psy6, psy6_boltzmann_strong)
-        collapsed = {}
-        for tag, m in two.multiplicities.items():
-            a, b = tag.value
-            collapsed[(a + b) % 2] = collapsed.get((a + b) % 2, 0) + m
-        assert collapsed == {tag.value[0]: m for tag, m
-                             in single.multiplicities.items()}
+        collapsed = Counter()
+        for (a, b), m in two.multiplicities.items():
+            collapsed[(a + b) % 2] += m
+        assert collapsed == single.multiplicities
+
+
+class TestExponents:
+    """Ring exponents of the three weighted invariants.  A pair with phi = 0
+    and every singular entry ``c`` is a cocycle pair, and a strongly
+    compatible Boltzmann pair, over any modulus, so every coloring's total
+    is ``c`` times the diagram's singular crossing count."""
+
+    @staticmethod
+    def values(d, s, kind, modulus, c, exponent):
+        """(value, expected value) of each weighted invariant of ``kind``
+        over ``s``, for that pair: every coloring has the ring exponent
+        ``exponent``, given the unreduced total."""
+        n = s.n
+        pair = WeightPair(kind, modulus, [[0] * n] * n, [[c] * n] * n)
+        e = exponent(c * sum(x.kind == "S" for x in d.crossings))
+        if kind == "cocycle":
+            count = len(singquandle_colorings(d, s))
+            expected = [(state_sum, e)]
+        else:
+            count = len(psyquandle_colorings(d, s))
+            expected = [(boltzmann_single, e), (boltzmann_two, (0, e))]
+        return [(call(d, s, pair), InvariantValue({want: count}))
+                for call, want in expected]
+
+    def test_ring_exponents_reduced_mod_modulus(self, corpus, z6, psy6):
+        for (s, kind), modulus, c in itertools.product(
+                ((z6, "cocycle"), (psy6, "boltzmann")), (2, 5, 6),
+                (7, -7, 13)):
+            for name, d in corpus.items():
+                for value, want in self.values(d, s, kind, modulus, c,
+                                               lambda t: t % modulus):
+                    assert value == want, name
+
+    def test_modulus_zero_keeps_integers(self, corpus, z6, psy6):
+        for (s, kind), c in itertools.product(
+                ((z6, "cocycle"), (psy6, "boltzmann")), (7, -7)):
+            for name, d in corpus.items():
+                for value, want in self.values(d, s, kind, 0, c, lambda t: t):
+                    assert value == want, name
+
+    @pytest.mark.parametrize("kind, call, s", [
+        ("cocycle", state_sum, "z6"), ("boltzmann", boltzmann_single, "psy6"),
+        ("boltzmann", boltzmann_two, "psy6")])
+    def test_negative_modulus_refused(self, request, corpus, kind, call, s):
+        s = request.getfixturevalue(s)
+        zero = [[0] * s.n] * s.n
+        with pytest.raises(InvariantError, match="modulus must be >= 0"):
+            call(corpus["1l1.dgm"], s, WeightPair(kind, -2, zero, zero))
+        with pytest.raises(InvariantError, match="modulus must be >= 0"):
+            WeightPair.from_rows(kind, -6, zero, zero)
 
 
 @pytest.mark.parametrize("kind", ["cocycle", "boltzmann"])
@@ -402,7 +452,7 @@ class TestWeightChecksOnce:
         assert all(type(used) is frozenset for used in sh.base._tags)
         assert all(type(s) is type(r) is frozenset for s, r in sh._tags)
         for tags in (sh.base._tags, sh._tags):
-            assert all(isinstance(t, ExponentTag) for t in tags.values())
+            assert all(isinstance(t, BasePolynomial) for t in tags.values())
 
     def test_use_leaves_equality_and_hash(self, corpus, z6, z6_cocycle, psy6,
                                           psy6_boltzmann_strong):
