@@ -57,6 +57,27 @@ class TestBasePolynomial:
         assert p.variables() == ("x", "y")
 
 
+class TestExponentTag:
+    """Exponents of invariant values: ring ints, int pairs, polynomials."""
+
+    def test_canonicalize_idempotent(self):
+        # a ring exponent reduced once is reduced, and rebuilding a value
+        # from its own multiplicities changes nothing, for every type
+        from singq.invariants import _reduce
+        red = _reduce(5)
+        assert red(7) == red(red(7)) == 2
+        for exponent in (red(7), P("1+t"), (2, 3)):
+            once = InvariantValue({exponent: 1})
+            assert InvariantValue(once.multiplicities) == once
+            assert InvariantValue(once.items_sorted()) == once
+
+    def test_mixed_kind_order_rejected(self):
+        # a ring exponent and a pair never share a value, so they are
+        # never ordered against each other
+        with pytest.raises(PolynomialError):
+            InvariantValue({1: 1, (1, 2): 1})
+
+
 class TestInvariantValue:
     def test_render_state_sum_forms(self):
         assert InvariantValue({3: 6}).render() == "6u^3"
