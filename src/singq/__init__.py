@@ -10,6 +10,12 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
+
+class SingqError(ValueError):
+    """Base of every error singq raises for malformed or unsuitable input;
+    the command line reports one with exit code 2."""
+
+
 # public name -> the module that defines it
 _HOME = {name: module for module, names in (
     ("polynomial", ("BasePolynomial", "parse_polynomial")),
@@ -39,7 +45,7 @@ _HOME = {name: module for module, names in (
 # submodules that ``from singq import *`` binds too
 _SUBMODULES = ("algebra", "coloring", "diagram", "invariants", "polynomial")
 
-__all__ = sorted([*_HOME, *_SUBMODULES])
+__all__ = sorted([*_HOME, *_SUBMODULES, "SingqError"])
 
 
 def __getattr__(name: str):

@@ -15,8 +15,10 @@ import math
 from operator import eq, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import SingqError
 
-class AlgebraError(ValueError):
+
+class AlgebraError(SingqError):
     pass
 
 
@@ -214,12 +216,6 @@ class OrientedSingquandle(_ReadOnly):
         self._tags = {}
         self._symmetry = None
 
-    def op(self, x: int, y: int) -> int:
-        return self.star(x, y)
-
-    def op_inv(self, x: int, y: int) -> int:
-        return self.star_inv(x, y)
-
     def relabel(self, perm: Sequence[int]) -> "OrientedSingquandle":
         """Transport of structure along a permutation of the elements."""
         if sorted(perm) != list(range(self.n)):
@@ -384,12 +380,6 @@ class ShadowStructure(_ReadOnly):
         self.action_inv = tuple(tuple(r) for r in inv)
         self._tags = {}
 
-    def act(self, x: int, s: int) -> int:
-        return self.action[x][s]
-
-    def act_inv(self, x: int, s: int) -> int:
-        return self.action_inv[x][s]
-
 
 def validate_shadow(base: OrientedSingquandle, action: Sequence) -> ValidationReport:
     """Column bijectivity plus the classical and singular action identities.
@@ -474,7 +464,7 @@ def shadow_closure(sh: ShadowStructure, region_seed: Iterable[int],
         new = set(current)
         for x in current:
             for s in acting:
-                new.add(sh.act(x, s))
+                new.add(sh.action[x][s])
         if new == current:
             return frozenset(current)
         current = new
@@ -486,7 +476,7 @@ def shadow_closure(sh: ShadowStructure, region_seed: Iterable[int],
 #
 #     type: quandle | singquandle | biquandle | psyquandle | shadow
 #     order: n
-#     modulus: m          (optional; with formula lines it must equal order)
+#     modulus: m          (optional; it must equal order)
 #     carrier: k          (shadow only)
 #
 # Structure is given either by formula lines
@@ -606,11 +596,9 @@ def parse_algebra(text: str) -> LoadedAlgebra:
 
     n = number("order")
     modulus = number("modulus", n)
-    if modulus != n and any(isinstance(sections.get(name, (0, ()))[1], str)
-                            for name in _FORMULAS):
+    if modulus != n:
         raise AlgebraError(f"{where('modulus')}modulus: {modulus} differs "
-                           f"from order: {n}; "
-                           f"formula tables are computed mod the order")
+                           f"from order: {n}")
 
     def rows(name: str, height: int = n, width: int = n,
              variables: tuple = ("x", "y")) -> list:
@@ -621,7 +609,10 @@ def parse_algebra(text: str) -> LoadedAlgebra:
             raise AlgebraError(f"missing {name} (block or formula)")
         line_no, given = sections[name]
         if isinstance(given, str):
-            return eval_table(given, height, variables, cols=width)
+            try:
+                return eval_table(given, height, variables, cols=width)
+            except AlgebraError as exc:
+                raise AlgebraError(f"line {line_no}: {exc}") from None
         if len(given) != height or any(len(r) != width for r in given):
             raise AlgebraError(f"line {line_no}: {name} block must be "
                                f"{height}x{width}")

@@ -17,18 +17,22 @@ code.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from importlib import import_module
 
-from . import data
+from . import SingqError, data
 
 
-class UsageError(Exception):
+class UsageError(SingqError):
     pass
 
 
 def _read_path(path: str) -> str:
-    """The text of ``path``, or else of the bundled file of that name."""
-    for cand in (path, data.bundled_path(path.split("/")[-1])):
+    """The text of ``path``, or else, for a bare file name, of the bundled
+    file of that name."""
+    bundled = () if os.path.dirname(path) else (data.bundled_path(path),)
+    for cand in (path, *bundled):
         try:
             with open(cand) as fh:
                 return fh.read()
@@ -51,22 +55,10 @@ def _classify(paths):
     return out["dgm"], out["alg"], out["wgt"]
 
 
-def _input_errors() -> tuple:
-    """(InvalidStructureError, the typed input errors): every ``ValueError``
-    subclass that singq raises for bad input, imported only where one is
-    being handled."""
-    from .algebra import AlgebraError, InvalidStructureError
-    from .coloring import ColoringError
-    from .diagram import DiagramError
-    from .invariants import InvariantError
-    return InvalidStructureError, (AlgebraError, ColoringError, DiagramError,
-                                   InvariantError)
-
-
 # -- validate ----------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    from .algebra import parse_algebra
+    from .algebra import InvalidStructureError, parse_algebra
     status = 0
     for path in args.paths:
         try:
@@ -91,23 +83,36 @@ def cmd_validate(args) -> int:
             else:
                 loaded = parse_algebra(text)
                 print(f"{path}: valid {loaded.kind} (order {loaded.n})")
-        except (UsageError, ValueError) as exc:
-            invalid, typed = _input_errors()
-            if isinstance(exc, invalid):
+        except SingqError as exc:
+            if isinstance(exc, InvalidStructureError):
                 print(f"{path}: INVALID")
                 print("  " + exc.report.summary().replace("\n", "\n  "))
-            elif isinstance(exc, (UsageError, *typed)):
-                print(f"{path}: error: {exc}")
             else:
-                raise
+                print(f"{path}: error: {exc}")
             status = 2
     return status
 
 
 # -- invariant ---------------------------------------------------------------
 
-KINDS = ("count", "state-sum", "phi-ssqp", "shadow-count", "sp", "SP",
-         "psy-count", "boltzmann-1", "boltzmann-2")
+# kind -> (the structure class it reads, the weight kind it reads or None,
+# the singq function that computes it).  Every function takes the diagram,
+# the structure and the weights it reads, in that order, except sp, which
+# reads the structure alone; the counting kinds count the coloring tuples.
+INVARIANTS = {
+    "count": ("OrientedSingquandle", None, "coloring.singquandle_tuples"),
+    "state-sum": ("OrientedSingquandle", "cocycle", "invariants.state_sum"),
+    "phi-ssqp": ("OrientedSingquandle", None, "invariants.phi_ssqp"),
+    "shadow-count": ("ShadowStructure", None, "coloring.shadow_tuples"),
+    "sp": ("ShadowStructure", None, "invariants.sp"),
+    "SP": ("ShadowStructure", None, "invariants.shadow_polynomial_invariant"),
+    "psy-count": ("Psyquandle", None, "coloring.psyquandle_tuples"),
+    "boltzmann-1": ("Psyquandle", "boltzmann", "invariants.boltzmann_single"),
+    "boltzmann-2": ("Psyquandle", "boltzmann", "invariants.boltzmann_two"),
+}
+
+# weight kind -> the blocks a file of that kind gives
+_WEIGHT_BLOCKS = {"cocycle": "phi/phiprime", "boltzmann": "phi/psi"}
 
 
 def _need(value, what):
@@ -116,71 +121,32 @@ def _need(value, what):
     return value
 
 
-def _expect(structure, cls, kind):
-    if not isinstance(structure, cls):
-        raise UsageError(f"kind {kind!r} needs a {cls.__name__}, "
-                         f"got {type(structure).__name__}")
-    return structure
-
-
 def compute_invariant(kind, diagram, structure, weights):
-    """Returns (rendered value, multiset as [exponent, multiplicity] rows).
-    The counting kinds run the coloring search alone."""
-    from .algebra import OrientedSingquandle, ShadowStructure
-
-    def counted(n):
-        return str(n), [["0", n]]
-
-    def packed(value, **render_args):
-        return (value.render(**render_args),
-                [[str(e), m] for e, m in value.items_sorted()])
-
-    if kind == "count":
-        from .coloring import singquandle_tuples
-        s = _expect(structure, OrientedSingquandle, kind)
-        return counted(len(singquandle_tuples(_need(diagram, "a diagram"), s)))
-    if kind == "state-sum":
-        from .invariants import state_sum
-        s = _expect(structure, OrientedSingquandle, kind)
-        w = _need(weights, "a cocycle weight file")
-        if w.kind != "cocycle":
-            raise UsageError("state-sum needs phi/phiprime weights")
-        return packed(state_sum(_need(diagram, "a diagram"), s, w))
-    if kind == "phi-ssqp":
-        from .invariants import phi_ssqp
-        s = _expect(structure, OrientedSingquandle, kind)
-        return packed(phi_ssqp(_need(diagram, "a diagram"), s))
-    if kind == "shadow-count":
-        from .coloring import shadow_tuples
-        sh = _expect(structure, ShadowStructure, kind)
-        return counted(len(shadow_tuples(_need(diagram, "a diagram"), sh)))
+    """Returns (rendered value, multiset as [exponent, multiplicity] rows),
+    refusing an input the kind does not read or a missing one."""
+    cls, weight_kind, function = INVARIANTS[kind]
+    if type(structure).__name__ != cls:
+        raise UsageError(f"kind {kind!r} needs a {cls}, "
+                         f"got {type(structure).__name__}")
+    inputs = [structure]
+    if weight_kind:
+        w = _need(weights, f"a {weight_kind} weight file")
+        if w.kind != weight_kind:
+            raise UsageError(f"{kind} needs {_WEIGHT_BLOCKS[weight_kind]} "
+                             f"weights")
+        inputs.append(w)
+    if kind != "sp":
+        inputs.insert(0, _need(diagram, "a diagram"))
+    module, name = function.split(".")
+    value = getattr(import_module(f"singq.{module}"), name)(*inputs)
+    if isinstance(value, tuple):   # the coloring tuples
+        return str(len(value)), [["0", len(value)]]
     if kind == "sp":
-        from .invariants import sp
         from .polynomial import BasePolynomial
-        poly = sp(_expect(structure, ShadowStructure, kind))
-        return poly.render(), [[BasePolynomial({mono: 1}).render(), coeff]
-                               for mono, coeff in poly.terms]
-    if kind == "SP":
-        from .invariants import shadow_polynomial_invariant
-        sh = _expect(structure, ShadowStructure, kind)
-        return packed(shadow_polynomial_invariant(_need(diagram, "a diagram"), sh))
-    if kind == "psy-count":
-        from .coloring import psyquandle_tuples
-        from .psyquandle import Psyquandle
-        p = _expect(structure, Psyquandle, kind)
-        return counted(len(psyquandle_tuples(_need(diagram, "a diagram"), p)))
-    if kind in ("boltzmann-1", "boltzmann-2"):
-        from .invariants import boltzmann_single, boltzmann_two
-        from .psyquandle import Psyquandle
-        p = _expect(structure, Psyquandle, kind)
-        w = _need(weights, "a boltzmann weight file")
-        if w.kind != "boltzmann":
-            raise UsageError(f"{kind} needs phi/psi weights")
-        d = _need(diagram, "a diagram")
-        if kind == "boltzmann-1":
-            return packed(boltzmann_single(d, p, w), var="w")
-        return packed(boltzmann_two(d, p, w))
-    raise UsageError(f"unknown kind {kind!r}")
+        return value.render(), [[BasePolynomial({mono: 1}).render(), coeff]
+                                for mono, coeff in value.terms]
+    return (value.render(var="w" if kind == "boltzmann-1" else "u"),
+            [[str(e), m] for e, m in value.items_sorted()])
 
 
 def cmd_invariant(args) -> int:
@@ -312,8 +278,6 @@ def cmd_corpus(args) -> int:
             line = json.dumps({"group": group, "name": name, "status": verdict,
                                "expected": expected, "actual": actual,
                                "ms": round(ms, 3)})
-        elif args.timing:
-            line += f"  [{ms:.0f} ms]"
         out.append(line)
     if out:
         print("\n".join(out))
@@ -334,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_validate)
 
     inv = sub.add_parser("invariant", help="compute one invariant")
-    inv.add_argument("kind", choices=KINDS)
+    inv.add_argument("kind", choices=INVARIANTS)
     inv.add_argument("paths", nargs="+",
                      help=".dgm/.alg/.wgt files, identified by suffix")
     inv.add_argument("--json", action="store_true")
@@ -350,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("corpus", help="recompute all bundled reference values")
     co.add_argument("--filter", default=None)
     co.add_argument("--json", action="store_true")
-    co.add_argument("--timing", action="store_true")
     co.set_defaults(fn=cmd_corpus)
     return ap
 
@@ -359,18 +322,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        invalid, typed = _input_errors()
-        if isinstance(exc, invalid):
+    except SingqError as exc:
+        from .algebra import InvalidStructureError
+        if isinstance(exc, InvalidStructureError):
             print(f"error: invalid structure\n{exc.report.summary()}",
                   file=sys.stderr)
-        elif isinstance(exc, typed):
-            print(f"error: {exc}", file=sys.stderr)
         else:
-            raise
+            print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
+from . import SingqError
 from .algebra import _map_codec, table_profile
 
 if TYPE_CHECKING:
@@ -51,7 +52,7 @@ if TYPE_CHECKING:
     from .psyquandle import Psyquandle
 
 
-class ColoringError(ValueError):
+class ColoringError(SingqError):
     pass
 
 
@@ -137,14 +138,24 @@ def _singquandle_tables(s: OrientedSingquandle) -> tuple:
 
 
 def _psyquandle_tables(p: Psyquandle) -> tuple:
-    """The flat tables of ``PSYQUANDLE_RULES``, by slot."""
-    def split(pairs):
-        return [a for a, _ in pairs], [b for _, b in pairs]
-
-    # S(x, y) = (y ot x, x ut y) and S'(x, y) = (y ob x, x ub y)
-    return (*split(p.smap), *split(p.sprime), *split(p.smap_inv),
-            *split(p.sprime_inv), p.ot_inv.flat(), p.ut_inv.flat(),
-            p.ob_inv.flat(), p.ub_inv.flat())
+    """The flat tables of ``PSYQUANDLE_RULES``, by slot, built once per
+    structure object: the two components of S(x, y) = (y ot x, x ut y)
+    and S'(x, y) = (y ob x, x ub y), then of their inverses, then the
+    right inverses."""
+    if p._tables is None:
+        n = p.n
+        maps, inverses = [], []
+        for a, b in ((p.ot, p.ut), (p.ob, p.ub)):
+            a_flat, second = a.flat(), b.flat()
+            first = tuple(a_flat[y * n + x] for x in range(n) for y in range(n))
+            inv_x, inv_y = [0] * (n * n), [0] * (n * n)
+            for i, (u, v) in enumerate(zip(first, second)):
+                inv_x[u * n + v], inv_y[u * n + v] = divmod(i, n)
+            maps += first, second
+            inverses += tuple(inv_x), tuple(inv_y)
+        p._tables = (*maps, *inverses, p.ot_inv.flat(), p.ut_inv.flat(),
+                     p.ob_inv.flat(), p.ub_inv.flat())
+    return p._tables
 
 
 RULES = {"singquandle": SINGQUANDLE_RULES, "psyquandle": PSYQUANDLE_RULES}

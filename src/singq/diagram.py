@@ -24,10 +24,11 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
+from . import SingqError
 from .algebra import _ReadOnly
 
 
-class DiagramError(ValueError):
+class DiagramError(SingqError):
     def __init__(self, message: str, crossing: Optional[int] = None):
         super().__init__(message)
         self.crossing = crossing   # index of the crossing at fault, if one is

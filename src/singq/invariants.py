@@ -19,6 +19,7 @@ from collections import Counter
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from . import SingqError
 from .algebra import (OperationTable, OrientedSingquandle, ShadowStructure,
                       ValidationReport, _ReadOnly, _read_sections, profile,
                       substructure_closure, shadow_closure)
@@ -31,7 +32,7 @@ if TYPE_CHECKING:
     from .psyquandle import Psyquandle
 
 
-class InvariantError(ValueError):
+class InvariantError(SingqError):
     pass
 
 
@@ -70,6 +71,9 @@ class WeightPair(_ReadOnly):
 
     def __init__(self, kind: str, modulus: int, phi: Sequence,
                  singular: Sequence):
+        if kind not in ("cocycle", "boltzmann"):
+            raise InvariantError(f"kind must be 'cocycle' or 'boltzmann', "
+                                 f"got {kind!r}")
         if modulus < 0:
             raise InvariantError(f"modulus must be >= 0, got {modulus}")
         self.kind, self.modulus, self._passed = kind, modulus, {}
@@ -261,7 +265,7 @@ def restrict(s: OrientedSingquandle, sub: Iterable[int]) -> OrientedSingquandle:
     pos = {e: i for i, e in enumerate(elems)}
     def table(op):
         return OperationTable([[pos[op(x, y)] for y in elems] for x in elems])
-    return OrientedSingquandle(table(s.op), table(s.r1), table(s.r2))
+    return OrientedSingquandle(table(s.star), table(s.r1), table(s.r2))
 
 
 def ssqp(sub: Iterable[int], s: OrientedSingquandle) -> BasePolynomial:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
+from . import SingqError
 
-class PolynomialError(ValueError):
+
+class PolynomialError(SingqError):
     pass
 
 

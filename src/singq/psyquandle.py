@@ -11,34 +11,20 @@ from .algebra import (AlgebraError, InvalidStructureError, OperationTable,
                       ValidationReport, _ReadOnly, _differences, _map_codec)
 
 
-def _pair_map(n: int, a: OperationTable, b: OperationTable) -> tuple:
-    """Forward and inverse tables of (x, y) -> (a(y, x), b(x, y)), both
-    flat tuples of pairs indexed ``x * n + y``."""
-    fwd = tuple((a(y, x), b(x, y)) for x in range(n) for y in range(n))
-    inv = [None] * (n * n)
-    for i, (u, v) in enumerate(fwd):
-        inv[u * n + v] = divmod(i, n)
-    if None in inv:
-        raise AlgebraError("pair map is not invertible")
-    return fwd, tuple(inv)
-
-
 class Psyquandle(_ReadOnly):
     """Four-operation structure coloring semiarcs of singular diagrams.
 
     Operation order follows the usual block-matrix listing: under-crossing
     ``ut`` (x goes under y), over-crossing ``ot``, singular-under ``ub``,
-    singular-over ``ob``.  Right inverses and the crossing pair maps
-    S(x, y) = (y ot x, x ut y), S'(x, y) = (y ob x, x ub y) and their
-    inverses are precomputed as flat tuples indexed ``x * n + y``.
-    ``_symmetry`` keeps the permutations the coloring search found to
-    preserve the tables, once it first runs.
+    singular-over ``ob``; their right inverses are precomputed.
+    ``_tables`` keeps the flat tables the coloring search reads and
+    ``_symmetry`` the permutations it found to preserve them, once it
+    first runs.
     """
 
     __slots__ = ("n", "ut", "ot", "ub", "ob",
-                 "ut_inv", "ot_inv", "ub_inv", "ob_inv",
-                 "smap", "smap_inv", "sprime", "sprime_inv", "pI_adequate",
-                 "_symmetry")
+                 "ut_inv", "ot_inv", "ub_inv", "ob_inv", "pI_adequate",
+                 "_tables", "_symmetry")
 
     def __init__(self, ut: OperationTable, ot: OperationTable,
                  ub: OperationTable, ob: OperationTable):
@@ -51,9 +37,8 @@ class Psyquandle(_ReadOnly):
         self.ot_inv = ot.right_inverse()
         self.ub_inv = ub.right_inverse()
         self.ob_inv = ob.right_inverse()
-        self.smap, self.smap_inv = _pair_map(self.n, ot, ut)
-        self.sprime, self.sprime_inv = _pair_map(self.n, ob, ub)
         self.pI_adequate = all(ub(x, x) == ob(x, x) for x in range(self.n))
+        self._tables = None
         self._symmetry = None
 
     @classmethod

@@ -225,5 +225,5 @@ def assert_colorings_satisfy(diagram, structure, colorings):
             assert relations[kind](*(colors[i] for i in arcs)), (coloring, kind, arcs)
         if shadow:
             for i, (left, right) in enumerate(diagram.sides):
-                assert regions[left] == structure.act(regions[right], colors[i]), \
+                assert regions[left] == structure.action[regions[right]][colors[i]], \
                     (coloring, left, right, i)

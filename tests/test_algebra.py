@@ -13,6 +13,7 @@ from singq.algebra import (AlgebraError, InvalidStructureError,
                            shadow_closure, substructure_closure,
                            validate_quandle, validate_shadow,
                            validate_singquandle)
+from singq.coloring import _psyquandle_tables
 from singq.data import (fixture_names, fixture_path, load_algebra,
                         load_weights)
 from singq.invariants import WeightPair
@@ -74,8 +75,8 @@ class TestSingquandleValidation:
         for s in (z6, z8k):
             for x in range(s.n):
                 for y in range(s.n):
-                    assert s.op_inv(s.op(x, y), y) == x
-                    assert s.op(s.op_inv(x, y), y) == x
+                    assert s.star_inv(s.star(x, y), y) == x
+                    assert s.star(s.star_inv(x, y), y) == x
 
 
 class TestAffineFamily:
@@ -261,16 +262,21 @@ class TestPsyquandle:
         assert not report.valid
 
     def test_pairings_are_bijections(self, psy6):
+        """The search's flat pair-map tables: S(x, y) = (y ot x, x ut y) and
+        S'(x, y) = (y ob x, x ub y), each a bijection, with its inverse."""
         n = psy6.n
-        assert len(set(psy6.smap)) == 36 and len(set(psy6.sprime)) == 36
+        s1, s2, p1, p2, si1, si2, pi1, pi2 = _psyquandle_tables(psy6)[:8]
+        assert len(set(zip(s1, s2))) == 36 and len(set(zip(p1, p2))) == 36
         for x in range(n):
             for y in range(n):
-                assert psy6.smap[x * n + y] == (psy6.ot(y, x), psy6.ut(x, y))
-                assert psy6.sprime[x * n + y] == (psy6.ob(y, x), psy6.ub(x, y))
-                a, b = psy6.smap[x * n + y]
-                assert psy6.smap_inv[a * n + b] == (x, y)
-                a, b = psy6.sprime[x * n + y]
-                assert psy6.sprime_inv[a * n + b] == (x, y)
+                i = x * n + y
+                assert (s1[i], s2[i]) == (psy6.ot(y, x), psy6.ut(x, y))
+                assert (p1[i], p2[i]) == (psy6.ob(y, x), psy6.ub(x, y))
+                j = s1[i] * n + s2[i]
+                assert (si1[j], si2[j]) == (x, y)
+                j = p1[i] * n + p2[i]
+                assert (pi1[j], pi2[j]) == (x, y)
+        assert _psyquandle_tables(psy6) is _psyquandle_tables(psy6)
 
 
 @pytest.mark.parametrize("name,inverted", [("z6_singquandle.alg", 1),
@@ -370,7 +376,7 @@ class TestShadow:
         sh = z8_z6_shadow
         for x in range(sh.carrier):
             for s in range(sh.base.n):
-                assert sh.act_inv(sh.act(x, s), s) == x
+                assert sh.action_inv[sh.action[x][s]][s] == x
 
 
 class TestHomomorphisms:
@@ -438,7 +444,7 @@ def parent_is_homomorphism(f, src, dst):
         raise AlgebraError("mapping is not total on the source elements")
     for x in range(src.n):
         for y in range(src.n):
-            if f[src.op(x, y)] != dst.op(f[x], f[y]):
+            if f[src.star(x, y)] != dst.star(f[x], f[y]):
                 return False
             if f[src.r1(x, y)] != dst.r1(f[x], f[y]):
                 return False
@@ -472,7 +478,7 @@ def parent_are_isomorphic(a, b):
             for (p, q) in ((x, u), (u, x), (x, x)):
                 if f[p] < 0 or f[q] < 0:
                     continue
-                for op_a, op_b in ((a.op, b.op), (a.r1, b.r1), (a.r2, b.r2)):
+                for op_a, op_b in ((a.star, b.star), (a.r1, b.r1), (a.r2, b.r2)):
                     img = f[op_a(p, q)]
                     if img >= 0 and img != op_b(f[p], f[q]):
                         return False
@@ -585,7 +591,7 @@ class TestClosures:
             changed = False
             for x in list(naive):
                 for y in list(naive):
-                    for v in (z8k.op(x, y), z8k.op_inv(x, y),
+                    for v in (z8k.star(x, y), z8k.star_inv(x, y),
                               z8k.r1(x, y), z8k.r2(x, y)):
                         if v not in naive:
                             naive.add(v)
@@ -679,11 +685,13 @@ class TestFileFormat:
          f"line 2: type: must be one of {TYPES}, got 'magma'"),
         ("type: singquandle\norder: 2\nmodulus: 3\nformula: star x\n"
          "formula: r1 x\nformula: r2 y\n",
-         "line 3: modulus: 3 differs from order: 2; formula tables are "
-         "computed mod the order"),
+         "line 3: modulus: 3 differs from order: 2"),
         # a header that is absent has no line to name
         ("order: 2\n", f"type: must be one of {TYPES}, got None"),
         ("type: singquandle\n", "missing order: header"),
+        # block tables are read mod the order too
+        ("type: quandle\norder: 2\nmodulus: 5\nstar:\n1 1\n2 2\n",
+         "line 3: modulus: 5 differs from order: 2"),
     ])
     def test_header_value_error_names_its_line(self, text, message):
         with pytest.raises(AlgebraError) as err:
@@ -700,7 +708,13 @@ class TestFileFormat:
         ("type: shadow\norder: 2\ncarrier: 2\nformula: star x\n"
          "formula: r1 x\nformula: r2 y\naction:\n1 3\n2 1\n",
          "line 7: action entry 3 outside 1..2"),
-    ], ids=["block", "short-block", "ops", "action"])
+        ("type: quandle\norder: 2\n\nformula: star x/2\n",
+         "line 4: cannot parse formula 'x/2': trailing input at position 1 "
+         "in 'x/2'"),
+        ("type: quandle\norder: 2\n\nformula: star z\n",
+         "line 4: formula 'z' uses unknown variable(s) ['z']"),
+    ], ids=["block", "short-block", "ops", "action", "formula-syntax",
+            "formula-variable"])
     def test_table_error_names_its_line(self, text, message):
         with pytest.raises(AlgebraError) as err:
             parse_algebra(text)

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from singq.cli import main
+from singq import SingqError
+from singq.algebra import AlgebraError
+from singq.cli import UsageError, main
+from singq.coloring import ColoringError
+from singq.diagram import DiagramError
+from singq.invariants import InvariantError
+from singq.polynomial import PolynomialError
 from singq.data import corpus_path
 
 
@@ -27,6 +33,16 @@ class TestValidate:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "nope.alg"]) == 2
+
+    def test_missing_explicit_path_is_not_replaced(self, tmp_path, capsys):
+        """Only a bare file name falls back to the bundled file of that
+        name; a path with a directory part must exist."""
+        dgm = str(tmp_path / "no_such_dir" / "5k6.dgm")
+        alg = str(tmp_path / "nowhere" / "z6_singquandle.alg")
+        assert main(["invariant", "count", dgm, alg]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot read {dgm!r}\n")
+        assert main(["validate", alg]) == 2
+        assert capsys.readouterr().out == f"{alg}: error: cannot read {alg!r}\n"
 
 
 class TestInvariant:
@@ -158,6 +174,12 @@ class TestInputErrors:
                    "--contains", str(wgt)])
         assert rc == 2
         assert "weight table is not 6x6" in capsys.readouterr().err
+
+    def test_input_errors_share_one_base(self):
+        for error in (AlgebraError, ColoringError, DiagramError,
+                      InvariantError, PolynomialError, UsageError):
+            assert issubclass(error, SingqError)
+        assert issubclass(SingqError, ValueError)
 
     def test_untyped_value_error_propagates(self, monkeypatch):
         """Only singq's typed input errors exit 2; any other ValueError

@@ -20,14 +20,16 @@ SRC = str(Path(singq.__file__).resolve().parent.parent)
 ENV = dict(os.environ, PYTHONPATH=SRC)
 
 # What ``from singq import *`` binds: the names it bound before the package
-# loaded lazily, with the one weight-pair class in place of the two, and
-# without ``ExponentTag`` now that invariant values hold plain exponents.
+# loaded lazily, with the one weight-pair class in place of the two,
+# without ``ExponentTag`` now that invariant values hold plain exponents,
+# and with ``SingqError``, the base of every input error.
 PUBLIC_NAMES = [
     "AlgebraError", "BasePolynomial", "CocycleSpace", "Coloring", "Crossing",
     "DiagramError", "InvalidStructureError", "InvariantError",
     "InvariantValue", "OperationTable", "OrientedSingquandle",
     "ParameterError", "ParseError", "Psyquandle", "Region", "SP", "SemiArc",
-    "ShadowStructure", "SingularDiagram", "ValidationReport", "WeightPair",
+    "ShadowStructure", "SingqError", "SingularDiagram", "ValidationReport",
+    "WeightPair",
     "affine_singquandle", "algebra", "are_isomorphic", "boltzmann_single",
     "boltzmann_two", "coloring", "diagram", "formula_shadow",
     "formula_structure", "invariants", "is_homomorphism", "parse_algebra",

@@ -289,8 +289,8 @@ class TestShadowColorings:
         for col in shadow_colorings(d, sh):
             for k, arc in enumerate(d.semiarcs):
                 left, right = sides[arc.label]
-                acted = sh.act(col.region_colors[right],
-                               col.semiarc_colors[k])
+                acted = sh.action[col.region_colors[right]][
+                    col.semiarc_colors[k]]
                 assert col.region_colors[left] == acted
 
     def test_euler_failure_rejected(self, z8_z6_shadow):

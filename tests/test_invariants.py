@@ -253,6 +253,12 @@ class TestExponents:
             WeightPair.from_rows(kind, -6, zero, zero)
 
 
+def test_unknown_kind_refused():
+    with pytest.raises(InvariantError, match="^kind must be 'cocycle' or "
+                                             "'boltzmann', got 'foo'$"):
+        WeightPair("foo", 2, [[0]], [[0]])
+
+
 @pytest.mark.parametrize("kind", ["cocycle", "boltzmann"])
 def test_constructor_freezes_rows(kind):
     rows = [[0, 1], [1, 0]]

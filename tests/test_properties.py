@@ -139,7 +139,7 @@ def relabel_shadow(sh, px, ps):
     rows = [[0] * sh.base.n for _ in range(sh.carrier)]
     for x in range(sh.carrier):
         for s in range(sh.base.n):
-            rows[px[x]][ps[s]] = px[sh.act(x, s)]
+            rows[px[x]][ps[s]] = px[sh.action[x][s]]
     return ShadowStructure(base, rows)
 
 

@@ -163,7 +163,7 @@ def ref_shadow(base, action):
         for s1 in range(nS):
             for s2 in range(nS):
                 lhs = action[action[x][s1]][s2]
-                if lhs != action[action[x][s2]][base.op(s1, s2)]:
+                if lhs != action[action[x][s2]][base.star(s1, s2)]:
                     vs.append(("shadow.classical", (x, s1, s2)))
                 if lhs != action[action[x][base.r1(s1, s2)]][base.r2(s1, s2)]:
                     vs.append(("shadow.singular", (x, s1, s2)))
