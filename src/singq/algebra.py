@@ -53,14 +53,15 @@ class ValidationReport(NamedTuple):
 
 
 class _ReadOnly:
-    """Base of objects whose public fields are set once, in ``__init__``:
-    setting one again, or deleting any field, raises AttributeError.
-    ``_``-prefixed fields are private caches and stay writable."""
+    """Base of objects whose fields are set once: setting one again, or
+    deleting any, raises AttributeError.  What is derived from an object
+    is kept in its one private dict ``_kept``, which only :func:`kept`
+    reads and writes; equality and hashing ignore it."""
 
-    __slots__ = ()
+    __slots__ = ("_kept",)
 
     def __setattr__(self, name: str, value) -> None:
-        if name[0] != "_" and hasattr(self, name):
+        if hasattr(self, name):
             raise AttributeError(f"{type(self).__name__}.{name} is read-only")
         object.__setattr__(self, name, value)
 
@@ -68,10 +69,26 @@ class _ReadOnly:
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
+def kept(owner: _ReadOnly, key, make: Callable, source=None):
+    """The value kept on ``owner`` under ``key`` if it was made from
+    ``source``, by ``is``; otherwise ``make()``, kept in its place.  A
+    ``make`` that raises keeps nothing."""
+    try:
+        store = owner._kept
+    except AttributeError:
+        store = owner._kept = {}
+    entry = store.get(key)
+    if entry is not None and entry[0] is source:
+        return entry[1]
+    value = make()
+    store[key] = source, value
+    return value
+
+
 class OperationTable(_ReadOnly):
     """An n x n table of element indices encoding one binary operation."""
 
-    __slots__ = ("n", "rows", "_inverse", "_flat")
+    __slots__ = ("n", "rows")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         n = len(rows)
@@ -88,7 +105,6 @@ class OperationTable(_ReadOnly):
             frozen.append(row)
         self.n = n
         self.rows = tuple(frozen)
-        self._inverse = self._flat = None
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int], int]) -> "OperationTable":
@@ -100,9 +116,8 @@ class OperationTable(_ReadOnly):
     def flat(self) -> tuple:
         """The entries row by row: entry (x, y) at index ``x * n + y``.
         Built on the first call and kept with the table."""
-        if self._flat is None:
-            self._flat = tuple(v for row in self.rows for v in row)
-        return self._flat
+        return kept(self, "flat",
+                    lambda: tuple(v for row in self.rows for v in row))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OperationTable) and self.rows == other.rows
@@ -116,7 +131,7 @@ class OperationTable(_ReadOnly):
     def right_inverse(self) -> "OperationTable":
         """Table ``inv`` with ``inv[t[x][y]][y] == x``; needs bijective
         columns.  Computed on the first call and kept with the table."""
-        if self._inverse is None:
+        def invert() -> OperationTable:
             n = self.n
             inv = [[-1] * n for _ in range(n)]
             for y in range(n):
@@ -125,8 +140,8 @@ class OperationTable(_ReadOnly):
                     if inv[z][y] != -1:
                         raise AlgebraError(f"column {y} is not a bijection")
                     inv[z][y] = x
-            self._inverse = OperationTable(inv)
-        return self._inverse
+            return OperationTable(inv)
+        return kept(self, "inverse", invert)
 
     def __repr__(self) -> str:
         return f"OperationTable({[list(r) for r in self.rows]})"
@@ -194,14 +209,10 @@ class OrientedSingquandle(_ReadOnly):
 
     ``star_inv`` is always derived from ``star`` so the pair of tables can
     never disagree.  Instances are validated on construction, by
-    :func:`validate_singquandle`.  ``_tags`` maps
-    each color set a phi-ssqp coloring has used to its tag, and
-    ``_symmetry`` keeps the permutations the coloring search found to
-    preserve the tables, once it first runs; equality and hashing ignore
-    both.
+    :func:`validate_singquandle`.
     """
 
-    __slots__ = ("n", "star", "star_inv", "r1", "r2", "_tags", "_symmetry")
+    __slots__ = ("n", "star", "star_inv", "r1", "r2")
 
     def __init__(self, star: OperationTable, r1: OperationTable,
                  r2: OperationTable):
@@ -213,8 +224,6 @@ class OrientedSingquandle(_ReadOnly):
         self.star_inv = star.right_inverse()
         self.r1 = r1
         self.r2 = r2
-        self._tags = {}
-        self._symmetry = None
 
     def relabel(self, perm: Sequence[int]) -> "OrientedSingquandle":
         """Transport of structure along a permutation of the elements."""
@@ -356,10 +365,9 @@ def formula_structure(n: int, star_expr: str, r1_expr: str,
 
 class ShadowStructure(_ReadOnly):
     """A singquandle S acting on a carrier set X (region colors): row x of
-    ``action`` lists x.s for each s in S.  ``_tags`` maps each (semiarc
-    colors, region colors) set pair an SP coloring has used to its tag."""
+    ``action`` lists x.s for each s in S."""
 
-    __slots__ = ("base", "carrier", "action", "action_inv", "_tags")
+    __slots__ = ("base", "carrier", "action", "action_inv")
 
     def __init__(self, base: OrientedSingquandle, action: Sequence):
         rows = tuple(map(tuple, action))
@@ -378,7 +386,6 @@ class ShadowStructure(_ReadOnly):
             for x in range(carrier):
                 inv[rows[x][s]][s] = x
         self.action_inv = tuple(tuple(r) for r in inv)
-        self._tags = {}
 
 
 def validate_shadow(base: OrientedSingquandle, action: Sequence) -> ValidationReport:
@@ -589,10 +596,14 @@ def parse_algebra(text: str) -> LoadedAlgebra:
         if text is None:
             raise AlgebraError(f"missing {key}: header")
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise AlgebraError(f"{where(key)}{key}: must be an integer, "
                                f"got {text!r}") from None
+        if value < 1:
+            raise AlgebraError(f"{where(key)}{key}: must be >= 1, "
+                               f"got {value}")
+        return value
 
     n = number("order")
     modulus = number("modulus", n)

@@ -44,7 +44,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import SingqError
-from .algebra import _map_codec, table_profile
+from .algebra import _map_codec, kept, table_profile
 
 if TYPE_CHECKING:
     from .algebra import OrientedSingquandle, ShadowStructure
@@ -107,34 +107,25 @@ PSYQUANDLE_RULES = {
           (2, 3, 7, 1, H2), (3, 1, 11, 0, E2), (2, 0, 10, 1, E1))}
 
 
-def _shared(store: dict, name: str, owner, make):
-    """The value kept in ``store`` under ``name`` if it was made for
-    ``owner``, by ``is``; otherwise ``make()``, kept in its place."""
-    kept = store.get(name)
-    if kept is not None and kept[0] is owner:
-        return kept[1]
-    made = make()
-    store[name] = owner, made
-    return made
-
-
 def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> tuple:
     """Sorted semiarc color tuples of every singquandle coloring."""
-    return _shared(d.color_sets, "singquandle", s, lambda: _enumerate(
-        d, s, "singquandle", _singquandle_tables(s)))
+    return kept(d, "singquandle", lambda: _enumerate(
+        d, s, "singquandle", _singquandle_tables(s)), s)
 
 
 def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> tuple:
     """Sorted semiarc color tuples of every psyquandle coloring."""
-    return _shared(d.color_sets, "psyquandle", p, lambda: _enumerate(
-        d, p, "psyquandle", _psyquandle_tables(p)))
+    return kept(d, "psyquandle", lambda: _enumerate(
+        d, p, "psyquandle", _psyquandle_tables(p)), p)
 
 
 def _singquandle_tables(s: OrientedSingquandle) -> tuple:
-    """The flat tables of ``SINGQUANDLE_RULES``, by slot."""
+    """The flat tables of ``SINGQUANDLE_RULES``, by slot, built once per
+    structure object."""
     n = s.n
-    first = [x for x in range(n) for _ in range(n)]
-    return first, s.star.flat(), s.star_inv.flat(), s.r1.flat(), s.r2.flat()
+    return kept(s, "tables", lambda: (
+        tuple(x for x in range(n) for _ in range(n)), s.star.flat(),
+        s.star_inv.flat(), s.r1.flat(), s.r2.flat()))
 
 
 def _psyquandle_tables(p: Psyquandle) -> tuple:
@@ -142,7 +133,7 @@ def _psyquandle_tables(p: Psyquandle) -> tuple:
     structure object: the two components of S(x, y) = (y ot x, x ut y)
     and S'(x, y) = (y ob x, x ub y), then of their inverses, then the
     right inverses."""
-    if p._tables is None:
+    def make() -> tuple:
         n = p.n
         maps, inverses = [], []
         for a, b in ((p.ot, p.ut), (p.ob, p.ub)):
@@ -153,9 +144,9 @@ def _psyquandle_tables(p: Psyquandle) -> tuple:
                 inv_x[u * n + v], inv_y[u * n + v] = divmod(i, n)
             maps += first, second
             inverses += tuple(inv_x), tuple(inv_y)
-        p._tables = (*maps, *inverses, p.ot_inv.flat(), p.ut_inv.flat(),
-                     p.ob_inv.flat(), p.ub_inv.flat())
-    return p._tables
+        return (*maps, *inverses, p.ot_inv.flat(), p.ut_inv.flat(),
+                p.ob_inv.flat(), p.ub_inv.flat())
+    return kept(p, "tables", make)
 
 
 RULES = {"singquandle": SINGQUANDLE_RULES, "psyquandle": PSYQUANDLE_RULES}
@@ -276,12 +267,8 @@ def _enumerate(d: SingularDiagram, owner: OrientedSingquandle | Psyquandle,
     of the orbit by its transversal element, a bijection onto the colorings
     with that first value."""
     n = owner.n
-    symmetry = owner._symmetry
-    if symmetry is None:
-        symmetry = owner._symmetry = _symmetry(n, tables)
-    plan = d.plans.get(notion)
-    if plan is None:
-        plan = d.plans[notion] = _plan(d, RULES[notion])
+    symmetry = kept(owner, "symmetry", lambda: _symmetry(n, tables))
+    plan = kept(d, ("plan", notion), lambda: _plan(d, RULES[notion]))
     if not plan:
         return ((),)   # no semiarcs: the one empty coloring
     plan = [(branch, [(x, y, tables[slot], out, check)
@@ -481,7 +468,7 @@ def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> tuple:
     all on an inconsistent side convention, which the S-set axioms rule
     out).
     """
-    return _shared(d.color_sets, "shadow", sh, lambda: _shadow_search(d, sh))
+    return kept(d, "shadow", lambda: _shadow_search(d, sh), sh)
 
 
 def _shadow_search(d: SingularDiagram, sh: ShadowStructure) -> tuple:

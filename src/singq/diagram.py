@@ -65,22 +65,16 @@ class SemiArc(NamedTuple):
 class SingularDiagram(_ReadOnly):
     """Crossings (each port map a read-only copy), semiarcs, the compiled
     crossing tuples and the regions, all tuples and read-only once built,
-    so the plans and coloring sets kept with the diagram stay valid.
-    ``plans`` and ``color_sets`` fill as they are used; the coloring search
-    owns them."""
+    so the plans and coloring sets kept with the diagram stay valid."""
 
     __slots__ = ("crossings", "semiarcs", "compiled", "faces", "sides",
-                 "euler_failure", "plans", "color_sets")
+                 "euler_failure")
 
     def __init__(self, crossings: Sequence[Crossing]):
         self.crossings = tuple(c._replace(arcs=MappingProxyType(dict(c.arcs)))
                                for c in crossings)
         self._build_semiarcs()
         self._build_regions()
-        # coloring-search plans by coloring notion, made on first use
-        self.plans = {}
-        # the last coloring set by notion, with the objects it was made from
-        self.color_sets = {}
 
     def _build_semiarcs(self):
         """Collect the semiarcs and compile the diagram: ``compiled`` holds

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import SingqError
 from .algebra import (OperationTable, OrientedSingquandle, ShadowStructure,
-                      ValidationReport, _ReadOnly, _read_sections, profile,
-                      substructure_closure, shadow_closure)
+                      ValidationReport, _ReadOnly, _read_sections, kept,
+                      profile, substructure_closure, shadow_closure)
 from .coloring import psyquandle_tuples, shadow_tuples, singquandle_tuples
 from .polynomial import BasePolynomial
 from .values import InvariantValue
@@ -60,14 +60,9 @@ class WeightPair(_ReadOnly):
     """Two n x n weight tables valued in Z_modulus (0 means Z), read-only
     and equal to a pair with equal fields: ``phi`` at classical crossings,
     ``singular`` at singular ones.  ``kind`` names the axiom system:
-    ``"cocycle"`` (``singular`` is phi') or ``"boltzmann"`` (it is psi).
+    ``"cocycle"`` (``singular`` is phi') or ``"boltzmann"`` (it is psi)."""
 
-    ``_passed`` maps ``id(structure)`` to ``(structure, strong)`` for each
-    structure the pair has passed the exhaustive weight check against
-    (``strong``: axiom IV too); an entry counts only for that structure
-    object itself.  It is not a field: equality and hashing ignore it."""
-
-    __slots__ = ("kind", "modulus", "phi", "singular", "_passed")
+    __slots__ = ("kind", "modulus", "phi", "singular")
 
     def __init__(self, kind: str, modulus: int, phi: Sequence,
                  singular: Sequence):
@@ -76,7 +71,7 @@ class WeightPair(_ReadOnly):
                                  f"got {kind!r}")
         if modulus < 0:
             raise InvariantError(f"modulus must be >= 0, got {modulus}")
-        self.kind, self.modulus, self._passed = kind, modulus, {}
+        self.kind, self.modulus = kind, modulus
         self.phi = tuple(map(tuple, phi))
         self.singular = tuple(map(tuple, singular))
 
@@ -178,23 +173,23 @@ def _require_valid(s, pair: WeightPair, kind: str,
     """Raise InvariantError unless ``pair`` is of ``kind`` and passes that
     kind's exhaustive check against ``s`` (axiom IV too when ``strong``).
 
-    Passes are recorded on the pair, so each check runs once per structure
-    object the pair is used with; a failing pair is checked again, and
-    rejected, on every call."""
+    Passes are kept on the pair, one set per structure object it is used
+    with, so each check runs once per such object; a failing pair is
+    checked again, and rejected, on every call."""
     _require_kind(pair, kind)
-    entry = pair._passed.get(id(s))
-    if entry is None or entry[0] is not s:
+    passed = kept(pair, id(s), set, s)
+    if kind not in passed:
         if kind == "cocycle":
             report, what = validate_cocycle_pair(s, pair), "cocycle"
         else:
             report, what = validate_boltzmann(s, pair), "Boltzmann"
         if not report.valid:
             raise InvariantError(f"invalid {what} pair:\n" + report.summary())
-        pair._passed[id(s)] = entry = (s, False)
-    if strong and not entry[1]:
+        passed.add(kind)
+    if strong and "IV" not in passed:
         if not strongly_compatible(s, pair):
             raise InvariantError("Boltzmann pair is not strongly compatible")
-        pair._passed[id(s)] = (s, True)
+        passed.add("IV")
 
 
 def _weight_parts(d: SingularDiagram, s, pair: WeightPair, kind: str,
@@ -280,7 +275,7 @@ def phi_ssqp(d: SingularDiagram, s: OrientedSingquandle) -> InvariantValue:
     """Multiset of ssqp(image of f) over all colorings f, rendered in u.
     The image, and so the tag, depends only on the set of colors used; the
     tags are kept on ``s`` by that set."""
-    tags = s._tags
+    tags = kept(s, "tags", dict)
 
     def tag(used: frozenset) -> BasePolynomial:
         if used not in tags:
@@ -320,7 +315,7 @@ def shadow_polynomial_invariant(d: SingularDiagram,
     """SP(L): multiset of subsp over the shadow image of each shadow
     coloring.  The image depends only on the sets of semiarc and region
     colors used; the tags are kept on ``sh`` by that pair of sets."""
-    tags = sh._tags
+    tags = kept(sh, "tags", dict)
 
     def tag(used: tuple) -> BasePolynomial:
         if used not in tags:
@@ -446,14 +441,19 @@ def parse_weights(text: str):
                              f"got {given!r}") from None
     if modulus < 0:
         raise InvariantError(f"line {line_no}: modulus must be >= 0")
-    blocks = {key: value for key, (_, value) in sections.items()}
-    n = len(blocks.get("phi", []))
-    if not n or any(len(r) != n for r in blocks["phi"]):
+    if "phi" not in sections:
         raise InvariantError("phi block must be a square table")
-    if ("phiprime" in blocks) == ("psi" in blocks):
+    line_no, phi = sections["phi"]
+    n = len(phi)
+    if not n or any(len(r) != n for r in phi):
+        raise InvariantError(f"line {line_no}: phi block must be a square "
+                             f"table")
+    if ("phiprime" in sections) == ("psi" in sections):
         raise InvariantError("need exactly one of phiprime:/psi: besides phi:")
-    key = "phiprime" if "phiprime" in blocks else "psi"
-    if len(blocks[key]) != n or any(len(r) != n for r in blocks[key]):
-        raise InvariantError(f"{key} block must be {n}x{n}, like phi")
+    key = "phiprime" if "phiprime" in sections else "psi"
+    line_no, rows = sections[key]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise InvariantError(f"line {line_no}: {key} block must be {n}x{n}, "
+                             f"like phi")
     kind = "cocycle" if key == "phiprime" else "boltzmann"
-    return WeightPair.from_rows(kind, modulus, blocks["phi"], blocks[key])
+    return WeightPair.from_rows(kind, modulus, phi, rows)

@@ -17,14 +17,10 @@ class Psyquandle(_ReadOnly):
     Operation order follows the usual block-matrix listing: under-crossing
     ``ut`` (x goes under y), over-crossing ``ot``, singular-under ``ub``,
     singular-over ``ob``; their right inverses are precomputed.
-    ``_tables`` keeps the flat tables the coloring search reads and
-    ``_symmetry`` the permutations it found to preserve them, once it
-    first runs.
     """
 
     __slots__ = ("n", "ut", "ot", "ub", "ob",
-                 "ut_inv", "ot_inv", "ub_inv", "ob_inv", "pI_adequate",
-                 "_tables", "_symmetry")
+                 "ut_inv", "ot_inv", "ub_inv", "ob_inv", "pI_adequate")
 
     def __init__(self, ut: OperationTable, ot: OperationTable,
                  ub: OperationTable, ob: OperationTable):
@@ -38,8 +34,6 @@ class Psyquandle(_ReadOnly):
         self.ub_inv = ub.right_inverse()
         self.ob_inv = ob.right_inverse()
         self.pI_adequate = all(ub(x, x) == ob(x, x) for x in range(self.n))
-        self._tables = None
-        self._symmetry = None
 
     @classmethod
     def from_biquandle(cls, ut: OperationTable, ot: OperationTable) -> "Psyquandle":

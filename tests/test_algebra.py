@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from singq.algebra import (AlgebraError, InvalidStructureError,
                            OperationTable, OrientedSingquandle,
-                           ParameterError, ShadowStructure,
+                           ParameterError, ShadowStructure, _ReadOnly,
                            affine_singquandle, eval_table, formula_shadow,
-                           formula_structure, parse_algebra, profile,
+                           formula_structure, kept, parse_algebra, profile,
                            shadow_closure, substructure_closure,
                            validate_quandle, validate_shadow,
                            validate_singquandle)
@@ -335,12 +335,57 @@ def test_public_fields_are_read_only(cls, make, field):
 def test_private_caches_still_fill():
     s = load_algebra("z8_k.alg").structure
     table = OperationTable(s.star.rows)
-    assert table._flat is None and table._inverse is None
+    assert not hasattr(table, "_kept")
     flat, inverse = table.flat(), table.right_inverse()
-    assert table._flat is flat and table._inverse is inverse
+    assert table._kept == {"flat": (None, flat), "inverse": (None, inverse)}
     assert table.flat() is flat and table.right_inverse() is inverse
     with pytest.raises(AttributeError, match="read-only"):
-        del table._flat
+        table._kept = {}
+    with pytest.raises(AttributeError, match="read-only"):
+        del table._kept
+
+
+def test_kept_makes_once_per_source_object():
+    """A value is made once per source object, by ``is``, and replaced
+    when another object, even an equal one, is asked for; a ``make`` that
+    raises keeps nothing."""
+    table = OperationTable([[0]])
+    a, b = [1], [1]
+    made = []
+
+    def make():
+        made.append(1)
+        return len(made)
+
+    assert kept(table, "k", make, a) == kept(table, "k", make, a) == 1
+    assert kept(table, "k", make, b) == 2
+    assert kept(table, "k", make, a) == 3
+    assert kept(table, "other", make) == kept(table, "other", make) == 4
+
+    def fail():
+        raise ValueError("no")
+
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            kept(table, "failed", fail)
+    assert "failed" not in table._kept
+    assert kept(table, "k", make, a) == 3
+
+
+def test_only_the_base_declares_a_private_slot():
+    """Every derived value lives in ``_ReadOnly._kept``: no subclass
+    declares a private slot of its own."""
+    from singq.diagram import SingularDiagram
+    classes, found = [_ReadOnly], set()
+    while classes:
+        cls = classes.pop()
+        classes += cls.__subclasses__()
+        found.add(cls)
+        private = [name for name in cls.__dict__.get("__slots__", ())
+                   if name.startswith("_")]
+        assert private == (["_kept"] if cls is _ReadOnly else []), cls
+    assert {OperationTable, OrientedSingquandle, ShadowStructure, Psyquandle,
+            SingularDiagram, WeightPair} < found
 
 
 class TestShadow:
@@ -692,6 +737,26 @@ class TestFileFormat:
         # block tables are read mod the order too
         ("type: quandle\norder: 2\nmodulus: 5\nstar:\n1 1\n2 2\n",
          "line 3: modulus: 5 differs from order: 2"),
+        # a header value below 1 is refused at its own line, before
+        # whatever reads it next
+        ("type: quandle\norder: 0\nformula: star x\n",
+         "line 2: order: must be >= 1, got 0"),
+        ("type: singquandle\n\norder: 0\nstar:\nr1:\nr2:\n",
+         "line 3: order: must be >= 1, got 0"),
+        ("type: quandle\norder: -1\nstar:\n",
+         "line 2: order: must be >= 1, got -1"),
+        ("type: singquandle\norder: 2\nmodulus: 0\nformula: star x\n"
+         "formula: r1 x\nformula: r2 y\n",
+         "line 3: modulus: must be >= 1, got 0"),
+        ("type: shadow\norder: 2\ncarrier: 0\nformula: star x\n"
+         "formula: r1 x\nformula: r2 y\naction:\n",
+         "line 3: carrier: must be >= 1, got 0"),
+        ("type: shadow\norder: 2\ncarrier: 0\nformula: star x\n"
+         "formula: r1 x\nformula: r2 y\nformula: action x\n",
+         "line 3: carrier: must be >= 1, got 0"),
+        ("type: shadow\norder: 2\ncarrier: -2\nformula: star x\n"
+         "formula: r1 x\nformula: r2 y\nformula: action x\n",
+         "line 3: carrier: must be >= 1, got -2"),
     ])
     def test_header_value_error_names_its_line(self, text, message):
         with pytest.raises(AlgebraError) as err:

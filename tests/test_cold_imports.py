@@ -195,7 +195,7 @@ def bad(tmp_path):
     (("invariant", "count", "{dgm}", "z6_singquandle.alg"),
      "error: line 1: crossing needs 4 semiarcs, got 3\n"),
     (("invariant", "state-sum", "5k6.dgm", "z6_singquandle.alg", "{wgt}"),
-     "error: phi block must be a square table\n"),
+     "error: line 2: phi block must be a square table\n"),
     (("invariant", "SP", "{flat}", "z8_z6_shadow.alg"),
      "error: diagram has no crossings, so no regions\n"),
     (("invariant", "shadow-count", "{flat}", "z8_z6_shadow.alg"),
@@ -221,7 +221,7 @@ def test_validate_reports_each_malformed_file(bad):
     assert out == (
         f"{bad['alg']}: error: line 4: bad integer row '1 x'\n"
         f"{bad['dgm']}: error: line 1: crossing needs 4 semiarcs, got 3\n"
-        f"{bad['wgt']}: error: phi block must be a square table\n"
+        f"{bad['wgt']}: error: line 2: phi block must be a square table\n"
         f"{bad['invalid']}: INVALID\n"
         "  3 axiom violation(s):\n"
         "    quandle.right_invertibility at (0,)\n"

@@ -29,8 +29,8 @@ from pathlib import Path
 import pytest
 
 from singq import coloring, invariants
-from singq.algebra import (OperationTable, OrientedSingquandle, profile,
-                           shadow_closure, substructure_closure)
+from singq.algebra import (OperationTable, OrientedSingquandle, kept,
+                           profile, shadow_closure, substructure_closure)
 from singq.coloring import (RULES, _enumerate, _establish, _plan,
                             _psyquandle_tables, _singquandle_tables,
                             psyquandle_colorings, psyquandle_tuples,
@@ -516,9 +516,7 @@ def parent_enumerate(d, n: int, notion: str, tables: tuple) -> tuple:
     """Sorted color tuples of every semiarc coloring that passes the rules
     of ``notion``, reading ``tables`` by slot.  The plan is kept on the
     diagram, per notion."""
-    plan = d.plans.get(notion)
-    if plan is None:
-        plan = d.plans[notion] = _plan(d, RULES[notion])
+    plan = kept(d, ("plan", notion), lambda: _plan(d, RULES[notion]))
     plan = [(branch, [(x, y, tables[slot], out, check)
                       for x, y, slot, out, check in steps])
             for branch, steps in plan]
@@ -588,7 +586,7 @@ def test_orbits(planned):
     structures = searched_structures()
     for s, notion, tables in structures.values():
         _enumerate(planned[0], s, notion, tables)
-    orbits = {label: s._symmetry.orbits
+    orbits = {label: kept(s, "symmetry", pytest.fail).orbits
               for label, (s, _, _) in structures.items()}
     assert orbits == {
         "z6": ((0, 1, 2, 3, 4, 5),),
@@ -605,7 +603,7 @@ def test_kept_permutations_preserve_every_table(planned):
     its orbit's least value to its own value."""
     for label, (s, notion, tables) in searched_structures().items():
         _enumerate(planned[0], s, notion, tables)
-        n, symmetry = s.n, s._symmetry
+        n, symmetry = s.n, kept(s, "symmetry", pytest.fail)
         for g in symmetry.generators + symmetry.transversal:
             assert sorted(g) == list(range(n)), label
             for t in tables:
@@ -627,7 +625,7 @@ def test_rigid_structure_gives_the_plain_set(braids):
         == [(0, 1, 2)]
     for k, d in enumerate(braids):
         found = list(singquandle_tuples(d, s))
-        assert s._symmetry.generators == ()
+        assert kept(s, "symmetry", pytest.fail).generators == ()
         assert_colorings_satisfy(d, s, found)
         assert found == brute_force_singquandle(d, s), k
 
@@ -657,9 +655,9 @@ def test_symmetry_built_once_per_structure_object(planned, monkeypatch):
     for d in diagrams:
         singquandle_tuples(d, again)
     assert built == [6, 6, 6]
-    kept = again._symmetry
+    symmetry = kept(again, "symmetry", pytest.fail)
     for d in diagrams:
         shadow_tuples(d, shadow)
         singquandle_tuples(d, shadow.base)
     assert built == [6, 6, 6, 8]
-    assert again._symmetry is kept
+    assert kept(again, "symmetry", pytest.fail) is symmetry

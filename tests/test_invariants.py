@@ -9,7 +9,7 @@ import pytest
 
 from singq.algebra import (AlgebraError, OperationTable,
                            OrientedSingquandle, affine_singquandle,
-                           formula_shadow, formula_structure, profile,
+                           formula_shadow, formula_structure, kept, profile,
                            validate_singquandle)
 from singq import coloring
 from singq.coloring import singquandle_colorings, psyquandle_colorings
@@ -450,14 +450,15 @@ class TestWeightChecksOnce:
         s, cp = copy.copy(z6), fresh(z6_cocycle)
         sh = load_algebra("z8_z6_shadow.alg").structure
         state_sum(corpus["5k6.dgm"], s, cp)
-        assert cp._passed == {id(s): (s, False)}
+        assert cp._kept == {id(s): (s, {"cocycle"})}
         phi_ssqp(corpus["4_1k.dgm"], sh.base)
         SP(corpus["4_1k.dgm"], sh)
         # each structure's tags map is kept on it alone, with no other key
-        assert sh.base._tags and sh._tags
-        assert all(type(used) is frozenset for used in sh.base._tags)
-        assert all(type(s) is type(r) is frozenset for s, r in sh._tags)
-        for tags in (sh.base._tags, sh._tags):
+        base_tags, tags = (kept(x, "tags", pytest.fail) for x in (sh.base, sh))
+        assert base_tags and tags
+        assert all(type(used) is frozenset for used in base_tags)
+        assert all(type(s) is type(r) is frozenset for s, r in tags)
+        for tags in (base_tags, tags):
             assert all(isinstance(t, BasePolynomial) for t in tags.values())
 
     def test_use_leaves_equality_and_hash(self, corpus, z6, z6_cocycle, psy6,
@@ -721,6 +722,19 @@ class TestWeightParsing:
         with pytest.raises(InvariantError,
                            match=f"^line {line}: {key} is given twice$"):
             parse_weights(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("modulus: 2\n\nphi:\n0 1\n0\npsi:\n0\n",
+         "line 3: phi block must be a square table"),
+        ("modulus: 2\nphi:\n0 1\n0 0\n# the second block\nphiprime:\n0 0\n",
+         "line 6: phiprime block must be 2x2, like phi"),
+        ("modulus: 2\npsi:\n0 0 0\nphi:\n0 1\n0 0\n",
+         "line 2: psi block must be 2x2, like phi"),
+    ], ids=["phi", "phiprime", "psi"])
+    def test_block_error_names_its_line(self, text, message):
+        with pytest.raises(InvariantError) as err:
+            parse_weights(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("block", ["phiprime", "psi"])
     @pytest.mark.parametrize("rows", ["1 2 3\n4\n", "0 0\n", "0 0\n0 0\n0 0\n"],
