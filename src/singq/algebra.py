@@ -54,11 +54,16 @@ class ValidationReport(NamedTuple):
 
 class _ReadOnly:
     """Base of objects whose fields are set once: setting one again, or
-    deleting any, raises AttributeError.  What is derived from an object
-    is kept in its one private dict ``_kept``, which only :func:`kept`
-    reads and writes; equality and hashing ignore it."""
+    deleting any, raises AttributeError; a copy is the object itself.  What is
+    derived from an object is kept in its one private dict ``_kept``, which
+    only :func:`kept` reads and writes; equality and hashing ignore it."""
 
     __slots__ = ("_kept",)
+
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
 
     def __setattr__(self, name: str, value) -> None:
         if hasattr(self, name):

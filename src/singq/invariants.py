@@ -442,7 +442,7 @@ def parse_weights(text: str):
     if modulus < 0:
         raise InvariantError(f"line {line_no}: modulus must be >= 0")
     if "phi" not in sections:
-        raise InvariantError("phi block must be a square table")
+        raise InvariantError("missing phi block")
     line_no, phi = sections["phi"]
     n = len(phi)
     if not n or any(len(r) != n for r in phi):

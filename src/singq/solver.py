@@ -5,32 +5,29 @@ The validity conditions are Z-linear in the entries of (phi, phi'),
 so the valid pairs mod n form the kernel of an integer matrix.  The kernel
 is computed per prime-power factor of n (elimination with p-adic pivots
 and annihilator rows, so nothing is lost to zero divisors) and the factors
-are recombined by the Chinese remainder theorem.  The same routine, run on
-the generators, gives the annihilator rows that decide membership.
+are recombined by the Chinese remainder theorem.  The condition rows that
+cut the space in that elimination decide membership.
 """
 
 from __future__ import annotations
 
 from .algebra import OrientedSingquandle
 from .invariants import (InvariantError, WeightPair, _cocycle_system,
-                         _flat_pair, _require_kind)
+                         _flat_pair)
 
 
 def _cocycle_rows(s: OrientedSingquandle) -> list:
     """The rows of ``_cocycle_system(s)`` as sparse coefficient dicts, in
-    emission order: each row's terms merged, zero rows and repeated rows
-    dropped.  In the elimination a zero row is a zero column, and a repeated
-    row a column its first copy's pivot has already cleared, so dropping
-    them leaves the kernel generators unchanged."""
-    rows = {}   # frozenset of a row's items -> its first copy
+    emission order: each row's terms merged and zero rows dropped."""
+    rows = []
     for _, _, terms in _cocycle_system(s):
         row = {}
         for idx, coef in terms:
             row[idx] = row.get(idx, 0) + coef
         row = {idx: coef for idx, coef in row.items() if coef}
         if row:
-            rows.setdefault(frozenset(row.items()), row)
-    return list(rows.values())
+            rows.append(row)
+    return rows
 
 
 def _prime_powers(m: int) -> list:
@@ -61,8 +58,8 @@ def _valuation(a: int, p: int, e: int) -> int:
 
 
 def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> tuple:
-    """(generators, log_p of the size) of {x in Z_q^width : Ax = 0},
-    q = p^e, the generators as sparse dicts ``{unknown: coef}``.
+    """(generators, log_p of the size, cutting rows) of the kernel of A
+    over Z_q, q = p^e, the generators as sparse dicts ``{unknown: coef}``.
 
     Eliminates on [A^T | I] keeping only the right halves, as sparse dicts:
     the left half of a work row is A times its right half, so its entry at a
@@ -74,13 +71,16 @@ def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> tuple:
     solution sets.  Every column ends cleared, so each remaining nonzero
     row is a solution.  The work rows span the solutions of the columns
     seen so far, and a pivot of valuation v maps them onto p^v Z_q, so it
-    divides the kernel's size by p^(e-v).
+    divides the kernel's size by p^(e-v).  A row of A that is 0 on every
+    work row holds on all solutions of the rows before it, so by induction
+    a vector that satisfies the other rows, those that cut, is a solution.
     """
     q = p ** e
     work = {i: {i: 1} for i in range(width)}
     touching = [{i} for i in range(width)]
     next_id = width
     log_size = e * width
+    cutting = []
     for row in rows:
         acc = {}
         for k, c in row.items():
@@ -89,6 +89,7 @@ def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> tuple:
         entries = sorted((idx, a % q) for idx, a in acc.items() if a % q)
         if not entries:
             continue
+        cutting.append(row)
         best, bestv, unit = None, e, 0
         for idx, a in entries:
             v = _valuation(a, p, e)
@@ -123,26 +124,25 @@ def _kernel_prime_power(rows: list, width: int, p: int, e: int) -> tuple:
                 for k in scaled:
                     touching[k].add(next_id)
                 next_id += 1
-    return [right for right in work.values() if right], log_size
+    return [right for right in work.values() if right], log_size, cutting
 
 
 class CocycleSpace:
     """All valid (phi, phi') pairs mod ``modulus`` for one singquandle: the
     span of ``generators``, a tuple of cocycle WeightPair (the zero pair is
-    always a member).  ``annihilators`` holds (q, rows spanning the
-    annihilator of the space mod q) for each prime power q exactly dividing
-    the modulus, the rows transposed as ``{unknown: [(row, coef)]}``; over
-    Z_q a submodule is the annihilator of its annihilator, so a pair is a
-    member when every row dots to 0 mod q with it.  Two spaces are equal
-    when their other fields are."""
+    always a member).  ``cutting`` holds (q, the condition rows that cut
+    the space mod q) for each prime power q exactly dividing the modulus,
+    the rows transposed as ``{unknown: [(row, coef)]}``; a pair is a member
+    when every row dots to 0 mod q with it.  Two spaces are equal when
+    their other fields are."""
 
-    __slots__ = ("structure", "modulus", "generators", "size", "annihilators")
+    __slots__ = ("structure", "modulus", "generators", "size", "cutting")
 
     def __init__(self, structure: OrientedSingquandle, modulus: int,
-                 generators: tuple, size: int, annihilators: list):
+                 generators: tuple, size: int, cutting: list):
         self.structure, self.modulus = structure, modulus
         self.generators, self.size = generators, size
-        self.annihilators = annihilators
+        self.cutting = cutting
 
     def _key(self) -> tuple:
         return self.structure, self.modulus, self.generators, self.size
@@ -154,12 +154,11 @@ class CocycleSpace:
         return hash(self._key())
 
     def contains(self, cp: WeightPair) -> bool:
-        _require_kind(cp, "cocycle")
+        vec = _flat_pair(self.structure.n, cp, "cocycle")
         if cp.modulus != self.modulus:
             raise InvariantError("modulus mismatch")
-        vec = _flat_pair(self.structure.n, cp, "cocycle")
         nonzero = [(k, v) for k, v in enumerate(vec) if v]
-        for q, columns in self.annihilators:
+        for q, columns in self.cutting:
             dots = {}   # row -> its dot product with the pair so far
             for k, v in nonzero:
                 for r, c in columns.get(k, ()):
@@ -179,20 +178,20 @@ def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
     m = modulus
     pairs = []
     size = 1
-    annihilators = []
+    cutting = []
     for p, e in _prime_powers(m):
         q = p ** e
-        kq, log_size = _kernel_prime_power(rows, width, p, e)
+        kq, log_size, cut = _kernel_prime_power(rows, width, p, e)
         size *= p ** log_size
         columns = {}
-        for r, row in enumerate(_kernel_prime_power(kq, width, p, e)[0]):
+        for r, row in enumerate(cut):
             for k, c in row.items():
                 columns.setdefault(k, []).append((r, c))
-        annihilators.append((q, columns))
+        cutting.append((q, columns))
         cofactor = m // q
         lift = cofactor * pow(cofactor, -1, q)  # 1 mod q, 0 mod m/q
         for g in kq:
             vec = [g.get(k, 0) * lift % m for k in range(width)]
             tables = [vec[i * n:(i + 1) * n] for i in range(2 * n)]
             pairs.append(WeightPair("cocycle", m, tables[:n], tables[n:]))
-    return CocycleSpace(s, m, tuple(pairs), size, annihilators)
+    return CocycleSpace(s, m, tuple(pairs), size, cutting)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from pathlib import Path
@@ -13,9 +14,9 @@ from singq.algebra import (AlgebraError, InvalidStructureError,
                            shadow_closure, substructure_closure,
                            validate_quandle, validate_shadow,
                            validate_singquandle)
-from singq.coloring import _psyquandle_tables
+from singq.coloring import _psyquandle_tables, singquandle_tuples
 from singq.data import (fixture_names, fixture_path, load_algebra,
-                        load_weights)
+                        load_diagram, load_weights)
 from singq.invariants import WeightPair
 from singq.morphisms import (are_isomorphic, is_homomorphism,
                              quandle_from_group)
@@ -386,6 +387,17 @@ def test_only_the_base_declares_a_private_slot():
         assert private == (["_kept"] if cls is _ReadOnly else []), cls
     assert {OperationTable, OrientedSingquandle, ShadowStructure, Psyquandle,
             SingularDiagram, WeightPair} < found
+
+
+def test_copies_are_the_object_itself(z6, psy6, z8_z6_shadow, z6_cocycle):
+    """Read-only objects copy as tuples do: a copy is the object itself,
+    so no two objects share one ``_kept``.  A copy once shared it, and a
+    deep copy of a diagram raised TypeError on its port maps."""
+    d = load_diagram("5k6.dgm")
+    singquandle_tuples(d, z6)
+    for x in (z6.star, z6, psy6, z8_z6_shadow, z6_cocycle, d):
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
 
 
 class TestShadow:

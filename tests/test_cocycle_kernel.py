@@ -5,8 +5,8 @@ solution halves of ``[A^T | I]``.  The dense elimination it replaced is kept
 below as a reference; for every prime power of every modulus the two must
 return equal generators, element for element and in the same order, and
 each generator must satisfy every condition row.  Membership, decided by the
-annihilator rows that the same routine finds, must agree with the exhaustive
-validator.
+condition rows that cut the space in the same elimination, must agree with
+the exhaustive validator.
 """
 
 import random
@@ -101,9 +101,10 @@ def test_sparse_kernel_matches_dense_reference(name, modulus):
 
 @pytest.mark.parametrize("name, modulus", CASES)
 def test_contains_agrees_with_validator(name, modulus):
-    """Membership by the annihilator rows against the exhaustive check of
-    every condition: seeded members (random combinations of the generators)
-    and near-members (one entry of such a combination shifted)."""
+    """Membership by the rows that cut the space against the exhaustive
+    check of every condition: seeded members (random combinations of the
+    generators) and near-members (one entry of such a combination
+    shifted)."""
     s = STRUCTURES[name]()
     n = s.n
     space = solve_cocycle_space(s, modulus)

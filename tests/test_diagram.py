@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from singq.coloring import ColoringError, shadow_tuples, singquandle_tuples
 from singq.data import load_diagram
 from singq.diagram import (Crossing, DiagramError, ParseError, Region,
                            SingularDiagram, parse_diagram, validate_diagram)
+
+from conftest import gen
 
 KINK = """\
 P b a a b
@@ -41,6 +45,35 @@ class TestParsing:
             parse_diagram(text)
         assert err.value.line_no == line
         assert str(err.value) == f"line {line}: {message}"
+
+    def test_two_semiarcs_per_crossing(self, corpus):
+        """Every diagram that builds has exactly two semiarcs per crossing,
+        since each label has one head and one tail and a crossing has two
+        in-ports: the corpus, the benchmark's braids and links, and seeded
+        diagrams with labels dealt at random over the ports, which either
+        build or are refused."""
+        built = list(corpus.values())
+        built += [parse_diagram(gen.closure_text(*member))
+                  for member in gen.braid_pool() + gen.link_family()]
+        rng, refused = random.Random(5), 0
+        for trial in range(2000):
+            k = rng.randint(1, 6)
+            n = 2 * k   # labels, and in-ports and out-ports
+            if trial % 2:   # labels drawn at random: most are refused
+                heads, tails = ([rng.randrange(n + 1) for _ in range(n)]
+                                for _ in "ht")
+            else:           # one head and one tail per label
+                heads, tails = (rng.sample(range(n), n) for _ in "ht")
+            text = "".join(
+                f"{rng.choice('PNS')} a{heads[2 * i]} a{heads[2 * i + 1]} "
+                f"a{tails[2 * i]} a{tails[2 * i + 1]}\n" for i in range(k))
+            try:
+                built.append(parse_diagram(text))
+            except DiagramError:
+                refused += 1
+        assert 1000 < len(built) and refused > 500
+        for d in built:
+            assert d.n_semiarcs == 2 * d.n_crossings
 
     def test_unknown_record_rejected(self):
         with pytest.raises(ParseError):
