@@ -552,10 +552,12 @@ class TestCocycleSolver:
                                                2 * s.n * s.n, modulus)
 
     # (generator count, size, SHA-256 of the generators' (phi, singular)
-    # reprs in order), recorded before zero and repeated rows were dropped
+    # reprs in order), recorded before zero and repeated rows were dropped;
+    # z6 re-recorded when modulus 6 went to one elimination over Z_6 (same
+    # count and size; test_cocycle_kernel.py checks its equivalence)
     RECORDED = {
-        "z6": (22, 241864704, "36ce257aa085e92aabfdfc4739474584"
-                              "963126f9c4bd993b299a0c37cdb580a1"),
+        "z6": (22, 241864704, "4e491f681b22b202f625e4104fbf848f"
+                              "03013914c521b511e71fa3c9573d221e"),
         "z8": (18, 2 ** 50, "4afa667919ad7c4ce7fdb69d80ed31fc"
                             "f4a095b3e6ee1f365574a8e2e91e5f32"),
     }
@@ -597,26 +599,27 @@ class TestCocycleSolver:
         assert (hashlib.sha256(repr(rows).encode()).hexdigest()
                 == self.ROW_DIGESTS[name])
 
-    def test_membership_sweep_eliminates_once_per_prime_power(self,
-                                                               monkeypatch):
-        """The solve eliminates once per prime power; the rows that cut
-        the space then serve every membership test without eliminating
-        again."""
+    def test_membership_sweep_runs_no_elimination(self, monkeypatch):
+        """The solve eliminates once over Z_10 on the rows, then once per
+        prime power on the generators; the rows that cut the space then
+        serve every membership test without eliminating again."""
         s = affine_singquandle(10, 7, 6, 5)
+        rows = _cocycle_rows(s)
         calls = []
-        kernel = solver._kernel_prime_power
+        kernel = solver._kernel
 
-        def counted(rows, width, p, e):
-            calls.append((p, e))
-            return kernel(rows, width, p, e)
+        def counted(rows, width, m):
+            calls.append((rows, m))
+            return kernel(rows, width, m)
 
-        monkeypatch.setattr(solver, "_kernel_prime_power", counted)
+        monkeypatch.setattr(solver, "_kernel", counted)
         space = solve_cocycle_space(s, 10)
-        assert calls == [(2, 1), (5, 1)]
+        assert [m for _, m in calls] == [10, 2, 5]
+        assert calls[0][0] == rows and calls[1][0] is calls[2][0]
         assert all(space.contains(g) for g in space.generators)
         assert not space.contains(WeightPair.from_rows(
             "cocycle", 10, [[1] * 10 for _ in range(10)], [[0] * 10 for _ in range(10)]))
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_generators_validate_and_contain_bundled_pair(self, z6,
                                                           z6_cocycle):
