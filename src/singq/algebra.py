@@ -455,10 +455,20 @@ def table_profile(n: int, flats) -> list:
     return out
 
 
+def _elements(elements: Iterable[int], size: int) -> set:
+    """``elements`` as a set, refusing one outside ``0..size-1`` (a
+    negative one would index the tables from the end)."""
+    found = set(elements)
+    outside = sorted(x for x in found if not 0 <= x < size)
+    if outside:
+        raise AlgebraError(f"elements {outside} outside 0..{size - 1}")
+    return found
+
+
 def substructure_closure(s: OrientedSingquandle, seed: Iterable[int]) -> frozenset:
     """Smallest superset of ``seed`` closed under *, its inverse, R1 and R2."""
     tables = (s.star.rows, s.star_inv.rows, s.r1.rows, s.r2.rows)
-    current = set(seed)
+    current = _elements(seed, s.n)
     while True:
         new = current | {t[x][y] for t in tables for x in current
                          for y in current}
@@ -469,9 +479,10 @@ def substructure_closure(s: OrientedSingquandle, seed: Iterable[int]) -> frozens
 
 def shadow_closure(sh: ShadowStructure, region_seed: Iterable[int],
                    acting: Iterable[int]) -> frozenset:
-    """Close a set of carrier elements under the action of ``acting``."""
-    acting = set(acting)
-    current = set(region_seed)
+    """Close a set of carrier elements under the action of ``acting``, a
+    set of base elements."""
+    acting = _elements(acting, sh.base.n)
+    current = _elements(region_seed, sh.carrier)
     while True:
         new = set(current)
         for x in current:

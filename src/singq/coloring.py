@@ -2,14 +2,17 @@
 
 Three coloring notions over one search core: singquandle colorings of
 semiarcs, psyquandle colorings of semiarcs, and shadow colorings (semiarcs
-plus regions).  Each crossing rule is a set of propagators ``out =
-table[x * n + y]`` over the crossing's ports, read from flat tables passed
-per call.  The search runs on the diagram's compiled crossing tuples: which
-semiarcs a propagator colors or checks depends only on which are already
-colored, never on their colors, so the branch order and the propagation
-steps below each branch are planned once per diagram and notion, and kept
-on the diagram.  Each crossing relation is evaluated once per search node
-where its ports are colored; its other solved forms are skipped.
+plus regions).  ``RELATIONS`` declares once how each crossing kind reads
+its ports through the structure's tables, as two equations per kind and
+notion.  The search rules are derived from it: propagators ``out =
+table[x * n + y]`` over the crossing's ports, each a solved form of one
+relation, reading flat tables passed per call.  The search runs on the
+diagram's compiled crossing tuples: which semiarcs a propagator colors or
+checks depends only on which are already colored, never on their colors,
+so the branch order and the propagation steps below each branch are
+planned once per diagram and notion, and kept on the diagram.  Each
+crossing relation is evaluated once per search node where its ports are
+colored; its other solved forms are skipped.
 
 The search also uses the symmetry of the structure.  A permutation g of the
 colors that preserves every table the rules read maps a coloring c to a
@@ -26,16 +29,12 @@ the generator search has a fixed budget, and running out of it only finds
 fewer generators.
 
 The invariants read the sorted color tuples of the ``*_tuples`` functions;
-the ``*_colorings`` functions wrap them into :class:`Coloring` records.
-Every invariant of a diagram over a structure is a sum over the same
-coloring set, so a diagram also keeps, per notion (``singquandle``,
-``psyquandle``, ``shadow``), the last set found, as a tuple that no caller
-can change, with the structure it was found for.  Structures are
-read-only, so the set is reused while the same structure object is asked
-for again; any other structure, even an equal one, searches again and
-replaces it.  Shadow colorings take their base colorings from the
-singquandle set, so the base search is shared with the singquandle
-invariants of the base.
+the ``*_colorings`` functions wrap them into :class:`Coloring` records.  A
+diagram keeps, per notion (``singquandle``, ``psyquandle``, ``shadow``),
+the last set found, a tuple, with the structure object it was found for:
+every invariant over that object reuses it, and any other structure, even
+an equal one, searches again.  Shadow colorings take their base colorings
+from the singquandle set.
 """
 
 from __future__ import annotations
@@ -61,102 +60,113 @@ class Coloring(NamedTuple):
     region_colors: Optional[tuple] = None  # colors in region-id order
 
 
-# -- crossing rules ----------------------------------------------------------
+# -- crossing relations ------------------------------------------------------
 #
-# A rule maps a crossing kind to propagators (x, y, slot, out, relation)
-# over port positions 0..3 (``ui oi uo oo`` or ``i1 i2 o1 o2``): once ports x
-# and y are colored, port out gets, or must already have,
-# ``tables[slot][x * n + y]``, the tables being passed per call.  Every
-# propagator is a solved form of one crossing relation, tagged by a bit:
-# each crossing imposes two equations, E1 and E2, and a psyquandle crossing
-# also has the two halves H1 and H2 of its inverse pair map, which together
-# are E1 and E2.  Each relation is among the propagators, so a coloring of
-# all four ports passes every propagator exactly when it satisfies the
-# crossing.
+# RELATIONS[notion][kind]: the equations E1 and E2 of a crossing, each
+# (out, block, x, y) over port positions 0..3 (``ui oi uo oo`` at P and N,
+# ``i1 i2 o1 o2`` at S): out = block(x, y), or out = x when block is None.
+# RULES[notion][kind]: propagators (x, y, table, out, relation), each a
+# solved form of one relation, tagged by a bit (E1, E2, or a half H1 or H2
+# of a psyquandle's inverse crossing map): once ports x and y are colored,
+# port out gets, or must already have, ``tables[table][x * n + y]``.  Each
+# equation is among them, so a coloring of the four ports passes every
+# propagator exactly when it satisfies the crossing.
+
+RELATIONS = {
+    "singquandle": {
+        "P": ((3, None, 1, None), (2, "star", 0, 1)),      # oo = oi, uo = ui * oi
+        "N": ((3, None, 1, None), (2, "star_inv", 0, 1)),  # uo = ui *^-1 oi
+        "S": ((2, "r1", 0, 1), (3, "r2", 0, 1))},   # o1 = R1(i1, i2), o2 = R2(i1, i2)
+    "psyquandle": {
+        "P": ((3, "ot", 1, 0), (2, "ut", 0, 1)),   # oo = oi ot ui, uo = ui ut oi
+        "N": ((1, "ot", 3, 2), (0, "ut", 2, 3)),   # oi = oo ot uo, ui = uo ut oo
+        "S": ((2, "ob", 1, 0), (3, "ub", 0, 1))}}  # o1 = i2 ob i1, o2 = i1 ub i2
+
+# tables with bijective columns (axiom I) -> their right inverses
+_RIGHT_INVERSE = {"star": "star_inv", "star_inv": "star", "ot": "ot_inv",
+                  "ut": "ut_inv", "ob": "ob_inv", "ub": "ub_inv"}
 
 E1, E2, H1, H2 = 1, 2, 4, 8
-ALL = E1 | E2 | H1 | H2
 
 
 def _establish(have: int, relation: int) -> int:
     """Relations established at a crossing once ``relation`` holds too."""
     have |= relation
     if have & (E1 | E2) == E1 | E2 or have & (H1 | H2) == H1 | H2:
-        return ALL
+        return E1 | E2 | H1 | H2
     return have
 
 
-# tables by slot: 0 first (oo = first[oi, oi]), 1 star, 2 star^-1, 3 R1,
-# 4 R2.  Over-arc (oo = oi) is E1, star (uo = ui * oi, resp. ui *^-1 oi) E2.
-_OVER = ((1, 1, 0, 3, E1), (3, 3, 0, 1, E1))
-SINGQUANDLE_RULES = {
-    "P": _OVER + ((0, 1, 1, 2, E2), (2, 1, 2, 0, E2)),
-    "N": _OVER + ((0, 1, 2, 2, E2), (2, 1, 1, 0, E2)),
-    "S": ((0, 1, 3, 2, E1), (0, 1, 4, 3, E2))}
+def _derive(notion: str) -> dict:
+    """The rules of ``notion``: each equation in its forward form (out = x
+    both ways), then for a psyquandle the halves of the inverse of the
+    crossing map (x, y) -> (E1, E2), x < y (axiom III), then each equation
+    over a table with bijective columns solved for its x (axiom I).  A
+    table is None (t[x, y] = x), a table of the structure by name, or
+    (shape, half) for a half of an inverse crossing map, of shape (block1,
+    swapped1, block2, swapped2): swapped if the equation reads y first."""
+    rules = {}
+    for kind, equations in RELATIONS[notion].items():
+        props = []
+        for (out, block, x, y), bit in zip(equations, (E1, E2)):
+            props.append((x, x if block is None else y, block, out, bit))
+            if block is None:
+                props.append((out, out, None, x, bit))
+        if notion == "psyquandle":
+            (o1, b1, x1, y1), (o2, b2, x2, y2) = equations
+            shape = (b1, x1 > y1, b2, x2 > y2)
+            for half, (port, bit) in enumerate(zip(sorted((x1, y1)), (H1, H2))):
+                props.append((o1, o2, (shape, half), port, bit))
+        for (out, block, x, y), bit in zip(equations, (E1, E2)):
+            if block in _RIGHT_INVERSE:
+                props.append((out, y, _RIGHT_INVERSE[block], x, bit))
+        rules[kind] = tuple(props)
+    return rules
 
-# tables by slot: the first and second components of S (0, 1) and S' (2,
-# 3), of S^-1 (4, 5) and S'^-1 (6, 7), then 8 ot^-1, 9 ut^-1, 10 ob^-1,
-# 11 ub^-1.  P: (oo, uo) = S(ui, oi), N: (oi, ui) = S(uo, oo), S: (o1, o2) =
-# S'(i1, i2); E1 is the first component's equation, E2 the second's.
-PSYQUANDLE_RULES = {
-    "P": ((0, 1, 0, 3, E1), (0, 1, 1, 2, E2), (3, 2, 4, 0, H1),
-          (3, 2, 5, 1, H2), (2, 1, 9, 0, E2), (3, 0, 8, 1, E1)),
-    "N": ((2, 3, 0, 1, E1), (2, 3, 1, 0, E2), (1, 0, 4, 2, H1),
-          (1, 0, 5, 3, H2), (1, 2, 8, 3, E1), (0, 3, 9, 2, E2)),
-    "S": ((0, 1, 2, 2, E1), (0, 1, 3, 3, E2), (2, 3, 6, 0, H1),
-          (2, 3, 7, 1, H2), (3, 1, 11, 0, E2), (2, 0, 10, 1, E1))}
+
+RULES = {notion: _derive(notion) for notion in RELATIONS}
+
+
+def _tables(s: OrientedSingquandle | Psyquandle, notion: str) -> dict:
+    """The flat table of each key ``RULES[notion]`` reads, in order of
+    first reading, built once per structure object."""
+    keys = dict.fromkeys(key for props in RULES[notion].values()
+                         for _, _, key, _, _ in props)
+    return kept(s, "tables", lambda: {key: _table(s, key) for key in keys})
+
+
+def _table(s: OrientedSingquandle | Psyquandle, key) -> tuple:
+    """The flat table of one key of the rules (see :func:`_derive`)."""
+    n = s.n
+    if key is None:
+        return tuple(x for x in range(n) for _ in range(n))
+    if isinstance(key, str):
+        return getattr(s, key).flat()
+    (b1, swap1, b2, swap2), half = key
+    t1, t2 = getattr(s, b1).rows, getattr(s, b2).rows
+    inverse = [0] * (n * n)
+    for x in range(n):
+        for y in range(n):
+            u = t1[y][x] if swap1 else t1[x][y]
+            inverse[u * n + (t2[y][x] if swap2 else t2[x][y])] = (x, y)[half]
+    return tuple(inverse)
 
 
 def singquandle_tuples(d: SingularDiagram, s: OrientedSingquandle) -> tuple:
     """Sorted semiarc color tuples of every singquandle coloring."""
-    return kept(d, "singquandle", lambda: _enumerate(
-        d, s, "singquandle", _singquandle_tables(s)), s)
+    return kept(d, "singquandle", lambda: _enumerate(d, s, "singquandle"), s)
 
 
 def psyquandle_tuples(d: SingularDiagram, p: Psyquandle) -> tuple:
     """Sorted semiarc color tuples of every psyquandle coloring."""
-    return kept(d, "psyquandle", lambda: _enumerate(
-        d, p, "psyquandle", _psyquandle_tables(p)), p)
-
-
-def _singquandle_tables(s: OrientedSingquandle) -> tuple:
-    """The flat tables of ``SINGQUANDLE_RULES``, by slot, built once per
-    structure object."""
-    n = s.n
-    return kept(s, "tables", lambda: (
-        tuple(x for x in range(n) for _ in range(n)), s.star.flat(),
-        s.star_inv.flat(), s.r1.flat(), s.r2.flat()))
-
-
-def _psyquandle_tables(p: Psyquandle) -> tuple:
-    """The flat tables of ``PSYQUANDLE_RULES``, by slot, built once per
-    structure object: the two components of S(x, y) = (y ot x, x ut y)
-    and S'(x, y) = (y ob x, x ub y), then of their inverses, then the
-    right inverses."""
-    def make() -> tuple:
-        n = p.n
-        maps, inverses = [], []
-        for a, b in ((p.ot, p.ut), (p.ob, p.ub)):
-            a_flat, second = a.flat(), b.flat()
-            first = tuple(a_flat[y * n + x] for x in range(n) for y in range(n))
-            inv_x, inv_y = [0] * (n * n), [0] * (n * n)
-            for i, (u, v) in enumerate(zip(first, second)):
-                inv_x[u * n + v], inv_y[u * n + v] = divmod(i, n)
-            maps += first, second
-            inverses += tuple(inv_x), tuple(inv_y)
-        return (*maps, *inverses, p.ot_inv.flat(), p.ut_inv.flat(),
-                p.ob_inv.flat(), p.ub_inv.flat())
-    return kept(p, "tables", make)
-
-
-RULES = {"singquandle": SINGQUANDLE_RULES, "psyquandle": PSYQUANDLE_RULES}
+    return kept(d, "psyquandle", lambda: _enumerate(d, p, "psyquandle"), p)
 
 
 # -- search core -------------------------------------------------------------
 
 def _plan(d: SingularDiagram, rules: dict) -> list:
     """Branch order and propagation steps: one (semiarc, steps) pair per
-    search level, a step being (x, y, slot, out, check) over semiarc
+    search level, a step being (x, y, table, out, check) over semiarc
     indices.  Each propagator fires once, at the level where both its
     inputs are colored, and becomes a step unless its relation is already
     established at its crossing (an exact inverse of a step taken, which
@@ -166,26 +176,21 @@ def _plan(d: SingularDiagram, rules: dict) -> list:
     and so the search tree, small.
 
     A level scores its free semiarcs in ascending order, each by a trial
-    closure, and skips every semiarc that an earlier trial of the level
-    colored (its mark is that trial's): it cannot win.  The closure is
-    forward chaining over two-premise rules, so it is monotone.  Say the
-    trial of b colors b'.  Then the closure of b' lies inside that of b,
-    and every propagator b' fires, b fires too.  If the closure of b' holds
-    b, the two closures are equal, so both counts are equal and b wins on
-    its lower index.  If it does not, b' fires none of the propagators that
-    read b, and b fires at least one (the first propagator of any trial
-    reads the branch, as the plan so far has fired every propagator whose
-    inputs it colored), so b' fires fewer.  Either way b' ranks below b, so
-    the plan is unchanged."""
+    closure, and skips every semiarc an earlier trial of the level colored:
+    it cannot win.  The closure is monotone, so if the trial of b colors
+    b', b fires every propagator b' fires.  Either the closures are equal
+    and b wins on its lower index, or b' fires none of the propagators that
+    read b, while b fires at least one (the plan so far has fired every
+    propagator whose inputs it colored), so b' fires fewer."""
     props = []
     watch = [[] for _ in d.semiarcs]   # semiarc -> (k, other input, out)
     for c, (kind, *ports) in enumerate(d.compiled):
-        for x, y, slot, out, relation in rules[kind]:
+        for x, y, table, out, relation in rules[kind]:
             x, y, out = ports[x], ports[y], ports[out]
             watch[x].append((len(props), y, out))
             if y != x:
                 watch[y].append((len(props), x, out))
-            props.append((x, y, slot, c, relation))
+            props.append((x, y, table, c, relation))
 
     DONE = sys.maxsize
     # colored[i] and fired[k]: the trial that colored semiarc i or fired
@@ -198,11 +203,9 @@ def _plan(d: SingularDiagram, rules: dict) -> list:
 
     def score(branch: int) -> tuple:
         """(propagators fired, checks among them, -branch) if ``branch``
-        were colored next.  Both counts depend only on the closure, not on
-        the order of propagation: a propagator that is not a check colors
-        exactly one semiarc (one whose relation is established has all its
-        ports colored), so checks = fired - newly colored semiarcs, the branch
-        not counted."""
+        were colored next.  A propagator that is not a check colors exactly
+        one semiarc, so checks = fired - newly colored semiarcs (the branch
+        not counted): both counts depend only on the closure."""
         nonlocal trial
         trial += 1
         t = trial
@@ -232,12 +235,12 @@ def _plan(d: SingularDiagram, rules: dict) -> list:
                 if fired[k] == DONE or colored[other] != DONE:
                     continue
                 fired[k] = DONE
-                x, y, slot, c, relation = props[k]
+                x, y, table, c, relation = props[k]
                 if have[c] & relation:
                     continue
                 have[c] = _establish(have[c], relation)
                 check = colored[out] == DONE
-                steps.append((x, y, slot, out, check))
+                steps.append((x, y, table, out, check))
                 if not check:
                     colored[out] = DONE
                     queue.append(out)
@@ -258,21 +261,22 @@ def _plan(d: SingularDiagram, rules: dict) -> list:
 
 
 def _enumerate(d: SingularDiagram, owner: OrientedSingquandle | Psyquandle,
-               notion: str, tables: tuple) -> tuple:
+               notion: str) -> tuple:
     """Sorted color tuples of every semiarc coloring by the structure
-    ``owner`` that passes the rules of ``notion``, reading ``tables`` by
-    slot.  The plan is kept on the diagram, per notion, and the symmetry of
-    the tables on ``owner``.  The first level runs over the least value of
-    each orbit only; the colorings found there are mapped onto each value
-    of the orbit by its transversal element, a bijection onto the colorings
-    with that first value."""
-    n = owner.n
-    symmetry = kept(owner, "symmetry", lambda: _symmetry(n, tables))
+    ``owner`` that passes the rules of ``notion``.  The plan is kept on the
+    diagram, per notion, and the tables and their symmetry on ``owner``.
+    The first level runs over the least value of each orbit only; the
+    colorings found there are mapped onto each value of the orbit by its
+    transversal element, a bijection onto the colorings with that first
+    value."""
+    n, tables = owner.n, _tables(owner, notion)
+    symmetry = kept(owner, "symmetry",
+                    lambda: _symmetry(n, tuple(tables.values())))
     plan = kept(d, ("plan", notion), lambda: _plan(d, RULES[notion]))
     if not plan:
         return ((),)   # no semiarcs: the one empty coloring
-    plan = [(branch, [(x, y, tables[slot], out, check)
-                      for x, y, slot, out, check in steps])
+    plan = [(branch, [(x, y, tables[key], out, check)
+                      for x, y, key, out, check in steps])
             for branch, steps in plan]
     colors = [0] * len(d.semiarcs)
     every = range(n)
@@ -458,16 +462,11 @@ def _preserves(g: Sequence[int], n: int, src: tuple, m: int,
 
 def shadow_tuples(d: SingularDiagram, sh: ShadowStructure) -> tuple:
     """Sorted (semiarc colors, region colors) pairs of every shadow
-    coloring, region colors in region-id order.
-
-    The region adjacency graph must be connected and the rotations must
-    pass the Euler check (the faces of a non-planar map are not the regions
-    of a diagram).  For each base coloring the color of one region
-    determines the rest by the rule left = right . f(a) across every
-    semiarc; each choice for the seed region extends uniquely (or not at
-    all on an inconsistent side convention, which the S-set axioms rule
-    out).
-    """
+    coloring, region colors in region-id order.  The region adjacency graph
+    must be connected and the rotations must pass the Euler check (the
+    faces of a non-planar map are not the regions of a diagram).  For each
+    base coloring the color of one region determines the rest, if any, by
+    the rule left = right . f(a) across every semiarc."""
     return kept(d, "shadow", lambda: _shadow_search(d, sh), sh)
 
 

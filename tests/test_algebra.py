@@ -14,10 +14,10 @@ from singq.algebra import (AlgebraError, InvalidStructureError,
                            shadow_closure, substructure_closure,
                            validate_quandle, validate_shadow,
                            validate_singquandle)
-from singq.coloring import _psyquandle_tables, singquandle_tuples
+from singq.coloring import RULES, _tables, singquandle_tuples
 from singq.data import (fixture_names, fixture_path, load_algebra,
                         load_diagram, load_weights)
-from singq.invariants import WeightPair
+from singq.invariants import WeightPair, restrict, ssqp, subsp
 from singq.morphisms import (are_isomorphic, is_homomorphism,
                              quandle_from_group)
 from singq.psyquandle import Psyquandle, validate_psyquandle
@@ -263,21 +263,24 @@ class TestPsyquandle:
         assert not report.valid
 
     def test_pairings_are_bijections(self, psy6):
-        """The search's flat pair-map tables: S(x, y) = (y ot x, x ut y) and
-        S'(x, y) = (y ob x, x ub y), each a bijection, with its inverse."""
+        """The search's inverse crossing-map halves: for x, y the colors
+        entering a crossing, the two halves of the inverse of S(x, y) = (y
+        ot x, x ut y) at P and N, and of S'(x, y) = (y ob x, x ub y) at S,
+        read at S(x, y) or S'(x, y), give back x and y."""
         n = psy6.n
-        s1, s2, p1, p2, si1, si2, pi1, pi2 = _psyquandle_tables(psy6)[:8]
-        assert len(set(zip(s1, s2))) == 36 and len(set(zip(p1, p2))) == 36
-        for x in range(n):
-            for y in range(n):
-                i = x * n + y
-                assert (s1[i], s2[i]) == (psy6.ot(y, x), psy6.ut(x, y))
-                assert (p1[i], p2[i]) == (psy6.ob(y, x), psy6.ub(x, y))
-                j = s1[i] * n + s2[i]
-                assert (si1[j], si2[j]) == (x, y)
-                j = p1[i] * n + p2[i]
-                assert (pi1[j], pi2[j]) == (x, y)
-        assert _psyquandle_tables(psy6) is _psyquandle_tables(psy6)
+        tables = _tables(psy6, "psyquandle")
+        halves = {}   # kind -> the tables of its H1 and H2 propagators
+        for kind, props in RULES["psyquandle"].items():
+            halves[kind] = [tables[key] for _, _, key, _, _ in props
+                            if not isinstance(key, str)]
+        assert halves["P"] == halves["N"] != halves["S"]
+        for kind, a, b in (("P", psy6.ot, psy6.ut), ("S", psy6.ob, psy6.ub)):
+            first, second = halves[kind]
+            for x in range(n):
+                for y in range(n):
+                    j = a(y, x) * n + b(x, y)
+                    assert (first[j], second[j]) == (x, y), kind
+        assert _tables(psy6, "psyquandle") is tables
 
 
 @pytest.mark.parametrize("name,inverted", [("z6_singquandle.alg", 1),
@@ -658,6 +661,28 @@ class TestClosures:
     def test_shadow_closure(self, z8_z6_shadow):
         assert shadow_closure(z8_z6_shadow, {0}, ()) == frozenset({0})
         assert shadow_closure(z8_z6_shadow, {0}, range(8)) == frozenset({0, 3})
+
+    def test_elements_outside_the_structure_are_refused(
+            self, z6, z8_z6_shadow):
+        """A negative element once indexed the tables from the end (z6 gave
+        {2, 5, -1} for [-1]) and one past the order raised IndexError;
+        both are AlgebraErrors, and so through ssqp, restrict and subsp."""
+        sh = z8_z6_shadow   # base order 8, carrier 6
+        refusals = [
+            (lambda: substructure_closure(z6, [-1]), r"\[-1\] outside 0\.\.5"),
+            (lambda: substructure_closure(z6, [0, 7, 6]), r"\[6, 7\] outside"),
+            (lambda: shadow_closure(sh, [6], [0]), r"\[6\] outside 0\.\.5"),
+            (lambda: shadow_closure(sh, [-1], [0]), r"\[-1\] outside 0\.\.5"),
+            (lambda: shadow_closure(sh, [0], [8]), r"\[8\] outside 0\.\.7"),
+            (lambda: shadow_closure(sh, [0], [-2]), r"\[-2\] outside 0\.\.7"),
+            (lambda: ssqp([-1], z6), "outside"),
+            (lambda: restrict(z6, [6]), "outside"),
+            (lambda: subsp([0], [-1], sh), "outside"),
+            (lambda: subsp([6], range(8), sh), "outside"),
+        ]
+        for refuse, message in refusals:
+            with pytest.raises(AlgebraError, match=message):
+                refuse()
 
 
 TYPES = ('quandle', 'singquandle', 'biquandle', 'psyquandle', 'shadow')

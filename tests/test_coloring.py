@@ -5,8 +5,7 @@ import pytest
 from singq import coloring, data, invariants
 from singq.algebra import (OperationTable, parse_algebra,
                            substructure_closure)
-from singq.coloring import (PSYQUANDLE_RULES, SINGQUANDLE_RULES,
-                            ColoringError, psyquandle_colorings,
+from singq.coloring import (RULES, ColoringError, psyquandle_colorings,
                             shadow_colorings, shadow_tuples,
                             singquandle_colorings, singquandle_tuples)
 from singq.data import corpus_path, load_diagram
@@ -112,11 +111,11 @@ class TestPlanReuse:
         phi_ssqp(d, z6)
         shadow_colorings(d, z8_z6_shadow)
         SP(d, z8_z6_shadow)
-        assert made == [SINGQUANDLE_RULES]
+        assert made == [RULES["singquandle"]]
         psyquandle_colorings(d, psy6)
         boltzmann_single(d, psy6, psy6_boltzmann)
         boltzmann_two(d, psy6, psy6_boltzmann_strong)
-        assert made == [SINGQUANDLE_RULES, PSYQUANDLE_RULES]
+        assert made == [RULES["singquandle"], RULES["psyquandle"]]
 
 
 class TestSetReuse:
@@ -126,9 +125,9 @@ class TestSetReuse:
         enumerate_ = coloring._enumerate
         made = []
 
-        def counted(d, n, notion, tables):
+        def counted(d, owner, notion):
             made.append(notion)
-            return enumerate_(d, n, notion, tables)
+            return enumerate_(d, owner, notion)
 
         monkeypatch.setattr(coloring, "_enumerate", counted)
         return made

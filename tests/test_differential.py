@@ -32,11 +32,11 @@ from singq import coloring, invariants
 from singq.algebra import (OperationTable, OrientedSingquandle, kept,
                            profile, shadow_closure, substructure_closure)
 from singq.coloring import (RULES, _enumerate, _establish, _plan,
-                            _psyquandle_tables, _singquandle_tables,
-                            psyquandle_colorings, psyquandle_tuples,
+                            _symmetry, _tables, psyquandle_colorings,
+                            psyquandle_tuples,
                             shadow_colorings, shadow_tuples,
                             singquandle_colorings, singquandle_tuples)
-from singq.data import load_algebra
+from singq.data import fixture_names, load_algebra
 from singq.diagram import parse_diagram
 from singq.invariants import (SP, WeightPair, _profile_sum,
                               boltzmann_single, boltzmann_two, phi_ssqp,
@@ -44,7 +44,8 @@ from singq.invariants import (SP, WeightPair, _profile_sum,
 from singq.solver import solve_cocycle_space
 from singq.values import InvariantValue
 
-from conftest import (assert_colorings_satisfy, brute_force_psyquandle,
+from conftest import (STRUCTURES, assert_colorings_satisfy,
+                      brute_force_psyquandle,
                       brute_force_shadow, brute_force_singquandle)
 
 _spec = importlib.util.spec_from_file_location(
@@ -98,10 +99,16 @@ def test_braids_are_mixed(braids):
 
 # -- searches against the brute-force oracles --------------------------------
 
-@pytest.mark.parametrize("name", ["z6", "z8k", "z8_z6_base"])
+@pytest.mark.parametrize("name", ["z6", "z8k", "z8_z6_base", "Z9(4,0,1)"])
 def test_singquandle_search(braids, name, request):
-    s = (request.getfixturevalue("z8_z6_shadow").base if name == "z8_z6_base"
-         else request.getfixturevalue(name))
+    """Over the bundled singquandles, each its own right inverse, and over
+    Z9(4,0,1), which is not, so that N crossings read star_inv."""
+    if name == "Z9(4,0,1)":
+        s = STRUCTURES[name]()
+    elif name == "z8_z6_base":
+        s = request.getfixturevalue("z8_z6_shadow").base
+    else:
+        s = request.getfixturevalue(name)
     for k, d in enumerate(braids):
         found = [c.semiarc_colors for c in singquandle_colorings(d, s)]
         assert_colorings_satisfy(d, s, found)
@@ -412,6 +419,125 @@ def test_plan_equals_parent_plan(exact, notion):
         assert _plan(d, rules) == parent_plan(d, rules), k
 
 
+# -- the derived rules against the rules written out by hand -----------------
+#
+# The rules and tables as written out by hand before they were derived from
+# ``RELATIONS``: propagators (x, y, slot, out, relation) over the ports, and
+# the flat tables by slot.  Singquandle slots: 0 first (t[x, y] = x), 1
+# star, 2 star^-1, 3 R1, 4 R2.  Psyquandle slots: the first and second
+# components of S(x, y) = (y ot x, x ut y) (0, 1) and S'(x, y) = (y ob x,
+# x ub y) (2, 3), of S^-1 (4, 5) and S'^-1 (6, 7), then 8 ot^-1, 9 ut^-1,
+# 10 ob^-1, 11 ub^-1.
+
+E1, E2, H1, H2 = 1, 2, 4, 8
+_OVER = ((1, 1, 0, 3, E1), (3, 3, 0, 1, E1))
+LITERAL_RULES = {
+    "singquandle": {
+        "P": _OVER + ((0, 1, 1, 2, E2), (2, 1, 2, 0, E2)),
+        "N": _OVER + ((0, 1, 2, 2, E2), (2, 1, 1, 0, E2)),
+        "S": ((0, 1, 3, 2, E1), (0, 1, 4, 3, E2))},
+    "psyquandle": {
+        "P": ((0, 1, 0, 3, E1), (0, 1, 1, 2, E2), (3, 2, 4, 0, H1),
+              (3, 2, 5, 1, H2), (2, 1, 9, 0, E2), (3, 0, 8, 1, E1)),
+        "N": ((2, 3, 0, 1, E1), (2, 3, 1, 0, E2), (1, 0, 4, 2, H1),
+              (1, 0, 5, 3, H2), (1, 2, 8, 3, E1), (0, 3, 9, 2, E2)),
+        "S": ((0, 1, 2, 2, E1), (0, 1, 3, 3, E2), (2, 3, 6, 0, H1),
+              (2, 3, 7, 1, H2), (3, 1, 11, 0, E2), (2, 0, 10, 1, E1))}}
+
+
+def literal_tables(s, notion: str) -> tuple:
+    """The flat tables of ``LITERAL_RULES[notion]`` by slot."""
+    n = s.n
+    if notion == "singquandle":
+        return (tuple(x for x in range(n) for _ in range(n)), s.star.flat(),
+                s.star_inv.flat(), s.r1.flat(), s.r2.flat())
+    maps, inverses = [], []
+    for a, b in ((s.ot, s.ut), (s.ob, s.ub)):
+        a_flat, second = a.flat(), b.flat()
+        first = tuple(a_flat[y * n + x] for x in range(n) for y in range(n))
+        inv_x, inv_y = [0] * (n * n), [0] * (n * n)
+        for i, (u, v) in enumerate(zip(first, second)):
+            inv_x[u * n + v], inv_y[u * n + v] = divmod(i, n)
+        maps += first, second
+        inverses += tuple(inv_x), tuple(inv_y)
+    return (*maps, *inverses, s.ot_inv.flat(), s.ut_inv.flat(),
+            s.ob_inv.flat(), s.ub_inv.flat())
+
+
+def read_the_same_way(props, tables, n: int) -> list:
+    """Propagators or plan steps (x, y, table, out, flag) with each table
+    key replaced by the flat table it reads, x and y in ascending order and
+    the table transposed where they were swapped: two lists are equal
+    exactly when they compute the same outs in the same order."""
+    out = []
+    for x, y, key, o, flag in props:
+        table = tables[key]
+        if x > y:
+            x, y = y, x
+            table = tuple(table[v * n + u] for u in range(n) for v in range(n))
+        out.append((x, y, table, o, flag))
+    return out
+
+
+# the structures each notion's tables are compared over: every bundled
+# singquandle has star == star_inv, so Z9(4,0,1), which does not, keeps the
+# two from standing in for each other
+REFERENCE_STRUCTURES = {
+    "singquandle": (STRUCTURES["z6"], STRUCTURES["Z9(4,0,1)"],
+                    lambda: load_algebra("z8_k.alg").structure),
+    "psyquandle": (lambda: load_algebra("psy6.alg").structure,)}
+
+
+@pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
+def test_derived_rules_equal_literal_rules(notion):
+    """Each kind's rules, read through their tables, are the hand-written
+    ones, in order, but for the two right-inverse forms at a psyquandle's P
+    and S crossings, written there E2 first.  Those two read no common
+    port, so they can meet in one watch list only on a crossing whose
+    ports share a semiarc; the plan test below covers such kinks."""
+    for j, load in enumerate(REFERENCE_STRUCTURES[notion]):
+        s = load()
+        ours, theirs = _tables(s, notion), literal_tables(s, notion)
+        for kind, props in RULES[notion].items():
+            literal = list(LITERAL_RULES[notion][kind])
+            if notion == "psyquandle" and kind != "N":
+                literal[-2:] = literal[:-3:-1]
+            assert read_the_same_way(props, ours, s.n) == \
+                read_the_same_way(literal, theirs, s.n), (j, kind)
+
+
+@pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
+def test_derived_plans_equal_literal_plans(exact, notion):
+    """On every diagram of ``exact`` and the 12 large braids the plans of
+    the derived rules have the branches, outs, checks and table contents
+    of the plans of the hand-written ones."""
+    large = [parse_diagram(gen.closure_text(*large_braid(seed)))
+             for seed in range(12)]
+    structures = [load() for load in REFERENCE_STRUCTURES[notion]]
+    for k, d in enumerate(exact + large):
+        ours = _plan(d, RULES[notion])
+        theirs = _plan(d, LITERAL_RULES[notion])
+        assert [b for b, _ in ours] == [b for b, _ in theirs], k
+        for s in structures:
+            tables, literal = _tables(s, notion), literal_tables(s, notion)
+            for (_, steps), (_, literal_steps) in zip(ours, theirs):
+                assert read_the_same_way(steps, tables, s.n) == \
+                    read_the_same_way(literal_steps, literal, s.n), k
+
+
+def test_symmetry_equals_symmetry_of_literal_tables():
+    """Every bundled structure the search serves gets the generators and
+    orbits it got from the hand-written tables."""
+    for name in fixture_names():
+        if not name.endswith(".alg"):
+            continue
+        s = load_algebra(name).structure
+        s = getattr(s, "base", s)
+        notion = "psyquandle" if hasattr(s, "ot") else "singquandle"
+        assert _symmetry(s.n, tuple(_tables(s, notion).values())) == \
+            _symmetry(s.n, literal_tables(s, notion)), name
+
+
 # -- kept tags against the per-coloring aggregation, in both orders ----------
 
 def parent_tally(keys, tag_of) -> InvariantValue:
@@ -512,13 +638,13 @@ def test_kept_tags_equal_parent_aggregation(searched, monkeypatch, order):
 
 # -- the orbit search against the search over every first value --------------
 
-def parent_enumerate(d, n: int, notion: str, tables: tuple) -> tuple:
+def parent_enumerate(d, n: int, notion: str, tables: dict) -> tuple:
     """Sorted color tuples of every semiarc coloring that passes the rules
-    of ``notion``, reading ``tables`` by slot.  The plan is kept on the
+    of ``notion``, reading ``tables`` by key.  The plan is kept on the
     diagram, per notion."""
     plan = kept(d, ("plan", notion), lambda: _plan(d, RULES[notion]))
-    plan = [(branch, [(x, y, tables[slot], out, check)
-                      for x, y, slot, out, check in steps])
+    plan = [(branch, [(x, y, tables[key], out, check)
+                      for x, y, key, out, check in steps])
             for branch, steps in plan]
     colors = [0] * len(d.semiarcs)
     solutions = []
@@ -564,8 +690,9 @@ def searched_structures() -> dict:
              "z8_z6_base": load_algebra("z8_z6_shadow.alg").structure.base,
              "z8_z4_base": load_algebra("z8_z4_shadow_a.alg").structure.base,
              "rigid": rigid()}
-    return {label: (s, "psyquandle", _psyquandle_tables(s)) if label == "psy6"
-            else (s, "singquandle", _singquandle_tables(s))
+    notions = {label: "psyquandle" if label == "psy6" else "singquandle"
+               for label in found}
+    return {label: (s, notions[label], _tables(s, notions[label]))
             for label, s in found.items()}
 
 
@@ -576,7 +703,7 @@ def test_enumerate_equals_parent_enumerate(planned, label):
     the search over every first-branch value."""
     s, notion, tables = searched_structures()[label]
     for k, d in enumerate(planned):
-        assert _enumerate(d, s, notion, tables) == \
+        assert _enumerate(d, s, notion) == \
             parent_enumerate(d, s.n, notion, tables), k
 
 
@@ -584,8 +711,8 @@ def test_orbits(planned):
     """The orbits the kept symmetry gives, once a search has run: z6 is
     transitive, and the rigid structure has the trivial group."""
     structures = searched_structures()
-    for s, notion, tables in structures.values():
-        _enumerate(planned[0], s, notion, tables)
+    for s, notion, _ in structures.values():
+        _enumerate(planned[0], s, notion)
     orbits = {label: kept(s, "symmetry", pytest.fail).orbits
               for label, (s, _, _) in structures.items()}
     assert orbits == {
@@ -602,11 +729,11 @@ def test_kept_permutations_preserve_every_table(planned):
     maps each entry of each table the search reads to an entry; each takes
     its orbit's least value to its own value."""
     for label, (s, notion, tables) in searched_structures().items():
-        _enumerate(planned[0], s, notion, tables)
+        _enumerate(planned[0], s, notion)
         n, symmetry = s.n, kept(s, "symmetry", pytest.fail)
         for g in symmetry.generators + symmetry.transversal:
             assert sorted(g) == list(range(n)), label
-            for t in tables:
+            for t in tables.values():
                 for x in range(n):
                     for y in range(n):
                         assert t[g[x] * n + g[y]] == g[t[x * n + y]], label
@@ -621,7 +748,8 @@ def test_rigid_structure_gives_the_plain_set(braids):
     s, _, tables = searched_structures()["rigid"]
     assert [g for g in itertools.permutations(range(3))
             if all(t[g[x] * 3 + g[y]] == g[t[x * 3 + y]]
-                   for t in tables for x in range(3) for y in range(3))] \
+                   for t in tables.values() for x in range(3)
+                   for y in range(3))] \
         == [(0, 1, 2)]
     for k, d in enumerate(braids):
         found = list(singquandle_tuples(d, s))
