@@ -29,15 +29,17 @@ class UsageError(SingqError):
 
 
 def _read_path(path: str) -> str:
-    """The text of ``path``, or else, for a bare file name, of the bundled
-    file of that name."""
+    """The UTF-8 text of ``path``, or else, for a bare file name, of the
+    bundled file of that name."""
     bundled = () if os.path.dirname(path) else (data.bundled_path(path),)
     for cand in (path, *bundled):
         try:
-            with open(cand) as fh:
+            with open(cand, encoding="utf-8") as fh:
                 return fh.read()
         except OSError:
             continue
+        except UnicodeDecodeError:
+            raise UsageError(f"{path!r} is not UTF-8 text") from None
     raise UsageError(f"cannot read {path!r}")
 
 
@@ -121,9 +123,20 @@ def _need(value, what):
     return value
 
 
+def _refuse_unread(kind, diagram, weights):
+    """Refuse a diagram or weights that ``kind`` does not read.  Each is a
+    file name, which the error names, what parsing one gave, or None."""
+    for given, what, read in ((diagram, "a diagram", kind != "sp"),
+                              (weights, "weights", INVARIANTS[kind][1])):
+        if given is not None and not read:
+            named = repr(given) if isinstance(given, str) else what
+            raise UsageError(f"{kind} does not read {named}")
+
+
 def compute_invariant(kind, diagram, structure, weights):
     """Returns (rendered value, multiset as [exponent, multiplicity] rows),
     refusing an input the kind does not read or a missing one."""
+    _refuse_unread(kind, diagram, weights)
     cls, weight_kind, function = INVARIANTS[kind]
     if type(structure).__name__ != cls:
         raise UsageError(f"kind {kind!r} needs a {cls}, "
@@ -152,6 +165,7 @@ def compute_invariant(kind, diagram, structure, weights):
 def cmd_invariant(args) -> int:
     from .algebra import parse_algebra
     dgm, alg, wgt = _classify(args.paths)
+    _refuse_unread(args.kind, dgm, wgt)
     diagram = weights = None
     if dgm:
         from .diagram import parse_diagram

@@ -65,6 +65,9 @@ class Coloring(NamedTuple):
 # RELATIONS[notion][kind]: the equations E1 and E2 of a crossing, each
 # (out, block, x, y) over port positions 0..3 (``ui oi uo oo`` at P and N,
 # ``i1 i2 o1 o2`` at S): out = block(x, y), or out = x when block is None.
+# E2 is the under strand's equation; a crossing's weight is read at E2's
+# x and y: +phi(ui, oi) at P, -phi(uo, oi) at N (-phi(uo, oo) for a
+# psyquandle) and +phi' or psi(i1, i2) at S.
 # RULES[notion][kind]: propagators (x, y, table, out, relation), each a
 # solved form of one relation, tagged by a bit (E1, E2, or a half H1 or H2
 # of a psyquandle's inverse crossing map): once ports x and y are colored,
@@ -75,7 +78,7 @@ class Coloring(NamedTuple):
 RELATIONS = {
     "singquandle": {
         "P": ((3, None, 1, None), (2, "star", 0, 1)),      # oo = oi, uo = ui * oi
-        "N": ((3, None, 1, None), (2, "star_inv", 0, 1)),  # uo = ui *^-1 oi
+        "N": ((3, None, 1, None), (0, "star", 2, 1)),      # ui = uo * oi
         "S": ((2, "r1", 0, 1), (3, "r2", 0, 1))},   # o1 = R1(i1, i2), o2 = R2(i1, i2)
     "psyquandle": {
         "P": ((3, "ot", 1, 0), (2, "ut", 0, 1)),   # oo = oi ot ui, uo = ui ut oi
@@ -83,8 +86,8 @@ RELATIONS = {
         "S": ((2, "ob", 1, 0), (3, "ub", 0, 1))}}  # o1 = i2 ob i1, o2 = i1 ub i2
 
 # tables with bijective columns (axiom I) -> their right inverses
-_RIGHT_INVERSE = {"star": "star_inv", "star_inv": "star", "ot": "ot_inv",
-                  "ut": "ut_inv", "ob": "ob_inv", "ub": "ub_inv"}
+_RIGHT_INVERSE = {"star": "star_inv", "ot": "ot_inv", "ut": "ut_inv",
+                  "ob": "ob_inv", "ub": "ub_inv"}
 
 E1, E2, H1, H2 = 1, 2, 4, 8
 

@@ -23,7 +23,8 @@ from . import SingqError
 from .algebra import (OperationTable, OrientedSingquandle, ShadowStructure,
                       ValidationReport, _ReadOnly, _read_sections, kept,
                       profile, substructure_closure, shadow_closure)
-from .coloring import psyquandle_tuples, shadow_tuples, singquandle_tuples
+from .coloring import (RELATIONS, psyquandle_tuples, shadow_tuples,
+                       singquandle_tuples)
 from .polynomial import BasePolynomial
 from .values import InvariantValue
 
@@ -195,23 +196,26 @@ def _require_valid(s, pair: WeightPair, kind: str,
 def _weight_parts(d: SingularDiagram, s, pair: WeightPair, kind: str,
                   strong: bool = False) -> tuple:
     """The classical and the singular parts of the weight of each coloring
-    of ``d`` by ``s``, as two lists in coloring order: the sums of
-    +phi(ui, oi) at positive crossings and -phi(uo, oo) at negative ones
-    (so that a direct poke cancels exactly), and of singular(i1, i2) at
-    singular crossings, once ``pair`` passes ``_require_valid``."""
+    of ``d`` by ``s``, as two lists in coloring order, each term read at the
+    x and y of its crossing's E2 in ``RELATIONS``: the sums of +phi(ui, oi)
+    at P and -phi(uo, oi) at N (uo, oo for a psyquandle; so that a direct
+    poke cancels exactly), and of singular(i1, i2) at S, once ``pair``
+    passes ``_require_valid``."""
     _require_valid(s, pair, kind, strong)
+    relations = RELATIONS["singquandle" if kind == "cocycle" else "psyquandle"]
+    read = {"P": [], "N": [], "S": []}   # crossing kind -> E2's x, y semiarcs
+    for c in d.compiled:   # (crossing kind, semiarcs at ports 0..3)
+        _, _, x, y = relations[c[0]][1]
+        read[c[0]].append((c[x + 1], c[y + 1]))
     search = singquandle_tuples if kind == "cocycle" else psyquandle_tuples
-    plus = [(a, b) for k, a, b, _, _ in d.compiled if k == "P"]
-    minus = [(c, e) for k, _, _, c, e in d.compiled if k == "N"]
-    crossed = [(a, b) for k, a, b, _, _ in d.compiled if k == "S"]
     phi, table, first, second = pair.phi, pair.singular, [], []
     for col in search(d, s):
         u = v = 0
-        for x, y in plus:
+        for x, y in read["P"]:
             u += phi[col[x]][col[y]]
-        for x, y in minus:
+        for x, y in read["N"]:
             u -= phi[col[x]][col[y]]
-        for x, y in crossed:
+        for x, y in read["S"]:
             v += table[col[x]][col[y]]
         first.append(u)
         second.append(v)

@@ -169,7 +169,8 @@ def parse_polynomial(text: str) -> BasePolynomial:
 
     Accepts implicit multiplication (``6xy``, ``2 s1^2 t1``), parentheses,
     a sign before any factor (``x*-y``) and ``^`` or ``**`` with a
-    non-negative integer exponent.  There is no division.
+    non-negative integer exponent.  There is no division.  Text nested
+    deeper than the interpreter's recursion limit allows is refused.
     """
     pos = 0
     n = len(text)
@@ -242,7 +243,10 @@ def parse_polynomial(text: str) -> BasePolynomial:
             return _power(base, int(em.group(1)))
         return base
 
-    result = parse_sum()
+    try:
+        result = parse_sum()
+    except RecursionError:
+        raise error("nested too deeply") from None
     if pos != n and text[pos:].strip():
         raise error("trailing input")
     return result

@@ -4,12 +4,12 @@ import pytest
 
 from singq import SingqError
 from singq.algebra import AlgebraError
-from singq.cli import UsageError, main
+from singq.cli import UsageError, compute_invariant, main
 from singq.coloring import ColoringError
 from singq.diagram import DiagramError
 from singq.invariants import InvariantError
 from singq.polynomial import PolynomialError
-from singq.data import corpus_path
+from singq.data import corpus_path, load_algebra, load_weights
 
 
 class TestValidate:
@@ -82,6 +82,34 @@ class TestInvariant:
         rc = main(["invariant", "state-sum", "5k6.dgm",
                    "z6_singquandle.alg"])
         assert rc == 2
+
+    def test_unread_weights(self, capsys):
+        """A weight file count does not read once gave 6 and exit 0."""
+        rc = main(["invariant", "count", "5k6.dgm", "z6_singquandle.alg",
+                   "z6_cocycle.wgt"])
+        assert rc == 2
+        assert capsys.readouterr() == \
+            ("", "error: count does not read 'z6_cocycle.wgt'\n")
+
+    def test_sp_refuses_a_diagram_unparsed(self, tmp_path, capsys):
+        """sp reads the structure alone: a diagram is refused by name
+        before it is parsed, so a malformed one gives the same error."""
+        bad = tmp_path / "bad.dgm"
+        bad.write_text("P a a b b\n")
+        for dgm in ("5k6.dgm", str(bad)):
+            assert main(["invariant", "sp", dgm, "z8_z4_shadow_a.alg"]) == 2
+            assert capsys.readouterr() == \
+                ("", f"error: sp does not read {dgm!r}\n")
+
+    def test_compute_invariant_refuses_unread_inputs(self, corpus):
+        with pytest.raises(UsageError, match="count does not read weights"):
+            compute_invariant("count", corpus["5k6.dgm"],
+                              load_algebra("z6_singquandle.alg").structure,
+                              load_weights("z6_cocycle.wgt"))
+        with pytest.raises(UsageError, match="sp does not read a diagram"):
+            compute_invariant("sp", corpus["5k6.dgm"],
+                              load_algebra("z8_z4_shadow_a.alg").structure,
+                              None)
 
 
 ZEROS = "\n".join(["0 0 0 0 0 0"] * 6)
@@ -174,6 +202,27 @@ class TestInputErrors:
                    "--contains", str(wgt)])
         assert rc == 2
         assert "weight table is not 6x6" in capsys.readouterr().err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        """Bytes that are not UTF-8 once raised UnicodeDecodeError."""
+        bad = tmp_path / "bad.alg"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().out == \
+            f"{bad}: error: {str(bad)!r} is not UTF-8 text\n"
+        assert main(["invariant", "count", "5k6.dgm", str(bad)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {str(bad)!r} is not UTF-8 text\n"
+
+    @pytest.mark.parametrize("formula", ["(" * 3000 + "x" + ")" * 3000,
+                                         "-" * 3000 + "x"])
+    def test_deeply_nested_formula(self, tmp_path, capsys, formula):
+        """A formula nested 3000 deep once raised RecursionError."""
+        deep = tmp_path / "deep.alg"
+        deep.write_text(f"type: quandle\norder: 2\nformula: star {formula}\n")
+        assert main(["validate", str(deep)]) == 2
+        assert capsys.readouterr().out.startswith(
+            f"{deep}: error: line 3: cannot parse formula ")
 
     def test_input_errors_share_one_base(self):
         for error in (AlgebraError, ColoringError, DiagramError,

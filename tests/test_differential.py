@@ -12,7 +12,9 @@ braids, the benchmark's braid pool and link family, every bundled corpus
 diagram (the pokes too) and two kink diagrams, where one semiarc feeds both
 inputs of a propagator.  On the same diagrams, and on large braids too, it
 is required to give the very plans of the planner that scored every free
-branch by a trial propagation over copies of its state.  The tags that
+branch by a trial propagation over copies of its state.  The weight of
+each coloring, read at each crossing's E2 in ``RELATIONS``, is compared
+with the weight read at the ports written out by hand.  The tags that
 phi-ssqp and SP keep per structure object are compared, with the diagrams
 in either order, with the per-coloring aggregation they replaced.  The
 search that tries one first-branch value per orbit of the structure's
@@ -29,7 +31,8 @@ from pathlib import Path
 import pytest
 
 from singq import coloring, invariants
-from singq.algebra import (OperationTable, OrientedSingquandle, kept,
+from singq.algebra import (OperationTable, OrientedSingquandle,
+                           affine_singquandle, kept,
                            profile, shadow_closure, substructure_closure)
 from singq.coloring import (RULES, _enumerate, _establish, _plan,
                             _symmetry, _tables, psyquandle_colorings,
@@ -488,19 +491,27 @@ REFERENCE_STRUCTURES = {
     "psyquandle": (lambda: load_algebra("psy6.alg").structure,)}
 
 
+# the kinds whose last two rules, the E2 forms of a singquandle's N crossing
+# and the right-inverse forms of a psyquandle's P and S crossings, are
+# derived in the other order than they were written out
+SWAPPED = {("singquandle", "N"), ("psyquandle", "P"), ("psyquandle", "S")}
+
+
 @pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
 def test_derived_rules_equal_literal_rules(notion):
     """Each kind's rules, read through their tables, are the hand-written
-    ones, in order, but for the two right-inverse forms at a psyquandle's P
-    and S crossings, written there E2 first.  Those two read no common
-    port, so they can meet in one watch list only on a crossing whose
-    ports share a semiarc; the plan test below covers such kinks."""
+    ones, in order, but for the last two of the kinds of ``SWAPPED``.  The
+    singquandle N crossing is declared ``ui = star(uo, oi)``, mirroring P,
+    so its forward form is the hand-written inverse one and the other way
+    round.  The two psyquandle forms read no common port, so they can meet
+    in one watch list only on a crossing whose ports share a semiarc; the
+    plan test below covers such kinks."""
     for j, load in enumerate(REFERENCE_STRUCTURES[notion]):
         s = load()
         ours, theirs = _tables(s, notion), literal_tables(s, notion)
         for kind, props in RULES[notion].items():
             literal = list(LITERAL_RULES[notion][kind])
-            if notion == "psyquandle" and kind != "N":
+            if (notion, kind) in SWAPPED:
                 literal[-2:] = literal[:-3:-1]
             assert read_the_same_way(props, ours, s.n) == \
                 read_the_same_way(literal, theirs, s.n), (j, kind)
@@ -509,20 +520,68 @@ def test_derived_rules_equal_literal_rules(notion):
 @pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
 def test_derived_plans_equal_literal_plans(exact, notion):
     """On every diagram of ``exact`` and the 12 large braids the plans of
-    the derived rules have the branches, outs, checks and table contents
-    of the plans of the hand-written ones."""
+    the derived rules have the branches and the number of steps per level
+    of the plans of the hand-written ones, and for a psyquandle their
+    outs, checks and table contents too.  A singquandle's steps may
+    differ: the two E2 forms of an N crossing both read oi, and where both
+    fire at once the one watched first is the one taken."""
     large = [parse_diagram(gen.closure_text(*large_braid(seed)))
              for seed in range(12)]
     structures = [load() for load in REFERENCE_STRUCTURES[notion]]
     for k, d in enumerate(exact + large):
         ours = _plan(d, RULES[notion])
         theirs = _plan(d, LITERAL_RULES[notion])
-        assert [b for b, _ in ours] == [b for b, _ in theirs], k
+        assert [(b, len(steps)) for b, steps in ours] == \
+            [(b, len(steps)) for b, steps in theirs], k
+        if notion == "singquandle":
+            continue
         for s in structures:
             tables, literal = _tables(s, notion), literal_tables(s, notion)
             for (_, steps), (_, literal_steps) in zip(ours, theirs):
                 assert read_the_same_way(steps, tables, s.n) == \
                     read_the_same_way(literal_steps, literal, s.n), k
+
+
+# the weight ports as written out by hand: +phi(ui, oi) at P, -phi(uo, oo)
+# at N and +singular(i1, i2) at S
+def literal_weight_parts(d, colorings, pair) -> tuple:
+    """The classical and the singular parts of the weight of each of
+    ``colorings``, summed crossing by crossing."""
+    phi, table, first, second = pair.phi, pair.singular, [], []
+    for col in colorings:
+        u = v = 0
+        for kind, a, b, c, e in d.compiled:
+            if kind == "P":
+                u += phi[col[a]][col[b]]
+            elif kind == "N":
+                u -= phi[col[c]][col[e]]
+            else:
+                v += table[col[a]][col[b]]
+        first.append(u)
+        second.append(v)
+    return first, second
+
+
+def test_weight_parts_equal_literal_weight_parts(planned, corpus, z6,
+                                                 z6_cocycle, psy6,
+                                                 psy6_boltzmann,
+                                                 psy6_boltzmann_strong):
+    """The weights read at each crossing's E2 in ``RELATIONS`` are the
+    weights read at the hand-written ports, coloring by coloring, on the
+    corpus, the pool and the link family: over z6 with its cocycle pair,
+    over Z7(5,5,3), where star and star_inv differ, with a pair of its
+    cocycle space, and over psy6 with both Boltzmann pairs."""
+    z7 = affine_singquandle(7, 5, 5, 3)
+    cases = [(z6, z6_cocycle, "cocycle", False, singquandle_tuples),
+             (z7, solve_cocycle_space(z7, 7).generators[1], "cocycle", False,
+              singquandle_tuples),
+             (psy6, psy6_boltzmann, "boltzmann", False, psyquandle_tuples),
+             (psy6, psy6_boltzmann_strong, "boltzmann", True,
+              psyquandle_tuples)]
+    for k, d in enumerate(planned[BRAIDS:] + list(corpus.values())):
+        for j, (s, pair, kind, strong, search) in enumerate(cases):
+            assert invariants._weight_parts(d, s, pair, kind, strong) == \
+                literal_weight_parts(d, search(d, s), pair), (k, j)
 
 
 def test_symmetry_equals_symmetry_of_literal_tables():

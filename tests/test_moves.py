@@ -19,10 +19,11 @@ The words are seeded, on 3 or 4 strands, with every strand position used,
 so each closure is one connected diagram (the shadow search refuses a split
 one), and are written out by the benchmark's generator ``bench/gen.py``.
 Each value is compared as ``singq invariant`` renders it.  Every
-singquandle invariant holds under every move.  The psyquandle reading holds
-under R2 and conjugation, and psy-count and boltzmann-1 hold under Omega5
-too; it fails R3, Omega4 and Markov stabilisation, pinned below on the
-smallest example known.
+singquandle invariant holds under every move, the state sum over
+Z7(5,5,3), where star and star_inv differ, included.  The psyquandle
+reading holds under R2 and conjugation, and psy-count and boltzmann-1 hold
+under Omega5 too; it fails R3, Omega4 and Markov stabilisation, pinned
+below on the smallest example known.
 """
 
 import importlib.util
@@ -31,9 +32,11 @@ from pathlib import Path
 
 import pytest
 
+from singq.algebra import affine_singquandle
 from singq.cli import compute_invariant
 from singq.data import load_algebra, load_weights
 from singq.diagram import parse_diagram
+from singq.invariants import WeightPair, validate_cocycle_pair
 
 _spec = importlib.util.spec_from_file_location(
     "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
@@ -43,9 +46,24 @@ _spec.loader.exec_module(gen)
 MOVES = ("R2", "R3", "Omega5", "Omega4", "conjugation", "Markov")
 PAIRS = 40   # seeded pairs per move
 
+# Z7(5,5,3), whose star and star_inv differ, so that reading an N crossing
+# through the wrong one, or weighing it at the wrong ports, changes values
+# (on every bundled singquandle star is its own right inverse), and the
+# second generator of its cocycle space over Z_7, written out
+Z7 = "Z7(5,5,3)"
+Z7_PAIR = "Z7(5,5,3) cocycle"
+Z7_PHI = ((0, 5, 2, 2, 4, 3, 6), (1, 0, 3, 4, 2, 6, 6), (3, 0, 0, 2, 1, 4, 5),
+          (5, 1, 2, 0, 4, 4, 6), (3, 3, 5, 4, 0, 1, 6), (2, 3, 1, 5, 5, 0, 6),
+          (0, 2, 1, 4, 5, 3, 0))
+Z7_PHIPRIME = ((0, 1, 6, 3, 4, 5, 3), (3, 0, 3, 1, 5, 4, 6),
+               (4, 5, 0, 5, 3, 1, 4), (2, 2, 4, 0, 2, 4, 1),
+               (1, 5, 1, 4, 0, 2, 2), (5, 3, 2, 3, 2, 0, 0),
+               (1, 0, 0, 0, 0, 0, 0))
+
 # (invariant kind, structure file, weight file or None)
 SINGQUANDLE = (("count", "z6_singquandle.alg", None),
                ("state-sum", "z6_singquandle.alg", "z6_cocycle.wgt"),
+               ("state-sum", Z7, Z7_PAIR),
                ("phi-ssqp", "z8_k.alg", None),
                ("shadow-count", "z8_z6_shadow.alg", None),
                ("SP", "z8_z6_shadow.alg", None))
@@ -87,11 +105,19 @@ def move_pair(move: str, seed: int) -> tuple:
 
 @pytest.fixture(scope="module")
 def inputs():
-    """File name -> the loaded structure or weight pair."""
+    """File name, or ``Z7`` or ``Z7_PAIR`` -> the loaded or built structure
+    or weight pair."""
     names = {name for _, *pair in SINGQUANDLE + PSYQUANDLE
-             for name in pair if name}
-    return {name: (load_weights(name) if name.endswith(".wgt")
-                   else load_algebra(name).structure) for name in names}
+             for name in pair if name and name.endswith((".alg", ".wgt"))}
+    found = {name: (load_weights(name) if name.endswith(".wgt")
+                    else load_algebra(name).structure) for name in names}
+    found[Z7] = affine_singquandle(7, 5, 5, 3)
+    found[Z7_PAIR] = WeightPair.from_rows("cocycle", 7, Z7_PHI, Z7_PHIPRIME)
+    return found
+
+
+def test_z7_pair_is_a_cocycle_pair(inputs):
+    assert validate_cocycle_pair(inputs[Z7], inputs[Z7_PAIR]).valid
 
 
 def value(invariant: tuple, inputs: dict, strands: int, word) -> tuple:

@@ -34,6 +34,12 @@ class TestBasePolynomial:
         p = BasePolynomial({(("t", 1),): 0, (("t", 2),): 3})
         assert p.terms == ((( ("t", 2),), 3),)
 
+    @pytest.mark.parametrize("text", ["(" * 3000 + "x" + ")" * 3000,
+                                      "-" * 3000 + "x"])
+    def test_deep_nesting_rejected(self, text):
+        with pytest.raises(PolynomialError, match="nested too deeply"):
+            P(text)
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(PolynomialError):
             BasePolynomial({(("t", -1),): 1})
