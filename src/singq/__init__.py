@@ -19,7 +19,6 @@ class SingqError(ValueError):
 # public name -> the module that defines it
 _HOME = {name: module for module, names in (
     ("polynomial", ("BasePolynomial", "parse_polynomial")),
-    ("values", ("InvariantValue",)),
     ("algebra", ("OperationTable", "OrientedSingquandle", "ShadowStructure",
                  "ValidationReport", "AlgebraError", "InvalidStructureError",
                  "ParameterError", "affine_singquandle", "formula_shadow",
@@ -34,11 +33,11 @@ _HOME = {name: module for module, names in (
                  "validate_diagram")),
     ("coloring", ("Coloring", "psyquandle_colorings", "shadow_colorings",
                   "singquandle_colorings")),
-    ("invariants", ("InvariantError", "SP", "WeightPair", "boltzmann_single",
-                    "boltzmann_two", "parse_weights", "phi_ssqp", "restrict",
-                    "shadow_polynomial_invariant", "sp", "sqp", "ssqp",
-                    "state_sum", "strongly_compatible", "validate_boltzmann",
-                    "validate_cocycle_pair")),
+    ("invariants", ("InvariantError", "InvariantValue", "WeightPair",
+                    "boltzmann_single", "boltzmann_two", "parse_weights",
+                    "phi_ssqp", "restrict", "shadow_polynomial_invariant",
+                    "sp", "sqp", "ssqp", "state_sum", "strongly_compatible",
+                    "validate_boltzmann", "validate_cocycle_pair")),
     ("solver", ("CocycleSpace", "solve_cocycle_space")),
 ) for name in names}
 

@@ -41,14 +41,15 @@ class ValidationReport(NamedTuple):
     def valid(self) -> bool:
         return not self.violations
 
-    def summary(self, limit: int = 5) -> str:
+    def summary(self) -> str:
+        """The violation count and the first five violations."""
         if self.valid:
             return "valid"
         lines = [f"{len(self.violations)} axiom violation(s):"]
-        for axiom, witness in self.violations[:limit]:
+        for axiom, witness in self.violations[:5]:
             lines.append(f"  {axiom} at {witness}")
-        if len(self.violations) > limit:
-            lines.append(f"  ... and {len(self.violations) - limit} more")
+        if len(self.violations) > 5:
+            lines.append(f"  ... and {len(self.violations) - 5} more")
         return "\n".join(lines)
 
 
@@ -331,8 +332,10 @@ def eval_table(formula: str, modulus: int, var_names: Sequence[str],
     try:
         poly = parse_polynomial(formula)
     except PolynomialError as exc:
+        # named once here, so the parser's closing "in <formula>" is cut
+        reason = str(exc).removesuffix(f" in {formula!r}")
         raise AlgebraError(f"cannot parse formula {formula!r}: "
-                           f"{exc}") from None
+                           f"{reason}") from None
     unknown = sorted(set(poly.variables()) - set(var_names))
     if unknown:
         raise AlgebraError(f"formula {formula!r} uses unknown "

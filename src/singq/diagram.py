@@ -210,12 +210,6 @@ class SingularDiagram(_ReadOnly):
             raise DiagramError("regions need a rotation at every crossing")
         return list(self.faces)
 
-    def euler_check(self) -> tuple:
-        """(V, E, F, ok): ok iff V - E + F == 2 per connected component,
-        the kept ``euler_failure`` being None."""
-        return (self.n_crossings, self.n_semiarcs, len(self.regions()),
-                self.euler_failure is None)
-
     def side_regions(self, regions: Optional[list] = None) -> dict:
         """Map semiarc label -> (left region id, right region id), a view of
         ``sides`` by label.  The sides are those of the diagram's own

@@ -3,7 +3,11 @@
 Cocycle state sums, the six-variable singquandle polynomial and its
 subsingquandle refinement, shadow polynomials, and the Boltzmann-enhanced
 psyquandle polynomials.  All values are exact; multisets of per-coloring
-weights are packaged as :class:`~singq.values.InvariantValue`.
+weights are packaged as :class:`InvariantValue`, whose elements, the
+exponents, are all of one type: ``int`` (a ring element, reduced by the
+invariant that made it), an ``(int, int)`` pair (two-variable Boltzmann
+values) or a :class:`BasePolynomial` with integer coefficients.  Values are
+immutable and hashable, so they compare, deduplicate and render byte-stably.
 
 The polynomial exponent (the tag) of a phi-ssqp or SP coloring depends
 only on the structure and the set of colors the coloring uses (for SP,
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import SingqError
 from .algebra import (OperationTable, OrientedSingquandle, ShadowStructure,
@@ -25,8 +29,7 @@ from .algebra import (OperationTable, OrientedSingquandle, ShadowStructure,
                       profile, substructure_closure, shadow_closure)
 from .coloring import (RELATIONS, psyquandle_tuples, shadow_tuples,
                        singquandle_tuples)
-from .polynomial import BasePolynomial
-from .values import InvariantValue
+from .polynomial import BasePolynomial, PolynomialError
 
 if TYPE_CHECKING:
     from .diagram import SingularDiagram
@@ -35,6 +38,79 @@ if TYPE_CHECKING:
 
 class InvariantError(SingqError):
     pass
+
+
+# -- invariant values ---------------------------------------------------------
+
+def _order_key(exponent):
+    """Ints and pairs in their natural order, polynomials by ``sort_key``."""
+    if isinstance(exponent, BasePolynomial):
+        return exponent.sort_key()
+    return exponent
+
+
+def _power(var: str, e: int) -> str:
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+class InvariantValue:
+    """Finite multiset of exponents of one type, with positive
+    multiplicities.
+
+    Renders as a formal sum ``sum a_i u^{e_i}`` in a chosen variable.
+    """
+
+    __slots__ = ("_mult",)
+
+    def __init__(self, multiplicities: Mapping | Iterable | None = None):
+        acc: dict = {}
+        if multiplicities is not None:
+            items = (multiplicities.items()
+                     if isinstance(multiplicities, Mapping) else multiplicities)
+            for exponent, m in items:
+                if m < 0:
+                    raise PolynomialError("multiplicities must be positive")
+                if m:
+                    acc[exponent] = acc.get(exponent, 0) + m
+        if len({type(e) for e in acc}) > 1:
+            raise PolynomialError("mixed exponent types in one invariant value")
+        self._mult = acc
+
+    @property
+    def multiplicities(self) -> dict:
+        return dict(self._mult)
+
+    def total(self) -> int:
+        return sum(self._mult.values())
+
+    def items_sorted(self):
+        return sorted(self._mult.items(), key=lambda kv: _order_key(kv[0]))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, InvariantValue) and self._mult == other._mult
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._mult.items()))
+
+    def render(self, var: str = "u") -> str:
+        """Canonical text, e.g. ``6u^3``, ``24u^{t^2} + 24u^{t} + 48u^{2}``;
+        a pair exponent reads its second part in v, as in ``18 + 6uv``."""
+        if not self._mult:
+            return "0"
+        parts = []
+        for e, mult in self.items_sorted():
+            if isinstance(e, BasePolynomial):
+                body = f"{var}^{{{e}}}"
+            elif isinstance(e, tuple):
+                body = _power(var, e[0]) + _power("v", e[1])
+            else:
+                body = _power(var, e)
+            coeff = "" if mult == 1 else str(mult)
+            parts.append(f"{coeff}{body}" if body else str(mult))
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"InvariantValue({self.render()!r})"
 
 
 def _reduce(m: int):
@@ -330,9 +406,6 @@ def shadow_polynomial_invariant(d: SingularDiagram,
 
     colorings = shadow_tuples(d, sh)
     return _tally(((frozenset(c), frozenset(r)) for c, r in colorings), tag)
-
-
-SP = shadow_polynomial_invariant
 
 
 # -- psyquandle Boltzmann weights ---------------------------------------------

@@ -3,7 +3,7 @@
 :class:`BasePolynomial` is immutable and hashable, with a canonical term
 order, so polynomials compare and render byte-stably; ``parse_polynomial``
 reads the formulas of ``.alg`` files.  The invariant values built from
-them are in :mod:`singq.values`.
+them are in :mod:`singq.invariants`.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class BasePolynomial:
         self._terms = _canon_terms(terms)
 
     @classmethod
-    def zero(cls) -> "BasePolynomial":
-        return cls()
-
-    @classmethod
     def const(cls, c: int) -> "BasePolynomial":
         return cls({(): c})
 
@@ -73,9 +69,6 @@ class BasePolynomial:
     @property
     def terms(self) -> tuple:
         return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def variables(self) -> tuple:
         return tuple(sorted({v for m, _ in self._terms for v, _ in m}))

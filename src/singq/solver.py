@@ -157,8 +157,7 @@ class CocycleSpace:
     span of ``generators``, a tuple of cocycle WeightPair (the zero pair is
     always a member).  ``cutting`` holds the condition rows that cut the
     space mod the modulus, transposed as ``{unknown: [(row, coef)]}``; a
-    pair is a member when every row dots to 0 with it.  Two spaces are
-    equal when their other fields are."""
+    pair is a member when every row dots to 0 with it."""
 
     __slots__ = ("structure", "modulus", "generators", "size", "cutting")
 
@@ -167,15 +166,6 @@ class CocycleSpace:
         self.structure, self.modulus = structure, modulus
         self.generators, self.size = generators, size
         self.cutting = cutting
-
-    def _key(self) -> tuple:
-        return self.structure, self.modulus, self.generators, self.size
-
-    def __eq__(self, other) -> bool:
-        return type(other) is CocycleSpace and other._key() == self._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def contains(self, cp: WeightPair) -> bool:
         vec = _flat_pair(self.structure.n, cp, "cocycle")

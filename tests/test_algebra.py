@@ -811,8 +811,7 @@ class TestFileFormat:
          "formula: r1 x\nformula: r2 y\naction:\n1 3\n2 1\n",
          "line 7: action entry 3 outside 1..2"),
         ("type: quandle\norder: 2\n\nformula: star x/2\n",
-         "line 4: cannot parse formula 'x/2': trailing input at position 1 "
-         "in 'x/2'"),
+         "line 4: cannot parse formula 'x/2': trailing input at position 1"),
         ("type: quandle\norder: 2\n\nformula: star z\n",
          "line 4: formula 'z' uses unknown variable(s) ['z']"),
     ], ids=["block", "short-block", "ops", "action", "formula-syntax",

@@ -217,12 +217,14 @@ class TestInputErrors:
     @pytest.mark.parametrize("formula", ["(" * 3000 + "x" + ")" * 3000,
                                          "-" * 3000 + "x"])
     def test_deeply_nested_formula(self, tmp_path, capsys, formula):
-        """A formula nested 3000 deep once raised RecursionError."""
+        """A formula nested 3000 deep once raised RecursionError; its error
+        line names the formula once."""
         deep = tmp_path / "deep.alg"
         deep.write_text(f"type: quandle\norder: 2\nformula: star {formula}\n")
         assert main(["validate", str(deep)]) == 2
-        assert capsys.readouterr().out.startswith(
-            f"{deep}: error: line 3: cannot parse formula ")
+        out = capsys.readouterr().out
+        assert out.startswith(f"{deep}: error: line 3: cannot parse formula ")
+        assert out.count(formula) == 1
 
     def test_input_errors_share_one_base(self):
         for error in (AlgebraError, ColoringError, DiagramError,

@@ -22,12 +22,13 @@ ENV = dict(os.environ, PYTHONPATH=SRC)
 # What ``from singq import *`` binds: the names it bound before the package
 # loaded lazily, with the one weight-pair class in place of the two,
 # without ``ExponentTag`` now that invariant values hold plain exponents,
-# and with ``SingqError``, the base of every input error.
+# without the alias ``SP`` of ``shadow_polynomial_invariant``, and with
+# ``SingqError``, the base of every input error.
 PUBLIC_NAMES = [
     "AlgebraError", "BasePolynomial", "CocycleSpace", "Coloring", "Crossing",
     "DiagramError", "InvalidStructureError", "InvariantError",
     "InvariantValue", "OperationTable", "OrientedSingquandle",
-    "ParameterError", "ParseError", "Psyquandle", "Region", "SP", "SemiArc",
+    "ParameterError", "ParseError", "Psyquandle", "Region", "SemiArc",
     "ShadowStructure", "SingqError", "SingularDiagram", "ValidationReport",
     "WeightPair",
     "affine_singquandle", "algebra", "are_isomorphic", "boltzmann_single",
@@ -91,6 +92,18 @@ def test_public_names_unchanged_and_resolve():
     assert resolved is True
 
 
+def test_public_names_are_distinct_objects():
+    """Each capability has one public name: no two names in ``__all__``
+    resolve to the same object."""
+    proc = python(
+        "import singq\n"
+        "names = {}\n"
+        "for n in singq.__all__:\n"
+        "    names.setdefault(id(getattr(singq, n)), []).append(n)\n"
+        "print([ns for ns in names.values() if len(ns) > 1])\n")
+    assert proc.stdout == "[]\n"
+
+
 def test_unknown_name_raises_attribute_error():
     proc = python("import singq\n"
                   "try:\n    singq.no_such_name\n"
@@ -133,8 +146,20 @@ def loaded():
 
 def test_count_loads_no_invariant_solver_or_json_code(loaded):
     assert {"singq.algebra", "singq.diagram", "singq.coloring"} <= loaded["count"]
-    assert not loaded["count"] & {"singq.invariants", "singq.solver",
-                                  "singq.values", "json"}
+    assert not loaded["count"] & {"singq.invariants", "singq.solver", "json"}
+
+
+@pytest.mark.parametrize("name, loads, skips", [
+    ("z6_cocycle.wgt", {"invariants", "coloring", "polynomial"}, {"diagram"}),
+    ("5k6.dgm", {"diagram"}, {"invariants", "coloring", "polynomial"}),
+    ("psy6.alg", {"psyquandle"}, {"polynomial", "coloring"}),
+], ids=["wgt", "dgm", "alg"])
+def test_validate_loads_per_file_kind(name, loads, skips):
+    """README's load table for ``validate``, one lone file of each kind."""
+    status, _, stderr, modules = run_cli("validate", name)
+    assert status == 0, stderr
+    assert {f"singq.{m}" for m in loads} <= modules
+    assert not {f"singq.{m}" for m in skips} & modules
 
 
 def test_shadow_polynomial_parses_no_diagram(loaded):

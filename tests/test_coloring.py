@@ -10,8 +10,8 @@ from singq.coloring import (RULES, ColoringError, psyquandle_colorings,
                             singquandle_colorings, singquandle_tuples)
 from singq.data import corpus_path, load_diagram
 from singq.diagram import parse_diagram, validate_diagram
-from singq.invariants import (SP, boltzmann_single, boltzmann_two, phi_ssqp,
-                              state_sum)
+from singq.invariants import (boltzmann_single, boltzmann_two, phi_ssqp,
+                              shadow_polynomial_invariant, state_sum)
 
 from conftest import brute_force_psyquandle, brute_force_singquandle
 
@@ -110,7 +110,7 @@ class TestPlanReuse:
         state_sum(d, z6, z6_cocycle)
         phi_ssqp(d, z6)
         shadow_colorings(d, z8_z6_shadow)
-        SP(d, z8_z6_shadow)
+        shadow_polynomial_invariant(d, z8_z6_shadow)
         assert made == [RULES["singquandle"]]
         psyquandle_colorings(d, psy6)
         boltzmann_single(d, psy6, psy6_boltzmann)
@@ -140,7 +140,7 @@ class TestSetReuse:
         state_sum(d, z6, z6_cocycle)
         phi_ssqp(d, z6)
         shadow_colorings(d, z8_z6_shadow)
-        SP(d, z8_z6_shadow)
+        shadow_polynomial_invariant(d, z8_z6_shadow)
         psyquandle_colorings(d, psy6)
         boltzmann_single(d, psy6, psy6_boltzmann)
         boltzmann_two(d, psy6, psy6_boltzmann_strong)
@@ -231,8 +231,9 @@ class TestTagReuse:
 
     @pytest.mark.parametrize("name,invariant,field", [
         ("z8_k.alg", phi_ssqp, "star"), ("z8_k.alg", phi_ssqp, "r1"),
-        ("z8_k.alg", phi_ssqp, "r2"), ("z8_z4_shadow_a.alg", SP, "action"),
-        ("z8_z4_shadow_a.alg", SP, "action_inv")],
+        ("z8_k.alg", phi_ssqp, "r2"),
+        ("z8_z4_shadow_a.alg", shadow_polynomial_invariant, "action"),
+        ("z8_z4_shadow_a.alg", shadow_polynomial_invariant, "action_inv")],
         ids=["star", "r1", "r2", "action", "action_inv"])
     def test_tables_cannot_be_reassigned_under_a_kept_map(
             self, closures, name, invariant, field):
@@ -256,15 +257,17 @@ class TestTagReuse:
         phi = phi_ssqp(d, sh.base)
         base_sets = set(closures)
         del closures[:]
-        value = SP(d, sh)
+        value = shadow_polynomial_invariant(d, sh)
         # SP closes the same semiarc sets again, in its own map, and subsp
         # closes each closure once more to check that it is closed
         assert set(closures) == base_sets | {
             substructure_closure(sh.base, used) for used in base_sets}
         del closures[:]
-        assert phi_ssqp(d, sh.base) == phi and SP(d, sh) == value
+        assert phi_ssqp(d, sh.base) == phi
+        assert shadow_polynomial_invariant(d, sh) == value
         assert not closures
-        assert value == SP(load_diagram("4_1k.dgm"), fresh("z8_z6_shadow.alg"))
+        assert value == shadow_polynomial_invariant(load_diagram("4_1k.dgm"),
+                                                   fresh("z8_z6_shadow.alg"))
         assert phi == phi_ssqp(load_diagram("4_1k.dgm"),
                                fresh("z8_z6_shadow.alg").base)
 

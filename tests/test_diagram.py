@@ -113,7 +113,7 @@ class TestRegions:
     def test_kink_has_three_regions(self):
         d = parse_diagram(KINK)
         assert len(d.regions()) == 3
-        assert d.euler_check() == (1, 2, 3, True)
+        assert (d.n_crossings, d.n_semiarcs) == (1, 2)
         assert d.euler_failure is None
         assert d.regions() == [Region(0, ((0, 1),)),
                                Region(1, ((0, -1), (1, 1))),
@@ -125,21 +125,19 @@ class TestRegions:
 
     def test_corpus_euler(self, corpus):
         for name, d in corpus.items():
-            v, e, f, ok = d.euler_check()
-            assert ok, name
-            assert e == 2 * v, name
+            assert d.euler_failure is None, name
             assert d.n_semiarcs == 2 * d.n_crossings, name
 
     def test_5k6_counts(self, corpus):
-        v, e, f, ok = corpus["5k6.dgm"].euler_check()
-        assert (v, e, f, ok) == (6, 12, 8, True)
+        d = corpus["5k6.dgm"]
+        assert (d.n_crossings, d.n_semiarcs, len(d.regions()),
+                d.euler_failure) == (6, 12, 8, None)
 
     def test_nonplanar_rotation_detected(self):
         text = ("P a d b e\nP b e c f\nP c f a d\n"
                 "rot 1 ui oi uo oo\nrot 2 ui oi uo oo\nrot 3 ui oi uo oo\n")
         d = parse_diagram(text)
-        v, e, f, ok = d.euler_check()
-        assert not ok
+        v, e, f = d.n_crossings, d.n_semiarcs, len(d.regions())
         message = f"Euler check failed: V={v} E={e} F={f} components=1"
         assert d.euler_failure == message
         assert validate_diagram(d).problems == (message,)

@@ -41,11 +41,11 @@ from singq.coloring import (RULES, _enumerate, _establish, _plan,
                             singquandle_colorings, singquandle_tuples)
 from singq.data import fixture_names, load_algebra
 from singq.diagram import parse_diagram
-from singq.invariants import (SP, WeightPair, _profile_sum,
+from singq.invariants import (InvariantValue, WeightPair, _profile_sum,
                               boltzmann_single, boltzmann_two, phi_ssqp,
-                              ssqp, state_sum, subsp)
+                              shadow_polynomial_invariant, ssqp, state_sum,
+                              subsp)
 from singq.solver import solve_cocycle_space
-from singq.values import InvariantValue
 
 from conftest import (STRUCTURES, assert_colorings_satisfy,
                       brute_force_psyquandle,
@@ -211,7 +211,8 @@ def test_phi_ssqp(braids, z6, z8k, z8_z6_shadow):
 def test_SP(braids, z8_z6_shadow, z8_z4_shadow_a, z8_z4_shadow_b):
     for sh in (z8_z6_shadow, z8_z4_shadow_a, z8_z4_shadow_b):
         for k, d in enumerate(braids):
-            assert SP(d, sh) == reference_SP(d, sh), (sh.carrier, k)
+            assert (shadow_polynomial_invariant(d, sh)
+                    == reference_SP(d, sh)), (sh.carrier, k)
 
 
 def test_boltzmann(braids, psy6, psy6_boltzmann, psy6_boltzmann_strong):
@@ -690,7 +691,8 @@ def test_kept_tags_equal_parent_aggregation(searched, monkeypatch, order):
         d = diagrams[k]
         for name, s, shadow in structures:
             if shadow:
-                assert SP(d, s) == parent_SP(d, s), (k, name)
+                assert (shadow_polynomial_invariant(d, s)
+                        == parent_SP(d, s)), (k, name)
             else:
                 assert phi_ssqp(d, s) == parent_phi_ssqp(d, s), (k, name)
 

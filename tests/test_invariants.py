@@ -16,14 +16,14 @@ from singq.coloring import singquandle_colorings, psyquandle_colorings
 from singq.data import load_algebra
 from singq.diagram import parse_diagram
 from singq import invariants, solver
-from singq.invariants import (InvariantError, SP, WeightPair,
+from singq.invariants import (InvariantError, InvariantValue, WeightPair,
                               boltzmann_single, boltzmann_two,
-                              parse_weights, phi_ssqp, restrict, sp, sqp,
-                              ssqp, state_sum, strongly_compatible, subsp,
+                              parse_weights, phi_ssqp, restrict,
+                              shadow_polynomial_invariant, sp, sqp, ssqp,
+                              state_sum, strongly_compatible, subsp,
                               validate_boltzmann, validate_cocycle_pair)
 from singq.polynomial import BasePolynomial, parse_polynomial
 from singq.solver import _cocycle_rows, solve_cocycle_space
-from singq.values import InvariantValue
 
 from conftest import STRUCTURES
 
@@ -84,7 +84,7 @@ class TestProfilesAndPolynomials:
         assert ssqp(range(8), z8k) == sqp(z8k)
 
     def test_ssqp_empty_set(self, z8k):
-        assert ssqp((), z8k).is_zero()
+        assert not ssqp((), z8k).terms
 
     def test_ssqp_requires_closure(self, z8k):
         with pytest.raises(InvariantError):
@@ -124,23 +124,24 @@ class TestShadowPolynomials:
         assert subsp(range(sh.carrier), range(sh.base.n), sh) == sp(sh)
 
     def test_subsp_empty(self, z8_z6_shadow):
-        assert subsp((), (), z8_z6_shadow).is_zero()
+        assert not subsp((), (), z8_z6_shadow).terms
 
     def test_subsp_requires_closed_inputs(self, z8_z6_shadow):
         with pytest.raises(InvariantError):
             subsp({0}, {1}, z8_z6_shadow)
 
     def test_published_SP_values(self, corpus, z8_z6_shadow):
-        assert SP(corpus["4_1k.dgm"], z8_z6_shadow).render() == (
-            "24u^{t^2} + 24u^{t} + 48u^{2}")
-        assert SP(corpus["5_4k.dgm"], z8_z6_shadow).render() == (
-            "48u^{t^4} + 24u^{t^2} + 24u^{t}")
+        value = shadow_polynomial_invariant(corpus["4_1k.dgm"], z8_z6_shadow)
+        assert value.render() == "24u^{t^2} + 24u^{t} + 48u^{2}"
+        value = shadow_polynomial_invariant(corpus["5_4k.dgm"], z8_z6_shadow)
+        assert value.render() == "48u^{t^4} + 24u^{t^2} + 24u^{t}"
 
     def test_equal_phi_ssqp_distinct_SP(self, corpus, z8_z6_shadow):
         base = z8_z6_shadow.base
         d1, d2 = corpus["4_1k.dgm"], corpus["5_4k.dgm"]
         assert phi_ssqp(d1, base) == phi_ssqp(d2, base)
-        assert SP(d1, z8_z6_shadow) != SP(d2, z8_z6_shadow)
+        assert (shadow_polynomial_invariant(d1, z8_z6_shadow)
+                != shadow_polynomial_invariant(d2, z8_z6_shadow))
 
     def test_distinct_phi_ssqp(self, corpus, z8k):
         assert phi_ssqp(corpus["k1.dgm"], z8k) != phi_ssqp(corpus["k2.dgm"], z8k)
@@ -452,7 +453,7 @@ class TestWeightChecksOnce:
         state_sum(corpus["5k6.dgm"], s, cp)
         assert cp._kept == {id(s): (s, {"cocycle"})}
         phi_ssqp(corpus["4_1k.dgm"], sh.base)
-        SP(corpus["4_1k.dgm"], sh)
+        shadow_polynomial_invariant(corpus["4_1k.dgm"], sh)
         # each structure's tags map is kept on it alone, with no other key
         base_tags, tags = (kept(x, "tags", pytest.fail) for x in (sh.base, sh))
         assert base_tags and tags
@@ -487,8 +488,8 @@ def test_invariants_build_no_coloring_records(monkeypatch, corpus, z6,
     assert state_sum(corpus["5k6.dgm"], z6, z6_cocycle).render() == "6u^3"
     assert phi_ssqp(corpus["k1.dgm"], z8k).render() == (
         "4u^{s1^4 s2^2 s3 t1^4 t2^2 t3} + 4u^{2 s1^4 s2^2 s3 t1^4 t2^2 t3}")
-    assert SP(corpus["4_1k.dgm"], z8_z6_shadow).render() == (
-        "24u^{t^2} + 24u^{t} + 48u^{2}")
+    value = shadow_polynomial_invariant(corpus["4_1k.dgm"], z8_z6_shadow)
+    assert value.render() == "24u^{t^2} + 24u^{t} + 48u^{2}"
     d = corpus["1l1.dgm"]
     assert boltzmann_single(d, psy6, psy6_boltzmann).render(var="w") == (
         "6 + 18w")

@@ -10,8 +10,9 @@ from singq.algebra import (ParameterError, ShadowStructure,
                            validate_shadow, validate_singquandle)
 from singq.coloring import (psyquandle_colorings, shadow_colorings,
                             singquandle_colorings)
-from singq.invariants import (SP, _reduce, boltzmann_single, boltzmann_two,
-                              phi_ssqp, sp, state_sum)
+from singq.invariants import (_reduce, boltzmann_single, boltzmann_two,
+                              phi_ssqp, shadow_polynomial_invariant, sp,
+                              state_sum)
 from singq.morphisms import are_isomorphic, is_homomorphism
 from singq.polynomial import BasePolynomial, parse_polynomial
 
@@ -24,12 +25,12 @@ monomials = st.dictionaries(st.sampled_from("xyz"), st.integers(0, 4),
                             max_size=3)
 polys = st.lists(st.tuples(monomials, st.integers(-5, 5)), max_size=5).map(
     lambda terms: sum((BasePolynomial.monomial(m, c) for m, c in terms),
-                     BasePolynomial.zero()))
+                     BasePolynomial()))
 
 
 def naive_product(p, q):
     """Term-list product without canonicalization shortcuts."""
-    acc = BasePolynomial.zero()
+    acc = BasePolynomial()
     for m1, c1 in p.terms:
         for m2, c2 in q.terms:
             exps = dict(m1)
@@ -174,7 +175,8 @@ class TestMoveInvariance:
         assert phi_ssqp(a, z6) == phi_ssqp(b, z6)
         assert (len(shadow_colorings(a, z8_z6_shadow))
                 == len(shadow_colorings(b, z8_z6_shadow)))
-        assert SP(a, z8_z6_shadow) == SP(b, z8_z6_shadow)
+        assert (shadow_polynomial_invariant(a, z8_z6_shadow)
+                == shadow_polynomial_invariant(b, z8_z6_shadow))
         assert (len(psyquandle_colorings(a, psy6))
                 == len(psyquandle_colorings(b, psy6)))
         assert (boltzmann_single(a, psy6, psy6_boltzmann)
