@@ -1,6 +1,8 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import functools
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -73,13 +75,21 @@ MOVE_PAIRS = [("5k6.dgm", "5k6_poke.dgm"),
               ("1l1.dgm", "1l1_poke.dgm")]
 
 
+# -- the benchmark's generator and checker, loaded read-only --------------------
+
+def _bench(name: str):
+    """``bench/<name>.py`` as a module, executed from the checkout."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen, verify = _bench("gen"), _bench("verify")
+
+
 # -- singquandles for the cocycle solver ----------------------------------------
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
-
 
 def bench_affine(n):
     rng = random.Random(n)
@@ -98,81 +108,66 @@ STRUCTURES = {
 
 # -- brute-force coloring oracle ----------------------------------------------
 #
-# Enumerates the full n^{#semiarcs} assignment space as a progressively
-# filtered cartesian product: arcs are added one at a time and every
-# crossing constraint is applied as soon as its four ports are assigned.
-# The surviving rows are exactly the constraint-satisfying assignments, so
-# the result equals naive generate-and-test while staying tractable.
+# ``verify._satisfies`` in ``bench/verify.py`` is the one written-out check
+# of a crossing's relations that the tests and the benchmark share; these
+# oracles read crossings only through it.  A change of how a crossing is
+# read edits ``coloring.RELATIONS``, that checker and ``WEIGHT_PORTS``.
+#
+# The oracle enumerates the full n^{#semiarcs} assignment space as a
+# progressively filtered cartesian product: arcs are added one at a time and
+# every crossing is applied as soon as its four ports are assigned, by
+# looking their colors up in the n^4 table of the port colorings the checker
+# accepts.  The surviving rows are exactly the assignments the checker
+# accepts, so the result equals naive generate-and-test while staying
+# tractable.
 
-def _oracle(diagram, n, predicates):
-    order = []
-    for _, *arcs in diagram.compiled:
-        for i in arcs:
-            if i not in order:
-                order.append(i)
+def checker_tables(s) -> dict:
+    """The checker's plain tables of a singquandle or psyquandle."""
+    if isinstance(s, Psyquandle):
+        return verify.psyquandle_tables(s)
+    return verify.singquandle_tables(s)
+
+
+@functools.cache
+def accepted(s) -> dict:
+    """Per crossing kind, the boolean array, indexed by the colors of the
+    four ports in port order (``ui oi uo oo`` or ``i1 i2 o1 o2``), of the
+    port colorings ``verify._satisfies`` accepts for ``s``.  Built once per
+    structure (per equal singquandle, per psyquandle object)."""
+    tables, shape = checker_tables(s), (s.n,) * 4
+    return {kind: np.array([verify._satisfies(tables, kind, range(4), col)
+                            for col in itertools.product(range(s.n), repeat=4)]
+                           ).reshape(shape)
+            for kind in "PNS"}
+
+
+def _oracle(diagram, s):
+    crossings = verify._crossing_indices(diagram)
+    order = list(dict.fromkeys(i for _, ports in crossings for i in ports))
     pos = {arc: k for k, arc in enumerate(order)}
+    pending = [(max(pos[i] for i in ports), kind, [pos[i] for i in ports])
+               for kind, ports in crossings]
 
-    pending = []
-    for c, (_, *arcs) in zip(diagram.crossings, diagram.compiled):
-        cols = {port: pos[i] for port, i in zip(c.ports, arcs)}
-        ready_at = max(cols.values())
-        pending.append((ready_at, c, cols))
-
+    tables, n = accepted(s), s.n
     rows = np.zeros((1, 0), dtype=np.int64)
     for k in range(len(order)):
-        m = rows.shape[0]
-        rows = np.repeat(rows, n, axis=0)
-        new_col = np.tile(np.arange(n), m).reshape(-1, 1)
-        rows = np.hstack([rows, new_col])
-        for ready_at, c, cols in pending:
-            if ready_at != k:
-                continue
-            mask = predicates(c, {p: rows[:, i] for p, i in cols.items()})
-            rows = rows[mask]
+        new_col = np.tile(np.arange(n), rows.shape[0]).reshape(-1, 1)
+        rows = np.hstack([np.repeat(rows, n, axis=0), new_col])
+        for ready_at, kind, cols in pending:
+            if ready_at == k:
+                rows = rows[tables[kind][tuple(rows[:, cols].T)]]
     # back to diagram arc order
-    solutions = set()
-    for row in rows:
-        colors = [0] * len(order)
-        for arc, k in pos.items():
-            colors[arc] = int(row[k])
-        solutions.add(tuple(colors))
-    return sorted(solutions)
+    return sorted(map(tuple, rows[:, [pos[arc] for arc in sorted(pos)]].tolist()))
 
 
 def brute_force_singquandle(diagram, s):
-    star = np.array(s.star.rows)
-    sinv = np.array(s.star_inv.rows)
-    r1 = np.array(s.r1.rows)
-    r2 = np.array(s.r2.rows)
-
-    def predicates(c, v):
-        if c.kind == "P":
-            return (v["oo"] == v["oi"]) & (v["uo"] == star[v["ui"], v["oi"]])
-        if c.kind == "N":
-            return (v["oo"] == v["oi"]) & (v["uo"] == sinv[v["ui"], v["oi"]])
-        return ((v["o1"] == r1[v["i1"], v["i2"]])
-                & (v["o2"] == r2[v["i1"], v["i2"]]))
-
-    return _oracle(diagram, s.n, predicates)
+    """Sorted semiarc color tuples of every singquandle coloring."""
+    return _oracle(diagram, s)
 
 
 def brute_force_psyquandle(diagram, p):
-    ut = np.array(p.ut.rows)
-    ot = np.array(p.ot.rows)
-    ub = np.array(p.ub.rows)
-    ob = np.array(p.ob.rows)
-
-    def predicates(c, v):
-        if c.kind == "P":
-            return ((v["oo"] == ot[v["oi"], v["ui"]])
-                    & (v["uo"] == ut[v["ui"], v["oi"]]))
-        if c.kind == "N":
-            return ((v["oi"] == ot[v["oo"], v["uo"]])
-                    & (v["ui"] == ut[v["uo"], v["oo"]]))
-        return ((v["o1"] == ob[v["i2"], v["i1"]])
-                & (v["o2"] == ub[v["i1"], v["i2"]]))
-
-    return _oracle(diagram, p.n, predicates)
+    """Sorted semiarc color tuples of every psyquandle coloring."""
+    return _oracle(diagram, p)
 
 
 def brute_force_shadow(diagram, sh):
@@ -193,37 +188,46 @@ def brute_force_shadow(diagram, sh):
     return sorted((tuple(r[:m]), tuple(r[m:])) for r in rows.tolist())
 
 
-# -- crossing relations of emitted colorings ------------------------------------
-
-def _relations(structure):
-    """Per crossing kind, a predicate on the four port colors (in the
-    compiled diagram's port order) that holds when the relation does."""
-    if isinstance(structure, Psyquandle):
-        ut, ot, ub, ob = structure.ut, structure.ot, structure.ub, structure.ob
-        return {"P": lambda ui, oi, uo, oo: oo == ot(oi, ui) and uo == ut(ui, oi),
-                "N": lambda ui, oi, uo, oo: oi == ot(oo, uo) and ui == ut(uo, oo),
-                "S": lambda i1, i2, o1, o2: o1 == ob(i2, i1) and o2 == ub(i1, i2)}
-    star, sinv, r1, r2 = (structure.star, structure.star_inv,
-                          structure.r1, structure.r2)
-    return {"P": lambda ui, oi, uo, oo: oo == oi and uo == star(ui, oi),
-            "N": lambda ui, oi, uo, oo: oo == oi and uo == sinv(ui, oi),
-            "S": lambda i1, i2, o1, o2: o1 == r1(i1, i2) and o2 == r2(i1, i2)}
-
-
 def assert_colorings_satisfy(diagram, structure, colorings):
-    """Assert that every coloring satisfies every crossing relation of the
-    compiled diagram.  Singquandle and psyquandle colorings are tuples of
-    semiarc colors; shadow colorings are (semiarc colors, region colors)
-    pairs whose regions also satisfy left == right . s across each semiarc
-    of color s."""
+    """Assert that the checker accepts every crossing of every coloring.
+    Singquandle and psyquandle colorings are tuples of semiarc colors;
+    shadow colorings are (semiarc colors, region colors) pairs whose regions
+    also satisfy left == right . s across each semiarc of color s."""
     shadow = isinstance(structure, ShadowStructure)
-    relations = _relations(structure.base if shadow else structure)
-    for coloring in colorings:
-        colors, regions = coloring if shadow else (coloring, None)
-        assert len(colors) == diagram.n_semiarcs, coloring
-        for kind, *arcs in diagram.compiled:
-            assert relations[kind](*(colors[i] for i in arcs)), (coloring, kind, arcs)
-        if shadow:
+    semiarc_colors = [c[0] for c in colorings] if shadow else colorings
+    assert all(len(c) == diagram.n_semiarcs for c in semiarc_colors)
+    tables = checker_tables(structure.base if shadow else structure)
+    assert verify.bad_colorings(diagram, tables, semiarc_colors) == 0
+    if shadow:
+        for colors, regions in colorings:
             for i, (left, right) in enumerate(diagram.sides):
                 assert regions[left] == structure.action[regions[right]][colors[i]], \
-                    (coloring, left, right, i)
+                    (colors, regions, left, right, i)
+
+
+# -- weight oracle --------------------------------------------------------------
+
+# per crossing kind, the ports its weight term is read at and its sign:
+# +phi(ui, oi) at P, -phi(uo, oo) at N and +singular(i1, i2) at S
+WEIGHT_PORTS = {"P": ("ui", "oi", 1), "N": ("uo", "oo", -1),
+                "S": ("i1", "i2", 1)}
+
+
+def weight_parts(diagram, colorings, pair) -> tuple:
+    """The classical and the singular parts of the weight of each of
+    ``colorings`` (semiarc color tuples), as two lists, summed crossing by
+    crossing at the ports of ``WEIGHT_PORTS``, read by label."""
+    index = {a.label: i for i, a in enumerate(diagram.semiarcs)}
+    terms = []   # (singular part?, x semiarc, y semiarc, sign)
+    for c in diagram.crossings:
+        x, y, sign = WEIGHT_PORTS[c.kind]
+        terms.append((c.kind == "S", index[c.arcs[x]], index[c.arcs[y]], sign))
+    first, second = [], []
+    for col in colorings:
+        parts = [0, 0]
+        for singular, x, y, sign in terms:
+            table = pair.singular if singular else pair.phi
+            parts[singular] += sign * table[col[x]][col[y]]
+        first.append(parts[0])
+        second.append(parts[1])
+    return first, second

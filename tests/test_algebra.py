@@ -14,7 +14,7 @@ from singq.algebra import (AlgebraError, InvalidStructureError,
                            shadow_closure, substructure_closure,
                            validate_quandle, validate_shadow,
                            validate_singquandle)
-from singq.coloring import RULES, _tables, singquandle_tuples
+from singq.coloring import H1, H2, RULES, _tables, singquandle_tuples
 from singq.data import (fixture_names, fixture_path, load_algebra,
                         load_diagram, load_weights)
 from singq.invariants import WeightPair, restrict, ssqp, subsp
@@ -263,23 +263,19 @@ class TestPsyquandle:
         assert not report.valid
 
     def test_pairings_are_bijections(self, psy6):
-        """The search's inverse crossing-map halves: for x, y the colors
-        entering a crossing, the two halves of the inverse of S(x, y) = (y
-        ot x, x ut y) at P and N, and of S'(x, y) = (y ob x, x ub y) at S,
-        read at S(x, y) or S'(x, y), give back x and y."""
+        """The search's inverse crossing-map halves: at each kind, the H1
+        and H2 tables, read together, take the n^2 pairs of colors leaving
+        a crossing one to one onto the n^2 pairs entering it.  Which pairs
+        they match is checked against ``bench/verify.py`` in
+        ``test_differential.py``.  The tables are built once per structure
+        object."""
         n = psy6.n
         tables = _tables(psy6, "psyquandle")
-        halves = {}   # kind -> the tables of its H1 and H2 propagators
         for kind, props in RULES["psyquandle"].items():
-            halves[kind] = [tables[key] for _, _, key, _, _ in props
-                            if not isinstance(key, str)]
-        assert halves["P"] == halves["N"] != halves["S"]
-        for kind, a, b in (("P", psy6.ot, psy6.ut), ("S", psy6.ob, psy6.ub)):
-            first, second = halves[kind]
-            for x in range(n):
-                for y in range(n):
-                    j = a(y, x) * n + b(x, y)
-                    assert (first[j], second[j]) == (x, y), kind
+            halves = {tag: tables[key] for _, _, key, _, tag in props
+                      if tag in (H1, H2)}
+            assert sorted(zip(halves[H1], halves[H2])) == \
+                [(x, y) for x in range(n) for y in range(n)], kind
         assert _tables(psy6, "psyquandle") is tables
 
 

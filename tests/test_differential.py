@@ -2,43 +2,48 @@
 
 Seeded braids on 2 to 4 strands with at most 12 semiarcs and P, N and S
 letters mixed freely (so mixed-sign chains too), written out by the
-benchmark's generator ``bench/gen.py``, imported read-only.  Every search
-is compared with a brute-force oracle from ``conftest.py``, each coloring
-it emits is checked against every crossing relation, and every
-aggregation with the per-coloring loop it replaced, kept below as the
-reference and run over the oracle's colorings.  The search planner is
-compared with the planner that fired every propagator as a step, on these
-braids, the benchmark's braid pool and link family, every bundled corpus
-diagram (the pokes too) and two kink diagrams, where one semiarc feeds both
-inputs of a propagator.  On the same diagrams, and on large braids too, it
-is required to give the very plans of the planner that scored every free
-branch by a trial propagation over copies of its state.  The weight of
-each coloring, read at each crossing's E2 in ``RELATIONS``, is compared
-with the weight read at the ports written out by hand.  The tags that
-phi-ssqp and SP keep per structure object are compared, with the diagrams
-in either order, with the per-coloring aggregation they replaced.  The
-search that tries one first-branch value per orbit of the structure's
-symmetry is compared with the search over every value, kept below as the
-reference, and the orbits and permutations it keeps are pinned.
+benchmark's generator ``bench/gen.py``, loaded read-only by ``conftest.py``.
+Every search is compared with a brute-force oracle from ``conftest.py``,
+each coloring it emits is checked by the benchmark's checker
+``bench/verify.py``, and every aggregation with the per-coloring loop it
+replaced, kept below as the reference and run over the oracle's colorings.
+That checker holds the one written-out check of a crossing's relations
+shared by the tests and the benchmark: the oracles read crossings through
+it, and the search's propagators, derived from ``RELATIONS``, are required
+to hold, over every coloring of a crossing's ports, exactly where it
+accepts.  A change of how a crossing is read edits ``RELATIONS``, that
+checker and conftest's ``WEIGHT_PORTS``; the weight of each coloring, read
+at each crossing's E2 in ``RELATIONS``, is compared with the weight read
+at those ports.  The search planner is compared with the planner that
+fired every propagator as a step, on these braids, the benchmark's braid
+pool and link family, every bundled corpus diagram (the pokes too) and two
+kink diagrams, where one semiarc feeds both inputs of a propagator.  On
+the same diagrams, and on large braids too, it is required to give the
+very plans of the planner that scored every free branch by a trial
+propagation over copies of its state.  The tags that phi-ssqp and SP keep
+per structure object are compared, with the diagrams in either order, with
+the per-coloring aggregation they replaced.  The search that tries one
+first-branch value per orbit of the structure's symmetry is compared with
+the search over every value, kept below as the reference, and the orbits
+and permutations it keeps are pinned for every bundled structure.
 """
 
-import importlib.util
 import itertools
 import random
 from collections import Counter
-from pathlib import Path
 
+import numpy as np
 import pytest
 
 from singq import coloring, invariants
 from singq.algebra import (OperationTable, OrientedSingquandle,
                            affine_singquandle, kept,
                            profile, shadow_closure, substructure_closure)
-from singq.coloring import (RULES, _enumerate, _establish, _plan,
-                            _symmetry, _tables, psyquandle_colorings,
-                            psyquandle_tuples,
-                            shadow_colorings, shadow_tuples,
-                            singquandle_colorings, singquandle_tuples)
+from singq.coloring import (E1, E2, H1, H2, RULES, _enumerate, _establish,
+                            _plan, _tables, psyquandle_colorings,
+                            psyquandle_tuples, shadow_colorings,
+                            shadow_tuples, singquandle_colorings,
+                            singquandle_tuples)
 from singq.data import fixture_names, load_algebra
 from singq.diagram import parse_diagram
 from singq.invariants import (InvariantValue, WeightPair, _profile_sum,
@@ -47,14 +52,9 @@ from singq.invariants import (InvariantValue, WeightPair, _profile_sum,
                               subsp)
 from singq.solver import solve_cocycle_space
 
-from conftest import (STRUCTURES, assert_colorings_satisfy,
-                      brute_force_psyquandle,
-                      brute_force_shadow, brute_force_singquandle)
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
+from conftest import (STRUCTURES, accepted, assert_colorings_satisfy,
+                      brute_force_psyquandle, brute_force_shadow,
+                      brute_force_singquandle, gen, weight_parts)
 
 BRAIDS = 40
 
@@ -135,32 +135,11 @@ def test_shadow_search(braids, z8_z6_shadow):
 
 # -- aggregations against the per-coloring loops ----------------------------
 
-def _arc_index(d) -> dict:
-    return {a.label: i for i, a in enumerate(d.semiarcs)}
-
-
-def _ports(index, colors, c, *ports):
-    return [colors[index[c.arcs[port]]] for port in ports]
-
-
 def reference_state_sum(d, s, cp):
-    index = _arc_index(d)
     red = (lambda v: v % cp.modulus) if cp.modulus else (lambda v: v)
-    exponents = []
-    for colors in brute_force_singquandle(d, s):
-        total = 0
-        for c in d.crossings:
-            if c.kind == "P":
-                x, y = _ports(index, colors, c, "ui", "oi")
-                total += cp.phi[x][y]
-            elif c.kind == "N":
-                x, y = _ports(index, colors, c, "uo", "oi")
-                total -= cp.phi[x][y]
-            else:
-                x, y = _ports(index, colors, c, "i1", "i2")
-                total += cp.singular[x][y]
-        exponents.append(red(total))
-    return InvariantValue(Counter(exponents))
+    return InvariantValue(Counter(
+        red(u + v)
+        for u, v in zip(*weight_parts(d, brute_force_singquandle(d, s), cp))))
 
 
 def reference_phi_ssqp(d, s):
@@ -179,20 +158,7 @@ def reference_SP(d, sh):
 
 
 def reference_boltzmann_totals(d, p, bp):
-    index = _arc_index(d)
-    for colors in brute_force_psyquandle(d, p):
-        tphi = tpsi = 0
-        for c in d.crossings:
-            if c.kind == "P":
-                x, y = _ports(index, colors, c, "ui", "oi")
-                tphi += bp.phi[x][y]
-            elif c.kind == "N":
-                x, y = _ports(index, colors, c, "uo", "oo")
-                tphi -= bp.phi[x][y]
-            else:
-                x, y = _ports(index, colors, c, "i1", "i2")
-                tpsi += bp.singular[x][y]
-        yield tphi, tpsi
+    return zip(*weight_parts(d, brute_force_psyquandle(d, p), bp))
 
 
 def test_state_sum(braids, z6, z6_cocycle, z8k, z8k_cocycle):
@@ -412,155 +378,60 @@ def large_braid(seed: int):
     return strands, [(rng.choice("PNS"), j) for j in positions]
 
 
+@pytest.fixture(scope="module")
+def large():
+    """The closures of ``large_braid`` for seeds 0 to 11."""
+    return [parse_diagram(gen.closure_text(*large_braid(seed)))
+            for seed in range(12)]
+
+
 @pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
-def test_plan_equals_parent_plan(exact, notion):
+def test_plan_equals_parent_plan(exact, large, notion):
     """Scoring a branch by one marking pass over its closure gives the very
     plans of scoring it by a trial propagation over copies of the state."""
     rules = RULES[notion]
-    large = [parse_diagram(gen.closure_text(*large_braid(seed)))
-             for seed in range(12)]
     for k, d in enumerate(exact + large):
         assert _plan(d, rules) == parent_plan(d, rules), k
 
 
-# -- the derived rules against the rules written out by hand -----------------
-#
-# The rules and tables as written out by hand before they were derived from
-# ``RELATIONS``: propagators (x, y, slot, out, relation) over the ports, and
-# the flat tables by slot.  Singquandle slots: 0 first (t[x, y] = x), 1
-# star, 2 star^-1, 3 R1, 4 R2.  Psyquandle slots: the first and second
-# components of S(x, y) = (y ot x, x ut y) (0, 1) and S'(x, y) = (y ob x,
-# x ub y) (2, 3), of S^-1 (4, 5) and S'^-1 (6, 7), then 8 ot^-1, 9 ut^-1,
-# 10 ob^-1, 11 ub^-1.
+# -- the derived rules against the bench checker -----------------------------
 
-E1, E2, H1, H2 = 1, 2, 4, 8
-_OVER = ((1, 1, 0, 3, E1), (3, 3, 0, 1, E1))
-LITERAL_RULES = {
-    "singquandle": {
-        "P": _OVER + ((0, 1, 1, 2, E2), (2, 1, 2, 0, E2)),
-        "N": _OVER + ((0, 1, 2, 2, E2), (2, 1, 1, 0, E2)),
-        "S": ((0, 1, 3, 2, E1), (0, 1, 4, 3, E2))},
-    "psyquandle": {
-        "P": ((0, 1, 0, 3, E1), (0, 1, 1, 2, E2), (3, 2, 4, 0, H1),
-              (3, 2, 5, 1, H2), (2, 1, 9, 0, E2), (3, 0, 8, 1, E1)),
-        "N": ((2, 3, 0, 1, E1), (2, 3, 1, 0, E2), (1, 0, 4, 2, H1),
-              (1, 0, 5, 3, H2), (1, 2, 8, 3, E1), (0, 3, 9, 2, E2)),
-        "S": ((0, 1, 2, 2, E1), (0, 1, 3, 3, E2), (2, 3, 6, 0, H1),
-              (2, 3, 7, 1, H2), (3, 1, 11, 0, E2), (2, 0, 10, 1, E1))}}
-
-
-def literal_tables(s, notion: str) -> tuple:
-    """The flat tables of ``LITERAL_RULES[notion]`` by slot."""
-    n = s.n
-    if notion == "singquandle":
-        return (tuple(x for x in range(n) for _ in range(n)), s.star.flat(),
-                s.star_inv.flat(), s.r1.flat(), s.r2.flat())
-    maps, inverses = [], []
-    for a, b in ((s.ot, s.ut), (s.ob, s.ub)):
-        a_flat, second = a.flat(), b.flat()
-        first = tuple(a_flat[y * n + x] for x in range(n) for y in range(n))
-        inv_x, inv_y = [0] * (n * n), [0] * (n * n)
-        for i, (u, v) in enumerate(zip(first, second)):
-            inv_x[u * n + v], inv_y[u * n + v] = divmod(i, n)
-        maps += first, second
-        inverses += tuple(inv_x), tuple(inv_y)
-    return (*maps, *inverses, s.ot_inv.flat(), s.ut_inv.flat(),
-            s.ob_inv.flat(), s.ub_inv.flat())
-
-
-def read_the_same_way(props, tables, n: int) -> list:
-    """Propagators or plan steps (x, y, table, out, flag) with each table
-    key replaced by the flat table it reads, x and y in ascending order and
-    the table transposed where they were swapped: two lists are equal
-    exactly when they compute the same outs in the same order."""
-    out = []
-    for x, y, key, o, flag in props:
-        table = tables[key]
-        if x > y:
-            x, y = y, x
-            table = tuple(table[v * n + u] for u in range(n) for v in range(n))
-        out.append((x, y, table, o, flag))
-    return out
-
-
-# the structures each notion's tables are compared over: every bundled
-# singquandle has star == star_inv, so Z9(4,0,1), which does not, keeps the
-# two from standing in for each other
-REFERENCE_STRUCTURES = {
-    "singquandle": (STRUCTURES["z6"], STRUCTURES["Z9(4,0,1)"],
-                    lambda: load_algebra("z8_k.alg").structure),
-    "psyquandle": (lambda: load_algebra("psy6.alg").structure,)}
-
-
-# the kinds whose last two rules, the E2 forms of a singquandle's N crossing
-# and the right-inverse forms of a psyquandle's P and S crossings, are
-# derived in the other order than they were written out
-SWAPPED = {("singquandle", "N"), ("psyquandle", "P"), ("psyquandle", "S")}
+# per notion, structures whose tables tell the readings apart: every bundled
+# singquandle has star == star_inv, and Z9(4,0,1) and Z7(5,5,3) do not
+CHECKED = {
+    "singquandle": {"z6": STRUCTURES["z6"],
+                    "Z9(4,0,1)": STRUCTURES["Z9(4,0,1)"],
+                    "Z7(5,5,3)": lambda: affine_singquandle(7, 5, 5, 3),
+                    "z8_k": lambda: load_algebra("z8_k.alg").structure},
+    "psyquandle": {"psy6": lambda: load_algebra("psy6.alg").structure}}
 
 
 @pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
-def test_derived_rules_equal_literal_rules(notion):
-    """Each kind's rules, read through their tables, are the hand-written
-    ones, in order, but for the last two of the kinds of ``SWAPPED``.  The
-    singquandle N crossing is declared ``ui = star(uo, oi)``, mirroring P,
-    so its forward form is the hand-written inverse one and the other way
-    round.  The two psyquandle forms read no common port, so they can meet
-    in one watch list only on a crossing whose ports share a semiarc; the
-    plan test below covers such kinks."""
-    for j, load in enumerate(REFERENCE_STRUCTURES[notion]):
+def test_rules_hold_exactly_where_the_checker_does(notion):
+    """Over every coloring of the four ports of each crossing kind, each
+    propagator of ``RULES`` holds exactly where its equation does (a tag E1
+    or E2), or with the other half of the inverse crossing map exactly
+    where both equations do (H1, H2), and the equations hold together
+    exactly where ``verify._satisfies`` accepts.  The tables are built once
+    per structure object."""
+    for label, load in CHECKED[notion].items():
         s = load()
-        ours, theirs = _tables(s, notion), literal_tables(s, notion)
+        n, tables = s.n, _tables(s, notion)
+        ports = np.indices((n,) * 4).reshape(4, -1)
         for kind, props in RULES[notion].items():
-            literal = list(LITERAL_RULES[notion][kind])
-            if (notion, kind) in SWAPPED:
-                literal[-2:] = literal[:-3:-1]
-            assert read_the_same_way(props, ours, s.n) == \
-                read_the_same_way(literal, theirs, s.n), (j, kind)
-
-
-@pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
-def test_derived_plans_equal_literal_plans(exact, notion):
-    """On every diagram of ``exact`` and the 12 large braids the plans of
-    the derived rules have the branches and the number of steps per level
-    of the plans of the hand-written ones, and for a psyquandle their
-    outs, checks and table contents too.  A singquandle's steps may
-    differ: the two E2 forms of an N crossing both read oi, and where both
-    fire at once the one watched first is the one taken."""
-    large = [parse_diagram(gen.closure_text(*large_braid(seed)))
-             for seed in range(12)]
-    structures = [load() for load in REFERENCE_STRUCTURES[notion]]
-    for k, d in enumerate(exact + large):
-        ours = _plan(d, RULES[notion])
-        theirs = _plan(d, LITERAL_RULES[notion])
-        assert [(b, len(steps)) for b, steps in ours] == \
-            [(b, len(steps)) for b, steps in theirs], k
-        if notion == "singquandle":
-            continue
-        for s in structures:
-            tables, literal = _tables(s, notion), literal_tables(s, notion)
-            for (_, steps), (_, literal_steps) in zip(ours, theirs):
-                assert read_the_same_way(steps, tables, s.n) == \
-                    read_the_same_way(literal_steps, literal, s.n), k
-
-
-# the weight ports as written out by hand: +phi(ui, oi) at P, -phi(uo, oo)
-# at N and +singular(i1, i2) at S
-def literal_weight_parts(d, colorings, pair) -> tuple:
-    """The classical and the singular parts of the weight of each of
-    ``colorings``, summed crossing by crossing."""
-    phi, table, first, second = pair.phi, pair.singular, [], []
-    for col in colorings:
-        u = v = 0
-        for kind, a, b, c, e in d.compiled:
-            if kind == "P":
-                u += phi[col[a]][col[b]]
-            elif kind == "N":
-                u -= phi[col[c]][col[e]]
-            else:
-                v += table[col[a]][col[b]]
-        first.append(u)
-        second.append(v)
-    return first, second
+            holds = {}   # tag -> where each propagator of that tag holds
+            for x, y, key, out, tag in props:
+                got = np.array(tables[key])[ports[x] * n + ports[y]] == ports[out]
+                holds.setdefault(tag, []).append(got)
+            checker = accepted(s)[kind].reshape(-1)
+            for tag in (E1, E2):
+                assert all((got == holds[tag][0]).all() for got in holds[tag]), \
+                    (label, kind, tag)
+            assert (holds[E1][0] & holds[E2][0] == checker).all(), (label, kind)
+            if notion == "psyquandle":
+                assert (holds[H1][0] & holds[H2][0] == checker).all(), \
+                    (label, kind)
+        assert _tables(s, notion) is tables, label
 
 
 def test_weight_parts_equal_literal_weight_parts(planned, corpus, z6,
@@ -568,10 +439,10 @@ def test_weight_parts_equal_literal_weight_parts(planned, corpus, z6,
                                                  psy6_boltzmann,
                                                  psy6_boltzmann_strong):
     """The weights read at each crossing's E2 in ``RELATIONS`` are the
-    weights read at the hand-written ports, coloring by coloring, on the
-    corpus, the pool and the link family: over z6 with its cocycle pair,
-    over Z7(5,5,3), where star and star_inv differ, with a pair of its
-    cocycle space, and over psy6 with both Boltzmann pairs."""
+    weights read at the ports of conftest's ``WEIGHT_PORTS``, coloring by
+    coloring, on the corpus, the pool and the link family: over z6 with its
+    cocycle pair, over Z7(5,5,3), where star and star_inv differ, with a
+    pair of its cocycle space, and over psy6 with both Boltzmann pairs."""
     z7 = affine_singquandle(7, 5, 5, 3)
     cases = [(z6, z6_cocycle, "cocycle", False, singquandle_tuples),
              (z7, solve_cocycle_space(z7, 7).generators[1], "cocycle", False,
@@ -582,20 +453,7 @@ def test_weight_parts_equal_literal_weight_parts(planned, corpus, z6,
     for k, d in enumerate(planned[BRAIDS:] + list(corpus.values())):
         for j, (s, pair, kind, strong, search) in enumerate(cases):
             assert invariants._weight_parts(d, s, pair, kind, strong) == \
-                literal_weight_parts(d, search(d, s), pair), (k, j)
-
-
-def test_symmetry_equals_symmetry_of_literal_tables():
-    """Every bundled structure the search serves gets the generators and
-    orbits it got from the hand-written tables."""
-    for name in fixture_names():
-        if not name.endswith(".alg"):
-            continue
-        s = load_algebra(name).structure
-        s = getattr(s, "base", s)
-        notion = "psyquandle" if hasattr(s, "ot") else "singquandle"
-        assert _symmetry(s.n, tuple(_tables(s, notion).values())) == \
-            _symmetry(s.n, literal_tables(s, notion)), name
+                weight_parts(d, search(d, s), pair), (k, j)
 
 
 # -- kept tags against the per-coloring aggregation, in both orders ----------
@@ -654,13 +512,12 @@ def tagged_structures() -> list:
 
 
 @pytest.fixture(scope="module")
-def searched(planned):
+def searched(planned, large):
     """The diagrams of ``planned`` and the 12 large braids, and the
     coloring set of each over each tagged structure, searched once: brute
     force is infeasible at these sizes, so both sides aggregate the
     searched tuples."""
-    diagrams = planned + [parse_diagram(gen.closure_text(*large_braid(seed)))
-                          for seed in range(12)]
+    diagrams = planned + large
     found = {}
     for label, s, shadow in tagged_structures():
         search = shadow_tuples if shadow else singquandle_tuples
@@ -750,6 +607,8 @@ def searched_structures() -> dict:
              "psy6": load_algebra("psy6.alg").structure,
              "z8_z6_base": load_algebra("z8_z6_shadow.alg").structure.base,
              "z8_z4_base": load_algebra("z8_z4_shadow_a.alg").structure.base,
+             "z8_z4_b_base": load_algebra("z8_z4_shadow_b.alg").structure.base,
+             "one": load_algebra("one.alg").structure,
              "rigid": rigid()}
     notions = {label: "psyquandle" if label == "psy6" else "singquandle"
                for label in found}
@@ -769,8 +628,9 @@ def test_enumerate_equals_parent_enumerate(planned, label):
 
 
 def test_orbits(planned):
-    """The orbits the kept symmetry gives, once a search has run: z6 is
-    transitive, and the rigid structure has the trivial group."""
+    """The orbits the kept symmetry gives, once a search has run, for every
+    bundled structure the search serves: z6 is transitive, and the rigid
+    structure has the trivial group."""
     structures = searched_structures()
     for s, notion, _ in structures.values():
         _enumerate(planned[0], s, notion)
@@ -782,7 +642,28 @@ def test_orbits(planned):
         "psy6": ((0, 3), (1, 2), (4, 5)),
         "z8_z6_base": ((0, 2, 4, 6), (1, 3, 5, 7)),
         "z8_z4_base": ((0, 4), (1, 3, 5, 7), (2, 6)),
+        "z8_z4_b_base": ((0, 4), (1, 3, 5, 7), (2, 6)),
+        "one": ((0,),),
         "rigid": ((0,), (1,), (2,))}
+
+
+def test_symmetry_equals_symmetry_of_literal_tables():
+    """Every bundled structure the search serves gets the generators and
+    orbits of its own operation tables as loaded, star, r1 and r2 or ot,
+    ut, ob and ub, read with no crossing relation: the tables the rules
+    read are built from these, and a permutation preserves the one set
+    exactly when it preserves the other."""
+    operations = {"singquandle": ("star", "r1", "r2"),
+                  "psyquandle": ("ot", "ut", "ob", "ub")}
+    for name in fixture_names():
+        if not name.endswith(".alg"):
+            continue
+        s = load_algebra(name).structure
+        s = getattr(s, "base", s)
+        notion = "psyquandle" if hasattr(s, "ot") else "singquandle"
+        literal = tuple(getattr(s, op).flat() for op in operations[notion])
+        assert coloring._symmetry(s.n, tuple(_tables(s, notion).values())) \
+            == coloring._symmetry(s.n, literal), name
 
 
 def test_kept_permutations_preserve_every_table(planned):

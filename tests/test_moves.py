@@ -26,9 +26,7 @@ under Omega5 too; it fails R3, Omega4 and Markov stabilisation, pinned
 below on the smallest example known.
 """
 
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
@@ -38,10 +36,7 @@ from singq.data import load_algebra, load_weights
 from singq.diagram import parse_diagram
 from singq.invariants import WeightPair, validate_cocycle_pair
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
+from conftest import gen
 
 MOVES = ("R2", "R3", "Omega5", "Omega4", "conjugation", "Markov")
 PAIRS = 40   # seeded pairs per move

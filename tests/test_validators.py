@@ -7,7 +7,6 @@ bundled structures, on generated affine singquandles up to order 67 and on
 seeded random and perturbed tables of orders 1 to 7.
 """
 
-import importlib.util
 import math
 import random
 from pathlib import Path
@@ -22,10 +21,9 @@ from singq.data import fixture_names, load_algebra
 from singq.morphisms import validate_group
 from singq.psyquandle import Psyquandle, validate_psyquandle
 
+from conftest import gen
+
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
 
 
 # -- reference validators: one instance at a time -------------------------------
