@@ -199,6 +199,15 @@ def cmd_search_cocycles(args) -> int:
     if not isinstance(loaded.structure, OrientedSingquandle):
         raise UsageError("search-cocycles needs a singquandle")
     s = loaded.structure
+    if args.contains:   # refuse a wrong file before the solve, not after
+        from .invariants import _flat_pair, parse_weights
+        w = parse_weights(_read_path(args.contains))
+        if w.kind != "cocycle":
+            raise UsageError("--contains needs a cocycle weight file")
+        _flat_pair(s.n, w, "cocycle")   # refuses tables that are not n x n
+        if w.modulus != args.modulus:
+            raise UsageError(f"modulus mismatch: the weights are mod "
+                             f"{w.modulus}, --modulus is {args.modulus}")
     space = solve_cocycle_space(s, args.modulus)
     record = {
         "structure": args.structure,
@@ -208,10 +217,6 @@ def cmd_search_cocycles(args) -> int:
     }
     status = 0
     if args.contains:
-        from .invariants import parse_weights
-        w = parse_weights(_read_path(args.contains))
-        if w.kind != "cocycle":
-            raise UsageError("--contains needs a cocycle weight file")
         member = space.contains(w)
         record["member"] = member
         if not member:

@@ -77,12 +77,14 @@ def _kernel(rows: list, width: int, m: int) -> tuple:
     column is the sparse row of A dotted with the right half.  ``touching``
     maps each unknown to the work rows nonzero there, so a column visits
     only rows that can be nonzero at it, in insertion order.  With g the gcd
-    of m and the column's entries, the pivot is the first entry a with
-    gcd(a, m) = g (at a prime power, the first of least valuation); when
-    there is none, unimodular extended-gcd steps fold the entries into the
-    first until it is one.  Scaled by a unit to g, the pivot clears every
-    other entry, and a pivot with g > 1 also spawns the annihilator row
-    (m/g) * pivot so that zero divisors keep their full solution sets.
+    of m and the column's entries, the pivot is the last entry a, the
+    newest work row, with gcd(a, m) = g (at a prime power, the last of least
+    valuation): the newest rows tend to be the sparsest, so clearing with
+    one of them fills in least.  When there is none, unimodular extended-gcd
+    steps fold the entries into the first until it is one.  Scaled by a unit
+    to g, the pivot clears every other entry, and a pivot with g > 1 also
+    spawns the annihilator row (m/g) * pivot so that zero divisors keep
+    their full solution sets.
     Every column ends cleared, so each remaining nonzero row is a solution.
     The work rows span the solutions of the columns seen so far, and the
     pivot maps them onto gZ_m, so it divides the kernel's size by m/g.  A
@@ -104,12 +106,9 @@ def _kernel(rows: list, width: int, m: int) -> tuple:
         if not entries:
             continue
         cutting.append(row)
-        best, a = entries[0]
-        g = gcd(a, m)
-        if g > 1:
-            g = gcd(g, *(b for _, b in entries))
-            best, a = next(((i, b) for i, b in entries if gcd(b, m) == g),
-                           (best, a))
+        g = gcd(m, *(b for _, b in entries))
+        best, a = next(((i, b) for i, b in reversed(entries)
+                        if gcd(b, m) == g), entries[0])
         j = 0
         while gcd(a, m) != g:   # fold the next entry into the first
             j += 1

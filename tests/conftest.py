@@ -102,7 +102,8 @@ STRUCTURES = {
     "Z9(4,0,1)": lambda: affine_singquandle(9, 4, 0, 1),
     "Z10(7,6,5)": lambda: affine_singquandle(10, 7, 6, 5),
     "Z11(4,1,0)": lambda: affine_singquandle(11, 4, 1, 0),
-    **{f"gen{n}": (lambda n=n: bench_affine(n)) for n in range(5, 10)},
+    **{f"gen{n}": (lambda n=n: bench_affine(n))
+       for n in (*range(5, 10), 12)},
 }
 
 

@@ -8,14 +8,11 @@ import itertools
 import random
 import time
 
-import pytest
-
 from singq.algebra import (ParameterError, affine_singquandle, eval_table,
-                           formula_structure, substructure_closure,
-                           validate_shadow, validate_singquandle)
+                           formula_structure, validate_shadow,
+                           validate_singquandle)
 from singq.coloring import (psyquandle_colorings, shadow_colorings,
                             singquandle_colorings)
-from singq.diagram import parse_diagram
 from singq.invariants import (WeightPair, boltzmann_single, boltzmann_two,
                               phi_ssqp, shadow_polynomial_invariant, sp,
                               state_sum, strongly_compatible,

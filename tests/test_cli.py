@@ -268,6 +268,30 @@ class TestSearchCocycles:
                    "--modulus", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("wgt, modulus, error", [
+        ("psy6_boltzmann.wgt", 6, "--contains needs a cocycle weight file"),
+        ("5x5 mod 7", 6, "weight table is not 6x6"),
+        ("z6_cocycle.wgt", 7,
+         "modulus mismatch: the weights are mod 6, --modulus is 7")])
+    def test_contains_refused_before_solving(self, tmp_path, capsys,
+                                             monkeypatch, wgt, modulus,
+                                             error):
+        """Each refusal of the --contains file comes before the solve; the
+        size is checked before the modulus."""
+        def solve(*args):
+            raise AssertionError("solved before checking --contains")
+
+        monkeypatch.setattr("singq.solver.solve_cocycle_space", solve)
+        if wgt == "5x5 mod 7":
+            zeros = "\n".join("0 0 0 0 0" for _ in range(5))
+            wgt = tmp_path / "w.wgt"
+            wgt.write_text(f"modulus: 7\nphi:\n{zeros}\n"
+                           f"phiprime:\n{zeros}\n")
+        rc = main(["search-cocycles", "z6_singquandle.alg", "--modulus",
+                   str(modulus), "--contains", str(wgt)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
 
 class TestCorpus:
     def test_full_run(self, capsys):

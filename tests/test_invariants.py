@@ -14,7 +14,6 @@ from singq.algebra import (AlgebraError, OperationTable,
 from singq import coloring
 from singq.coloring import singquandle_colorings, psyquandle_colorings
 from singq.data import load_algebra
-from singq.diagram import parse_diagram
 from singq import invariants, solver
 from singq.invariants import (InvariantError, InvariantValue, WeightPair,
                               boltzmann_single, boltzmann_two,
@@ -553,18 +552,19 @@ class TestCocycleSolver:
                                                2 * s.n * s.n, modulus)
 
     # (generator count, size, SHA-256 of the generators' (phi, singular)
-    # reprs in order), recorded before zero and repeated rows were dropped;
-    # z6 re-recorded when modulus 6 went to one elimination over Z_6 (same
-    # count and size; test_cocycle_kernel.py checks its equivalence)
+    # reprs in order), re-recorded when the pivot became the newest work row
+    # (same count and size); test_cocycle_kernel.py checks the generators
+    # against its references: z6 against the per-prime-power solver, z8
+    # element for element against the dense elimination
     RECORDED = {
-        "z6": (22, 241864704, "4e491f681b22b202f625e4104fbf848f"
-                              "03013914c521b511e71fa3c9573d221e"),
-        "z8": (18, 2 ** 50, "4afa667919ad7c4ce7fdb69d80ed31fc"
-                            "f4a095b3e6ee1f365574a8e2e91e5f32"),
+        "z6": (22, 241864704, "d9a09e47c6c2c9138c03047744e370a7"
+                              "fd643fc22f5187b50fdfaf9dd52744ec"),
+        "z8": (18, 2 ** 50, "b0111b454d81a1011f55e43449b13168"
+                            "1f1f64b9ae6e97531e50fe6e8aad4138"),
     }
 
     @pytest.mark.parametrize("name", sorted(RECORDED))
-    def test_row_dedupe_keeps_generators(self, name, z6):
+    def test_generator_basis_pinned(self, name, z6):
         s, modulus = ((z6, 6) if name == "z6"
                       else (affine_singquandle(8, 3, 0, 1), 8))
         rows = _cocycle_rows(s)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from singq.algebra import (ParameterError, ShadowStructure,
                            affine_singquandle, substructure_closure,
