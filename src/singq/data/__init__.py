@@ -21,11 +21,6 @@ if TYPE_CHECKING:
 _ROOT = os.path.dirname(os.path.abspath(__file__))
 
 
-def _read(subdir: str, name: str) -> str:
-    with open(os.path.join(_ROOT, subdir, name)) as fh:
-        return fh.read()
-
-
 def bundled_path(name: str) -> str:
     """Path of the bundled file ``name``: a corpus diagram for ``.dgm``,
     otherwise a fixture."""
@@ -56,16 +51,21 @@ def corpus_names() -> list:
     return _names("corpus", (".dgm",))
 
 
+def _read(name: str) -> str:
+    with open(bundled_path(name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_algebra(name: str) -> LoadedAlgebra:
     from ..algebra import parse_algebra
-    return parse_algebra(_read("fixtures", name))
+    return parse_algebra(_read(name))
 
 
 def load_weights(name: str):
     from ..invariants import parse_weights
-    return parse_weights(_read("fixtures", name))
+    return parse_weights(_read(name))
 
 
 def load_diagram(name: str) -> SingularDiagram:
     from ..diagram import parse_diagram
-    return parse_diagram(_read("corpus", name))
+    return parse_diagram(_read(name))

@@ -171,13 +171,15 @@ def brute_force_psyquandle(diagram, p):
     return _oracle(diagram, p)
 
 
-def brute_force_shadow(diagram, sh):
-    """Sorted (semiarc colors, region colors) pairs: the base oracle's
-    colorings extended by a filtered product over the regions, with
-    left == right . s across every semiarc of color s."""
+def brute_force_shadow(diagram, sh, base_colorings=None):
+    """Sorted (semiarc colors, region colors) pairs: ``base_colorings``
+    (semiarc color tuples; by default the base oracle's colorings) extended
+    by a filtered product over the regions, with left == right . s across
+    every semiarc of color s."""
     m = diagram.n_semiarcs
-    rows = np.array(brute_force_singquandle(diagram, sh.base),
-                    dtype=np.int64).reshape(-1, m)
+    if base_colorings is None:
+        base_colorings = brute_force_singquandle(diagram, sh.base)
+    rows = np.array(base_colorings, dtype=np.int64).reshape(-1, m)
     action = np.array(sh.action)
     for k in range(len(diagram.regions())):
         new_col = np.tile(np.arange(sh.carrier), rows.shape[0]).reshape(-1, 1)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import singq
 from singq import SingqError
 from singq.algebra import AlgebraError
 from singq.cli import UsageError, compute_invariant, main
@@ -341,6 +346,18 @@ class TestCorpus:
         assert rc == 1
         assert (record["status"], record["expected"], record["actual"]) == \
             ("MISMATCH", "2", "1")
+
+    def test_bundled_files_read_as_utf8(self):
+        """A fresh interpreter that turns every open in the locale's
+        encoding into an error still runs the whole corpus."""
+        src = str(Path(singq.__file__).resolve().parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "singq.cli", "corpus"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0, run.stderr
+        assert "MISMATCH" not in run.stdout
 
     def test_repeat_runs_identical(self, capsys):
         main(["corpus", "--filter", "z8k"])

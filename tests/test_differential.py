@@ -1,31 +1,35 @@
 """Differential tests on generated closed singular braids.
 
-Seeded braids on 2 to 4 strands with at most 12 semiarcs and P, N and S
-letters mixed freely (so mixed-sign chains too), written out by the
-benchmark's generator ``bench/gen.py``, loaded read-only by ``conftest.py``.
-Every search is compared with a brute-force oracle from ``conftest.py``,
-each coloring it emits is checked by the benchmark's checker
-``bench/verify.py``, and every aggregation with the per-coloring loop it
-replaced, kept below as the reference and run over the oracle's colorings.
-That checker holds the one written-out check of a crossing's relations
-shared by the tests and the benchmark: the oracles read crossings through
-it, and the search's propagators, derived from ``RELATIONS``, are required
-to hold, over every coloring of a crossing's ports, exactly where it
-accepts.  A change of how a crossing is read edits ``RELATIONS``, that
-checker and conftest's ``WEIGHT_PORTS``; the weight of each coloring, read
-at each crossing's E2 in ``RELATIONS``, is compared with the weight read
-at those ports.  The search planner is compared with the planner that
-fired every propagator as a step, on these braids, the benchmark's braid
-pool and link family, every bundled corpus diagram (the pokes too) and two
-kink diagrams, where one semiarc feeds both inputs of a propagator.  On
-the same diagrams, and on large braids too, it is required to give the
-very plans of the planner that scored every free branch by a trial
-propagation over copies of its state.  The tags that phi-ssqp and SP keep
-per structure object are compared, with the diagrams in either order, with
-the per-coloring aggregation they replaced.  The search that tries one
-first-branch value per orbit of the structure's symmetry is compared with
-the search over every value, kept below as the reference, and the orbits
-and permutations it keeps are pinned for every bundled structure.
+Each property is checked against one reference that does not run the code
+it checks.
+
+- Seeded braids on 2 to 4 strands with at most 12 semiarcs, P, N and S
+  letters mixed freely (so mixed-sign chains too), written out by the
+  benchmark's generator ``bench/gen.py``: each search is compared with a
+  brute-force oracle of ``conftest.py``, and each aggregation with its
+  per-coloring loop, written below and run over the oracle's colorings.
+- Those braids, the benchmark's braid pool and its link family, each kept
+  beside its braid word: the search, over every bundled structure it
+  serves, is compared with ``verify.braid_colorings``, which derives the
+  colorings of a closed braid from its word alone.  phi-ssqp and SP, with
+  their tags kept per structure object and the diagrams read in either
+  order, are compared with the per-coloring loops over those colorings.
+- The same diagrams, every bundled corpus diagram (the pokes too), two
+  kink diagrams and twelve large braids: the search planner is compared
+  with ``reference_plan``, which fires every propagator as a step, less
+  the steps whose relation is already established at their crossing.
+
+The benchmark's checker ``bench/verify.py`` holds the one written-out check
+of a crossing's relations that the tests and the benchmark share: the
+oracles read crossings through it, each coloring a search emits is checked
+by it, and the search's propagators, derived from ``RELATIONS``, are
+required to hold, over every coloring of a crossing's ports, exactly where
+it accepts.  The weight of each coloring, read at each crossing's E2 in
+``RELATIONS``, is compared with the weight read at conftest's
+``WEIGHT_PORTS``.  A change of how a crossing is read edits ``RELATIONS``,
+that checker and ``WEIGHT_PORTS``, and no copy of earlier search code.
+The orbits and permutations the search keeps are pinned for every bundled
+structure.
 """
 
 import itertools
@@ -37,8 +41,8 @@ import pytest
 
 from singq import coloring, invariants
 from singq.algebra import (OperationTable, OrientedSingquandle,
-                           affine_singquandle, kept,
-                           profile, shadow_closure, substructure_closure)
+                           affine_singquandle, kept, shadow_closure,
+                           substructure_closure)
 from singq.coloring import (E1, E2, H1, H2, RULES, _enumerate, _establish,
                             _plan, _tables, psyquandle_colorings,
                             psyquandle_tuples, shadow_colorings,
@@ -46,15 +50,16 @@ from singq.coloring import (E1, E2, H1, H2, RULES, _enumerate, _establish,
                             singquandle_tuples)
 from singq.data import fixture_names, load_algebra
 from singq.diagram import parse_diagram
-from singq.invariants import (InvariantValue, WeightPair, _profile_sum,
-                              boltzmann_single, boltzmann_two, phi_ssqp,
+from singq.invariants import (InvariantValue, WeightPair, boltzmann_single,
+                              boltzmann_two, phi_ssqp,
                               shadow_polynomial_invariant, ssqp, state_sum,
                               subsp)
 from singq.solver import solve_cocycle_space
 
 from conftest import (STRUCTURES, accepted, assert_colorings_satisfy,
                       brute_force_psyquandle, brute_force_shadow,
-                      brute_force_singquandle, gen, weight_parts)
+                      brute_force_singquandle, checker_tables, gen,
+                      verify, weight_parts)
 
 BRAIDS = 40
 
@@ -142,15 +147,16 @@ def reference_state_sum(d, s, cp):
         for u, v in zip(*weight_parts(d, brute_force_singquandle(d, s), cp))))
 
 
-def reference_phi_ssqp(d, s):
+def reference_phi_ssqp(s, colorings):
+    """phi-ssqp over ``colorings``, semiarc color tuples."""
     return InvariantValue(Counter(
-        ssqp(substructure_closure(s, set(colors)), s)
-        for colors in brute_force_singquandle(d, s)))
+        ssqp(substructure_closure(s, set(colors)), s) for colors in colorings))
 
 
-def reference_SP(d, sh):
+def reference_SP(sh, colorings):
+    """SP over ``colorings``, (semiarc colors, region colors) pairs."""
     exponents = []
-    for colors, region_colors in brute_force_shadow(d, sh):
+    for colors, region_colors in colorings:
         image = substructure_closure(sh.base, set(colors))
         shadow_image = shadow_closure(sh, set(region_colors), image)
         exponents.append(subsp(shadow_image, image, sh))
@@ -171,14 +177,15 @@ def test_state_sum(braids, z6, z6_cocycle, z8k, z8k_cocycle):
 def test_phi_ssqp(braids, z6, z8k, z8_z6_shadow):
     for s in (z6, z8k, z8_z6_shadow.base):
         for k, d in enumerate(braids):
-            assert phi_ssqp(d, s) == reference_phi_ssqp(d, s), (s.n, k)
+            assert phi_ssqp(d, s) == \
+                reference_phi_ssqp(s, brute_force_singquandle(d, s)), (s.n, k)
 
 
 def test_SP(braids, z8_z6_shadow, z8_z4_shadow_a, z8_z4_shadow_b):
     for sh in (z8_z6_shadow, z8_z4_shadow_a, z8_z4_shadow_b):
         for k, d in enumerate(braids):
-            assert (shadow_polynomial_invariant(d, sh)
-                    == reference_SP(d, sh)), (sh.carrier, k)
+            assert shadow_polynomial_invariant(d, sh) == \
+                reference_SP(sh, brute_force_shadow(d, sh)), (sh.carrier, k)
 
 
 def test_boltzmann(braids, psy6, psy6_boltzmann, psy6_boltzmann_strong):
@@ -199,19 +206,19 @@ def test_boltzmann(braids, psy6, psy6_boltzmann, psy6_boltzmann_strong):
 
 def reference_plan(d, rules: dict) -> list:
     """Branch order and propagation steps: one (semiarc, steps) pair per
-    search level, a step being (x, y, table, out, check) over semiarc
-    indices.  Each propagator fires once, at the level where both its
-    inputs are colored; it checks ``out`` if that is colored by then.  Each
-    level branches on the semiarc whose coloring fires the most propagators
-    (then the most checks, then the lowest index), which keeps the levels,
-    and so the search tree, small."""
+    search level, a step being (x, y, table, out, check, crossing,
+    relation) over semiarc indices.  Each propagator fires once, at the
+    level where both its inputs are colored; it checks ``out`` if that is
+    colored by then.  Each level branches on the semiarc whose coloring
+    fires the most propagators (then the most checks, then the lowest
+    index), which keeps the levels, and so the search tree, small."""
     props = []
     watch = [[] for _ in d.semiarcs]   # semiarc -> propagators reading it
-    for kind, *ports in d.compiled:
-        for x, y, table, out in rules[kind]:
+    for c, (kind, *ports) in enumerate(d.compiled):
+        for x, y, table, out, relation in rules[kind]:
             for i in {ports[x], ports[y]}:
                 watch[i].append(len(props))
-            props.append((ports[x], ports[y], table, ports[out]))
+            props.append((ports[x], ports[y], table, ports[out], c, relation))
 
     def spread(branch: int, known: list, fired: list) -> list:
         """Color ``branch`` and propagate, updating ``known`` and ``fired``;
@@ -221,11 +228,11 @@ def reference_plan(d, rules: dict) -> list:
         queue = [branch]
         while queue:
             for k in watch[queue.pop()]:
-                x, y, table, out = props[k]
+                x, y, table, out, c, relation = props[k]
                 if fired[k] or not (known[x] and known[y]):
                     continue
                 fired[k] = True
-                steps.append((x, y, table, out, known[out]))
+                steps.append((x, y, table, out, known[out], c, relation))
                 if not known[out]:
                     known[out] = True
                     queue.append(out)
@@ -244,12 +251,37 @@ def reference_plan(d, rules: dict) -> list:
     return plan
 
 
+def drop_implied(plan: list) -> list:
+    """``plan`` of :func:`reference_plan` less each step whose relation is
+    already established at its crossing (an exact inverse of a step kept,
+    which checks ports already colored and cannot fail), each step kept
+    without its crossing and relation."""
+    have = Counter()   # crossing -> relations established there
+    pruned = []
+    for branch, steps in plan:
+        level = []
+        for *step, c, relation in steps:
+            if not have[c] & relation:
+                have[c] = _establish(have[c], relation)
+                level.append(tuple(step))
+        pruned.append((branch, level))
+    return pruned
+
+
 @pytest.fixture(scope="module")
-def planned(braids):
-    """The 40 braids, the benchmark's braid pool and its link family, each
-    diagram parsed afresh."""
-    members = gen.braid_pool() + gen.link_family()
-    return braids + [parse_diagram(gen.closure_text(*m)) for m in members]
+def words():
+    """(strands, word) of the 40 braids, then of the benchmark's braid pool
+    and its link family."""
+    return ([braid(seed) for seed in range(BRAIDS)]
+            + gen.braid_pool() + gen.link_family())
+
+
+@pytest.fixture(scope="module")
+def planned(braids, words):
+    """The closures of ``words``: the 40 braids, then the pool and the link
+    family, each parsed afresh."""
+    return braids + [parse_diagram(gen.closure_text(*w))
+                     for w in words[BRAIDS:]]
 
 
 # one semiarc on both inputs of a propagator: the over-arc rule of a kink
@@ -263,6 +295,22 @@ def exact(planned, corpus):
     pokes too) and the two kink diagrams of ``KINKS``."""
     return (planned + list(corpus.values())
             + [parse_diagram(text) for text in KINKS])
+
+
+def large_braid(seed: int):
+    """A closed braid on 5-7 strands with 40-100 crossings, every strand
+    position used."""
+    rng = random.Random(seed)
+    strands, crossings = rng.randint(5, 7), rng.randint(40, 100)
+    positions = gen._covering_positions(rng, strands, crossings)
+    return strands, [(rng.choice("PNS"), j) for j in positions]
+
+
+@pytest.fixture(scope="module")
+def large():
+    """The closures of ``large_braid`` for seeds 0 to 11."""
+    return [parse_diagram(gen.closure_text(*large_braid(seed)))
+            for seed in range(12)]
 
 
 def fits(sources: list, most: int) -> bool:
@@ -285,20 +333,12 @@ def fits(sources: list, most: int) -> bool:
 
 @pytest.mark.parametrize("notion, most", [("singquandle", 2),
                                           ("psyquandle", 3)])
-def test_plan_drops_only_implied_steps(exact, notion, most):
-    """Same branch order as the reference planner, so the same search tree;
-    each level's steps a subsequence of the reference's; at most ``most``
-    steps per crossing and two per crossing on the whole (one per
-    equation)."""
+def test_plan_drops_only_implied_steps(exact, large, notion, most):
+    """On ``exact`` and the large braids, at most ``most`` steps per
+    crossing and two per crossing on the whole (one per equation)."""
     rules = RULES[notion]
-    untagged = {kind: [prop[:4] for prop in props]
-                for kind, props in rules.items()}
-    for k, d in enumerate(exact):
-        plan, ref = _plan(d, rules), reference_plan(d, untagged)
-        assert [b for b, _ in plan] == [b for b, _ in ref], k
-        for (_, steps), (_, ref_steps) in zip(plan, ref):
-            rest = iter(ref_steps)
-            assert all(step in rest for step in steps), k
+    for k, d in enumerate(exact + large):
+        plan = _plan(d, rules)
         sources = {}
         for c, (kind, *ports) in enumerate(d.compiled):
             for x, y, slot, out, _ in rules[kind]:
@@ -309,89 +349,14 @@ def test_plan_drops_only_implied_steps(exact, notion, most):
         assert fits([sources[step] for step in steps], most), k
 
 
-# -- the planner against the planner that scored branches on state copies ---
-
-def parent_plan(d, rules: dict) -> list:
-    """Branch order and propagation steps: one (semiarc, steps) pair per
-    search level, a step being (x, y, slot, out, check) over semiarc
-    indices.  Each propagator fires once, at the level where both its
-    inputs are colored, and becomes a step unless its relation is already
-    established at its crossing (an exact inverse of a step taken, which
-    cannot fail); a step checks ``out`` if that is colored by then.  Each
-    level branches on the semiarc whose coloring fires the most propagators
-    (then the most checks, then the lowest index), which keeps the levels,
-    and so the search tree, small."""
-    props = []
-    watch = [[] for _ in d.semiarcs]   # semiarc -> propagators reading it
-    for c, (kind, *ports) in enumerate(d.compiled):
-        for x, y, slot, out, relation in rules[kind]:
-            for i in {ports[x], ports[y]}:
-                watch[i].append(len(props))
-            props.append((ports[x], ports[y], slot, ports[out], c, relation))
-
-    def spread(branch: int, known: list, fired: list, have: list) -> tuple:
-        """Color ``branch`` and propagate, updating ``known``, ``fired`` and
-        the relations ``have`` established per crossing; returns the steps
-        taken, and the propagators fired and checks among them, implied
-        ones included."""
-        known[branch] = True
-        steps = []
-        count = checks = 0
-        queue = [branch]
-        while queue:
-            for k in watch[queue.pop()]:
-                x, y, slot, out, c, relation = props[k]
-                if fired[k] or not (known[x] and known[y]):
-                    continue
-                fired[k] = True
-                count += 1
-                checks += known[out]
-                if have[c] & relation:
-                    continue
-                have[c] = _establish(have[c], relation)
-                steps.append((x, y, slot, out, known[out]))
-                if not known[out]:
-                    known[out] = True
-                    queue.append(out)
-        return steps, count, checks
-
-    def score(branch: int) -> tuple:
-        _, count, checks = spread(branch, list(known), list(fired), list(have))
-        return count, checks, -branch
-
-    known = [False] * len(d.semiarcs)
-    fired = [False] * len(props)
-    have = [0] * len(d.compiled)
-    plan = []
-    while not all(known):
-        branch = max((i for i, k in enumerate(known) if not k), key=score)
-        plan.append((branch, spread(branch, known, fired, have)[0]))
-    return plan
-
-
-def large_braid(seed: int):
-    """A closed braid on 5-7 strands with 40-100 crossings, every strand
-    position used."""
-    rng = random.Random(seed)
-    strands, crossings = rng.randint(5, 7), rng.randint(40, 100)
-    positions = gen._covering_positions(rng, strands, crossings)
-    return strands, [(rng.choice("PNS"), j) for j in positions]
-
-
-@pytest.fixture(scope="module")
-def large():
-    """The closures of ``large_braid`` for seeds 0 to 11."""
-    return [parse_diagram(gen.closure_text(*large_braid(seed)))
-            for seed in range(12)]
-
-
 @pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
 def test_plan_equals_parent_plan(exact, large, notion):
-    """Scoring a branch by one marking pass over its closure gives the very
-    plans of scoring it by a trial propagation over copies of the state."""
+    """On ``exact`` and the large braids, the plan is the reference plan
+    less its implied steps, so it has the same branch order and search
+    tree as the planner that fires every propagator as a step."""
     rules = RULES[notion]
     for k, d in enumerate(exact + large):
-        assert _plan(d, rules) == parent_plan(d, rules), k
+        assert _plan(d, rules) == drop_implied(reference_plan(d, rules)), k
 
 
 # -- the derived rules against the bench checker -----------------------------
@@ -456,49 +421,13 @@ def test_weight_parts_equal_literal_weight_parts(planned, corpus, z6,
                 weight_parts(d, search(d, s), pair), (k, j)
 
 
-# -- kept tags against the per-coloring aggregation, in both orders ----------
+# -- kept tags against the per-coloring loops, in both orders ----------------
 
-def parent_tally(keys, tag_of) -> InvariantValue:
-    """Multiset of ``tag_of(key)`` over ``keys``, building one tag per
-    distinct key."""
-    counts: dict = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    return InvariantValue((tag_of(key), k) for key, k in counts.items())
-
-
-def parent_phi_ssqp(d, s) -> InvariantValue:
-    """Multiset of ssqp(image of f) over all colorings f, rendered in u.
-    The image, and so the tag, depends only on the set of colors used."""
-    full = profile(s)
-    images: dict = {}   # set of colors used -> its closure, the image
-
-    def image(colors: tuple) -> frozenset:
-        used = frozenset(colors)
-        if used not in images:
-            images[used] = substructure_closure(s, used)
-        return images[used]
-
-    return parent_tally(map(image, singquandle_tuples(d, s)),
-                        lambda img: _profile_sum(img, full))
-
-
-def parent_SP(d, sh) -> InvariantValue:
-    """SP(L): multiset of subsp over the shadow image of each shadow
-    coloring.  The image depends only on the sets of semiarc and region
-    colors used."""
-    images: dict = {}   # (semiarc colors, region colors) -> shadow image
-
-    def image(pair: tuple) -> tuple:
-        used = (frozenset(pair[0]), frozenset(pair[1]))
-        if used not in images:
-            acting = substructure_closure(sh.base, used[0])
-            images[used] = (shadow_closure(sh, used[1], acting), acting)
-        return images[used]
-
-    return parent_tally(
-        map(image, shadow_tuples(d, sh)),
-        lambda img: subsp(*img, sh))
+def braid_oracle(strands: int, word, d, s) -> list:
+    """The colorings ``verify.braid_colorings`` derives from the word of
+    ``d`` over the singquandle or psyquandle ``s``."""
+    return verify.braid_colorings(strands, word, checker_tables(s),
+                                  [a.label for a in d.semiarcs])
 
 
 def tagged_structures() -> list:
@@ -512,81 +441,40 @@ def tagged_structures() -> list:
 
 
 @pytest.fixture(scope="module")
-def searched(planned, large):
-    """The diagrams of ``planned`` and the 12 large braids, and the
-    coloring set of each over each tagged structure, searched once: brute
-    force is infeasible at these sizes, so both sides aggregate the
-    searched tuples."""
-    diagrams = planned + large
-    found = {}
+def tag_references(words, planned):
+    """(diagram index, label) -> the per-coloring phi-ssqp or SP of each
+    diagram of ``planned`` over each tagged structure, read from the braid
+    oracle's colorings (for SP, those of the base extended over the
+    regions)."""
+    references = {}
     for label, s, shadow in tagged_structures():
-        search = shadow_tuples if shadow else singquandle_tuples
-        for k, d in enumerate(diagrams):
-            found[k, label] = search(d, s)
-    return diagrams, found
+        for k, ((strands, word), d) in enumerate(zip(words, planned)):
+            colorings = braid_oracle(strands, word, d,
+                                     s.base if shadow else s)
+            references[k, label] = (
+                reference_SP(s, brute_force_shadow(d, s, colorings))
+                if shadow else reference_phi_ssqp(s, colorings))
+    return references
 
 
 @pytest.mark.parametrize("order", ["forward", "reverse"])
-def test_kept_tags_equal_parent_aggregation(searched, monkeypatch, order):
+def test_kept_tags_equal_reference_aggregation(planned, tag_references,
+                                               order):
     """phi-ssqp and SP with the tags kept per structure object, read by
-    the diagrams in either order, equal the per-coloring aggregation.
-    Each order starts from fresh structure objects, and every call reads
-    the tuples of ``searched``."""
-    diagrams, found = searched
+    the diagrams of ``planned`` in either order, equal the per-coloring
+    loops over the braid oracle's colorings.  Each order starts from fresh
+    structure objects."""
     structures = tagged_structures()
-    label = {id(s): name for name, s, _ in structures}
-    index = {id(d): k for k, d in enumerate(diagrams)}
-
-    def lookup(d, s):
-        return found[index[id(d)], label[id(s)]]
-
-    for namespace in (vars(invariants), globals()):
-        monkeypatch.setitem(namespace, "singquandle_tuples", lookup)
-        monkeypatch.setitem(namespace, "shadow_tuples", lookup)
-    ks = range(len(diagrams))
+    ks = range(len(planned))
     for k in (ks if order == "forward" else reversed(ks)):
-        d = diagrams[k]
-        for name, s, shadow in structures:
-            if shadow:
-                assert (shadow_polynomial_invariant(d, s)
-                        == parent_SP(d, s)), (k, name)
-            else:
-                assert phi_ssqp(d, s) == parent_phi_ssqp(d, s), (k, name)
+        d = planned[k]
+        for label, s, shadow in structures:
+            value = (shadow_polynomial_invariant(d, s) if shadow
+                     else phi_ssqp(d, s))
+            assert value == tag_references[k, label], (k, label)
 
 
-# -- the orbit search against the search over every first value --------------
-
-def parent_enumerate(d, n: int, notion: str, tables: dict) -> tuple:
-    """Sorted color tuples of every semiarc coloring that passes the rules
-    of ``notion``, reading ``tables`` by key.  The plan is kept on the
-    diagram, per notion."""
-    plan = kept(d, ("plan", notion), lambda: _plan(d, RULES[notion]))
-    plan = [(branch, [(x, y, tables[key], out, check)
-                      for x, y, key, out, check in steps])
-            for branch, steps in plan]
-    colors = [0] * len(d.semiarcs)
-    solutions = []
-
-    def search(level: int) -> None:
-        if level == len(plan):
-            solutions.append(tuple(colors))
-            return
-        branch, steps = plan[level]
-        for value in range(n):
-            colors[branch] = value
-            for x, y, table, out, check in steps:
-                v = table[colors[x] * n + colors[y]]
-                if not check:
-                    colors[out] = v
-                elif colors[out] != v:
-                    break
-            else:
-                search(level + 1)
-
-    search(0)
-    solutions.sort()
-    return tuple(solutions)
-
+# -- the orbit search against the braid oracle -------------------------------
 
 def rigid():
     """A singquandle of order 3 whose tables no permutation but the
@@ -617,14 +505,16 @@ def searched_structures() -> dict:
 
 
 @pytest.mark.parametrize("label", ["z6", "z8k", "psy6", "z8_z6_base",
-                                   "z8_z4_base", "rigid"])
-def test_enumerate_equals_parent_enumerate(planned, label):
-    """The 40 braids, the pool and the link family give the very tuples of
-    the search over every first-branch value."""
-    s, notion, tables = searched_structures()[label]
-    for k, d in enumerate(planned):
-        assert _enumerate(d, s, notion) == \
-            parent_enumerate(d, s.n, notion, tables), k
+                                   "z8_z4_base", "z8_z4_b_base", "one",
+                                   "rigid"])
+def test_enumerate_equals_braid_colorings(words, planned, label):
+    """The 40 braids, the pool and the link family give the colorings the
+    braid oracle derives from their words, over every structure the search
+    serves."""
+    s, notion, _ = searched_structures()[label]
+    for k, ((strands, word), d) in enumerate(zip(words, planned)):
+        assert list(_enumerate(d, s, notion)) == \
+            braid_oracle(strands, word, d, s), k
 
 
 def test_orbits(planned):
