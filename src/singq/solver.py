@@ -33,18 +33,52 @@ def _cocycle_rows(s: OrientedSingquandle) -> list:
     return rows
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2015);
+# without 41 it would be 318665857834031151167461
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BASES_EXACT_BELOW = 3317044064679887385961981
+
+
+def _known_prime(m: int) -> bool:
+    """True when m is a prime below ``_BASES_EXACT_BELOW``, by
+    deterministic Miller-Rabin; False for every other m."""
+    if m < 2 or m >= _BASES_EXACT_BELOW:
+        return False
+    for a in _BASES:
+        if m % a == 0:
+            return m == a
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_powers(m: int) -> list:
-    """(p, e) for each prime power p^e exactly dividing m >= 1, by trial
-    division, primes ascending."""
+    """(p, e) for each prime power p^e exactly dividing m >= 1, primes
+    ascending: by trial division, which stops once the cofactor is a known
+    prime (tested at the start and after each factor divided out)."""
     out = []
     p = 2
-    while p * p <= m:
+    prime = _known_prime(m)
+    while not prime and p * p <= m:
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         if e:
             out.append((p, e))
+            prime = _known_prime(m)
         p += 1
     if m > 1:
         out.append((m, 1))

@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from singq.algebra import ShadowStructure, affine_singquandle, parse_algebra
 from singq.data import (corpus_names, load_algebra, load_diagram,
                         load_weights)
 from singq.psyquandle import Psyquandle
+from singq.solver import _cocycle_rows
 
 
 @pytest.fixture(scope="session")
@@ -98,13 +100,77 @@ def bench_affine(n):
 
 STRUCTURES = {
     "z6": lambda: load_algebra("z6_singquandle.alg").structure,
-    "Z8(3,0,1)": lambda: affine_singquandle(8, 3, 0, 1),
-    "Z9(4,0,1)": lambda: affine_singquandle(9, 4, 0, 1),
-    "Z10(7,6,5)": lambda: affine_singquandle(10, 7, 6, 5),
-    "Z11(4,1,0)": lambda: affine_singquandle(11, 4, 1, 0),
+    **{f"Z{n}({a},{b},{c})": (lambda args=(n, a, b, c):
+                              affine_singquandle(*args))
+       for n, a, b, c in [(4, 3, 0, 1), (6, 5, 1, 0), (8, 3, 0, 1),
+                          (8, 7, 0, 1), (9, 4, 0, 1), (10, 7, 6, 5),
+                          (11, 4, 1, 0)]},
     **{f"gen{n}": (lambda n=n: bench_affine(n))
        for n in (*range(5, 10), 12)},
 }
+
+
+# -- Smith-form oracle of the cocycle solver -------------------------------------
+
+def prime_powers(m: int) -> list:
+    """(p, e) for each prime power p^e exactly dividing m, trying every p up
+    to m: slow, and sharing no code with the solver's factorisation."""
+    out = []
+    for p in range(2, m + 1):
+        if m % p == 0 and all(p % d for d in range(2, p)):
+            e = 0
+            while m % p ** (e + 1) == 0:
+                e += 1
+            out.append((p, e))
+    return out
+
+
+def smith_kernel_size(rows, width, modulus):
+    """|{v in Z_modulus^width : A v = 0}| for the sparse rows of A, from the
+    Smith form of A over each prime-power factor of the modulus.
+
+    Over Z_{p^e} an entry of least p-adic valuation v divides every other
+    entry, so it clears its row and column and contributes p^v solutions;
+    each column left all zero contributes p^e.  This shares no code with the
+    solver's elimination.
+    """
+    size = 1
+    for p, e in prime_powers(modulus):
+        q = p ** e
+        a = np.zeros((len(rows), width), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for j, c in row.items():
+                a[i, j] = (a[i, j] + c) % q
+        while True:
+            a = a[a.any(axis=1)]
+            for low in range(e):
+                off = a % p ** (low + 1) != 0
+                if off.any():
+                    break
+            else:
+                break
+            i, j = divmod(int(off.argmax()), a.shape[1])
+            unit = int(a[i, j]) // p ** low
+            pivot_row = a[i] * pow(unit, -1, q) % q       # a[i, j] -> p^low
+            hit = np.flatnonzero(a[:, j])                 # rows to clear
+            a[hit] = (a[hit] - np.outer(a[hit, j] // p ** low, pivot_row)) % q
+            a = np.delete(a, j, axis=1)
+            size *= p ** low
+        size *= q ** a.shape[1]
+    return size
+
+
+@functools.cache
+def _cocycle_kernel_size(s, q: int) -> int:
+    return smith_kernel_size(_cocycle_rows(s), 2 * s.n * s.n, q)
+
+
+def cocycle_kernel_size(s, modulus: int) -> int:
+    """The number of valid (phi, phi') pairs of ``s`` mod ``modulus`` by
+    ``smith_kernel_size`` of its cocycle rows, computed once per equal
+    structure and prime power."""
+    return math.prod(_cocycle_kernel_size(s, p ** e)
+                     for p, e in prime_powers(modulus))
 
 
 # -- brute-force coloring oracle ----------------------------------------------

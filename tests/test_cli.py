@@ -268,6 +268,15 @@ class TestSearchCocycles:
         assert rc == 1
         assert "member: no" in capsys.readouterr().out
 
+    def test_prime_modulus_near_10_to_18(self, capsys):
+        """Factoring this modulus by trial division up to its square root
+        once ran for minutes."""
+        rc = main(["search-cocycles", "one.alg", "--modulus",
+                   "1000000000000000003"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "solution space size: 1000000000000000003\ngenerators: 1\n")
+
     def test_bad_modulus(self, capsys):
         rc = main(["search-cocycles", "z6_singquandle.alg",
                    "--modulus", "1"])

@@ -1,10 +1,8 @@
 import copy
-import hashlib
 import itertools
 import pickle
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from singq.algebra import (AlgebraError, OperationTable,
@@ -24,7 +22,7 @@ from singq.invariants import (InvariantError, InvariantValue, WeightPair,
 from singq.polynomial import BasePolynomial, parse_polynomial
 from singq.solver import _cocycle_rows, solve_cocycle_space
 
-from conftest import STRUCTURES
+from conftest import STRUCTURES, cocycle_kernel_size
 
 
 class TestCocycleValidation:
@@ -496,42 +494,6 @@ def test_invariants_build_no_coloring_records(monkeypatch, corpus, z6,
         "18 + 6uv")
 
 
-def smith_kernel_size(rows, width, modulus):
-    """|{v in Z_modulus^width : A v = 0}| for the sparse rows of A, from the
-    Smith form of A over each prime-power factor of the modulus.
-
-    Over Z_{p^e} an entry of least p-adic valuation v divides every other
-    entry, so it clears its row and column and contributes p^v solutions;
-    each column left all zero contributes p^e.  This shares no code with the
-    solver's elimination.
-    """
-    size = 1
-    for p in range(2, modulus + 1):
-        if modulus % p or any(p % d == 0 for d in range(2, p)):
-            continue
-        e = 0
-        while modulus % p ** (e + 1) == 0:
-            e += 1
-        q = p ** e
-        a = np.zeros((len(rows), width), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, c in row.items():
-                a[i, j] = (a[i, j] + c) % q
-        while True:
-            a = a[a.any(axis=1)]
-            low = next((k for k in range(e) if (a % p ** (k + 1)).any()), None)
-            if low is None:
-                break
-            i, j = np.argwhere(a % p ** (low + 1) != 0)[0]
-            unit = int(a[i, j]) // p ** low
-            pivot_row = a[i] * pow(unit, -1, q) % q       # a[i, j] -> p^low
-            a = (a - np.outer(a[:, j] // p ** low, pivot_row)) % q
-            a = np.delete(a, j, axis=1)
-            size *= p ** low
-        size *= q ** a.shape[1]
-    return size
-
-
 class TestCocycleSolver:
     @pytest.mark.parametrize("build, modulus", [
         *(pytest.param(lambda args=args: affine_singquandle(*args), m,
@@ -548,57 +510,7 @@ class TestCocycleSolver:
         s = build()
         space = solve_cocycle_space(s, modulus)
         assert all(space.contains(g) for g in space.generators)
-        assert space.size == smith_kernel_size(_cocycle_rows(s),
-                                               2 * s.n * s.n, modulus)
-
-    # (generator count, size, SHA-256 of the generators' (phi, singular)
-    # reprs in order), re-recorded when the pivot became the newest work row
-    # (same count and size); test_cocycle_kernel.py checks the generators
-    # against its references: z6 against the per-prime-power solver, z8
-    # element for element against the dense elimination
-    RECORDED = {
-        "z6": (22, 241864704, "d9a09e47c6c2c9138c03047744e370a7"
-                              "fd643fc22f5187b50fdfaf9dd52744ec"),
-        "z8": (18, 2 ** 50, "b0111b454d81a1011f55e43449b13168"
-                            "1f1f64b9ae6e97531e50fe6e8aad4138"),
-    }
-
-    @pytest.mark.parametrize("name", sorted(RECORDED))
-    def test_generator_basis_pinned(self, name, z6):
-        s, modulus = ((z6, 6) if name == "z6"
-                      else (affine_singquandle(8, 3, 0, 1), 8))
-        rows = _cocycle_rows(s)
-        assert all(rows) and all(all(row.values()) for row in rows)
-        space = solve_cocycle_space(s, modulus)
-        digest = hashlib.sha256()
-        for g in space.generators:
-            digest.update(repr((g.phi, g.singular)).encode())
-        assert (len(space.generators), space.size,
-                digest.hexdigest()) == self.RECORDED[name]
-
-    # SHA-256 of the repr of _cocycle_rows(s) less repeated rows (first
-    # copies kept, in order), recorded while the rows were built through
-    # OperationTable calls and with repeats dropped; the flat tables must
-    # give the same rows in the same order, each with the same key order
-    ROW_DIGESTS = {
-        "z6": "e13d6472cd656ef71ea0a66555945c62"
-              "35d6184bc84c05b8ebe8fafc5a665d21",
-        "Z8(3,0,1)": "3a70a764dcbf790db8c927696dda3c3b"
-                     "1b8d26ec44b13b5c66381e4fd8978c9d",
-        "Z10(7,6,5)": "15885b91aba51a5bd917aa9d18758441"
-                      "09ff7bd0f36cd767351422aeb05c48b9",
-        "Z11(4,1,0)": "38a662ea6b452790a1ac54177d5047d2"
-                      "bdc250aed3dd1319de2267a817b25476",
-    }
-
-    @pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
-    def test_cocycle_rows_pinned(self, name):
-        first = {}
-        for row in _cocycle_rows(STRUCTURES[name]()):
-            first.setdefault(frozenset(row.items()), row)
-        rows = list(first.values())
-        assert (hashlib.sha256(repr(rows).encode()).hexdigest()
-                == self.ROW_DIGESTS[name])
+        assert space.size == cocycle_kernel_size(s, modulus)
 
     def test_membership_sweep_runs_no_elimination(self, monkeypatch):
         """The solve eliminates once over Z_10 on the rows, then once per
@@ -693,8 +605,7 @@ class TestCocycleSolver:
         for s, modulus in ([(s, 4) for s in two]
                            + [(s, m) for s in three for m in (3, 9)]):
             space = solve_cocycle_space(s, modulus)
-            assert space.size == smith_kernel_size(_cocycle_rows(s),
-                                                   2 * s.n * s.n, modulus)
+            assert space.size == cocycle_kernel_size(s, modulus)
             for g in space.generators:
                 assert validate_cocycle_pair(s, g).valid
 
