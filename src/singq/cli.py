@@ -64,8 +64,9 @@ def cmd_validate(args) -> int:
     status = 0
     for path in args.paths:
         try:
+            dgm, _, wgt = _classify([path])
             text = _read_path(path)
-            if path.endswith(".dgm"):
+            if dgm:
                 from .diagram import parse_diagram, validate_diagram
                 d = parse_diagram(text)
                 rep = validate_diagram(d)
@@ -77,7 +78,7 @@ def cmd_validate(args) -> int:
                     for p in rep.problems:
                         print(f"  {p}")
                     status = 2
-            elif path.endswith(".wgt"):
+            elif wgt:
                 from .invariants import parse_weights
                 w = parse_weights(text)
                 print(f"{path}: well-formed {w.kind} weights "

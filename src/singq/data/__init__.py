@@ -2,9 +2,9 @@
 
 Fixtures are algebra (.alg) and weight (.wgt) files; the corpus holds
 diagram (.dgm) transcriptions of singular knots.  Loaders return parsed
-objects; ``*_path`` helpers return :class:`pathlib.Path` objects, and
-:func:`bundled_path` the path of a bundled file as a string.  Files are
-found next to this module, and each loader imports only its own parser.
+objects, and :func:`bundled_path` the path of a bundled file as a string.
+Files are found next to this module, and each loader imports only its own
+parser.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import os
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from pathlib import Path
-
     from ..algebra import LoadedAlgebra
     from ..diagram import SingularDiagram
 
@@ -26,16 +24,6 @@ def bundled_path(name: str) -> str:
     otherwise a fixture."""
     subdir = "corpus" if name.endswith(".dgm") else "fixtures"
     return os.path.join(_ROOT, subdir, name)
-
-
-def fixture_path(name: str) -> Path:
-    from pathlib import Path
-    return Path(_ROOT, "fixtures", name)
-
-
-def corpus_path(name: str) -> Path:
-    from pathlib import Path
-    return Path(_ROOT, "corpus", name)
 
 
 def _names(subdir: str, suffixes: tuple) -> list:

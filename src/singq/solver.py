@@ -64,14 +64,63 @@ def _known_prime(m: int) -> bool:
     return True
 
 
+def _rho(n: int, c: int) -> int:
+    """A divisor of the composite n found by Pollard's rho in Brent's
+    form, walking y -> y^2 + c from y = 2: a proper one, or n itself when
+    this walk fails.  The gcd is taken over batches of 128 steps, and a
+    batch whose product reaches n is walked again one step at a time."""
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = gcd(q, n)
+            k += 128
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(abs(x - ys), n)
+    return g
+
+
+def _prime_factors(n: int) -> list:
+    """The prime factors of 1 < n < ``_BASES_EXACT_BELOW``, repeated by
+    multiplicity: a composite n is split by ``_rho`` with c = 1, 2, ... in
+    turn until a walk gives a proper divisor."""
+    if _known_prime(n):
+        return [n]
+    c = 1
+    while (d := _rho(n, c)) == n:
+        c += 1
+    return _prime_factors(d) + _prime_factors(n // d)
+
+
+# the primes trial division tries before ``_rho`` takes over
+_TRIAL_BELOW = 1000
+
+
 def _prime_powers(m: int) -> list:
     """(p, e) for each prime power p^e exactly dividing m >= 1, primes
     ascending: by trial division, which stops once the cofactor is a known
-    prime (tested at the start and after each factor divided out)."""
+    prime (tested at the start and after each factor divided out).  A
+    composite cofactor left once p reaches ``_TRIAL_BELOW`` is split by
+    Pollard's rho; one at or above ``_BASES_EXACT_BELOW``, where no prime
+    is known, goes on by trial division, so the answer stays exact."""
     out = []
     p = 2
     prime = _known_prime(m)
     while not prime and p * p <= m:
+        if p >= _TRIAL_BELOW and m < _BASES_EXACT_BELOW:
+            factors = _prime_factors(m)
+            return out + [(q, factors.count(q)) for q in sorted(set(factors))]
         e = 0
         while m % p == 0:
             m //= p

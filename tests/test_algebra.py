@@ -15,7 +15,7 @@ from singq.algebra import (AlgebraError, InvalidStructureError,
                            validate_quandle, validate_shadow,
                            validate_singquandle)
 from singq.coloring import H1, H2, RULES, _tables, singquandle_tuples
-from singq.data import (fixture_names, fixture_path, load_algebra,
+from singq.data import (bundled_path, fixture_names, load_algebra,
                         load_diagram, load_weights)
 from singq.invariants import WeightPair, restrict, ssqp, subsp
 from singq.morphisms import (are_isomorphic, is_homomorphism,
@@ -684,7 +684,8 @@ class TestClosures:
 TYPES = ('quandle', 'singquandle', 'biquandle', 'psyquandle', 'shadow')
 
 # the bundled psyquandle with a star formula, which no psyquandle reads
-PSY6_STAR = fixture_path("psy6.alg").read_text() + "formula: star 7\n"
+PSY6_STAR = (Path(bundled_path("psy6.alg")).read_text(encoding="utf-8")
+             + "formula: star 7\n")
 
 
 class TestFileFormat:
@@ -810,8 +811,10 @@ class TestFileFormat:
          "line 4: cannot parse formula 'x/2': trailing input at position 1"),
         ("type: quandle\norder: 2\n\nformula: star z\n",
          "line 4: formula 'z' uses unknown variable(s) ['z']"),
+        ("type: singquandle\norder: 2\nformula: star x\nstar:\n1 1\n2 2\n"
+         "formula: r1 x\nformula: r2 x\n", "line 4: star is given twice"),
     ], ids=["block", "short-block", "ops", "action", "formula-syntax",
-            "formula-variable"])
+            "formula-variable", "formula-then-block"])
     def test_table_error_names_its_line(self, text, message):
         with pytest.raises(AlgebraError) as err:
             parse_algebra(text)

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from singq.coloring import ColoringError
 from singq.diagram import DiagramError
 from singq.invariants import InvariantError
 from singq.polynomial import PolynomialError
-from singq.data import corpus_path, load_algebra, load_weights
+from singq.data import bundled_path, load_algebra, load_weights
 
 
 class TestValidate:
@@ -38,6 +40,18 @@ class TestValidate:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "nope.alg"]) == 2
+
+    def test_unrecognized_suffix(self, tmp_path, capsys):
+        """``validate`` once read any suffix but .dgm and .wgt as .alg,
+        where ``invariant`` refuses it; now it refuses it too, and goes on
+        to the next path."""
+        notes = tmp_path / "notes.txt"
+        notes.write_text("type: quandle\norder: 2\nstar:\n1 1\n2 2\n")
+        assert main(["validate", str(notes), "one.alg"]) == 2
+        assert capsys.readouterr().out == (
+            f"{notes}: error: unrecognized file type {str(notes)!r} "
+            "(expected .dgm, .alg or .wgt)\n"
+            "one.alg: valid singquandle (order 1)\n")
 
     def test_missing_explicit_path_is_not_replaced(self, tmp_path, capsys):
         """Only a bare file name falls back to the bundled file of that
@@ -88,13 +102,22 @@ class TestInvariant:
                    "z6_singquandle.alg"])
         assert rc == 2
 
-    def test_unread_weights(self, capsys):
-        """A weight file count does not read once gave 6 and exit 0."""
-        rc = main(["invariant", "count", "5k6.dgm", "z6_singquandle.alg",
-                   "z6_cocycle.wgt"])
-        assert rc == 2
-        assert capsys.readouterr() == \
-            ("", "error: count does not read 'z6_cocycle.wgt'\n")
+    @pytest.mark.parametrize("kind, inputs, error", [
+        ("count", ["5k6.dgm", "z6_singquandle.alg", "z6_cocycle.wgt"],
+         "count does not read 'z6_cocycle.wgt'"),
+        ("state-sum", ["5k6.dgm", "z6_singquandle.alg", "psy6_boltzmann.wgt"],
+         "state-sum needs phi/phiprime weights"),
+        ("boltzmann-1", ["1l1.dgm", "psy6.alg", "z6_cocycle.wgt"],
+         "boltzmann-1 needs phi/psi weights"),
+        ("boltzmann-2", ["1l1.dgm", "psy6.alg", "psy6_boltzmann.wgt"],
+         "Boltzmann pair is not strongly compatible"),
+    ], ids=["count", "state-sum", "boltzmann-1", "boltzmann-2"])
+    def test_weights_refused(self, capsys, kind, inputs, error):
+        """A weight file count does not read once gave 6 and exit 0.  A
+        pair of the other weight kind is refused by the blocks the kind
+        reads, and boltzmann-2 refuses a pair without axiom IV."""
+        assert main(["invariant", kind, *inputs]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_sp_refuses_a_diagram_unparsed(self, tmp_path, capsys):
         """sp reads the structure alone: a diagram is refused by name
@@ -168,16 +191,22 @@ class TestInputErrors:
         assert rc == 2
         assert "disconnected" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["shadow-count", "SP"])
+    @pytest.mark.parametrize("kind", ["shadow-count", "SP", "validate"])
     def test_euler_failure(self, tmp_path, capsys, kind):
         """Rotations that fail the Euler check once gave wrong values and
-        exit 0 (48 shadow colorings of 4_1k instead of 96)."""
+        exit 0 (48 shadow colorings of 4_1k instead of 96); ``validate``
+        reports the failed check as the diagram's problem."""
         path = tmp_path / "bad_rot.dgm"
-        path.write_text(corpus_path("4_1k.dgm").read_text().replace(
-            "rot 1 uo oo ui oi", "rot 1 oo uo ui oi"))
-        rc = main(["invariant", kind, str(path), "z8_z6_shadow.alg"])
-        assert rc == 2
-        assert "Euler check failed" in capsys.readouterr().err
+        text = Path(bundled_path("4_1k.dgm")).read_text(encoding="utf-8")
+        path.write_text(text.replace("rot 1 uo oo ui oi", "rot 1 oo uo ui oi"))
+        if kind == "validate":
+            assert main(["validate", str(path)]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith(f"{path}: INVALID\n  Euler check failed: ")
+        else:
+            rc = main(["invariant", kind, str(path), "z8_z6_shadow.alg"])
+            assert rc == 2
+            assert "Euler check failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block", ["phiprime", "psi"])
     def test_ragged_second_block(self, tmp_path, capsys, block):
@@ -248,15 +277,36 @@ class TestInputErrors:
             main(["corpus"])
 
 
+# the affine singquandle 7x+10y, 15x+10y, 6x+3y of order 16, where the pivot
+# rule decides the fill-in
+Z16 = ("type: singquandle\norder: 16\nformula: star 7x+10y\n"
+       "formula: r1 15x+10y\nformula: r2 6x+3y\n")
+
+
 class TestSearchCocycles:
-    def test_member(self, capsys):
-        rc = main(["search-cocycles", "z6_singquandle.alg", "--modulus", "6",
-                   "--contains", "z6_cocycle.wgt"])
-        out = capsys.readouterr().out
+    @pytest.mark.parametrize("structure, flags, stdout", [
+        ("z6_singquandle.alg", ["--modulus", "6", "--contains",
+                                "z6_cocycle.wgt"],
+         "solution space size: 241864704\ngenerators: 22\nmember: yes\n"),
+        ("z6_singquandle.alg", ["--modulus", "10"],
+         "solution space size: 40000000000\ngenerators: 22\n"),
+        ("z6_singquandle.alg", ["--modulus", "12"],
+         "solution space size: 247669456896\ngenerators: 22\n"),
+        # the generator count is not canonical at 16: only the size is pinned
+        ("z16.alg", ["--modulus", "16"],
+         "solution space size: 1329227995784915872903807060280344576\n"
+         r"generators: \d+\n"),
+    ], ids=["z6-6", "z6-10", "z6-12", "z16-16"])
+    def test_member(self, tmp_path, capsys, structure, flags, stdout):
+        """The size and generator count at a square-free modulus, with the
+        member line of --contains, at another square-free modulus and at
+        two that are not; ``stdout`` is matched as a regular expression."""
+        if structure == "z16.alg":
+            structure = tmp_path / structure
+            structure.write_text(Z16)
+        rc = main(["search-cocycles", str(structure), *flags])
         assert rc == 0
-        assert "size: 241864704" in out
-        assert "generators: 22" in out
-        assert "member: yes" in out
+        assert re.fullmatch(stdout, capsys.readouterr().out)
 
     def test_non_member_exit_one(self, tmp_path, capsys):
         rows = "\n".join("1 0 0 0 0 0" for _ in range(6))
@@ -266,16 +316,22 @@ class TestSearchCocycles:
         rc = main(["search-cocycles", "z6_singquandle.alg", "--modulus", "6",
                    "--contains", str(wgt)])
         assert rc == 1
-        assert "member: no" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("\nmember: no\n")
 
-    def test_prime_modulus_near_10_to_18(self, capsys):
-        """Factoring this modulus by trial division up to its square root
-        once ran for minutes."""
-        rc = main(["search-cocycles", "one.alg", "--modulus",
-                   "1000000000000000003"])
+    @pytest.mark.parametrize("modulus, generators", [
+        (1000000000000000003, 1),   # a prime
+        (1000000016000000063, 2),   # (10^9 + 7)(10^9 + 9)
+    ])
+    def test_prime_modulus_near_10_to_18(self, capsys, modulus, generators):
+        """Factoring the prime by trial division up to its square root, and
+        the product of two primes near 10^9 by trial division up to the
+        smaller, once ran for minutes; each takes well under 10 s."""
+        start = time.perf_counter()
+        rc = main(["search-cocycles", "one.alg", "--modulus", str(modulus)])
+        assert time.perf_counter() - start < 10
         assert rc == 0
         assert capsys.readouterr().out == (
-            "solution space size: 1000000000000000003\ngenerators: 1\n")
+            f"solution space size: {modulus}\ngenerators: {generators}\n")
 
     def test_bad_modulus(self, capsys):
         rc = main(["search-cocycles", "z6_singquandle.alg",

@@ -113,36 +113,58 @@ def test_generators_span_exactly_the_kernel(name, modulus):
 def test_contains_agrees_with_validator(name, modulus):
     """Membership by the rows that cut the space against the exhaustive
     check of every condition: seeded members (random combinations of the
-    generators), near-members (one entry of such a combination shifted) and
-    uniformly random pairs."""
+    generators), near-members (one entry of such a combination shifted),
+    uniformly random pairs, and random combinations of the solutions of
+    every cutting row but the last, some of which that row excludes, so a
+    ``contains`` that skips it shows."""
     s, _, space = solved(name, modulus)
     n = s.n
-    flats = [_flat(g) for g in space.generators]
+    width = 2 * n * n
     rng = random.Random(modulus * 100 + n)
-    outcomes = set()
-    for trial in range(16):
-        if trial < 12:
-            vec = [0] * (2 * n * n)
-            for flat in flats:
-                c = rng.randrange(modulus)
-                vec = [(a + c * b) % modulus for a, b in zip(vec, flat)]
-            if trial % 2:
-                k = rng.randrange(len(vec))
-                vec[k] = (vec[k] + rng.randrange(1, modulus)) % modulus
-        else:
-            vec = [rng.randrange(modulus) for _ in range(2 * n * n)]
+
+    def combination(gens):
+        vec = [0] * width
+        for g in gens:
+            c = rng.randrange(modulus)
+            vec = [(a + c * b) % modulus for a, b in zip(vec, g)]
+        return vec
+
+    flats = [_flat(g) for g in space.generators]
+    vecs = []
+    for trial in range(12):
+        vec = combination(flats)
+        if trial % 2:
+            k = rng.randrange(width)
+            vec[k] = (vec[k] + rng.randrange(1, modulus)) % modulus
+        vecs.append(vec)
+    vecs += [[rng.randrange(modulus) for _ in range(width)]
+             for _ in range(4)]
+    cut = {}
+    for k, refs in space.cutting.items():
+        for r, c in refs:
+            cut.setdefault(r, {})[k] = c
+    cut = [cut[r] for r in sorted(cut)]
+    assert cut
+    near = [[g.get(k, 0) for k in range(width)]
+            for g in _kernel(cut[:-1], width, modulus)[0]]
+    vecs += [combination(near) for _ in range(8)]
+    outcomes = []
+    for vec in vecs:
         rows = [vec[i * n:(i + 1) * n] for i in range(2 * n)]
         cp = WeightPair.from_rows("cocycle", modulus, rows[:n], rows[n:])
         member = space.contains(cp)
         assert member == validate_cocycle_pair(s, cp).valid
-        outcomes.add(member)
-    assert outcomes == {False, True}
+        outcomes.append(member)
+    assert set(outcomes[:16]) == {False, True}
+    assert not all(outcomes[16:])
 
 
 def test_prime_powers_match_trial_division():
     """Below 2000 against trial division by every p; above, a prime near
     10^18 is found at once, also as a cofactor, and a strong pseudoprime to
-    the bases 2..23 is still factored.  The strong pseudoprimes to the
+    the bases 2..23 is still factored.  Seeded products of primes above the
+    trial-division bound, squares and cubes among them, and a product of
+    two primes near 10^9 are split too.  The strong pseudoprimes to the
     bases 2..37 and 2..41 are not taken for primes."""
     for m in range(1, 2000):
         assert _prime_powers(m) == prime_powers(m)
@@ -151,6 +173,18 @@ def test_prime_powers_match_trial_division():
     assert _prime_powers(96 * big) == [(2, 5), (3, 1), (big, 1)]
     assert _prime_powers(3825123056546413051) == [
         (149491, 1), (747451, 1), (34233211, 1)]
+    assert _prime_powers((10 ** 9 + 7) * (10 ** 9 + 9)) == [
+        (10 ** 9 + 7, 1), (10 ** 9 + 9, 1)]
+    primes = [p for p in range(1000, 5000) if all(p % d for d in range(2, 71))]
+    rng = random.Random(35)
+    for _ in range(200):
+        small = rng.choice([1, 2, 12, 997])
+        factors = sorted((p, rng.randint(1, 3))
+                         for p in rng.sample(primes, rng.randint(1, 3)))
+        m = small
+        for p, e in factors:
+            m *= p ** e
+        assert _prime_powers(m) == prime_powers(small) + factors
     assert not solver._known_prime(399165290221 * 798330580441)
     assert not solver._known_prime(3317044064679887385961981)
 

@@ -2,17 +2,17 @@
 raises only its own typed error, and ``singq validate`` exits 0 or 2."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from singq.algebra import AlgebraError, parse_algebra
 from singq.cli import main
-from singq.data import corpus_names, corpus_path, fixture_names, fixture_path
+from singq.data import bundled_path, corpus_names, fixture_names
 from singq.diagram import DiagramError, parse_diagram
 from singq.invariants import InvariantError, parse_weights
 
-FILES = ([(name, fixture_path(name)) for name in fixture_names()]
-         + [(name, corpus_path(name)) for name in corpus_names()])
+FILES = fixture_names() + corpus_names()
 MUTANTS = 100         # per file
 CLI_EVERY = 3         # run ``singq validate`` on every third mutant
 
@@ -68,9 +68,9 @@ def load(name: str, text: str) -> None:
 ERRORS = {"alg": AlgebraError, "wgt": InvariantError, "dgm": DiagramError}
 
 
-@pytest.mark.parametrize("name,path", FILES, ids=[name for name, _ in FILES])
-def test_mutated_inputs_fail_typed(tmp_path, capsys, name, path):
-    lines = path.read_text().splitlines()
+@pytest.mark.parametrize("name", FILES)
+def test_mutated_inputs_fail_typed(tmp_path, capsys, name):
+    lines = Path(bundled_path(name)).read_text(encoding="utf-8").splitlines()
     rng = random.Random(name)
     error = ERRORS[name.rsplit(".", 1)[1]]
     outcomes = set()
