@@ -28,14 +28,20 @@ class UsageError(SingqError):
     pass
 
 
+def _read_file(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _read_path(path: str) -> str:
     """The UTF-8 text of ``path``, or else, for a bare file name, of the
     bundled file of that name."""
-    bundled = () if os.path.dirname(path) else (data.bundled_path(path),)
-    for cand in (path, *bundled):
+    readers = [_read_file]
+    if not os.path.dirname(path):
+        readers.append(data.read_bundled)
+    for read in readers:
         try:
-            with open(cand, encoding="utf-8") as fh:
-                return fh.read()
+            return read(path)
         except OSError:
             continue
         except UnicodeDecodeError:

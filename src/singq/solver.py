@@ -40,10 +40,11 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _BASES_EXACT_BELOW = 3317044064679887385961981
 
 
-def _known_prime(m: int) -> bool:
-    """True when m is a prime below ``_BASES_EXACT_BELOW``, by
-    deterministic Miller-Rabin; False for every other m."""
-    if m < 2 or m >= _BASES_EXACT_BELOW:
+def _probable_prime(m: int) -> bool:
+    """True when m >= 2 and no base of ``_BASES`` shows by Miller-Rabin
+    that m is composite; below ``_BASES_EXACT_BELOW`` that proves m
+    prime."""
+    if m < 2:
         return False
     for a in _BASES:
         if m % a == 0:
@@ -62,6 +63,12 @@ def _known_prime(m: int) -> bool:
         else:
             return False
     return True
+
+
+def _known_prime(m: int) -> bool:
+    """True when m is a prime below ``_BASES_EXACT_BELOW``, by
+    deterministic Miller-Rabin; False for every other m."""
+    return m < _BASES_EXACT_BELOW and _probable_prime(m)
 
 
 def _rho(n: int, c: int) -> int:
@@ -92,11 +99,18 @@ def _rho(n: int, c: int) -> int:
 
 
 def _prime_factors(n: int) -> list:
-    """The prime factors of 1 < n < ``_BASES_EXACT_BELOW``, repeated by
-    multiplicity: a composite n is split by ``_rho`` with c = 1, 2, ... in
-    turn until a walk gives a proper divisor."""
-    if _known_prime(n):
-        return [n]
+    """The prime factors of n > 1, repeated by multiplicity: a composite n
+    is split by ``_rho`` with c = 1, 2, ... in turn until a walk gives a
+    proper divisor.  A factor at or above ``_BASES_EXACT_BELOW`` that no
+    base shows composite can be proved neither prime nor composite here,
+    so it is refused."""
+    if _probable_prime(n):
+        if n < _BASES_EXACT_BELOW:
+            return [n]
+        raise InvariantError(
+            f"cannot factor the modulus: no Miller-Rabin base up to 41 "
+            f"shows its factor {n} composite, and at or above "
+            f"{_BASES_EXACT_BELOW} that does not prove it prime")
     c = 1
     while (d := _rho(n, c)) == n:
         c += 1
@@ -111,14 +125,14 @@ def _prime_powers(m: int) -> list:
     """(p, e) for each prime power p^e exactly dividing m >= 1, primes
     ascending: by trial division, which stops once the cofactor is a known
     prime (tested at the start and after each factor divided out).  A
-    composite cofactor left once p reaches ``_TRIAL_BELOW`` is split by
-    Pollard's rho; one at or above ``_BASES_EXACT_BELOW``, where no prime
-    is known, goes on by trial division, so the answer stays exact."""
+    cofactor left once p reaches ``_TRIAL_BELOW`` is split by
+    ``_prime_factors``, which refuses a factor it can prove neither prime
+    nor composite (an InvariantError)."""
     out = []
     p = 2
     prime = _known_prime(m)
     while not prime and p * p <= m:
-        if p >= _TRIAL_BELOW and m < _BASES_EXACT_BELOW:
+        if p >= _TRIAL_BELOW:
             factors = _prime_factors(m)
             return out + [(q, factors.count(q)) for q in sorted(set(factors))]
         e = 0
@@ -270,13 +284,14 @@ def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
         raise InvariantError("modulus must be >= 2")
     n, m = s.n, modulus
     width = 2 * n * n
+    powers = _prime_powers(m)   # refuses a modulus it cannot factor first
     kernel, size, cut = _kernel(_cocycle_rows(s), width, m)
     cutting = {}
     for r, row in enumerate(cut):
         for k, c in row.items():
             cutting.setdefault(k, []).append((r, c))
     pairs = []
-    for p, e in _prime_powers(m):
+    for p, e in powers:
         q = p ** e
         cofactor = m // q
         lift = cofactor * pow(cofactor, -1, q)  # 1 mod q, 0 mod m/q

@@ -5,14 +5,17 @@ import importlib.util
 import itertools
 import math
 import random
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from singq.algebra import ShadowStructure, affine_singquandle, parse_algebra
+from singq.algebra import (OperationTable, OrientedSingquandle,
+                           ShadowStructure, affine_singquandle, parse_algebra)
 from singq.data import (corpus_names, load_algebra, load_diagram,
                         load_weights)
+from singq.invariants import WeightPair, validate_cocycle_pair
 from singq.psyquandle import Psyquandle
 from singq.solver import _cocycle_rows
 
@@ -171,6 +174,169 @@ def cocycle_kernel_size(s, modulus: int) -> int:
     structure and prime power."""
     return math.prod(_cocycle_kernel_size(s, p ** e)
                      for p, e in prime_powers(modulus))
+
+
+@functools.cache
+def cocycle_verdicts_mod_2(tables: tuple) -> dict:
+    """Every (phi, phi') pair mod 2 of ``singquandle(tables)``, all
+    2^(2n^2) of them, mapped to whether ``validate_cocycle_pair`` accepts
+    it."""
+    s = singquandle(tables)
+    n = s.n
+    verdicts = {}
+    for bits in itertools.product((0, 1), repeat=2 * n * n):
+        rows = [bits[i * n:(i + 1) * n] for i in range(2 * n)]
+        pair = WeightPair.from_rows("cocycle", 2, rows[:n], rows[n:])
+        verdicts[pair] = validate_cocycle_pair(s, pair).valid
+    return verdicts
+
+
+# -- every oriented singquandle of order 1, 2 and 3 ---------------------------
+#
+# An oriented singquandle is a quandle (X, *) with maps R1, R2: X x X -> X
+# such that, with x/y the right inverse of * ((x/y)*y == x), for all x, y, z
+# (Bataineh, Elhamdadi, Hajij and Youmans, JKTR 2018):
+#   (1) R1(x/y, z) * y == R1(x, z*y)
+#   (2) R2(x/y, z) == R2(x, z*y) / y
+#   (3) (y / R1(x, z)) * x == (y * R2(x, z)) / z
+#   (4) R2(x, y) == R1(y, x*y)
+#   (5) R1(x, y) * R2(x, y) == R2(y, x*y)
+# Axiom (4) fixes R2 by R1, so the enumeration backtracks over * and R1
+# alone.  A structure is three flat n x n tables (star, r1, r2), entry (x,
+# y) at x*n + y, and its class is keyed by its least relabelled tables.
+
+AXIOMS = (
+    lambda S, I, R1, R2, x, y, z: S(R1(I(x, y), z), y) == R1(x, S(z, y)),
+    lambda S, I, R1, R2, x, y, z: R2(I(x, y), z) == I(R2(x, S(z, y)), y),
+    lambda S, I, R1, R2, x, y, z: S(I(y, R1(x, z)), x) == I(S(y, R2(x, z)), z),
+    lambda S, I, R1, R2, x, y, z: S(R1(x, y), R2(x, y)) == R2(y, S(x, y)),
+)
+
+
+def quandles(n: int):
+    """Flat tables of every quandle on 0..n-1: idempotent, each column a
+    bijection, and (x*y)*z == (x*z)*(y*z)."""
+    off = [x * n + y for x in range(n) for y in range(n) if x != y]
+    for values in itertools.product(range(n), repeat=len(off)):
+        t = [x for x in range(n) for _ in range(n)]   # t[x*n + y] = x
+        for k, v in zip(off, values):
+            t[k] = v
+        if (all(len(set(t[y::n])) == n for y in range(n))
+                and all(t[t[x * n + y] * n + z]
+                        == t[t[x * n + z] * n + t[y * n + z]]
+                        for x in range(n) for y in range(n) for z in range(n))):
+            yield tuple(t)
+
+
+def singquandles(n: int) -> list:
+    """(star, r1, r2) of every oriented singquandle on 0..n-1: per quandle,
+    R1 is chosen cell by cell, and each axiom instance is checked as soon as
+    every cell of R1 it reads is chosen.  Every argument of R1 and R2 in
+    the axioms is made from x, y and z by * and / alone, so the cells an
+    instance reads depend on the quandle only."""
+    found = []
+    for star in quandles(n):
+        inv = [0] * (n * n)
+        for x in range(n):
+            for y in range(n):
+                inv[star[x * n + y] * n + y] = x
+        S = lambda a, b: star[a * n + b]
+        I = lambda a, b: inv[a * n + b]
+        # R1(a, b) is cell a*n + b of r1, and R2(a, b) = R1(b, a*b)
+        due = [[] for _ in range(n * n)]   # instances by the last cell read
+        for axiom in AXIOMS:
+            for x, y, z in itertools.product(range(n), repeat=3):
+                read = []
+                axiom(S, I, lambda a, b: read.append(a * n + b) or 0,
+                      lambda a, b: read.append(b * n + S(a, b)) or 0, x, y, z)
+                due[max(read)].append((axiom, x, y, z))
+        r1 = [0] * (n * n)
+        R1 = lambda a, b: r1[a * n + b]
+        R2 = lambda a, b: r1[b * n + star[a * n + b]]
+
+        def extend(k: int) -> None:
+            if k == n * n:
+                found.append((star, tuple(r1),
+                              tuple(R2(x, y) for x in range(n)
+                                    for y in range(n))))
+                return
+            for v in range(n):
+                r1[k] = v
+                if all(axiom(S, I, R1, R2, x, y, z)
+                       for axiom, x, y, z in due[k]):
+                    extend(k + 1)
+
+        extend(0)
+    return found
+
+
+def relabelled(tables: tuple, g) -> tuple:
+    """The tables moved along the permutation g: entry (g(x), g(y)) of each
+    is g of entry (x, y)."""
+    n = len(g)
+    source = [0] * (n * n)   # new cell -> the cell it is moved from
+    for x in range(n):
+        for y in range(n):
+            source[g[x] * n + g[y]] = x * n + y
+    return tuple(tuple(g[t[k]] for k in source) for t in tables)
+
+
+def singquandle_classes(n: int) -> dict:
+    """Every oriented singquandle of order n by class: the least relabelled
+    tables of a class -> {member: the least permutation g, in lexicographic
+    order, with relabelled(representative, g) == member}."""
+    labelled = singquandles(n)
+    perms = list(itertools.permutations(range(n)))
+    classes = {}
+    seen = set()
+    for s in labelled:
+        if s in seen:
+            continue
+        rep = min(relabelled(s, g) for g in perms)
+        members = {}
+        for g in perms:   # ascending, so each member keeps its least g
+            members.setdefault(relabelled(rep, g), list(g))
+        classes[rep] = members
+        seen.update(members)
+    assert seen == set(labelled)
+    return classes
+
+
+@pytest.fixture(scope="session")
+def small_singquandles():
+    """{n: singquandle_classes(n)} for n = 1, 2, 3, with its counts pinned:
+    labelled structures, classes, and at order 3 the structures over each
+    labelled quandle."""
+    found = {n: singquandle_classes(n) for n in (1, 2, 3)}
+    assert [sum(map(len, found[n].values())) for n in found] == [1, 16, 19794]
+    assert [len(found[n]) for n in found] == [1, 10, 3369]
+    per_quandle = Counter(member[0] for members in found[3].values()
+                          for member in members)
+    assert sorted(per_quandle.values(), reverse=True) == [19683, 36, 36, 36, 3]
+    return found
+
+
+def class_sample(classes: dict, per_quandle: int, seed: int) -> list:
+    """``per_quandle`` seeded representatives of ``classes`` over each
+    quandle, or all where it has fewer, in ascending order.  A
+    representative's star is the least labelling of its quandle, so the
+    representatives over one quandle share it."""
+    by_quandle = defaultdict(list)
+    for rep in classes:
+        by_quandle[rep[0]].append(rep)
+    rng = random.Random(seed)
+    return sorted(rep for reps in by_quandle.values()
+                  for rep in rng.sample(reps, min(per_quandle, len(reps))))
+
+
+@functools.cache
+def singquandle(tables: tuple) -> OrientedSingquandle:
+    """The ``OrientedSingquandle`` of plain (star, r1, r2) flat tables, one
+    object per tables."""
+    n = math.isqrt(len(tables[0]))
+    return OrientedSingquandle(*(OperationTable([t[i * n:(i + 1) * n]
+                                                 for i in range(n)])
+                                 for t in tables))
 
 
 # -- brute-force coloring oracle ----------------------------------------------

@@ -4,24 +4,22 @@ Every comparison is exact; no tolerances anywhere.  Reference values come
 from the bundled corpus files and the independent oracles in conftest.
 """
 
-import itertools
 import random
 import time
 
 from singq.algebra import (ParameterError, affine_singquandle, eval_table,
-                           formula_structure, validate_shadow,
-                           validate_singquandle)
+                           validate_shadow, validate_singquandle)
 from singq.coloring import (psyquandle_colorings, shadow_colorings,
                             singquandle_colorings)
-from singq.invariants import (WeightPair, boltzmann_single, boltzmann_two,
-                              phi_ssqp, shadow_polynomial_invariant, sp,
-                              state_sum, strongly_compatible,
-                              validate_boltzmann, validate_cocycle_pair)
+from singq.invariants import (boltzmann_single, boltzmann_two, phi_ssqp,
+                              shadow_polynomial_invariant, sp, state_sum,
+                              strongly_compatible, validate_boltzmann)
 from singq.psyquandle import validate_psyquandle
 from singq.solver import solve_cocycle_space
 
 from conftest import (MOVE_PAIRS, brute_force_psyquandle,
-                      brute_force_singquandle)
+                      brute_force_singquandle, cocycle_verdicts_mod_2,
+                      singquandle)
 from test_properties import relabel_shadow
 
 
@@ -155,7 +153,8 @@ class TestAcceptance:
                                          psy6_boltzmann,
                                          psy6_boltzmann_strong,
                                          z8_z6_shadow, z8_z4_shadow_a,
-                                         z8_z4_shadow_b, capsys):
+                                         z8_z4_shadow_b, small_singquandles,
+                                         capsys):
         t0 = time.perf_counter()
         checks = []
 
@@ -225,24 +224,17 @@ class TestAcceptance:
                     len(shadow_colorings(d, sh)) == sh.carrier * base)
         checks.append(factored)
 
-        # cocycle solver completeness at order 2, modulus 2
+        # cocycle solver completeness at order 2, modulus 2, over every
+        # singquandle of order 2
         complete = True
-        for se, r1e, r2e in itertools.product(
-                ("x",), ("x", "y", "x+1", "y+1"), ("x", "y", "x+1", "y+1")):
-            try:
-                s = formula_structure(2, se, r1e, r2e)
-            except Exception:
-                continue
-            space = solve_cocycle_space(s, 2)
-            valid = 0
-            for bits in itertools.product((0, 1), repeat=8):
-                cp = WeightPair.from_rows(
-                    "cocycle", 2, [bits[0:2], bits[2:4]],
-                    [bits[4:6], bits[6:8]])
-                if validate_cocycle_pair(s, cp).valid:
-                    valid += 1
-                    complete = complete and space.contains(cp)
-            complete = complete and space.size == valid
+        for members in small_singquandles[2].values():
+            for tables in members:
+                verdicts = cocycle_verdicts_mod_2(tables)
+                space = solve_cocycle_space(singquandle(tables), 2)
+                complete = complete and space.size == sum(verdicts.values())
+                complete = complete and all(
+                    space.contains(cp) for cp, valid in verdicts.items()
+                    if valid)
         checks.append(complete)
 
         # sp under 100 random shadow relabelings

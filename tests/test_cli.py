@@ -16,7 +16,7 @@ from singq.coloring import ColoringError
 from singq.diagram import DiagramError
 from singq.invariants import InvariantError
 from singq.polynomial import PolynomialError
-from singq.data import bundled_path, load_algebra, load_weights
+from singq.data import load_algebra, load_weights, read_bundled
 
 
 class TestValidate:
@@ -197,7 +197,7 @@ class TestInputErrors:
         exit 0 (48 shadow colorings of 4_1k instead of 96); ``validate``
         reports the failed check as the diagram's problem."""
         path = tmp_path / "bad_rot.dgm"
-        text = Path(bundled_path("4_1k.dgm")).read_text(encoding="utf-8")
+        text = read_bundled("4_1k.dgm")
         path.write_text(text.replace("rot 1 uo oo ui oi", "rot 1 oo uo ui oi"))
         if kind == "validate":
             assert main(["validate", str(path)]) == 2
@@ -321,17 +321,36 @@ class TestSearchCocycles:
     @pytest.mark.parametrize("modulus, generators", [
         (1000000000000000003, 1),   # a prime
         (1000000016000000063, 2),   # (10^9 + 7)(10^9 + 9)
+        # (10^9 + 7)(10^9 + 9)(10^9 + 21), above _BASES_EXACT_BELOW
+        (1000000037000000399000001323, 3),
     ])
     def test_prime_modulus_near_10_to_18(self, capsys, modulus, generators):
         """Factoring the prime by trial division up to its square root, and
-        the product of two primes near 10^9 by trial division up to the
-        smaller, once ran for minutes; each takes well under 10 s."""
+        the products of primes near 10^9 by trial division up to the
+        smallest, once ran for minutes or more; each takes well under
+        10 s."""
         start = time.perf_counter()
         rc = main(["search-cocycles", "one.alg", "--modulus", str(modulus)])
         assert time.perf_counter() - start < 10
         assert rc == 0
         assert capsys.readouterr().out == (
             f"solution space size: {modulus}\ngenerators: {generators}\n")
+
+    @pytest.mark.parametrize("modulus", [
+        618970019642690137449562111,   # 2^89 - 1, a prime
+        3317044064679887385961981,     # a strong pseudoprime to 2..41
+    ])
+    def test_unprovable_factor_refused(self, capsys, modulus):
+        """At or above the least strong pseudoprime to the bases up to 41,
+        a factor that no base shows composite is refused by name, before
+        the solve; trial division once ran on for ever."""
+        start = time.perf_counter()
+        rc = main(["search-cocycles", "one.alg", "--modulus", str(modulus)])
+        assert time.perf_counter() - start < 10
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"its factor {modulus} " in captured.err
 
     def test_bad_modulus(self, capsys):
         rc = main(["search-cocycles", "z6_singquandle.alg",

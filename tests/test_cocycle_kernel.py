@@ -30,7 +30,8 @@ import numpy as np
 import pytest
 
 from singq import solver
-from singq.invariants import WeightPair, validate_cocycle_pair
+from singq.invariants import (InvariantError, WeightPair,
+                              validate_cocycle_pair)
 from singq.solver import (_cocycle_rows, _kernel, _prime_powers,
                           solve_cocycle_space)
 
@@ -163,9 +164,9 @@ def test_prime_powers_match_trial_division():
     """Below 2000 against trial division by every p; above, a prime near
     10^18 is found at once, also as a cofactor, and a strong pseudoprime to
     the bases 2..23 is still factored.  Seeded products of primes above the
-    trial-division bound, squares and cubes among them, and a product of
-    two primes near 10^9 are split too.  The strong pseudoprimes to the
-    bases 2..37 and 2..41 are not taken for primes."""
+    trial-division bound, squares and cubes among them, and products of
+    two and of three primes near 10^9 are split too.  The strong
+    pseudoprimes to the bases 2..37 and 2..41 are not taken for primes."""
     for m in range(1, 2000):
         assert _prime_powers(m) == prime_powers(m)
     big = 10 ** 18 + 3
@@ -187,6 +188,13 @@ def test_prime_powers_match_trial_division():
         assert _prime_powers(m) == prime_powers(small) + factors
     assert not solver._known_prime(399165290221 * 798330580441)
     assert not solver._known_prime(3317044064679887385961981)
+    # at or above the bound a factor with a witness is split, and one with
+    # none (a Mersenne prime, the pseudoprime) is refused by name
+    assert _prime_powers((10 ** 9 + 7) * (10 ** 9 + 9) * (10 ** 9 + 21)) == [
+        (10 ** 9 + 7, 1), (10 ** 9 + 9, 1), (10 ** 9 + 21, 1)]
+    for m in (2 ** 89 - 1, 3317044064679887385961981):
+        with pytest.raises(InvariantError, match=f"its factor {m} "):
+            _prime_powers(6 * m)
 
 
 # -- brute force on tiny systems with zero-divisor pivots ----------------------------

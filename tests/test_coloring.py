@@ -1,5 +1,4 @@
 import copy
-from pathlib import Path
 
 import pytest
 
@@ -9,7 +8,7 @@ from singq.algebra import (OperationTable, parse_algebra,
 from singq.coloring import (RULES, ColoringError, psyquandle_colorings,
                             shadow_colorings, shadow_tuples,
                             singquandle_colorings, singquandle_tuples)
-from singq.data import bundled_path, load_diagram
+from singq.data import load_diagram, read_bundled
 from singq.diagram import parse_diagram, validate_diagram
 from singq.invariants import (boltzmann_single, boltzmann_two, phi_ssqp,
                               shadow_polynomial_invariant, state_sum)
@@ -155,8 +154,7 @@ class TestSetReuse:
             assert colorings == singquandle_colorings(load_diagram("k1.dgm"), s)
 
     def test_equal_structure_searches_again(self, searches):
-        text = Path(bundled_path("z6_singquandle.alg")).read_text(
-            encoding="utf-8")
+        text = read_bundled("z6_singquandle.alg")
         one, two = (parse_algebra(text).structure for _ in range(2))
         d = load_diagram("5k6.dgm")
         assert singquandle_colorings(d, one) == singquandle_colorings(d, two)
@@ -219,7 +217,7 @@ class TestTagReuse:
         assert len(seen) > len(used)
 
     def test_equal_structure_builds_its_own_map(self, closures):
-        text = Path(bundled_path("z8_k.alg")).read_text(encoding="utf-8")
+        text = read_bundled("z8_k.alg")
         one, two = (parse_algebra(text).structure for _ in range(2))
         d = load_diagram("k2.dgm")
         first = phi_ssqp(d, one)
@@ -301,7 +299,7 @@ class TestShadowColorings:
         """A rotation that makes the map non-planar once gave half the
         shadow colorings (48 of 96) and a wrong SP; the faces of such a map
         are not regions, so the search refuses it."""
-        text = Path(bundled_path("4_1k.dgm")).read_text(encoding="utf-8")
+        text = read_bundled("4_1k.dgm")
         text = text.replace("rot 1 uo oo ui oi", "rot 1 oo uo ui oi")
         d = parse_diagram(text)
         assert not validate_diagram(d).valid

@@ -10,8 +10,9 @@ it checks.
   per-coloring loop, written below and run over the oracle's colorings.
 - Those braids, the benchmark's braid pool and its link family, each kept
   beside its braid word: the search, over every bundled structure it
-  serves, is compared with ``verify.braid_colorings``, which derives the
-  colorings of a closed braid from its word alone.  phi-ssqp and SP, with
+  serves and ten singquandles of order 3 from conftest's enumeration, is
+  compared with ``verify.braid_colorings``, which derives the colorings of
+  a closed braid from its word alone.  phi-ssqp and SP, with
   their tags kept per structure object and the diagrams read in either
   order, are compared with the per-coloring loops over those colorings.
 - The same diagrams, every bundled corpus diagram (the pokes too), two
@@ -58,8 +59,8 @@ from singq.solver import solve_cocycle_space
 
 from conftest import (STRUCTURES, accepted, assert_colorings_satisfy,
                       brute_force_psyquandle, brute_force_shadow,
-                      brute_force_singquandle, checker_tables, gen,
-                      verify, weight_parts)
+                      brute_force_singquandle, checker_tables, class_sample,
+                      gen, singquandle, verify, weight_parts)
 
 BRAIDS = 40
 
@@ -350,7 +351,7 @@ def test_plan_drops_only_implied_steps(exact, large, notion, most):
 
 
 @pytest.mark.parametrize("notion", ["singquandle", "psyquandle"])
-def test_plan_equals_parent_plan(exact, large, notion):
+def test_plan_equals_reference_plan(exact, large, notion):
     """On ``exact`` and the large braids, the plan is the reference plan
     less its implied steps, so it has the same branch order and search
     tree as the planner that fires every propagator as a step."""
@@ -504,14 +505,36 @@ def searched_structures() -> dict:
             for label, s in found.items()}
 
 
+ORDER_THREE = 10
+
+
+@pytest.fixture(scope="module")
+def order_three(small_singquandles) -> list:
+    """Ten classes of order 3: the six that every permutation preserves,
+    three over the trivial quandle and three over the dihedral one, and two
+    seeded classes over each of the trivial quandle and the one with a
+    fixed point."""
+    classes = small_singquandles[3]
+    symmetric = {rep for rep, members in classes.items() if len(members) == 1}
+    sample = sorted(symmetric | set(class_sample(classes, 2, seed=39)))
+    assert len(symmetric) == 6 and len(sample) == ORDER_THREE
+    return sample
+
+
 @pytest.mark.parametrize("label", ["z6", "z8k", "psy6", "z8_z6_base",
                                    "z8_z4_base", "z8_z4_b_base", "one",
-                                   "rigid"])
-def test_enumerate_equals_braid_colorings(words, planned, label):
+                                   "rigid",
+                                   *(f"order3-{k}" for k in range(ORDER_THREE))])
+def test_enumerate_equals_braid_colorings(words, planned, label, request):
     """The 40 braids, the pool and the link family give the colorings the
-    braid oracle derives from their words, over every structure the search
-    serves."""
-    s, notion, _ = searched_structures()[label]
+    braid oracle derives from their words, over every bundled structure
+    the search serves and over ten singquandles of order 3."""
+    if label.startswith("order3-"):
+        k = int(label.removeprefix("order3-"))
+        s = singquandle(request.getfixturevalue("order_three")[k])
+        notion = "singquandle"
+    else:
+        s, notion, _ = searched_structures()[label]
     for k, ((strands, word), d) in enumerate(zip(words, planned)):
         assert list(_enumerate(d, s, notion)) == \
             braid_oracle(strands, word, d, s), k

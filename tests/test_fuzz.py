@@ -2,13 +2,12 @@
 raises only its own typed error, and ``singq validate`` exits 0 or 2."""
 
 import random
-from pathlib import Path
 
 import pytest
 
 from singq.algebra import AlgebraError, parse_algebra
 from singq.cli import main
-from singq.data import bundled_path, corpus_names, fixture_names
+from singq.data import corpus_names, fixture_names, read_bundled
 from singq.diagram import DiagramError, parse_diagram
 from singq.invariants import InvariantError, parse_weights
 
@@ -70,7 +69,7 @@ ERRORS = {"alg": AlgebraError, "wgt": InvariantError, "dgm": DiagramError}
 
 @pytest.mark.parametrize("name", FILES)
 def test_mutated_inputs_fail_typed(tmp_path, capsys, name):
-    lines = Path(bundled_path(name)).read_text(encoding="utf-8").splitlines()
+    lines = read_bundled(name).splitlines()
     rng = random.Random(name)
     error = ERRORS[name.rsplit(".", 1)[1]]
     outcomes = set()

@@ -5,10 +5,9 @@ from collections import Counter
 
 import pytest
 
-from singq.algebra import (AlgebraError, OperationTable,
-                           OrientedSingquandle, affine_singquandle,
-                           formula_shadow, formula_structure, kept, profile,
-                           validate_singquandle)
+from singq.algebra import (AlgebraError, OrientedSingquandle,
+                           affine_singquandle, formula_shadow,
+                           formula_structure, kept, profile)
 from singq import coloring
 from singq.coloring import singquandle_colorings, psyquandle_colorings
 from singq.data import load_algebra
@@ -22,7 +21,8 @@ from singq.invariants import (InvariantError, InvariantValue, WeightPair,
 from singq.polynomial import BasePolynomial, parse_polynomial
 from singq.solver import _cocycle_rows, solve_cocycle_space
 
-from conftest import STRUCTURES, cocycle_kernel_size
+from conftest import (STRUCTURES, class_sample, cocycle_kernel_size,
+                      cocycle_verdicts_mod_2, singquandle)
 
 
 class TestCocycleValidation:
@@ -560,50 +560,34 @@ class TestCocycleSolver:
         with pytest.raises(InvariantError):
             solve_cocycle_space(z6, 1)
 
-    def test_complete_versus_enumeration_order_two(self):
-        # every singquandle on two elements, all 2^8 weight pairs mod 2
-        found = 0
-        for se, r1e, r2e in itertools.product(
-                ("x", "x+1"), ("x", "y", "x+1", "y+1", "x+y", "x+y+1"),
-                ("x", "y", "x+1", "y+1", "x+y", "x+y+1")):
-            try:
-                s = formula_structure(2, se, r1e, r2e)
-            except Exception:
-                continue
-            found += 1
-            space = solve_cocycle_space(s, 2)
-            valid = set()
-            for bits in itertools.product((0, 1), repeat=8):
-                phi = [bits[0:2], bits[2:4]]
-                php = [bits[4:6], bits[6:8]]
-                cp = WeightPair.from_rows("cocycle", 2, phi, php)
-                if validate_cocycle_pair(s, cp).valid:
-                    valid.add((cp.phi, cp.singular))
-            assert space.size == len(valid)
-            for phi, php in valid:
-                assert space.contains(WeightPair("cocycle", 2, phi, php))
-        assert found >= 4
-
-    def test_complete_at_orders_two_and_three(self):
-        """Every singquandle on two elements as tables (the only quandle of
-        order 2 is trivial) mod 4, and every affine singquandle of order 3
-        mod 3 and mod 9: size matches the Smith oracle and every generator
-        is a valid pair."""
-        star = OperationTable([[0, 0], [1, 1]])
-        tables = [OperationTable([v[:2], v[2:]])
-                  for v in itertools.product((0, 1), repeat=4)]
-        two = [OrientedSingquandle(star, r1, r2)
-               for r1, r2 in itertools.product(tables, tables)
-               if validate_singquandle(star, r1, r2).valid]
-        three = []
+    def test_complete_at_orders_two_and_three(self, small_singquandles):
+        """Every singquandle of order 2: mod 2 its size, and its answer on
+        each of the 2^8 pairs, are those of ``validate_cocycle_pair``; mod 4
+        its size is the Smith oracle's.  Seeded classes of order 3, every
+        affine one among them, mod 3 and mod 9 against the Smith oracle.
+        Every generator is a valid pair."""
+        two = [member for members in small_singquandles[2].values()
+               for member in members]
+        classes = small_singquandles[3]
+        affine = set()
         for a, b, c in itertools.product(range(3), repeat=3):
             try:
-                three.append(affine_singquandle(3, a, b, c))
+                s = affine_singquandle(3, a, b, c)
             except AlgebraError:
-                pass
-        assert (len(two), len(three)) == (16, 12)
-        for s, modulus in ([(s, 4) for s in two]
-                           + [(s, m) for s in three for m in (3, 9)]):
+                continue
+            tables = (s.star.flat(), s.r1.flat(), s.r2.flat())
+            affine.add(next(rep for rep, members in classes.items()
+                            if tables in members))
+        three = sorted(affine | set(class_sample(classes, 3, seed=38)))
+        for tables in two:
+            verdicts = cocycle_verdicts_mod_2(tables)
+            space = solve_cocycle_space(singquandle(tables), 2)
+            assert space.size == sum(verdicts.values())
+            assert all(space.contains(pair) == valid
+                       for pair, valid in verdicts.items())
+        for tables, modulus in ([(t, 4) for t in two]
+                                + [(t, m) for t in three for m in (3, 9)]):
+            s = singquandle(tables)
             space = solve_cocycle_space(s, modulus)
             assert space.size == cocycle_kernel_size(s, modulus)
             for g in space.generators:

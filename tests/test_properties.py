@@ -1,13 +1,15 @@
 """Property-based and randomized suites."""
 
+import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from singq.algebra import (ParameterError, ShadowStructure,
                            affine_singquandle, substructure_closure,
-                           validate_shadow, validate_singquandle)
+                           validate_shadow)
 from singq.coloring import (psyquandle_colorings, shadow_colorings,
                             singquandle_colorings)
 from singq.invariants import (_reduce, boltzmann_single, boltzmann_two,
@@ -75,24 +77,20 @@ class TestPolynomialProperties:
 # -- affine family ------------------------------------------------------------
 
 class TestAffineFamily:
-    def test_thousand_random_valid_triples(self):
-        rng = random.Random(20260823)
-        from math import gcd
-        accepted = 0
-        rejected = 0
-        while accepted < 1000:
-            n = rng.randint(2, 12)
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            valid = gcd(a, n) == 1 and (1 - a) * (1 - b - c) % n == 0
-            if valid:
-                s = affine_singquandle(n, a, b, c)
-                assert validate_singquandle(s.star, s.r1, s.r2).valid
-                accepted += 1
-            else:
-                with pytest.raises(ParameterError):
-                    affine_singquandle(n, a, b, c)
-                rejected += 1
-        assert rejected > 0
+    def test_every_triple_up_to_order_three(self, small_singquandles):
+        """For every n <= 3 and a, b, c in Z_n, the family accepts exactly
+        when a is invertible mod n and (1-a)(1-b-c) == 0 mod n, and the
+        tables it builds are among the enumerated singquandles."""
+        for n in (1, 2, 3):
+            labelled = {member for members in small_singquandles[n].values()
+                        for member in members}
+            for a, b, c in itertools.product(range(n), repeat=3):
+                if gcd(a, n) == 1 and (1 - a) * (1 - b - c) % n == 0:
+                    s = affine_singquandle(n, a, b, c)
+                    assert (s.star.flat(), s.r1.flat(), s.r2.flat()) in labelled
+                else:
+                    with pytest.raises(ParameterError):
+                        affine_singquandle(n, a, b, c)
 
 
 # -- isomorphism transport ----------------------------------------------------
