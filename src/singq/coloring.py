@@ -283,23 +283,32 @@ def _enumerate(d: SingularDiagram, owner: OrientedSingquandle | Psyquandle,
             for branch, steps in plan]
     colors = [0] * len(d.semiarcs)
     every = range(n)
+    last = len(plan) - 1
     found = []   # the colorings of one orbit's least value, concatenated
 
-    def search(level: int, values) -> None:
-        if level == len(plan):
-            found.extend(colors)
-            return
-        branch, steps = plan[level]
-        for value in values:
-            colors[branch] = value
-            for x, y, table, out, check in steps:
-                v = table[colors[x] * n + colors[y]]
-                if not check:
-                    colors[out] = v
-                elif colors[out] != v:
-                    break
+    def search(first) -> None:
+        """Depth first over the plan, the first level over ``first``: one
+        iterator of values left per level, so no level recurses."""
+        stack = [iter(first)]   # stack[level]: the values left to try there
+        while stack:
+            level = len(stack) - 1
+            branch, steps = plan[level]
+            for value in stack[level]:
+                colors[branch] = value
+                for x, y, table, out, check in steps:
+                    v = table[colors[x] * n + colors[y]]
+                    if not check:
+                        colors[out] = v
+                    elif colors[out] != v:
+                        break
+                else:
+                    if level == last:
+                        found.extend(colors)
+                    else:
+                        stack.append(iter(every))
+                        break   # descend; this level resumes after
             else:
-                search(level + 1, every)
+                stack.pop()
 
     # an orbit's colorings are mapped as one concatenated vector per value,
     # then cut into tuples
@@ -308,7 +317,7 @@ def _enumerate(d: SingularDiagram, owner: OrientedSingquandle | Psyquandle,
     solutions = []
     for orbit in symmetry.orbits:
         found.clear()
-        search(0, orbit[:1])
+        search(orbit[:1])
         if found:
             (block,), _ = encode([found])
             for value in orbit:
