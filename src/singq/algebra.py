@@ -435,11 +435,13 @@ def formula_shadow(base: OrientedSingquandle, carrier: int,
     return ShadowStructure(base, rows)
 
 
-def profile(s: OrientedSingquandle) -> list:
+def profile(s: OrientedSingquandle) -> tuple:
     """Per-element trivial-action counts ``(r1, c1, r2, c2, r3, c3)``: for
     each of *, R1, R2 in turn, the number of y with ``op(x, y) == x`` (r)
-    and with ``op(y, x) == y`` (c).  Any isomorphism preserves them."""
-    return table_profile(s.n, (s.star.flat(), s.r1.flat(), s.r2.flat()))
+    and with ``op(y, x) == y`` (c).  Any isomorphism preserves them.
+    Computed on the first call and kept with the structure."""
+    return kept(s, "profile", lambda: tuple(table_profile(
+        s.n, (s.star.flat(), s.r1.flat(), s.r2.flat()))))
 
 
 def table_profile(n: int, flats) -> list:

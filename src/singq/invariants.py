@@ -310,7 +310,7 @@ def state_sum(d: SingularDiagram, s: OrientedSingquandle,
 
 # -- singquandle polynomials --------------------------------------------------
 
-def _profile_sum(elems: Iterable[int], full: list) -> BasePolynomial:
+def _profile_sum(elems: Iterable[int], full: tuple) -> BasePolynomial:
     """Sum of the profile monomials of ``elems``, given the profile."""
     names = ("s1", "t1", "s2", "t2", "s3", "t3")
     counts: dict = {}

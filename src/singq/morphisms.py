@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from .algebra import (AlgebraError, OperationTable, OrientedSingquandle,
                       ParameterError, ValidationReport, _differences,
-                      _map_codec, table_profile)
+                      _map_codec, profile)
 from .coloring import _isomorphism, _preserves
 
 
@@ -80,7 +80,7 @@ def are_isomorphic(a: OrientedSingquandle,
     if n != b.n:
         return None
     src, dst = _tables(a), _tables(b)
-    pa, pb = table_profile(n, src), table_profile(n, dst)
+    pa, pb = profile(a), profile(b)
     if sorted(pa) != sorted(pb):
         return None
     for y in range(n):   # no budget: the search is complete

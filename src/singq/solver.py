@@ -5,9 +5,9 @@ The validity conditions are Z-linear in the entries of (phi, phi'),
 so the valid pairs mod n form the kernel of an integer matrix.  The kernel
 is computed by one elimination over Z_n, with gcd pivots and annihilator
 rows so that nothing is lost to zero divisors.  The condition rows that cut
-the space in that elimination decide membership mod n.  The generators are
-chosen per prime-power factor of n and recombined by the Chinese remainder
-theorem.
+the space in that elimination decide membership mod n.  For each prime
+power q of n, its kernel rows nonzero mod q, lifted by the Chinese remainder
+theorem, generate; mod a prime each step keeps those rows independent.
 """
 
 from __future__ import annotations
@@ -249,11 +249,10 @@ def _kernel(rows: list, width: int, m: int) -> tuple:
 
 
 class CocycleSpace:
-    """All valid (phi, phi') pairs mod ``modulus`` for one singquandle: the
-    span of ``generators``, a tuple of cocycle WeightPair (the zero pair is
-    always a member).  ``cutting`` holds the condition rows that cut the
-    space mod the modulus, transposed as ``{unknown: [(row, coef)]}``; a
-    pair is a member when every row dots to 0 with it."""
+    """The span of ``generators``, cocycle WeightPairs from one elimination:
+    all valid (phi, phi') pairs mod ``modulus`` for one singquandle.  A pair
+    is a member when it dots to 0 with every condition row that cut the
+    space, ``cutting`` holding them as ``{unknown: [(row, coef)]}``."""
 
     __slots__ = ("structure", "modulus", "generators", "size", "cutting")
 
@@ -276,10 +275,10 @@ class CocycleSpace:
 
 
 def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
-    """Solve the homogeneous cocycle system over Z_modulus.  At a prime
-    power the generators are the kernel's rows; otherwise, for each prime
-    power q of the modulus, those of them that cut in an elimination mod q
-    (a basis at a prime), lifted by the CRT idempotent of q."""
+    """Solve the homogeneous cocycle system over Z_modulus by one
+    elimination: for each prime power q of the modulus, the kernel rows
+    nonzero mod q, lifted by the CRT idempotent of q, are generators (a
+    basis when q is prime, but not always a least set otherwise)."""
     if modulus < 2:
         raise InvariantError("modulus must be >= 2")
     n, m = s.n, modulus
@@ -291,12 +290,12 @@ def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
         for k, c in row.items():
             cutting.setdefault(k, []).append((r, c))
     pairs = []
-    for p, e in powers:
-        q = p ** e
-        cofactor = m // q
-        lift = cofactor * pow(cofactor, -1, q)  # 1 mod q, 0 mod m/q
-        for g in kernel if q == m else _kernel(kernel, width, q)[2]:
-            vec = [g.get(k, 0) * lift % m for k in range(width)]
-            tables = [vec[i * n:(i + 1) * n] for i in range(2 * n)]
-            pairs.append(WeightPair("cocycle", m, tables[:n], tables[n:]))
+    for q in (p ** e for p, e in powers):
+        lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
+        for g in kernel:
+            if any(c % q for c in g.values()):
+                tables = [[0] * n for _ in range(2 * n)]
+                for k, c in g.items():
+                    tables[k // n][k % n] = c * lift % m
+                pairs.append(WeightPair("cocycle", m, tables[:n], tables[n:]))
     return CocycleSpace(s, m, tuple(pairs), size, cutting)

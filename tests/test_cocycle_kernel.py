@@ -40,11 +40,12 @@ from conftest import (STRUCTURES, cocycle_kernel_size, prime_powers,
 
 
 # prime, prime-power, square-free and mixed moduli; at gen12 mod 12 and 24
-# the pivot rule decides the fill-in
-CASES = sorted({("z6", m) for m in (2, 3, 4, 6, 12)}
-               | {("Z4(3,0,1)", 4), ("Z6(5,1,0)", 6), ("Z8(3,0,1)", 8),
-                  ("Z8(3,0,1)", 24), ("Z8(7,0,1)", 8), ("Z9(4,0,1)", 9),
-                  ("Z10(7,6,5)", 10), ("Z11(4,1,0)", 11)}
+# the pivot rule decides the fill-in, and mod 30 a pivot gcd can be the
+# product of two primes
+CASES = sorted({("z6", m) for m in (2, 3, 4, 6, 12, 30)}
+               | {("Z4(3,0,1)", 4), ("Z6(5,1,0)", 6), ("Z6(5,1,0)", 30),
+                  ("Z8(3,0,1)", 8), ("Z8(3,0,1)", 24), ("Z8(7,0,1)", 8),
+                  ("Z9(4,0,1)", 9), ("Z10(7,6,5)", 10), ("Z11(4,1,0)", 11)}
                | {(f"gen{n}", m) for n in range(5, 10)
                   for m in (n, 2 * n, n * n)}
                | {("gen12", 12), ("gen12", 24)})
