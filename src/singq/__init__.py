@@ -19,13 +19,14 @@ class SingqError(ValueError):
 # public name -> the module that defines it
 _HOME = {name: module for module, names in (
     ("polynomial", ("BasePolynomial", "parse_polynomial")),
-    ("algebra", ("OperationTable", "OrientedSingquandle", "ShadowStructure",
-                 "ValidationReport", "AlgebraError", "InvalidStructureError",
-                 "ParameterError", "affine_singquandle", "formula_shadow",
-                 "formula_structure", "parse_algebra", "profile",
-                 "shadow_closure", "substructure_closure", "validate_quandle",
-                 "validate_shadow", "validate_singquandle")),
-    ("psyquandle", ("Psyquandle", "validate_psyquandle")),
+    ("algebra", ("OperationTable", "OrientedSingquandle", "Psyquandle",
+                 "ShadowStructure", "ValidationReport", "AlgebraError",
+                 "InvalidStructureError", "ParameterError",
+                 "affine_singquandle", "formula_shadow", "formula_structure",
+                 "parse_algebra", "profile", "shadow_closure",
+                 "substructure_closure", "validate_psyquandle",
+                 "validate_quandle", "validate_shadow",
+                 "validate_singquandle")),
     ("morphisms", ("are_isomorphic", "is_homomorphism",
                    "quandle_from_group")),
     ("diagram", ("Crossing", "Region", "SemiArc", "SingularDiagram",
@@ -33,12 +34,12 @@ _HOME = {name: module for module, names in (
                  "validate_diagram")),
     ("coloring", ("Coloring", "psyquandle_colorings", "shadow_colorings",
                   "singquandle_colorings")),
-    ("invariants", ("InvariantError", "InvariantValue", "WeightPair",
-                    "boltzmann_single", "boltzmann_two", "parse_weights",
-                    "phi_ssqp", "restrict", "shadow_polynomial_invariant",
+    ("invariants", ("CocycleSpace", "InvariantError", "InvariantValue",
+                    "WeightPair", "boltzmann_single", "boltzmann_two",
+                    "parse_weights", "phi_ssqp", "restrict",
+                    "shadow_polynomial_invariant", "solve_cocycle_space",
                     "sp", "sqp", "ssqp", "state_sum", "strongly_compatible",
                     "validate_boltzmann", "validate_cocycle_pair")),
-    ("solver", ("CocycleSpace", "solve_cocycle_space")),
 ) for name in names}
 
 # submodules that ``from singq import *`` binds too

@@ -199,7 +199,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_search_cocycles(args) -> int:
     from .algebra import OrientedSingquandle, parse_algebra
-    from .solver import solve_cocycle_space
+    from .invariants import solve_cocycle_space
     if args.modulus < 2:
         raise UsageError("--modulus must be >= 2")
     loaded = parse_algebra(_read_path(args.structure))

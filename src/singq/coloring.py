@@ -46,9 +46,8 @@ from . import SingqError
 from .algebra import _map_codec, kept, table_profile
 
 if TYPE_CHECKING:
-    from .algebra import OrientedSingquandle, ShadowStructure
+    from .algebra import OrientedSingquandle, Psyquandle, ShadowStructure
     from .diagram import SingularDiagram
-    from .psyquandle import Psyquandle
 
 
 class ColoringError(SingqError):

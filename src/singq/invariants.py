@@ -1,12 +1,13 @@
 """Invariant computations over coloring sets.
 
-Cocycle state sums, the six-variable singquandle polynomial and its
-subsingquandle refinement, shadow polynomials, and the Boltzmann-enhanced
-psyquandle polynomials.  All values are exact; multisets of per-coloring
-weights are packaged as :class:`InvariantValue`, whose elements, the
-exponents, are all of one type: ``int`` (a ring element, reduced by the
-invariant that made it), an ``(int, int)`` pair (two-variable Boltzmann
-values) or a :class:`BasePolynomial` with integer coefficients.  Values are
+Cocycle state sums and the space of cocycle pairs mod n, the six-variable
+singquandle polynomial and its subsingquandle refinement, shadow
+polynomials, and the Boltzmann-enhanced psyquandle polynomials.  All values
+are exact; multisets of per-coloring weights are packaged as
+:class:`InvariantValue`, whose elements, the exponents, are all of one
+type: ``int`` (a ring element, reduced by the invariant that made it), an
+``(int, int)`` pair (two-variable Boltzmann values) or a
+:class:`BasePolynomial` with integer coefficients.  Values are
 immutable and hashable, so they compare, deduplicate and render byte-stably.
 
 The polynomial exponent (the tag) of a phi-ssqp or SP coloring depends
@@ -24,16 +25,16 @@ from operator import add
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import SingqError
-from .algebra import (OperationTable, OrientedSingquandle, ShadowStructure,
-                      ValidationReport, _ReadOnly, _read_sections, kept,
-                      profile, substructure_closure, shadow_closure)
+from .algebra import (OperationTable, OrientedSingquandle, Psyquandle,
+                      ShadowStructure, ValidationReport, _ReadOnly,
+                      _read_sections, kept, profile, substructure_closure,
+                      shadow_closure)
 from .coloring import (RELATIONS, psyquandle_tuples, shadow_tuples,
                        singquandle_tuples)
 from .polynomial import BasePolynomial, PolynomialError
 
 if TYPE_CHECKING:
     from .diagram import SingularDiagram
-    from .psyquandle import Psyquandle
 
 
 class InvariantError(SingqError):
@@ -178,7 +179,7 @@ class WeightPair(_ReadOnly):
 # Each system is written once, as instances ``(axiom, witness, terms)``: the
 # instance holds when ``sum(coef * vec[idx] for idx, coef in terms)`` is 0,
 # ``vec`` being the flattened pair (see ``_flat_pair``).  The validators
-# evaluate every instance; the cocycle solver reads the same rows.
+# evaluate every instance; ``solve_cocycle_space`` solves the same rows.
 
 def _cocycle_system(s: OrientedSingquandle):
     """Instances over (phi, phi') of the classical 2-cocycle condition
@@ -236,6 +237,63 @@ def validate_cocycle_pair(s: OrientedSingquandle, cp: WeightPair) -> ValidationR
     conditions imposed by the singular moves: every instance of
     ``_cocycle_system(s)``, each violation listed."""
     return _evaluate(s.n, cp, "cocycle", _cocycle_system(s))
+
+
+# -- the cocycle space --------------------------------------------------------
+
+def _cocycle_rows(s: OrientedSingquandle) -> list:
+    """The rows of ``_cocycle_system(s)`` as sparse coefficient dicts, in
+    emission order: each row's terms merged and zero rows dropped."""
+    rows = []
+    for _, _, terms in _cocycle_system(s):
+        row = {}
+        for idx, coef in terms:
+            row[idx] = row.get(idx, 0) + coef
+        row = {idx: coef for idx, coef in row.items() if coef}
+        if row:
+            rows.append(row)
+    return rows
+
+
+class CocycleSpace:
+    """The span of ``generators``, cocycle WeightPairs: all valid (phi,
+    phi') pairs mod ``modulus`` for one singquandle.  A pair is a member
+    when it dots to 0 with every condition row that cut the space,
+    ``cutting`` holding them as ``{unknown: [(row, coef)]}``."""
+
+    __slots__ = ("structure", "modulus", "generators", "size", "cutting")
+
+    def __init__(self, structure: OrientedSingquandle, modulus: int,
+                 generators: tuple, size: int, cutting: dict):
+        self.structure, self.modulus = structure, modulus
+        self.generators, self.size = generators, size
+        self.cutting = cutting
+
+    def contains(self, cp: WeightPair) -> bool:
+        vec = _flat_pair(self.structure.n, cp, "cocycle")
+        if cp.modulus != self.modulus:
+            raise InvariantError("modulus mismatch")
+        dots = {}   # row -> its dot product with the pair
+        for k, v in enumerate(vec):
+            if v:
+                for r, c in self.cutting.get(k, ()):
+                    dots[r] = dots.get(r, 0) + c * v
+        return not any(dot % self.modulus for dot in dots.values())
+
+
+def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
+    """All valid pairs mod ``modulus`` >= 2, by one elimination of
+    ``_cocycle_rows(s)`` over Z_modulus (``singq.solver.solve``)."""
+    from .solver import solve
+    if modulus < 2:
+        raise InvariantError("modulus must be >= 2")
+    n = s.n
+    vecs, size, cutting = solve(_cocycle_rows(s), 2 * n * n, modulus)
+    pairs = []
+    for vec in vecs:
+        rows = [vec[i:i + n] for i in range(0, len(vec), n)]
+        pairs.append(WeightPair("cocycle", modulus, rows[:n], rows[n:]))
+    return CocycleSpace(s, modulus, tuple(pairs), size, cutting)
 
 
 def _tally(keys: Iterable, exponent_of) -> InvariantValue:

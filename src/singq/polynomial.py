@@ -172,11 +172,7 @@ def parse_polynomial(text: str) -> BasePolynomial:
         return PolynomialError(f"{msg} at position {pos} in {text!r}")
 
     def peek():
-        nonlocal pos
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            return None
-        return m
+        return _TOKEN.match(text, pos)
 
     def take():
         nonlocal pos

@@ -1,36 +1,19 @@
-"""The cocycle solver: all valid (phi, phi') pairs mod n for one
-singquandle, as a :class:`CocycleSpace`.
+"""Linear systems over Z_n: the kernel of an integer matrix mod n, by one
+elimination, and the factorisation of n.  It imports no other singq
+module, so any engine can load it.
 
-The validity conditions are Z-linear in the entries of (phi, phi'),
-so the valid pairs mod n form the kernel of an integer matrix.  The kernel
-is computed by one elimination over Z_n, with gcd pivots and annihilator
-rows so that nothing is lost to zero divisors.  The condition rows that cut
-the space in that elimination decide membership mod n.  For each prime
-power q of n, its kernel rows nonzero mod q, lifted by the Chinese remainder
-theorem, generate; mod a prime each step keeps those rows independent.
+The elimination uses gcd pivots and annihilator rows so that nothing is
+lost to zero divisors.  The rows that cut the kernel in it decide
+membership mod n.  For each prime power q of n, its kernel rows nonzero
+mod q, lifted by the Chinese remainder theorem, generate; mod a prime each
+step keeps those rows independent.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .algebra import OrientedSingquandle
-from .invariants import (InvariantError, WeightPair, _cocycle_system,
-                         _flat_pair)
-
-
-def _cocycle_rows(s: OrientedSingquandle) -> list:
-    """The rows of ``_cocycle_system(s)`` as sparse coefficient dicts, in
-    emission order: each row's terms merged and zero rows dropped."""
-    rows = []
-    for _, _, terms in _cocycle_system(s):
-        row = {}
-        for idx, coef in terms:
-            row[idx] = row.get(idx, 0) + coef
-        row = {idx: coef for idx, coef in row.items() if coef}
-        if row:
-            rows.append(row)
-    return rows
+from . import SingqError
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound,
@@ -107,7 +90,7 @@ def _prime_factors(n: int) -> list:
     if _probable_prime(n):
         if n < _BASES_EXACT_BELOW:
             return [n]
-        raise InvariantError(
+        raise SingqError(
             f"cannot factor the modulus: no Miller-Rabin base up to 41 "
             f"shows its factor {n} composite, and at or above "
             f"{_BASES_EXACT_BELOW} that does not prove it prime")
@@ -127,7 +110,7 @@ def _prime_powers(m: int) -> list:
     prime (tested at the start and after each factor divided out).  A
     cofactor left once p reaches ``_TRIAL_BELOW`` is split by
     ``_prime_factors``, which refuses a factor it can prove neither prime
-    nor composite (an InvariantError)."""
+    nor composite (a SingqError)."""
     out = []
     p = 2
     prime = _known_prime(m)
@@ -248,54 +231,27 @@ def _kernel(rows: list, width: int, m: int) -> tuple:
     return [right for right in work.values() if right], size, cutting
 
 
-class CocycleSpace:
-    """The span of ``generators``, cocycle WeightPairs from one elimination:
-    all valid (phi, phi') pairs mod ``modulus`` for one singquandle.  A pair
-    is a member when it dots to 0 with every condition row that cut the
-    space, ``cutting`` holding them as ``{unknown: [(row, coef)]}``."""
-
-    __slots__ = ("structure", "modulus", "generators", "size", "cutting")
-
-    def __init__(self, structure: OrientedSingquandle, modulus: int,
-                 generators: tuple, size: int, cutting: dict):
-        self.structure, self.modulus = structure, modulus
-        self.generators, self.size = generators, size
-        self.cutting = cutting
-
-    def contains(self, cp: WeightPair) -> bool:
-        vec = _flat_pair(self.structure.n, cp, "cocycle")
-        if cp.modulus != self.modulus:
-            raise InvariantError("modulus mismatch")
-        dots = {}   # row -> its dot product with the pair
-        for k, v in enumerate(vec):
-            if v:
-                for r, c in self.cutting.get(k, ()):
-                    dots[r] = dots.get(r, 0) + c * v
-        return not any(dot % self.modulus for dot in dots.values())
-
-
-def solve_cocycle_space(s: OrientedSingquandle, modulus: int) -> CocycleSpace:
-    """Solve the homogeneous cocycle system over Z_modulus by one
-    elimination: for each prime power q of the modulus, the kernel rows
-    nonzero mod q, lifted by the CRT idempotent of q, are generators (a
-    basis when q is prime, but not always a least set otherwise)."""
-    if modulus < 2:
-        raise InvariantError("modulus must be >= 2")
-    n, m = s.n, modulus
-    width = 2 * n * n
+def solve(rows: list, width: int, m: int) -> tuple:
+    """(generators, size, cutting) of the kernel over Z_m, m >= 2, of the
+    sparse ``rows`` in ``width`` unknowns, by one ``_kernel`` pass.  The
+    generators, dense lists, are for each prime power q of m in turn the
+    kernel rows nonzero mod q, lifted by the CRT idempotent of q (a basis
+    when q is prime).  ``cutting`` maps each unknown to ``[(row, coef)]``
+    of the rows that cut: a vector is in the kernel when it dots to 0
+    with each."""
     powers = _prime_powers(m)   # refuses a modulus it cannot factor first
-    kernel, size, cut = _kernel(_cocycle_rows(s), width, m)
+    kernel, size, cut = _kernel(rows, width, m)
     cutting = {}
     for r, row in enumerate(cut):
         for k, c in row.items():
             cutting.setdefault(k, []).append((r, c))
-    pairs = []
+    generators = []
     for q in (p ** e for p, e in powers):
         lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
         for g in kernel:
             if any(c % q for c in g.values()):
-                tables = [[0] * n for _ in range(2 * n)]
+                vec = [0] * width
                 for k, c in g.items():
-                    tables[k // n][k % n] = c * lift % m
-                pairs.append(WeightPair("cocycle", m, tables[:n], tables[n:]))
-    return CocycleSpace(s, m, tuple(pairs), size, cutting)
+                    vec[k] = c * lift % m
+                generators.append(vec)
+    return generators, size, cutting

@@ -11,13 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from singq.algebra import (OperationTable, OrientedSingquandle,
+from singq.algebra import (OperationTable, OrientedSingquandle, Psyquandle,
                            ShadowStructure, affine_singquandle, parse_algebra)
 from singq.data import (corpus_names, load_algebra, load_diagram,
                         load_weights)
-from singq.invariants import WeightPair, validate_cocycle_pair
-from singq.psyquandle import Psyquandle
-from singq.solver import _cocycle_rows
+from singq.invariants import (WeightPair, _cocycle_rows,
+                              validate_cocycle_pair)
 
 
 @pytest.fixture(scope="session")

@@ -11,19 +11,19 @@ from hypothesis import given, strategies as st
 
 from singq.algebra import (AlgebraError, InvalidStructureError,
                            OperationTable, OrientedSingquandle,
-                           ParameterError, ShadowStructure, _ReadOnly,
-                           affine_singquandle, eval_table, formula_shadow,
-                           formula_structure, kept, parse_algebra,
-                           shadow_closure, substructure_closure,
-                           table_profile, validate_quandle, validate_shadow,
-                           validate_singquandle)
+                           ParameterError, Psyquandle, ShadowStructure,
+                           _ReadOnly, affine_singquandle, eval_table,
+                           formula_shadow, formula_structure, kept,
+                           parse_algebra, shadow_closure,
+                           substructure_closure, table_profile,
+                           validate_psyquandle, validate_quandle,
+                           validate_shadow, validate_singquandle)
 from singq.coloring import H1, H2, RULES, _tables, singquandle_tuples
 from singq.data import (fixture_names, load_algebra, load_diagram,
                         load_weights, read_bundled)
 from singq.invariants import WeightPair, restrict, ssqp, subsp
 from singq.morphisms import (are_isomorphic, is_homomorphism,
                              quandle_from_group)
-from singq.psyquandle import Psyquandle, validate_psyquandle
 
 from conftest import class_sample, gen, singquandle
 

@@ -358,7 +358,7 @@ class TestSearchCocycles:
         def solve(*args):
             raise AssertionError("solved before checking --contains")
 
-        monkeypatch.setattr("singq.solver.solve_cocycle_space", solve)
+        monkeypatch.setattr("singq.invariants.solve_cocycle_space", solve)
         if wgt == "5x5 mod 7":
             zeros = "\n".join("0 0 0 0 0" for _ in range(5))
             wgt = tmp_path / "w.wgt"

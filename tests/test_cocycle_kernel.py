@@ -29,11 +29,10 @@ from math import gcd
 import numpy as np
 import pytest
 
-from singq import solver
-from singq.invariants import (InvariantError, WeightPair,
+from singq import SingqError, solver
+from singq.invariants import (WeightPair, _cocycle_rows, solve_cocycle_space,
                               validate_cocycle_pair)
-from singq.solver import (_cocycle_rows, _kernel, _prime_powers,
-                          solve_cocycle_space)
+from singq.solver import _kernel, _prime_powers
 
 from conftest import (STRUCTURES, cocycle_kernel_size, prime_powers,
                       smith_kernel_size)
@@ -194,8 +193,9 @@ def test_prime_powers_match_trial_division():
     assert _prime_powers((10 ** 9 + 7) * (10 ** 9 + 9) * (10 ** 9 + 21)) == [
         (10 ** 9 + 7, 1), (10 ** 9 + 9, 1), (10 ** 9 + 21, 1)]
     for m in (2 ** 89 - 1, 3317044064679887385961981):
-        with pytest.raises(InvariantError, match=f"its factor {m} "):
+        with pytest.raises(SingqError, match=f"its factor {m} ") as err:
             _prime_powers(6 * m)
+        assert type(err.value) is SingqError
 
 
 # -- brute force on tiny systems with zero-divisor pivots ----------------------------

@@ -19,11 +19,7 @@ import singq
 SRC = str(Path(singq.__file__).resolve().parent.parent)
 ENV = dict(os.environ, PYTHONPATH=SRC)
 
-# What ``from singq import *`` binds: the names it bound before the package
-# loaded lazily, with the one weight-pair class in place of the two,
-# without ``ExponentTag`` now that invariant values hold plain exponents,
-# without the alias ``SP`` of ``shadow_polynomial_invariant``, and with
-# ``SingqError``, the base of every input error.
+# Every name ``from singq import *`` binds.
 PUBLIC_NAMES = [
     "AlgebraError", "BasePolynomial", "CocycleSpace", "Coloring", "Crossing",
     "DiagramError", "InvalidStructureError", "InvariantError",
@@ -76,6 +72,14 @@ def test_import_loads_no_submodule():
                   "print(sorted(m for m in sys.modules "
                   "if m.startswith('singq.')))")
     assert proc.stdout.splitlines() == ["[]"]
+
+
+def test_solver_imports_no_other_singq_module():
+    """The Z_n elimination loads alone, so any engine can use it."""
+    proc = python("import sys, singq.solver\n"
+                  "print(sorted(m for m in sys.modules "
+                  "if m.startswith('singq')))")
+    assert proc.stdout.splitlines() == ["['singq', 'singq.solver']"]
 
 
 def test_public_names_unchanged_and_resolve():
@@ -152,7 +156,7 @@ def test_count_loads_no_invariant_solver_or_json_code(loaded):
 @pytest.mark.parametrize("name, loads, skips", [
     ("z6_cocycle.wgt", {"invariants", "coloring", "polynomial"}, {"diagram"}),
     ("5k6.dgm", {"diagram"}, {"invariants", "coloring", "polynomial"}),
-    ("psy6.alg", {"psyquandle"}, {"polynomial", "coloring"}),
+    ("psy6.alg", {"algebra"}, {"polynomial", "coloring"}),
 ], ids=["wgt", "dgm", "alg"])
 def test_validate_loads_per_file_kind(name, loads, skips):
     """README's load table for ``validate``, one lone file of each kind."""
@@ -170,12 +174,6 @@ def test_shadow_polynomial_parses_no_diagram(loaded):
 def test_only_search_cocycles_loads_the_solver(loaded):
     assert {name for name, modules in loaded.items()
             if "singq.solver" in modules} == {"search-cocycles"}
-
-
-def test_only_psyquandle_commands_load_psyquandles(loaded):
-    assert {name for name, modules in loaded.items()
-            if "singq.psyquandle" in modules} == {"psy-count", "boltzmann-1",
-                                                  "boltzmann-2"}
 
 
 def test_no_command_loads_the_morphisms(loaded):

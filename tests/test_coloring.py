@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from singq import coloring, data, invariants
-from singq.algebra import (OperationTable, parse_algebra,
+from singq.algebra import (OperationTable, Psyquandle, parse_algebra,
                            substructure_closure)
 from singq.coloring import (RULES, ColoringError, psyquandle_colorings,
                             psyquandle_tuples, shadow_colorings,
@@ -15,7 +15,6 @@ from singq.data import load_diagram, read_bundled
 from singq.diagram import parse_diagram, validate_diagram
 from singq.invariants import (boltzmann_single, boltzmann_two, phi_ssqp,
                               shadow_polynomial_invariant, state_sum)
-from singq.psyquandle import Psyquandle
 
 from conftest import brute_force_psyquandle, brute_force_singquandle
 

@@ -54,8 +54,7 @@ from singq.diagram import parse_diagram
 from singq.invariants import (InvariantValue, WeightPair, boltzmann_single,
                               boltzmann_two, phi_ssqp,
                               shadow_polynomial_invariant, ssqp, state_sum,
-                              subsp)
-from singq.solver import solve_cocycle_space
+                              solve_cocycle_space, subsp)
 
 from conftest import (STRUCTURES, accepted, assert_colorings_satisfy,
                       brute_force_psyquandle, brute_force_shadow,

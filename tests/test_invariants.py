@@ -13,13 +13,12 @@ from singq.coloring import singquandle_colorings, psyquandle_colorings
 from singq.data import load_algebra, load_diagram
 from singq import invariants, solver
 from singq.invariants import (InvariantError, InvariantValue, WeightPair,
-                              boltzmann_single, boltzmann_two,
+                              _cocycle_rows, boltzmann_single, boltzmann_two,
                               parse_weights, phi_ssqp, restrict,
-                              shadow_polynomial_invariant, sp, sqp, ssqp,
-                              state_sum, strongly_compatible, subsp,
-                              validate_boltzmann, validate_cocycle_pair)
+                              shadow_polynomial_invariant, solve_cocycle_space,
+                              sp, sqp, ssqp, state_sum, strongly_compatible,
+                              subsp, validate_boltzmann, validate_cocycle_pair)
 from singq.polynomial import BasePolynomial, parse_polynomial
-from singq.solver import _cocycle_rows, solve_cocycle_space
 
 from conftest import (STRUCTURES, class_sample, cocycle_kernel_size,
                       cocycle_verdicts_mod_2, singquandle)
@@ -523,9 +522,11 @@ class TestCocycleSolver:
     def test_complete_at_orders_two_and_three(self, small_singquandles):
         """Every singquandle of order 2: mod 2 its size, and its answer on
         each of the 2^8 pairs, are those of ``validate_cocycle_pair``; mod 4
-        its size is the Smith oracle's.  Seeded classes of order 3, every
-        affine one among them, mod 3 and mod 9 against the Smith oracle.
-        Every generator is a valid pair."""
+        its size is the Smith oracle's.  Every class of order 3 mod 3: its
+        size is the Smith oracle's and, the count being canonical at a
+        prime, 3 to its number of generators.  Seeded classes of order 3,
+        every affine one among them, mod 3 and mod 9 against the Smith
+        oracle, every generator of these a valid pair."""
         two = [member for members in small_singquandles[2].values()
                for member in members]
         classes = small_singquandles[3]
@@ -545,6 +546,11 @@ class TestCocycleSolver:
             assert space.size == sum(verdicts.values())
             assert all(space.contains(pair) == valid
                        for pair, valid in verdicts.items())
+        for tables in classes:
+            s = singquandle(tables)
+            space = solve_cocycle_space(s, 3)
+            assert (space.size == cocycle_kernel_size(s, 3)
+                    == 3 ** len(space.generators)), tables
         for tables, modulus in ([(t, 4) for t in two]
                                 + [(t, m) for t in three for m in (3, 9)]):
             s = singquandle(tables)

@@ -13,13 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from singq.algebra import (OperationTable, OrientedSingquandle,
+from singq.algebra import (OperationTable, OrientedSingquandle, Psyquandle,
                            ShadowStructure, ValidationReport, parse_algebra,
-                           validate_quandle, validate_shadow,
-                           validate_singquandle)
+                           validate_psyquandle, validate_quandle,
+                           validate_shadow, validate_singquandle)
 from singq.data import fixture_names, load_algebra
 from singq.morphisms import validate_group
-from singq.psyquandle import Psyquandle, validate_psyquandle
 
 from conftest import gen
 

@@ -14,9 +14,8 @@ import pytest
 from singq.algebra import ValidationReport, affine_singquandle
 from singq.data import load_algebra, load_weights
 from singq.invariants import (InvariantError, WeightPair,
-                              strongly_compatible, validate_boltzmann,
-                              validate_cocycle_pair)
-from singq.solver import solve_cocycle_space
+                              solve_cocycle_space, strongly_compatible,
+                              validate_boltzmann, validate_cocycle_pair)
 
 
 # -- reference: the loop validators -------------------------------------------
